@@ -18,6 +18,7 @@ from .bounds import (
     MainLowerBound,
     PlaneValue,
     PlaneValueStatus,
+    ProductFactors,
     SubmaximalCandidate,
     ThresholdScan,
     biran_product_bound,

@@ -27,8 +27,9 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional
 
-from .exact import Rational, Surd, isqrt, render_decimal, surd_compare
-from .pell import fsst_applicable, pell_fundamental, szemberg_single_point_bound
+from .exact import Rational, Surd, isqrt, surd_compare
+from .inequalities import el_xu_feasible, is_square, is_subgeneric
+from .pell import FsstWitness, PellSolution, fsst_applicable, pell_fundamental, szemberg_single_point_bound
 
 __all__ = [
     "BoundValue",
@@ -38,6 +39,7 @@ __all__ = [
     "HarbourneBound",
     "PlaneValueStatus",
     "PlaneValue",
+    "ProductFactors",
     "BoundEntry",
     "BoundReport",
     "ThresholdScan",
@@ -119,9 +121,6 @@ class HarbourneElement:
     num: int
     den: int
 
-    def formula_text(self) -> str:
-        return f"{self.num}/{self.den}"
-
 
 @dataclass(frozen=True)
 class HarbourneBound:
@@ -171,23 +170,22 @@ TWO_SIX_ANNOTATION = (
 def enumerate_exceptional_candidates(k: int, r: int) -> tuple[SubmaximalCandidate, ...]:
     """All (d, s) whose curve value d*k/s lies below the generic bound.
 
-    Membership: d >= 1, 1 <= s <= r, s - 1 <= d^2*k, and d*k/s strictly
-    below sqrt((r+2)k/((r+3)r)) under exact comparison.  The list is
-    finite: d*k/s >= d*k/r grows with d, so the loop stops at the first d
-    for which even s = r cannot go below the bound.  Sorted ascending by
-    value, ties by (d, s).
+    Membership: d >= 1, 1 <= s <= r, s - 1 <= d^2*k (EL-Xu for s unit
+    multiplicities), and d*k/s strictly below sqrt((r+2)k/((r+3)r)).  The
+    list is finite: d*k/s >= d*k/r grows with d, so the loop stops at the
+    first d for which even s = r cannot go below the bound.  Sorted
+    ascending by value, ties by (d, s).
     """
     if r < 2:
         raise ValueError(f"multi-point candidates need r >= 2, got {r}")
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
-    generic_sq = Fraction((r + 2) * k, (r + 3) * r)
     out = []
     d = 1
-    while Fraction(d * k, r) ** 2 < generic_sq:
+    while is_subgeneric(d * d * k, r, r):
         d2k = d * d * k
         for s in range(1, r + 1):
-            if s - 1 <= d2k and Fraction(d * k, s) ** 2 < generic_sq:
+            if el_xu_feasible(d2k, s, 1) and is_subgeneric(d2k, s, r):
                 out.append(SubmaximalCandidate(d, s, Fraction(d * k, s)))
         d += 1
     out.sort(key=lambda c: (c.value, c.d, c.s))
@@ -227,12 +225,6 @@ def szemberg_floor_bound(k: int, r: int) -> int:
     return isqrt(k // r)
 
 
-def _ceil_sqrt_ratio(num: int, den: int) -> int:
-    """Smallest integer c with c^2 * den >= num (i.e. ceil(sqrt(num/den)))."""
-    t = isqrt(num // den)
-    return t if t * t * den == num else t + 1
-
-
 def harbourne_bound(k: int, r: int, very_ample: bool) -> HarbourneBound:
     """Maximum of the three explicit sets bounding the constant below.
 
@@ -261,10 +253,12 @@ def harbourne_bound(k: int, r: int, very_ample: bool) -> HarbourneBound:
             HarbourneElement(Fraction(d * k, ce), "ceil-multiple", d, d * k, ce)
         )
         d += 1
-    c = _ceil_sqrt_ratio(r, k)
+    # d is now the least integer with d^2*k > r, so ceil(sqrt(r/k)) is
+    # d - 1 when (d - 1)^2*k = r and d otherwise.
+    c = d - 1 if (d - 1) ** 2 * k == r else d
     elements.append(HarbourneElement(Fraction(1, c), "unit-reciprocal", None, 1, c))
 
-    exceptional = k <= r and _is_perfect_square(r * k)
+    exceptional = k <= r and is_square(r * k)
     if exceptional:
         value = BoundValue(Surd.sqrt(Fraction(k, r)), attained=False)
         winner = None
@@ -281,11 +275,6 @@ def harbourne_bound(k: int, r: int, very_ample: bool) -> HarbourneBound:
         exceptional=exceptional,
         advisory=not very_ample,
     )
-
-
-def _is_perfect_square(n: int) -> bool:
-    t = isqrt(n)
-    return t * t == n
 
 
 def biran_product_bound(eps_single: Surd | Rational, eps_plane_r: Surd | Rational) -> Surd:
@@ -324,23 +313,35 @@ def nagata_plane_value(r: int) -> PlaneValue:
     if r <= 8:
         return PlaneValue(BoundValue(Surd(_PLANE_SMALL[r])), PlaneValueStatus.KNOWN)
     value = Surd.sqrt(Fraction(1, r))
-    if _is_perfect_square(r):
+    if is_square(r):
         note = _NINE_POINT_NOTE if r == 9 else None
         return PlaneValue(BoundValue(value), PlaneValueStatus.PROVED_SQUARE, note)
     return PlaneValue(BoundValue(value), PlaneValueStatus.CONJECTURAL)
 
 
 @dataclass(frozen=True)
+class ProductFactors:
+    """The product bound's factors: the single-point value p0*k/q0 with its
+    Pell solution and n^2 +- 1 witness, and the plane value at r."""
+
+    single: Fraction
+    pell: PellSolution
+    witness: FsstWitness
+    plane: PlaneValue
+
+
+@dataclass(frozen=True)
 class BoundEntry:
-    """One named bound inside a comparison report."""
+    """One named bound inside a comparison report; detail is the object it
+    was built from (None for the floor bound)."""
 
     name: str
     value: BoundValue
     applicability: str
     attribution: str
     conjectural: bool = False
-    notes: tuple[str, ...] = ()
     candidates: tuple[SubmaximalCandidate, ...] = ()
+    detail: MainLowerBound | HarbourneBound | ProductFactors | None = None
 
 
 @dataclass(frozen=True)
@@ -357,11 +358,6 @@ class BoundReport:
     upper: BoundValue
     entries: tuple[BoundEntry, ...]
     ranks: tuple[int, ...]
-    notes: tuple[str, ...] = ()
-
-
-def _decimal(value: Surd, digits: int = 4) -> str:
-    return render_decimal(value, digits)
 
 
 def compare_bounds(k: int, r: int, very_ample: bool = False) -> BoundReport:
@@ -378,122 +374,56 @@ def compare_bounds(k: int, r: int, very_ample: bool = False) -> BoundReport:
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
     upper = upper_bound(k, r)
-    notes: list[str] = []
-    entries: list[BoundEntry] = []
-
     main = main_lower_bound(k, r)
-    main_notes: list[str] = []
-    if main.annotation:
-        main_notes.append(main.annotation)
-    if main.candidates:
-        listed = ", ".join(
-            f"d={c.d}, s={c.s}: {c.value} ({_decimal(Surd(c.value))})"
-            for c in main.candidates
-        )
-        main_notes.append(f"exceptional candidates: {listed}")
-        main_notes.append(
-            f"unconditional guarantee: {main.guaranteed} ({_decimal(main.guaranteed)})"
-        )
-    entries.append(
+    entries = [
         BoundEntry(
             name="main",
             value=main.bound,
             applicability="ample generator, Picard number 1, r >= 2",
             attribution="generic value sqrt((r+2)/(r+3))*sqrt(k/r), or 3/2 at (r,k)=(2,6)",
-            notes=tuple(main_notes),
             candidates=main.candidates,
-        )
-    )
-
-    floor_val = szemberg_floor_bound(k, r)
-    entries.append(
+            detail=main,
+        ),
         BoundEntry(
             name="szemberg-floor",
-            value=BoundValue(Surd(Fraction(floor_val))),
+            value=BoundValue(Surd(Fraction(szemberg_floor_bound(k, r)))),
             applicability="ample generator, Picard number 1",
             attribution="Szemberg's floor bound floor(sqrt(k/r))",
-        )
-    )
+        ),
+    ]
 
     if very_ample:
         harb = harbourne_bound(k, r, very_ample=True)
-        harb_notes = [
-            "set elements: "
-            + ", ".join(
-                f"{e.formula_text()} ({_decimal(Surd(e.value))}, {e.source}"
-                + (f", d={e.d})" if e.d is not None else ")")
-                for e in harb.elements
-            )
-        ]
-        if harb.exceptional:
-            harb_notes.append(
-                "exceptional case (k <= r and r*k a perfect square): sqrt(k/r) is a "
-                "supremum only; every value strictly below it is a valid bound"
-            )
-        else:
-            by_source = {}
-            for e in harb.elements:
-                cur = by_source.get(e.source)
-                if cur is None or e.value > cur.value:
-                    by_source[e.source] = e
-            floor_best = by_source.get("floor-multiple")
-            ceil_best = by_source.get("ceil-multiple")
-            if floor_best and ceil_best and floor_best.value != ceil_best.value:
-                a, b = floor_best, ceil_best
-                hi, lo = (a, b) if a.value > b.value else (b, a)
-                harb_notes.append(
-                    f"set maximum {hi.formula_text()} ({_decimal(Surd(hi.value))}) "
-                    f"comes from the {hi.source} element; the {lo.source} element "
-                    f"{lo.formula_text()} ({_decimal(Surd(lo.value))}) is strictly smaller"
-                )
         entries.append(
             BoundEntry(
                 name="harbourne",
                 value=harb.bound,
                 applicability="very ample L (asserted by caller)",
                 attribution="Harbourne's three-set maximum for very ample line bundles",
-                notes=tuple(harb_notes),
+                detail=harb,
             )
         )
 
-    if k >= 2 and not _is_perfect_square(k):
-        single = szemberg_single_point_bound(k)
-        sol = pell_fundamental(k)
-        plane = nagata_plane_value(r)
-        witness = fsst_applicable(k)
-        conjectural = (not witness.applicable) or plane.status is PlaneValueStatus.CONJECTURAL
-        biran_notes = [
-            f"single-point factor {single} from Pell solution (p0, q0) = ({sol.p0}, {sol.q0})",
-            f"plane factor {plane.bound.value} at r = {r} ({plane.status.value})",
-        ]
-        if witness.applicable:
-            biran_notes.append(
-                f"single-point bound proven: k = {k} = {witness.n}^2"
-                + ("-1" if witness.form == "n^2-1" else "+1")
-            )
-        else:
-            biran_notes.append(
-                f"single-point bound conjectural: k = {k} is not of the form n^2 +- 1"
-            )
-        if plane.note:
-            biran_notes.append(plane.note)
+    if k >= 2 and not is_square(k):
+        factors = ProductFactors(
+            szemberg_single_point_bound(k), pell_fundamental(k), fsst_applicable(k), nagata_plane_value(r)
+        )
         entries.append(
             BoundEntry(
                 name="biran-product",
-                value=BoundValue(biran_product_bound(single, plane.bound.value)),
+                value=BoundValue(biran_product_bound(factors.single, factors.plane.bound.value)),
                 applicability="product of single-point and plane multi-point bounds",
                 attribution="Biran-type product bound",
-                conjectural=conjectural,
-                notes=tuple(biran_notes),
+                conjectural=not factors.witness.applicable
+                or factors.plane.status is PlaneValueStatus.CONJECTURAL,
+                detail=factors,
             )
         )
-    elif k >= 2:
-        notes.append(f"no Pell single-point bound: k = {k} is a perfect square")
 
     # Unconditional, non-supremum entries can never exceed the optimal value.
     for e in entries:
-        if not e.value.conditional:
-            assert surd_compare(e.value.value, upper.value) <= 0, e
+        if not e.value.conditional and surd_compare(e.value.value, upper.value) > 0:
+            raise RuntimeError(f"unconditional {e.name} bound exceeds sqrt(k/r) at k={k}, r={r}")
 
     entries.sort(key=lambda e: (-e.value.value.squared(), e.name))
     ranks: list[int] = []
@@ -502,14 +432,7 @@ def compare_bounds(k: int, r: int, very_ample: bool = False) -> BoundReport:
             ranks.append(ranks[-1])
         else:
             ranks.append(i + 1)
-    return BoundReport(
-        k=k,
-        r=r,
-        upper=upper,
-        entries=tuple(entries),
-        ranks=tuple(ranks),
-        notes=tuple(notes),
-    )
+    return BoundReport(k=k, r=r, upper=upper, entries=tuple(entries), ranks=tuple(ranks))
 
 
 @dataclass(frozen=True)

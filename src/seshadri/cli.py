@@ -26,17 +26,22 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 from .bounds import (
+    BoundEntry,
+    HarbourneBound,
+    MainLowerBound,
+    ProductFactors,
     compare_bounds,
     dominance_scan,
     nagata_plane_value,
 )
 from .catalog import SurfaceSpec, SurfaceSyntaxError, known_value, parse_surface
 from .exact import Surd, isqrt, render_decimal
+from .inequalities import is_square
 from .oracle import (
     classify_case,
     k3_case2_excluded,
@@ -53,6 +58,7 @@ SEARCH_CAVEAT = (
     "not the true constant, which needs geometric input"
 )
 BOX_CAVEAT = "conclusions hold within the searched box only"
+NOTE_DIGITS = 4  # notes quote values at a fixed precision, whatever --digits says
 
 
 class UsageError(Exception):
@@ -122,17 +128,7 @@ def _emit_json(records: list[Record], out: io.TextIOBase) -> None:
         obj = {
             "command": rec.command,
             "inputs": {k: v for k, v in rec.inputs},
-            "entries": [
-                {
-                    "name": e.name,
-                    "exact": e.exact,
-                    "decimal": e.decimal,
-                    "flags": list(e.flags),
-                    "applicability": e.applicability,
-                    "attribution": e.attribution,
-                }
-                for e in rec.entries
-            ],
+            "entries": [asdict(e) for e in rec.entries],
             "notes": rec.notes,
         }
         out.write(json.dumps(obj, separators=(",", ":")) + "\n")
@@ -189,15 +185,61 @@ def _int_list(text: str) -> list[int]:
     return values
 
 
-def _dec(value: Surd, digits: int) -> str:
-    return render_decimal(value, digits)
-
-
 def _all_digit_note(name: str, value: Surd) -> str:
     return (
         f"{name} at 2/3/4 digits: "
         + " / ".join(render_decimal(value, d) for d in (2, 3, 4))
     )
+
+
+def _entry_notes(entry: BoundEntry, r: int) -> list[str]:
+    """Notes on one bound, written from the object it was built from."""
+    detail, notes = entry.detail, []
+    if isinstance(detail, MainLowerBound):
+        if detail.annotation:
+            notes.append(detail.annotation)
+        if detail.candidates:
+            listed = ", ".join(
+                f"d={c.d}, s={c.s}: {c.value} ({render_decimal(Surd(c.value), NOTE_DIGITS)})"
+                for c in detail.candidates
+            )
+            notes.append(f"exceptional candidates: {listed}")
+            least = detail.guaranteed
+            notes.append(f"unconditional guarantee: {least} ({render_decimal(least, NOTE_DIGITS)})")
+    elif isinstance(detail, HarbourneBound):
+        listed = ", ".join(
+            f"{e.num}/{e.den} ({render_decimal(Surd(e.value), NOTE_DIGITS)}, {e.source}"
+            + (f", d={e.d})" if e.d is not None else ")")
+            for e in detail.elements
+        )
+        notes.append(f"set elements: {listed}")
+        a, b = (
+            max((e for e in detail.elements if e.source == source), key=lambda e: e.value, default=None)
+            for source in ("floor-multiple", "ceil-multiple")
+        )
+        if detail.exceptional:
+            notes.append(
+                "exceptional case (k <= r and r*k a perfect square): sqrt(k/r) is a "
+                "supremum only; every value strictly below it is a valid bound"
+            )
+        elif a and b and a.value != b.value:
+            hi, lo = (a, b) if a.value > b.value else (b, a)
+            notes.append(
+                f"set maximum {hi.num}/{hi.den} ({render_decimal(Surd(hi.value), NOTE_DIGITS)}) "
+                f"comes from the {hi.source} element; the {lo.source} element "
+                f"{lo.num}/{lo.den} ({render_decimal(Surd(lo.value), NOTE_DIGITS)}) is strictly smaller"
+            )
+    elif isinstance(detail, ProductFactors):
+        sol, witness, plane = detail.pell, detail.witness, detail.plane
+        notes.append(f"single-point factor {detail.single} from Pell solution (p0, q0) = ({sol.p0}, {sol.q0})")
+        notes.append(f"plane factor {plane.bound.value} at r = {r} ({plane.status.value})")
+        if witness.applicable:
+            notes.append(f"single-point bound proven: k = {sol.k} = {witness.n}^2{witness.form[3:]}")
+        else:
+            notes.append(f"single-point bound conjectural: k = {sol.k} is not of the form n^2 +- 1")
+        if plane.note:
+            notes.append(plane.note)
+    return notes
 
 
 # -- subcommands ---------------------------------------------------------
@@ -238,7 +280,7 @@ def cmd_bounds(args: argparse.Namespace) -> tuple[list[Record], int]:
                 Entry(
                     name="upper",
                     exact=str(report.upper.value),
-                    decimal=_dec(report.upper.value, digits),
+                    decimal=render_decimal(report.upper.value, digits),
                     flags=("upper-bound", "supremum"),
                     applicability="any nef line bundle",
                     attribution="optimal value sqrt(k/r)",
@@ -257,14 +299,15 @@ def cmd_bounds(args: argparse.Namespace) -> tuple[list[Record], int]:
                     Entry(
                         name=entry.name,
                         exact=str(entry.value.value),
-                        decimal=_dec(entry.value.value, digits),
+                        decimal=render_decimal(entry.value.value, digits),
                         flags=tuple(flags),
                         applicability=entry.applicability,
                         attribution=entry.attribution,
                     )
                 )
-                rec.notes.extend(f"{entry.name}: {n}" for n in entry.notes)
-            rec.notes.extend(report.notes)
+                rec.notes.extend(f"{entry.name}: {n}" for n in _entry_notes(entry, r))
+            if k >= 2 and is_square(k):
+                rec.notes.append(f"no Pell single-point bound: k = {k} is a perfect square")
             if surface is not None:
                 rec.notes.extend(f"surface: {n}" for n in surface.notes)
                 known = known_value(surface, r)
@@ -292,7 +335,7 @@ def cmd_pell(args: argparse.Namespace) -> tuple[list[Record], int]:
         Entry(
             name="single-point-bound",
             exact=str(Fraction(bound)),
-            decimal=_dec(Surd(bound), args.digits),
+            decimal=render_decimal(Surd(bound), args.digits),
             applicability="single very general point",
             attribution="Pell-based bound p0*k/q0",
         )
@@ -331,7 +374,7 @@ def cmd_search(args: argparse.Namespace) -> tuple[list[Record], int]:
         Entry(
             name="minimum",
             exact=str(result.minimum),
-            decimal=_dec(Surd(result.minimum), args.digits),
+            decimal=render_decimal(Surd(result.minimum), args.digits),
             attribution="min of d*k/sum(m) over the searched box",
         )
     )
@@ -341,7 +384,7 @@ def cmd_search(args: argparse.Namespace) -> tuple[list[Record], int]:
             Entry(
                 name=f"witness-{i}",
                 exact=str(result.minimum),
-                decimal=_dec(Surd(result.minimum), args.digits),
+                decimal=render_decimal(Surd(result.minimum), args.digits),
                 flags=(label.value,),
                 applicability=f"d={d}, m={'(' + ','.join(map(str, m)) + ')'}",
             )
@@ -474,7 +517,7 @@ def cmd_p2_table(args: argparse.Namespace) -> tuple[list[Record], int]:
             Entry(
                 name=f"r={r}",
                 exact=str(value.bound.value),
-                decimal=_dec(value.bound.value, args.digits),
+                decimal=render_decimal(value.bound.value, args.digits),
                 flags=(value.status.value,),
                 applicability=achievers.get(r, ""),
             )
@@ -548,6 +591,20 @@ def _build_parser() -> _Parser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    # Exact Pell solutions pass the interpreter's int-to-str digit limit
+    # (4300 by default) long before they are slow to compute, so the limit
+    # is lifted while main runs.  Interpreters without it have no limit.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+def _run(argv: Optional[list[str]]) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

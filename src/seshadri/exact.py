@@ -41,13 +41,6 @@ def isqrt(n: int) -> int:
     return math.isqrt(n)
 
 
-def _is_square(n: int) -> bool:
-    if n < 0:
-        return False
-    t = math.isqrt(n)
-    return t * t == n
-
-
 def squarefree_decompose(n: int) -> tuple[int, int]:
     """Write n = a*a*b with b squarefree; returns (a, b).
 
@@ -109,10 +102,6 @@ class Surd:
         object.__setattr__(self, "radicand", n)
 
     # -- constructors ---------------------------------------------------
-
-    @classmethod
-    def from_rational(cls, q: Fraction | int) -> Surd:
-        return cls(Fraction(q), 1)
 
     @classmethod
     def sqrt(cls, q: Fraction | int) -> Surd:

@@ -31,6 +31,7 @@ from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .exact import isqrt
+from .inequalities import el_xu_feasible, han_inequality, is_subgeneric
 
 __all__ = [
     "Multiplicities",
@@ -102,7 +103,7 @@ def check_el_xu(d: int, k: int, m: Sequence[int]) -> bool:
     if d < 1 or k < 1:
         raise ValueError(f"need d, k >= 1, got d={d}, k={k}")
     m = validate_multiplicities(m)
-    return d * d * k >= sum(e * e for e in m) - m[-1]
+    return el_xu_feasible(d * d * k, sum(e * e for e in m), m[-1])
 
 
 class HanCheck(NamedTuple):
@@ -111,21 +112,11 @@ class HanCheck(NamedTuple):
 
 
 def check_han_inequality(m: Sequence[int]) -> HanCheck:
-    """The combinatorial inequality behind the generic bound:
-
-        (s+3)*s/(s+2) * (sum(m_i^2) - m_s)  >=  (sum(m_i))^2
-
-    applicable iff m_1 >= 2 and (s >= 3, or s = 2 with (m_1, m_2) != (2, 2)).
-    holds is evaluated exactly (cross-multiplied integers) in either case;
-    for the excluded pair (2, 2) it is False, which is exactly why that
-    pair is excluded.
-    """
-    m = validate_multiplicities(m)
-    s = len(m)
-    applicable = m[0] >= 2 and (s >= 3 or (s == 2 and m != (2, 2)))
-    lhs = (s + 3) * s * (sum(e * e for e in m) - m[-1])
-    rhs = (s + 2) * sum(m) ** 2
-    return HanCheck(applicable, lhs >= rhs)
+    """The combinatorial inequality behind the generic bound (see
+    inequalities.han_inequality); holds is evaluated whether or not it
+    applies."""
+    applicable, margin = han_inequality(validate_multiplicities(m))
+    return HanCheck(applicable, margin >= 0)
 
 
 def _is_two_six(d: int, k: int, m: Multiplicities) -> bool:
@@ -136,11 +127,8 @@ def classify_case(d: int, k: int, r: int, m: Sequence[int]) -> CaseLabel:
     """Classify a configuration at r points.
 
     INFEASIBLE when EL-Xu fails; UNIT_MULTIPLICITY when m_1 = 1; TWO_SIX
-    for (d, k, m) = (1, 6, (2, 2)).  Anything else must satisfy
-
-        d^2*k >= (r+2)/(r(r+3)) * (sum m_i)^2,
-
-    i.e. its ratio meets the generic bound; a failure raises
+    for (d, k, m) = (1, 6, (2, 2)).  Anything else must not be
+    sub-generic, i.e. its ratio meets the generic bound; a failure raises
     TheoremViolation.
     """
     if r < 2:
@@ -154,8 +142,7 @@ def classify_case(d: int, k: int, r: int, m: Sequence[int]) -> CaseLabel:
         return CaseLabel.UNIT_MULTIPLICITY
     if _is_two_six(d, k, m):
         return CaseLabel.TWO_SIX
-    total = sum(m)
-    if d * d * k * r * (r + 3) < (r + 2) * total * total:
+    if is_subgeneric(d * d * k, sum(m), r):
         raise TheoremViolation(d, k, r, m)
     return CaseLabel.GENERIC
 
@@ -219,7 +206,8 @@ def min_ratio_search(k: int, r: int, d_max: int, m_max: int) -> SearchResult:
                 witnesses = [(d, m)]
             elif ratio == best:
                 witnesses.append((d, m))
-    assert best is not None  # (1,) is always feasible
+    if best is None:
+        raise RuntimeError(f"no feasible configuration at k={k}, r={r}, yet (1,) always is")
     witnesses.sort(key=lambda w: (w[0], len(w[1]), w[1]))
     return SearchResult(best, tuple(witnesses))
 
@@ -269,9 +257,8 @@ def verify_theorem(
     """Classify every feasible configuration with k_min <= k <= k_max,
     r_min <= r <= r_max, d <= d_max, entries <= m_max.
 
-    Sub-genericity at r is the integer test
-    d^2*k*r*(r+3) < (r+2)*(sum m)^2; on feasible vectors the left side
-    grows faster in r than the right (Cauchy-Schwarz plus EL-Xu bound
+    In the sub-generic test d^2*k*r*(r+3) < (r+2)*(sum m)^2 the left side
+    grows faster in r than the right on feasible vectors (Cauchy-Schwarz plus EL-Xu bound
     sum(m) by sqrt(r*d^2*k)), so each vector is sub-generic on a prefix
     of r values and the scan stops at the first r that clears the bound.
     """
@@ -288,16 +275,12 @@ def verify_theorem(
             budget = d * d * k
             for m, total in _iter_feasible(budget, r_max, m_max):
                 feasible += 1
-                r_lo = max(r_min, len(m))
-                rhs = total * total
-                m1 = m[0]
-                triple = _is_two_six(d, k, m)
-                for r in range(r_lo, r_max + 1):
-                    if budget * r * (r + 3) >= (r + 2) * rhs:
+                for r in range(max(r_min, len(m)), r_max + 1):
+                    if not is_subgeneric(budget, total, r):
                         break  # generic from here on; monotone in r
-                    if m1 == 1:
+                    if m[0] == 1:
                         counts[CaseLabel.UNIT_MULTIPLICITY] += 1
-                    elif triple:
+                    elif _is_two_six(d, k, m):
                         counts[CaseLabel.TWO_SIX] += 1
                     else:
                         violations.append(Violation(d, k, r, m))
@@ -334,14 +317,13 @@ def verify_han_exhaustive(s_max: int, m_max: int) -> HanScan:
     for s in range(1, s_max + 1):
         for combo in itertools.combinations_with_replacement(range(1, m_max + 1), s):
             m = combo[::-1]
-            if not (m[0] >= 2 and (s >= 3 or (s == 2 and m != (2, 2)))):
+            applicable, margin = han_inequality(m)
+            if not applicable:
                 continue
             checked += 1
-            lhs = (s + 3) * s * (sum(e * e for e in m) - m[-1])
-            rhs = (s + 2) * sum(m) ** 2
-            if lhs < rhs:
+            if margin < 0:
                 counterexamples.append(m)
-            elif lhs == rhs:
+            elif margin == 0:
                 equalities.append(m)
     return HanScan(s_max, m_max, checked, tuple(counterexamples), tuple(equalities))
 
@@ -382,8 +364,10 @@ def k3_case2_excluded(k: int, r: int, d_max: int) -> K3Exclusion:
       dimension-excess   h0(dL) > s + 1 yields a curve through s + 1
                          points, and EL-Xu with unit multiplicities gives
                          d^2*k >= s.
-    Every branch contradicts d^2*k < s, so case 2 never undercuts the
-    generic bound here.
+    Only the first two settle a row by its own arithmetic, so the pair is
+    excluded only when every row is direct or no-curve.  With the true
+    h0 = d^2*k/2 + 2 the other two never occur (d^2*k < s forces s >= 3,
+    hence h0 <= s); a wrong section count makes the pair fail.
     """
     if r < 3:
         raise ValueError(f"K3 exclusion argument assumes r >= 3, got {r}")
@@ -403,7 +387,8 @@ def k3_case2_excluded(k: int, r: int, d_max: int) -> K3Exclusion:
             else:
                 branch = "dimension-excess"
             rows.append(K3TraceRow(d, s, branch))
-    return K3Exclusion(excluded=True, trace=tuple(rows))
+    excluded = all(row.branch in ("direct", "no-curve") for row in rows)
+    return K3Exclusion(excluded=excluded, trace=tuple(rows))
 
 
 class AsymptoticTraceRow(NamedTuple):

@@ -6,11 +6,15 @@ decimals, integer/rational comparison otherwise); there are no float
 tolerances anywhere.
 """
 
+import contextlib
 import functools
+import io
+import json
 from fractions import Fraction
 
 from oracles import is_proper_power_of_smaller_solution, pell_brute_force
 
+import seshadri.cli as cli
 from seshadri.bounds import (
     compare_bounds,
     enumerate_exceptional_candidates,
@@ -84,14 +88,18 @@ def test_criterion_3_k35_r101():
     assert harb.bound.value == Fraction(59, 101)
     assert Fraction(35, 60) in {e.value for e in harb.elements}
 
-    # the assembled report surfaces both values and the discrepancy note
+    # the assembled report carries both values, and the CLI writes the
+    # discrepancy note from them
     report = compare_bounds(35, 101, very_ample=True)
     harb_entry = next(e for e in report.entries if e.name == "harbourne")
-    joined = " ".join(harb_entry.notes)
-    assert "59/101" in joined and "35/60" in joined
+    assert {(59, 101), (35, 60)} <= {(e.num, e.den) for e in harb_entry.detail.elements}
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["bounds", "--k", "35", "--r", "101", "--very-ample", "--format", "json"]) == 0
+    notes = json.loads(out.getvalue())["notes"]
     assert any(
-        "35/60" in note and "59/101" in note and "smaller" in note
-        for note in harb_entry.notes
+        note.startswith("harbourne: ") and "35/60" in note and "59/101" in note and "smaller" in note
+        for note in notes
     )
 
 

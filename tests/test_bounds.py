@@ -1,10 +1,18 @@
 """Bounds module tests: published comparison values and global invariants."""
 
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import seshadri.bounds as bounds
+import seshadri.cli as cli
 from seshadri.bounds import (
+    BoundValue,
     PlaneValueStatus,
     compare_bounds,
     dominance_scan,
@@ -89,7 +97,11 @@ class TestExceptionalCandidates:
         out.sort(key=lambda t: (t[2], t[0], t[1]))
         return out
 
-    @pytest.mark.parametrize("k,r", [(1, 2), (1, 5), (1, 9), (2, 7), (3, 11), (6, 2), (2, 50)])
+    @pytest.mark.parametrize(
+        "k,r",
+        [(1, 2), (1, 5), (1, 9), (2, 7), (3, 11), (6, 2), (2, 50),
+         (1, 2000), (55, 600), (3, 400), (50, 50)],
+    )
     def test_against_naive_oracle(self, k, r):
         ours = [(c.d, c.s, c.value) for c in enumerate_exceptional_candidates(k, r)]
         assert ours == self.naive_candidates(k, r)
@@ -120,7 +132,7 @@ class TestHarbourne:
         res = harbourne_bound(6, 10, very_ample=True)
         assert res.bound.value == Fraction(3, 4)
         assert res.winner.source == "ceil-multiple"
-        assert res.winner.formula_text() == "6/8"
+        assert (res.winner.num, res.winner.den) == (6, 8)
 
     def test_7_10(self):
         res = harbourne_bound(7, 10, very_ample=True)
@@ -131,8 +143,8 @@ class TestHarbourne:
         res = harbourne_bound(35, 101, very_ample=True)
         assert res.bound.value == Fraction(59, 101)
         assert Fraction(35, 60) in {e.value for e in res.elements}
-        raw = {e.formula_text() for e in res.elements}
-        assert {"59/101", "35/60", "1/2"} == raw
+        raw = {(e.num, e.den) for e in res.elements}
+        assert {(59, 101), (35, 60), (1, 2)} == raw
 
     def test_exceptional_case(self):
         # k <= r and r*k a perfect square: supremum only
@@ -233,10 +245,11 @@ class TestCompareBounds:
         rep = compare_bounds(35, 101, very_ample=False)
         assert "harbourne" not in {e.name for e in rep.entries}
 
-    def test_biran_skipped_on_square_k(self):
+    def test_biran_skipped_on_square_k(self, capsys):
         rep = compare_bounds(36, 10, very_ample=False)
         assert "biran-product" not in {e.name for e in rep.entries}
-        assert any("perfect square" in n for n in rep.notes)
+        assert cli.main(["bounds", "--k", "36", "--r", "10"]) == 0
+        assert "note: no Pell single-point bound: k = 36 is a perfect square" in capsys.readouterr().out
 
     def test_biran_conjectural_flag(self):
         # k = 35 is 6^2 - 1 (proven single-point) but r = 101 is not a
@@ -248,6 +261,54 @@ class TestCompareBounds:
         rep2 = compare_bounds(35, 9, very_ample=False)
         biran2 = next(e for e in rep2.entries if e.name == "biran-product")
         assert not biran2.conjectural
+
+
+    def test_pell_solution_past_int_str_limit(self):
+        # q0 has about 4500 digits, past the interpreter's default limit
+        # for int-to-str conversion; the report holds it as data.
+        rep = compare_bounds(129813574, 150)
+        biran = next(e for e in rep.entries if e.name == "biran-product")
+        sol = biran.detail.pell
+        assert sol.q0 * sol.q0 - 129813574 * sol.p0 * sol.p0 == 1
+        assert sol.q0 > 10**4300
+
+    def test_entries_carry_their_source(self):
+        rep = compare_bounds(35, 101, very_ample=True)
+        by_name = {e.name: e for e in rep.entries}
+        assert by_name["main"].detail == main_lower_bound(35, 101)
+        assert by_name["harbourne"].detail == harbourne_bound(35, 101, very_ample=True)
+        assert by_name["szemberg-floor"].detail is None
+        factors = by_name["biran-product"].detail
+        assert (factors.single, factors.pell.q0, factors.witness.n) == (Fraction(35, 6), 6, 6)
+        assert factors.plane == nagata_plane_value(101)
+
+
+def _low_upper_bound(k, r):
+    return BoundValue(Surd(Fraction(1)), attained=False)  # below floor(sqrt(150/10)) = 3
+
+
+class TestInvariantChecks:
+    def test_unconditional_entry_above_optimal_raises(self, monkeypatch):
+        monkeypatch.setattr(bounds, "upper_bound", _low_upper_bound)
+        with pytest.raises(RuntimeError, match="szemberg-floor"):
+            compare_bounds(150, 10)
+
+    def test_check_survives_optimized_mode(self):
+        script = textwrap.dedent("""
+            import seshadri.bounds as bounds
+            from fractions import Fraction
+            from seshadri.exact import Surd
+            bounds.upper_bound = lambda k, r: bounds.BoundValue(Surd(Fraction(1)), attained=False)
+            try:
+                bounds.compare_bounds(150, 10)
+            except RuntimeError:
+                raise SystemExit(0)
+            raise SystemExit(1)
+        """)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestGlobalDominance:

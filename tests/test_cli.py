@@ -5,10 +5,12 @@ import io
 import json
 import subprocess
 import sys
+from decimal import Decimal
 
 import pytest
 
 import seshadri.cli as cli
+import seshadri.oracle as oracle
 from seshadri.oracle import HanScan
 
 
@@ -115,6 +117,22 @@ class TestPellCommand:
         assert (by_name["fundamental-p0"]["exact"], by_name["fundamental-q0"]["exact"]) == ("2", "3")
         assert by_name["single-point-bound"]["exact"] == "4/3"
 
+    def test_solution_past_int_str_limit(self, capsys):
+        # q0 has about 4500 digits: more than the interpreter converts to
+        # str by default.  The limit is lifted only while main runs (and
+        # Decimal parses past it).
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        code, out, err = run_cli(capsys, "pell", "--k", "129813574", "--format", "json")
+        assert (code, err) == (0, "")
+        assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+        (rec,) = json_records(out)
+        by_name = {e["name"]: e["exact"] for e in rec["entries"]}
+        p0, q0 = (int(Decimal(by_name[n])) for n in ("fundamental-p0", "fundamental-q0"))
+        assert q0 * q0 - 129813574 * p0 * p0 == 1
+        code, out, err = run_cli(capsys, "bounds", "--k", "129813574", "--r", "150")
+        assert (code, err) == (0, "")
+        assert "note: biran-product: single-point factor" in out
+
     def test_square_k_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "pell", "--k", "9")
         assert code == 2 and "trivial" in err
@@ -187,6 +205,17 @@ class TestVerifyCommand:
         (rec,) = json_records(out)
         by_name = {e["name"]: e for e in rec["entries"]}
         assert by_name["exclusion-failures"]["exact"] == "0"
+
+    def test_k3_suite_fails_on_wrong_section_count(self, capsys, monkeypatch):
+        monkeypatch.setattr(oracle, "k3_h0", lambda d, k: d * d * k + 100)
+        code, out, _ = run_cli(
+            capsys, "verify", "--suite", "k3", "--k-max", "4", "--r-max", "10",
+            "--d-max", "3", "--format", "json",
+        )
+        assert code == 3
+        (rec,) = json_records(out)
+        failed = [e["applicability"] for e in rec["entries"] if e["name"] == "not-excluded"]
+        assert "k=4, r=10" in failed
 
     def test_counterexample_exits_3(self, capsys, monkeypatch):
         fake = HanScan(2, 2, 1, ((3, 1),), ())

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import seshadri.oracle as oracle
 from seshadri.oracle import (
     CaseLabel,
     TheoremViolation,
@@ -178,6 +179,11 @@ class TestMinRatioSearch:
             assert res.minimum == best
             assert set(res.witnesses) == wits
 
+    def test_empty_walk_raises(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_iter_feasible", lambda budget, max_len, m_max: iter(()))
+        with pytest.raises(RuntimeError):
+            min_ratio_search(1, 5, 3, 5)
+
     def test_monotone_in_box_size(self):
         base = min_ratio_search(5, 4, 2, 4).minimum
         assert min_ratio_search(5, 4, 3, 4).minimum <= base
@@ -216,12 +222,58 @@ class TestVerifyTheorem:
         assert scan.ok
         assert scan.subgeneric_counts == expected
 
+    def test_classify_and_scan_agree_on_subgeneric_configurations(self, monkeypatch):
+        # With the (1, 6, (2, 2)) exception switched off, the sub-generic
+        # configurations with m_1 >= 2 are exactly the ones classify_case
+        # raises on and the ones verify_theorem reports, and both agree
+        # with a Fraction comparison against the generic value.
+        monkeypatch.setattr(oracle, "_is_two_six", lambda d, k, m: False)
+        k_max, r_max, d_max, m_max = 8, 6, 3, 6
+        raised, naive, unit = set(), set(), 0
+        for k in range(1, k_max + 1):
+            for d in range(1, d_max + 1):
+                for m in feasible_multiplicities(d, k, r_max, m_max):
+                    for r in range(max(2, len(m)), r_max + 1):
+                        below = Fraction(d * k, sum(m)) ** 2 < Fraction((r + 2) * k, (r + 3) * r)
+                        if below and m[0] == 1:
+                            unit += 1
+                        elif below:
+                            naive.add((d, k, r, m))
+                        try:
+                            classify_case(d, k, r, m)
+                        except TheoremViolation as err:
+                            raised.add(err.config)
+        scan = verify_theorem(k_max, r_max, d_max=d_max, m_max=m_max)
+        assert naive == {(1, 6, 2, (2, 2))}
+        assert raised == naive == set(scan.violations)
+        assert scan.subgeneric_counts[CaseLabel.UNIT_MULTIPLICITY] == unit
+
 
 class TestVerifyHan:
     def test_no_counterexamples_8_12(self):
         scan = verify_han_exhaustive(8, 12)
         assert scan.counterexamples == ()
         assert (2, 2, 2) in scan.equality_witnesses
+
+    def test_agrees_with_check_han_inequality(self):
+        scan = verify_han_exhaustive(6, 8)
+        applicable, counterexamples, equalities = 0, [], []
+        for s in range(1, 7):
+            for combo in itertools.combinations_with_replacement(range(8, 0, -1), s):
+                check = check_han_inequality(combo)
+                if not check.applicable:
+                    continue
+                applicable += 1
+                lhs = Fraction((s + 3) * s, s + 2) * (sum(e * e for e in combo) - combo[-1])
+                assert check.holds == (lhs >= sum(combo) ** 2)
+                if not check.holds:
+                    counterexamples.append(combo)
+                elif lhs == sum(combo) ** 2:
+                    equalities.append(combo)
+        assert scan.applicable_checked == applicable
+        assert set(scan.counterexamples) == set(counterexamples) == set()
+        assert set(scan.equality_witnesses) == set(equalities)
+        assert len(scan.equality_witnesses) == len(equalities) > 0
 
     def test_small_boxes(self):
         assert verify_han_exhaustive(2, 2).counterexamples == ()
@@ -242,6 +294,12 @@ class TestK3:
     def test_exclusion_examples(self):
         assert k3_case2_excluded(4, 3, 5).excluded
         assert k3_case2_excluded(2, 10, 5).excluded
+
+    def test_wrong_section_count_is_not_excluded(self, monkeypatch):
+        monkeypatch.setattr(oracle, "k3_h0", lambda d, k: d * d * k + 100)
+        ex = k3_case2_excluded(4, 10, 3)
+        assert not ex.excluded
+        assert sum(row.branch == "dimension-excess" for row in ex.trace) == 6
 
     def test_exclusion_requires_r_at_least_3(self):
         with pytest.raises(ValueError):
