@@ -185,6 +185,16 @@ def _int_list(text: str) -> list[int]:
     return values
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _all_digit_note(name: str, value: Surd) -> str:
     return (
         f"{name} at 2/3/4 digits: "
@@ -457,17 +467,17 @@ def cmd_verify(args: argparse.Namespace) -> tuple[list[Record], int]:
             ("d_max", str(args.d_max)),
         ],
     )
+    pairs = [(k, r) for k in range(2, args.k_max + 1, 2) for r in range(3, args.r_max + 1)]
+    if not pairs:
+        raise UsageError("the k3 suite checks even k >= 2 and r >= 3: raise --k-max or --r-max")
     failures = 0
-    pairs = 0
-    for k in range(2, args.k_max + 1, 2):
-        for r in range(3, args.r_max + 1):
-            pairs += 1
-            if not k3_case2_excluded(k, r, args.d_max).excluded:
-                failures += 1
-                rec.entries.append(
-                    Entry(name="not-excluded", exact="0", applicability=f"k={k}, r={r}")
-                )
-    rec.entries.insert(0, Entry(name="pairs-checked", exact=str(pairs)))
+    for k, r in pairs:
+        if not k3_case2_excluded(k, r, args.d_max).excluded:
+            failures += 1
+            rec.entries.append(
+                Entry(name="not-excluded", exact="0", applicability=f"k={k}, r={r}")
+            )
+    rec.entries.insert(0, Entry(name="pairs-checked", exact=str(len(pairs))))
     rec.entries.insert(1, Entry(name="exclusion-failures", exact=str(failures)))
     rec.notes.append(BOX_CAVEAT)
     return [rec], 3 if failures else 0
@@ -541,7 +551,7 @@ def _build_parser() -> _Parser:
     )
     display = argparse.ArgumentParser(add_help=False)
     display.add_argument(
-        "--digits", type=int, default=4, help="fractional digits, truncated (default 4)"
+        "--digits", type=_positive_int, default=4, help="fractional digits, truncated (default 4)"
     )
 
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
@@ -584,7 +594,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=cmd_threshold)
 
     p = sub.add_parser("p2-table", parents=[common, display], help="known plane values")
-    p.add_argument("--r-max", type=int, default=9)
+    p.add_argument("--r-max", type=_positive_int, default=9)
     p.set_defaults(func=cmd_p2_table)
 
     return parser

@@ -7,19 +7,19 @@ the Ein-Lazarsfeld-Xu inequality
     d^2 * k  >=  m_1^2 + ... + m_s^2 - m_s        (k = L^2)
 
 and contributes the ratio d*k/(m_1 + ... + m_s) to the infimum defining
-the constant.  This module enumerates every feasible configuration in a
-finite box, classifies each one against the trichotomy behind the main
-bound, searches for the minimum ratio, and replays the dimension-count
-arguments that exclude the unit-multiplicity alternative (referred to as
-"case 2" throughout) on K3 surfaces and for large r.
+the constant.  This module covers every feasible configuration in a
+finite box: it classifies each one against the trichotomy behind the
+main bound, searches for the minimum ratio, and replays the
+dimension-count arguments that exclude the unit-multiplicity alternative
+(referred to as "case 2" throughout) on K3 surfaces and for large r.
 
 The minima computed here are candidate-level quantities over enumerated
 configurations, not the true constants: whether a configuration is
 realized by an actual curve is geometric input beyond exact arithmetic.
 
-Enumeration is deterministic.  The space partitions cleanly by (d, first
-entry) prefix into independent units, so parallel workers would merge by
-min/concatenate; the single-threaded order used here is the reference.
+Enumeration is deterministic.  The theorem scan and the minimum search
+walk only the vectors that can change their results, and count or bound
+the rest with memoized recursions that enumerate nothing.
 """
 
 from __future__ import annotations
@@ -147,9 +147,11 @@ def classify_case(d: int, k: int, r: int, m: Sequence[int]) -> CaseLabel:
     return CaseLabel.GENERIC
 
 
-def _iter_feasible(budget: int, max_len: int, m_max: int) -> Iterator[tuple[Multiplicities, int]]:
+def _iter_feasible(
+    budget: int, max_len: int, m_max: int, lo: int = 1
+) -> Iterator[tuple[Multiplicities, int]]:
     """Yield (m, sum(m)) for every nonincreasing vector with entries in
-    [1, m_max], length <= max_len, and sum(m_i^2) - m_s <= budget.
+    [lo, m_max], length <= max_len, and sum(m_i^2) - m_s <= budget.
 
     Pruning: appending entries can only grow sum(m_i^2) - m_s, and once
     the prefix's plain square sum exceeds the budget no completion is
@@ -158,7 +160,7 @@ def _iter_feasible(budget: int, max_len: int, m_max: int) -> Iterator[tuple[Mult
     entries: list[int] = []
 
     def rec(cap: int, sum_sq: int, total: int) -> Iterator[tuple[Multiplicities, int]]:
-        for e in range(1, cap + 1):
+        for e in range(lo, cap + 1):
             new_sq = sum_sq + e * e
             if new_sq - e > budget:
                 break  # increasing in e, so larger e fail too
@@ -170,6 +172,63 @@ def _iter_feasible(budget: int, max_len: int, m_max: int) -> Iterator[tuple[Mult
 
     if max_len >= 1 and m_max >= 1 and budget >= 0:
         yield from rec(m_max, 0, 0)
+
+
+# The memoized recursions below mirror the walk of _iter_feasible: a vector
+# whose prefix leaves `room` = budget - sum(prefix^2) extends by an entry
+# e <= cap with e^2 - e <= room, and descends further only while
+# e^2 <= room.  Every vector with at most `length` entries <= cap has
+# sum(m_i^2) - m_s < length * cap^2, so a larger room changes nothing and
+# is clamped, which lets many budgets share one memo entry.  The memo is
+# an argument, not a closure or a module-level cache, so it is freed as
+# soon as the call that made it returns.
+
+_Memo = dict[tuple[int, int, int], tuple[int, int]]
+
+
+def _tally(cap: int, length: int, room: int, memo: _Memo) -> tuple[int, int]:
+    """(number of vectors, largest sum(m)) over what
+    _iter_feasible(room, length, cap) yields; (0, 0) when it yields none."""
+    room = min(room, length * cap * cap)
+    key = (cap, length, room)
+    tally = memo.get(key)
+    if tally is None:
+        count = best = 0
+        for e in range(1, cap + 1):
+            if e * e - e > room:
+                break
+            count += 1
+            total = e
+            if length > 1 and e * e <= room:
+                tail_count, tail_best = _tally(e, length - 1, room - e * e, memo)
+                count += tail_count
+                total += tail_best
+            if total > best:
+                best = total
+        memo[key] = tally = (count, best)
+    return tally
+
+
+def _iter_reaching(
+    need: int, cap: int, length: int, room: int, memo: _Memo, prefix: Multiplicities = ()
+) -> Iterator[Multiplicities]:
+    """Yield prefix + v for every v that _iter_feasible(room, length, cap)
+    yields with sum(v) = need, the largest sum _tally(cap, length, room) finds.
+
+    A subtree is entered only when its best total still reaches need, so
+    the walk visits only prefixes of the vectors it yields.
+    """
+    for e in range(1, cap + 1):
+        if e * e - e > room:
+            break
+        if e == need:
+            yield prefix + (e,)
+        elif (
+            length > 1
+            and e * e <= room
+            and e + _tally(e, length - 1, room - e * e, memo)[1] >= need
+        ):
+            yield from _iter_reaching(need - e, e, length - 1, room - e * e, memo, prefix + (e,))
 
 
 def feasible_multiplicities(d: int, k: int, max_points: int, m_max: int) -> Iterator[Multiplicities]:
@@ -188,28 +247,29 @@ class SearchResult(NamedTuple):
 def min_ratio_search(k: int, r: int, d_max: int, m_max: int) -> SearchResult:
     """Minimum of d*k/sum(m) over the feasible box, with all witnesses.
 
-    Witnesses are reported in lexicographic (d, s, entries) order; this
-    is the deterministic reference order for any parallel re-run.
+    For each d the smallest ratio comes from the largest feasible sum(m),
+    which a memoized recursion finds without enumerating vectors; only
+    the d that attain the minimum are walked, and only down to the
+    vectors that reach that largest sum.  Witnesses are reported in
+    lexicographic (d, s, entries) order.
     """
     if k < 1 or r < 1 or d_max < 1 or m_max < 1:
         raise ValueError(
             f"empty search box: k={k}, r={r}, d_max={d_max}, m_max={m_max}"
         )
-    best: Optional[Fraction] = None
-    witnesses: list[tuple[int, Multiplicities]] = []
-    for d in range(1, d_max + 1):
-        dk = d * k
-        for m, total in _iter_feasible(d * dk, r, m_max):
-            ratio = Fraction(dk, total)
-            if best is None or ratio < best:
-                best = ratio
-                witnesses = [(d, m)]
-            elif ratio == best:
-                witnesses.append((d, m))
-    if best is None:
-        raise RuntimeError(f"no feasible configuration at k={k}, r={r}, yet (1,) always is")
+    memo: _Memo = {}
+    bests = [(d, _tally(m_max, r, d * d * k, memo)[1]) for d in range(1, d_max + 1)]
+    minimum = min(Fraction(d * k, best) for d, best in bests)
+    witnesses = [
+        (d, m)
+        for d, best in bests
+        if Fraction(d * k, best) == minimum
+        for m in _iter_reaching(best, m_max, r, d * d * k, memo)
+    ]
+    if not witnesses:
+        raise RuntimeError(f"no vector reaches the minimum at k={k}, r={r}, yet one attains it")
     witnesses.sort(key=lambda w: (w[0], len(w[1]), w[1]))
-    return SearchResult(best, tuple(witnesses))
+    return SearchResult(minimum, tuple(witnesses))
 
 
 class Violation(NamedTuple):
@@ -258,9 +318,20 @@ def verify_theorem(
     r_min <= r <= r_max, d <= d_max, entries <= m_max.
 
     In the sub-generic test d^2*k*r*(r+3) < (r+2)*(sum m)^2 the left side
-    grows faster in r than the right on feasible vectors (Cauchy-Schwarz plus EL-Xu bound
-    sum(m) by sqrt(r*d^2*k)), so each vector is sub-generic on a prefix
-    of r values and the scan stops at the first r that clears the bound.
+    grows faster in r than the right, because r*(r+3)/(r+2) increases in
+    r.  So each vector is sub-generic on a prefix of r values, and the
+    scan stops at the first r that clears the bound.
+
+    Only vectors that can be sub-generic are walked.  Lemma: a feasible
+    vector m of length s that is sub-generic at some r >= s has
+    m_s*(s+2) > d^2*k.  Proof: sub-generic at r implies sub-generic at s,
+    and (sum m)^2 <= s*sum(m_i^2) <= s*(d^2*k + m_s) by Cauchy-Schwarz
+    and EL-Xu, so d^2*k*s*(s+3)/(s+2) < s*(d^2*k + m_s), which is
+    d^2*k < (s+2)*m_s.  As s <= r_max, every entry of such a vector is at
+    least d^2*k // (r_max + 2) + 1, and the walk starts its entries
+    there.  The lemma does not use the trichotomy, so a real violation
+    is still found.  feasible_vectors counts the whole box with a
+    memoized recursion that enumerates nothing.
     """
     if not (1 <= k_min <= k_max and 2 <= r_min <= r_max and d_max >= 1 and m_max >= 1):
         raise ValueError("bad scan box")
@@ -270,11 +341,12 @@ def verify_theorem(
         CaseLabel.TWO_SIX: 0,
     }
     feasible = 0
+    memo: _Memo = {}
     for k in range(k_min, k_max + 1):
         for d in range(1, d_max + 1):
             budget = d * d * k
-            for m, total in _iter_feasible(budget, r_max, m_max):
-                feasible += 1
+            feasible += _tally(m_max, r_max, budget, memo)[0]
+            for m, total in _iter_feasible(budget, r_max, m_max, budget // (r_max + 2) + 1):
                 for r in range(max(r_min, len(m)), r_max + 1):
                     if not is_subgeneric(budget, total, r):
                         break  # generic from here on; monotone in r

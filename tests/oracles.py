@@ -1,6 +1,15 @@
 """Independent test oracles, kept free of the implementation's code paths."""
 
+from fractions import Fraction
+
 from seshadri.exact import isqrt
+from seshadri.oracle import (
+    CaseLabel,
+    SearchResult,
+    TheoremScan,
+    Violation,
+    feasible_multiplicities,
+)
 from seshadri.pell import PellSolution
 
 
@@ -59,3 +68,49 @@ def is_proper_power_of_smaller_solution(sol: PellSolution) -> bool:
                 return True
         j += 1
     return False
+
+
+def theorem_scan_walk(
+    k_max, r_max, d_max, m_max, *, k_min=1, r_min=2,
+    is_exception=lambda d, k, m: (d, k, m) == (1, 6, (2, 2)),
+):
+    """verify_theorem by the full walk: every feasible vector is enumerated,
+    counted and tested at each r until it clears the generic bound.
+
+    The walk is feasible_multiplicities, which prunes nothing that can be
+    feasible and is itself checked against an itertools re-enumeration.
+    is_exception(d, k, m) replaces the (1, 6, (2, 2)) test, so a test can
+    turn that configuration into a violation.
+    """
+    counts = {CaseLabel.UNIT_MULTIPLICITY: 0, CaseLabel.TWO_SIX: 0}
+    violations, feasible = [], 0
+    for k in range(k_min, k_max + 1):
+        for d in range(1, d_max + 1):
+            budget = d * d * k
+            for m in feasible_multiplicities(d, k, r_max, m_max):
+                feasible += 1
+                total = sum(m)
+                for r in range(max(r_min, len(m)), r_max + 1):
+                    if budget * r * (r + 3) >= (r + 2) * total * total:
+                        break
+                    if m[0] == 1:
+                        counts[CaseLabel.UNIT_MULTIPLICITY] += 1
+                    elif is_exception(d, k, m):
+                        counts[CaseLabel.TWO_SIX] += 1
+                    else:
+                        violations.append(Violation(d, k, r, m))
+    return TheoremScan(k_min, k_max, r_min, r_max, d_max, m_max, feasible, counts, tuple(violations))
+
+
+def min_ratio_walk(k, r, d_max, m_max):
+    """min_ratio_search by the full walk over every feasible vector."""
+    best, witnesses = None, []
+    for d in range(1, d_max + 1):
+        for m in feasible_multiplicities(d, k, r, m_max):
+            ratio = Fraction(d * k, sum(m))
+            if best is None or ratio < best:
+                best, witnesses = ratio, [(d, m)]
+            elif ratio == best:
+                witnesses.append((d, m))
+    witnesses.sort(key=lambda w: (w[0], len(w[1]), w[1]))
+    return SearchResult(best, tuple(witnesses))

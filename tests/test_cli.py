@@ -1,16 +1,21 @@
 """CLI contract tests: values, formats, exit codes, determinism."""
 
+import contextlib
 import csv
 import io
 import json
 import subprocess
 import sys
 from decimal import Decimal
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import seshadri.cli as cli
 import seshadri.oracle as oracle
+from seshadri.exact import Surd
+from seshadri.inequalities import is_square
 from seshadri.oracle import HanScan
 
 
@@ -81,8 +86,6 @@ class TestBoundsCommand:
         assert code == 2
 
     def test_exact_strings_round_trip(self, capsys):
-        from seshadri.exact import Surd
-
         _, out, _ = run_cli(
             capsys, "bounds", "--k", "35", "--r", "101", "--format", "json"
         )
@@ -90,6 +93,18 @@ class TestBoundsCommand:
         for e in rec["entries"]:
             s = Surd.from_string(e["exact"])
             assert str(s) == e["exact"]
+
+    @pytest.mark.parametrize("digits", ["0", "-2"])
+    def test_digits_below_one_is_usage_error(self, capsys, digits):
+        for argv in (
+            ("bounds", "--k", "5", "--r", "4"),
+            ("pell", "--k", "7"),
+            ("search", "--k", "1", "--r", "5", "--d-max", "1"),
+            ("p2-table",),
+        ):
+            code, out, err = run_cli(capsys, *argv, "--digits", digits)
+            assert (code, out) == (1, "")
+            assert f"--digits: must be >= 1, got {digits}" in err
 
     def test_all_digits_notes(self, capsys):
         _, out, _ = run_cli(
@@ -206,6 +221,14 @@ class TestVerifyCommand:
         by_name = {e["name"]: e for e in rec["entries"]}
         assert by_name["exclusion-failures"]["exact"] == "0"
 
+    @pytest.mark.parametrize("k_max,r_max", [(1, 2), (1, 6), (10, 2)])
+    def test_k3_suite_without_pairs_is_usage_error(self, capsys, k_max, r_max):
+        code, out, err = run_cli(
+            capsys, "verify", "--suite", "k3", "--k-max", str(k_max), "--r-max", str(r_max),
+        )
+        assert (code, out) == (1, "")
+        assert "k3 suite" in err
+
     def test_k3_suite_fails_on_wrong_section_count(self, capsys, monkeypatch):
         monkeypatch.setattr(oracle, "k3_h0", lambda d, k: d * d * k + 100)
         code, out, _ = run_cli(
@@ -262,6 +285,12 @@ class TestP2Table:
         assert by_name["r=9"]["flags"] == ["proved-square"]
         assert any("misprint" in n for n in rec["notes"])
 
+    @pytest.mark.parametrize("r_max", ["0", "-1"])
+    def test_empty_table_is_usage_error(self, capsys, r_max):
+        code, out, err = run_cli(capsys, "p2-table", "--r-max", r_max)
+        assert (code, out) == (1, "")
+        assert "--r-max: must be >= 1" in err
+
 
 class TestFormatsAndDeterminism:
     def test_csv_column_order(self, capsys):
@@ -305,3 +334,40 @@ class TestFormatsAndDeterminism:
         )
         assert proc.returncode == 0
         assert "35/6" in proc.stdout
+
+
+digits_args = st.integers(1, 8).map(lambda d: ["--digits", str(d)])
+value_commands = st.one_of(
+    st.tuples(st.integers(1, 300), st.integers(2, 60), st.booleans()).map(
+        lambda t: ["bounds", "--k", str(t[0]), "--r", str(t[1])] + (["--very-ample"] if t[2] else [])
+    ),
+    st.integers(2, 5000).filter(lambda k: not is_square(k)).map(lambda k: ["pell", "--k", str(k)]),
+    st.tuples(st.integers(1, 12), st.integers(2, 8), st.integers(1, 3)).map(
+        lambda t: ["search", "--k", str(t[0]), "--r", str(t[1]), "--d-max", str(t[2])]
+    ),
+    st.integers(1, 15).map(lambda r: ["p2-table", "--r-max", str(r)]),
+)
+
+
+class TestProperties:
+    """Over random valid invocations: every exact string is a canonical
+    surd, and every decimal is its truncation at the requested digits."""
+
+    @settings(max_examples=60)
+    @given(value_commands, digits_args)
+    def test_exact_parses_and_decimal_brackets_it(self, argv, digits):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(argv + digits + ["--format", "json"])
+        assert code == 0
+        entries = [e for rec in json_records(out.getvalue()) for e in rec["entries"]]
+        assert entries
+        for e in entries:
+            value = Surd.from_string(e["exact"])
+            assert str(value) == e["exact"]
+            if not e["decimal"]:
+                continue
+            whole, frac = e["decimal"].split(".")
+            assert len(frac) == int(digits[1])
+            low = Fraction(e["decimal"])
+            assert low <= value < low + Fraction(1, 10 ** len(frac)), e

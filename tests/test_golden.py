@@ -49,6 +49,10 @@ CASES = {
     "p2-table": "p2-table --r-max 12",
     "usage-error": "bounds --r 2",
     "domain-error": "pell --k 9",
+    "usage-digits-zero": "bounds --k 5 --r 4 --digits 0",
+    "usage-k3-empty": "verify --suite k3 --k-max 1 --r-max 2",
+    "usage-p2-table-empty": "p2-table --r-max 0",
+    "p2-table-one-row": "p2-table --r-max 1",
 }
 
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import seshadri.oracle as oracle
+from oracles import min_ratio_walk, theorem_scan_walk
 from seshadri.oracle import (
     CaseLabel,
     TheoremViolation,
@@ -180,7 +181,7 @@ class TestMinRatioSearch:
             assert set(res.witnesses) == wits
 
     def test_empty_walk_raises(self, monkeypatch):
-        monkeypatch.setattr(oracle, "_iter_feasible", lambda budget, max_len, m_max: iter(()))
+        monkeypatch.setattr(oracle, "_iter_reaching", lambda *args: iter(()))
         with pytest.raises(RuntimeError):
             min_ratio_search(1, 5, 3, 5)
 
@@ -247,6 +248,76 @@ class TestVerifyTheorem:
         assert naive == {(1, 6, 2, (2, 2))}
         assert raised == naive == set(scan.violations)
         assert scan.subgeneric_counts[CaseLabel.UNIT_MULTIPLICITY] == unit
+
+
+# (k_min, k_max, r_min, r_max, d_max, m_max); the first is the golden box
+DIFFERENTIAL_BOXES = [
+    (1, 8, 2, 6, 3, 6),
+    (3, 9, 4, 7, 2, 7),
+    (6, 6, 2, 2, 5, 8),
+    (1, 4, 3, 9, 4, 5),
+    (5, 12, 2, 5, 3, 8),
+    (2, 10, 5, 10, 3, 6),
+    (1, 1, 2, 12, 6, 12),
+    (1, 3, 2, 14, 3, 10),
+    (10, 14, 2, 4, 4, 12),
+]
+
+
+class TestAgainstFullWalk:
+    """The pruned scans against the full walks kept in tests/oracles.py."""
+
+    @pytest.mark.parametrize("box", DIFFERENTIAL_BOXES)
+    def test_verify_theorem(self, box):
+        k_min, k_max, r_min, r_max, d_max, m_max = box
+        assert verify_theorem(
+            k_max, r_max, d_max, m_max, k_min=k_min, r_min=r_min
+        ) == theorem_scan_walk(k_max, r_max, d_max, m_max, k_min=k_min, r_min=r_min)
+
+    @pytest.mark.parametrize("box", DIFFERENTIAL_BOXES)
+    def test_verify_theorem_finds_violations(self, box, monkeypatch):
+        # With the (1, 6, (2, 2)) exception switched off, both report it as
+        # a violation wherever the box holds it (it is sub-generic at r = 2
+        # only), in the same order.
+        monkeypatch.setattr(oracle, "_is_two_six", lambda d, k, m: False)
+        k_min, k_max, r_min, r_max, d_max, m_max = box
+        scan = verify_theorem(k_max, r_max, d_max, m_max, k_min=k_min, r_min=r_min)
+        assert scan == theorem_scan_walk(
+            k_max, r_max, d_max, m_max, k_min=k_min, r_min=r_min,
+            is_exception=lambda d, k, m: False,
+        )
+        assert scan.ok == (not (k_min <= 6 <= k_max and r_min == 2 and m_max >= 2))
+
+    def test_min_ratio_search(self):
+        for k, r, d_max, m_max in itertools.product(
+            (1, 2, 3, 5, 6, 9, 20), (1, 2, 3, 5, 9), (1, 3), (1, 3, 6)
+        ):
+            assert min_ratio_search(k, r, d_max, m_max) == min_ratio_walk(k, r, d_max, m_max)
+
+    def test_subgeneric_entries_clear_the_cut(self):
+        # The lemma behind verify_theorem's walk: a feasible vector that is
+        # sub-generic at some admissible r has every entry above
+        # d^2*k // (r_max + 2), whatever r_min is.
+        hits = 0
+        for k in range(1, 13):
+            for d in range(1, 4):
+                d2k = d * d * k
+                for r_max in range(2, 9):
+                    for m in feasible_multiplicities(d, k, r_max, 8):
+                        total = sum(m)
+                        if any(
+                            d2k * r * (r + 3) < (r + 2) * total * total
+                            for r in range(max(2, len(m)), r_max + 1)
+                        ):
+                            hits += 1
+                            assert min(m) >= d2k // (r_max + 2) + 1, (d, k, r_max, m)
+        assert hits > 0
+
+    @pytest.mark.parametrize("lo", [1, 2, 3, 5])
+    def test_walk_lower_entry(self, lo):
+        walked = [m for m, _ in oracle._iter_feasible(3 * 3 * 4, 6, 7, lo)]
+        assert len(walked) == len(set(walked))
+        assert set(walked) == {m for m in naive_feasible(3, 4, 6, 7) if m[-1] >= lo}
 
 
 class TestVerifyHan:
