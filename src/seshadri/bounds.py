@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .exact import Rational, Surd, isqrt, surd_compare
-from .inequalities import el_xu_feasible, is_square, is_subgeneric
+from .inequalities import is_square, is_subgeneric
 from .pell import FsstWitness, PellSolution, fsst_applicable, pell_fundamental, szemberg_single_point_bound
 
 __all__ = [
@@ -171,10 +171,19 @@ def enumerate_exceptional_candidates(k: int, r: int) -> tuple[SubmaximalCandidat
     """All (d, s) whose curve value d*k/s lies below the generic bound.
 
     Membership: d >= 1, 1 <= s <= r, s - 1 <= d^2*k (EL-Xu for s unit
-    multiplicities), and d*k/s strictly below sqrt((r+2)k/((r+3)r)).  The
-    list is finite: d*k/s >= d*k/r grows with d, so the loop stops at the
-    first d for which even s = r cannot go below the bound.  Sorted
-    ascending by value, ties by (d, s).
+    multiplicities), and d*k/s strictly below sqrt((r+2)k/((r+3)r)), that
+    is d^2*k*r*(r+3) < (r+2)*s^2.  The list is finite: d*k/s >= d*k/r
+    grows with d, so the loop stops at the first d for which even s = r
+    cannot go below the bound.
+
+    For fixed d the sub-generic test holds for every s from its least
+    solution on, and EL-Xu for every s up to d^2*k + 1, so the admissible s
+    form the interval from that least s to min(r, d^2*k + 1).  The least s
+    is t + 1 for t = isqrt(d^2*k*r*(r+3) // (r+2)): (r+2)*t^2 is at most
+    d^2*k*r*(r+3), and an integer s^2 above the integer part of a bound is
+    above the bound.  The loop starts at t and steps up until the test
+    itself holds, so the cost is O(d_max) plus the size of the output.
+    Sorted ascending by value, ties by (d, s).
     """
     if r < 2:
         raise ValueError(f"multi-point candidates need r >= 2, got {r}")
@@ -184,9 +193,11 @@ def enumerate_exceptional_candidates(k: int, r: int) -> tuple[SubmaximalCandidat
     d = 1
     while is_subgeneric(d * d * k, r, r):
         d2k = d * d * k
-        for s in range(1, r + 1):
-            if el_xu_feasible(d2k, s, 1) and is_subgeneric(d2k, s, r):
-                out.append(SubmaximalCandidate(d, s, Fraction(d * k, s)))
+        lo = isqrt(d2k * r * (r + 3) // (r + 2))
+        while not is_subgeneric(d2k, lo, r):
+            lo += 1
+        hi = min(r, d2k + 1)  # el_xu_feasible(d2k, s, 1) is s <= d2k + 1
+        out.extend(SubmaximalCandidate(d, s, Fraction(d * k, s)) for s in range(lo, hi + 1))
         d += 1
     out.sort(key=lambda c: (c.value, c.d, c.s))
     return tuple(out)
@@ -455,23 +466,24 @@ def _floor_dominates(k: int, r: int) -> bool:
 
 
 def dominance_scan(r: int, k_cap: int) -> ThresholdScan:
-    """Scan k = 1..k_cap for floor-bound dominance and certify the tail.
+    """Find the last k <= k_cap where the floor bound loses, and certify the tail.
 
-    The tail certificate: a failure at k needs j = floor(sqrt(k/r)) with
-    j^2 r (r+3) < (r+2) k, and k <= r (j+1)^2 + r - 1 always, so failures
-    are impossible once j^2 r (r+3) >= (r+2)(r (j+1)^2 + r - 1).  With j*
-    the smallest such j, every k >= r * j*^2 dominates; when k_cap reaches
-    that cutoff, the scanned window contains every failure there is.
+    Bands: on j^2 r <= k < (j+1)^2 r the floor is j, so k fails exactly
+    when (r+2) k > j^2 r (r+3).  The failures of a band are therefore its
+    upper part, and the band (clipped to k_cap) holds a failure iff its
+    last k does; the last failure is the end of the last such band.
+
+    The tail certificate: k <= r (j+1)^2 + r - 1 always, so failures are
+    impossible once j^2 r (r+3) >= (r+2)(r (j+1)^2 + r - 1).  With j* the
+    smallest such j, every k >= r * j*^2 dominates; when k_cap reaches
+    that cutoff, the window contains every failure there is.  Only the
+    bands below min(k_cap, cutoff) are visited, so the cost is O(j*),
+    about 2r bands, whatever k_cap is.
     """
     if r < 2:
         raise ValueError(f"dominance scan needs r >= 2, got {r}")
     if k_cap < 1:
         raise ValueError(f"need k_cap >= 1, got {k_cap}")
-    last_failure = None
-    for k in range(1, k_cap + 1):
-        if not _floor_dominates(k, r):
-            last_failure = k
-
     # As a quadratic in j the certificate margin opens upward, is negative
     # at j = 0, and has its vertex at j = r + 2, so the first nonnegative j
     # lies past the vertex and the margin stays nonnegative from there on.
@@ -480,6 +492,14 @@ def dominance_scan(r: int, k_cap: int) -> ThresholdScan:
         j += 1
     band_cutoff = r * j * j
     stable = k_cap + 1 >= band_cutoff
+
+    last_failure = None
+    j = 0
+    while j * j * r <= min(k_cap, band_cutoff):
+        end = min((j + 1) ** 2 * r - 1, k_cap)
+        if not _floor_dominates(end, r):
+            last_failure = end
+        j += 1
 
     if last_failure is None:
         threshold: Optional[int] = 1

@@ -185,14 +185,20 @@ def _int_list(text: str) -> list[int]:
     return values
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(lo: int):
+    """An argparse type: an integer >= lo, so a value out of range is a
+    usage error before any work starts."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        return value
+
+    return parse
 
 
 def _all_digit_note(name: str, value: Surd) -> str:
@@ -551,7 +557,7 @@ def _build_parser() -> _Parser:
     )
     display = argparse.ArgumentParser(add_help=False)
     display.add_argument(
-        "--digits", type=_positive_int, default=4, help="fractional digits, truncated (default 4)"
+        "--digits", type=_int_at_least(1), default=4, help="fractional digits, truncated (default 4)"
     )
 
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
@@ -574,7 +580,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("search", parents=[common, display], help="minimum-ratio search")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--r", type=_int_at_least(2), required=True, help="point count, at least 2")
     p.add_argument("--d-max", type=int, required=True, help="explicit degree cap (required)")
     p.add_argument("--m-max", type=int, default=None, help="per-point cap (default: EL-feasible max)")
     p.set_defaults(func=cmd_search)
@@ -594,7 +600,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=cmd_threshold)
 
     p = sub.add_parser("p2-table", parents=[common, display], help="known plane values")
-    p.add_argument("--r-max", type=_positive_int, default=9)
+    p.add_argument("--r-max", type=_int_at_least(1), default=9)
     p.set_defaults(func=cmd_p2_table)
 
     return parser

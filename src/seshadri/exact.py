@@ -44,8 +44,12 @@ def isqrt(n: int) -> int:
 def squarefree_decompose(n: int) -> tuple[int, int]:
     """Write n = a*a*b with b squarefree; returns (a, b).
 
-    Trial division up to sqrt(n).  The radicands in this package stay at
-    desk scale (at most a few million), so nothing cleverer is needed.
+    Trial division, while p*p is at most the part of n not yet divided
+    out, so the loop runs up to the larger of the second-largest prime
+    factor and the square root of the largest.  Radicands are not small:
+    generic_lower_value decomposes the reduced (r+2)*k*(r+3)*r, which is
+    about 2.5 * 10^14 at k = 997, r = 10^4.  Its prime factors are those
+    of the small arguments k, r, r+2 and r+3, which keeps the loop short.
     """
     if n < 1:
         raise ValueError(f"squarefree_decompose requires n >= 1, got {n}")

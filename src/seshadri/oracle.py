@@ -156,25 +156,33 @@ def _iter_feasible(
     Pruning: appending entries can only grow sum(m_i^2) - m_s, and once
     the prefix's plain square sum exceeds the budget no completion is
     feasible, so the walk descends only while sum(m_i^2) <= budget.
+    Vectors come depth first, each before its extensions, entries in
+    increasing order.  The walk keeps its own stack, one frame per entry,
+    so a long vector cannot exhaust the interpreter's recursion limit.
     """
+    if max_len < 1 or m_max < 1 or budget < 0:
+        return
     entries: list[int] = []
-
-    def rec(cap: int, sum_sq: int, total: int) -> Iterator[tuple[Multiplicities, int]]:
-        for e in range(lo, cap + 1):
+    frames = [(iter(range(lo, m_max + 1)), 0, 0)]  # (next entries, sum_sq, total)
+    while frames:
+        choices, sum_sq, total = frames[-1]
+        for e in choices:
             new_sq = sum_sq + e * e
             if new_sq - e > budget:
                 break  # increasing in e, so larger e fail too
             entries.append(e)
             yield tuple(entries), total + e
             if len(entries) < max_len and new_sq <= budget:
-                yield from rec(e, new_sq, total + e)
+                frames.append((iter(range(lo, e + 1)), new_sq, total + e))
+                break  # extend first; this frame resumes at e + 1
             entries.pop()
+        if frames[-1][0] is choices:  # the frame is done
+            frames.pop()
+            if entries:
+                entries.pop()
 
-    if max_len >= 1 and m_max >= 1 and budget >= 0:
-        yield from rec(m_max, 0, 0)
 
-
-# The memoized recursions below mirror the walk of _iter_feasible: a vector
+# The memoized counts below mirror the walk of _iter_feasible: a vector
 # whose prefix leaves `room` = budget - sum(prefix^2) extends by an entry
 # e <= cap with e^2 - e <= room, and descends further only while
 # e^2 <= room.  Every vector with at most `length` entries <= cap has
@@ -185,14 +193,45 @@ def _iter_feasible(
 
 _Memo = dict[tuple[int, int, int], tuple[int, int]]
 
+_TALLY_DEPTH = 256  # deepest recursion _tally_rec may reach
+
+
+class _TooDeep(Exception):
+    """_tally_rec needs the entry args[0], which lies deeper than it may recurse."""
+
 
 def _tally(cap: int, length: int, room: int, memo: _Memo) -> tuple[int, int]:
     """(number of vectors, largest sum(m)) over what
-    _iter_feasible(room, length, cap) yields; (0, 0) when it yields none."""
+    _iter_feasible(room, length, cap) yields; (0, 0) when it yields none.
+
+    The recursion is one level per entry, so a long vector would pass the
+    interpreter's recursion limit.  _tally_rec stops at _TALLY_DEPTH and
+    names the entry it could not reach; that entry is computed first, from
+    depth 0, and the interrupted one is started again.  Everything either
+    stored stays in the memo, so each restart gets further than the last,
+    and no recursion is more than _TALLY_DEPTH + 1 levels deep.
+    """
+    pending = []  # interrupted entries, innermost last
+    while True:
+        try:
+            tally = _tally_rec(cap, length, room, memo, 0)
+        except _TooDeep as deep:
+            pending.append((cap, length, room))
+            cap, length, room = deep.args[0]
+            continue
+        if not pending:
+            return tally
+        cap, length, room = pending.pop()
+
+
+def _tally_rec(cap: int, length: int, room: int, memo: _Memo, depth: int) -> tuple[int, int]:
+    """_tally's recursion, depth levels below the entry _tally asked for."""
     room = min(room, length * cap * cap)
     key = (cap, length, room)
     tally = memo.get(key)
     if tally is None:
+        if depth > _TALLY_DEPTH:
+            raise _TooDeep(key)
         count = best = 0
         for e in range(1, cap + 1):
             if e * e - e > room:
@@ -200,7 +239,7 @@ def _tally(cap: int, length: int, room: int, memo: _Memo) -> tuple[int, int]:
             count += 1
             total = e
             if length > 1 and e * e <= room:
-                tail_count, tail_best = _tally(e, length - 1, room - e * e, memo)
+                tail_count, tail_best = _tally_rec(e, length - 1, room - e * e, memo, depth + 1)
                 count += tail_count
                 total += tail_best
             if total > best:
@@ -209,26 +248,36 @@ def _tally(cap: int, length: int, room: int, memo: _Memo) -> tuple[int, int]:
     return tally
 
 
-def _iter_reaching(
-    need: int, cap: int, length: int, room: int, memo: _Memo, prefix: Multiplicities = ()
-) -> Iterator[Multiplicities]:
-    """Yield prefix + v for every v that _iter_feasible(room, length, cap)
-    yields with sum(v) = need, the largest sum _tally(cap, length, room) finds.
+def _iter_reaching(need: int, cap: int, length: int, room: int, memo: _Memo) -> Iterator[Multiplicities]:
+    """Yield every v that _iter_feasible(room, length, cap) yields with
+    sum(v) = need, the largest sum _tally(cap, length, room) finds, in the
+    walk's order.
 
     A subtree is entered only when its best total still reaches need, so
-    the walk visits only prefixes of the vectors it yields.
+    the walk visits only prefixes of the vectors it yields.  Like
+    _iter_feasible it keeps its own stack, one frame per entry.
     """
-    for e in range(1, cap + 1):
-        if e * e - e > room:
-            break
-        if e == need:
-            yield prefix + (e,)
-        elif (
-            length > 1
-            and e * e <= room
-            and e + _tally(e, length - 1, room - e * e, memo)[1] >= need
-        ):
-            yield from _iter_reaching(need - e, e, length - 1, room - e * e, memo, prefix + (e,))
+    entries: list[int] = []
+    frames = [(iter(range(1, cap + 1)), need, length, room)]  # need, length, room left
+    while frames:
+        choices, need, length, room = frames[-1]
+        for e in choices:
+            if e * e - e > room or e > need:
+                break
+            if e == need:
+                yield (*entries, e)
+            elif (
+                length > 1
+                and e * e <= room
+                and e + _tally(e, length - 1, room - e * e, memo)[1] >= need
+            ):
+                entries.append(e)
+                frames.append((iter(range(1, e + 1)), need - e, length - 1, room - e * e))
+                break  # extend first; this frame resumes at e + 1
+        if frames[-1][0] is choices:  # the frame is done
+            frames.pop()
+            if entries:
+                entries.pop()
 
 
 def feasible_multiplicities(d: int, k: int, max_points: int, m_max: int) -> Iterator[Multiplicities]:

@@ -6,9 +6,18 @@ For a non-square k >= 2, the fundamental solution (p0, q0) of
 
 yields the single-point lower bound p0*k/q0 (Szemberg's conjectured
 bound, a theorem when k has the form n^2 - 1 or n^2 + 1).  The solution
-is computed from the periodic continued fraction of sqrt(k): successive
-convergents h/q are tested until h^2 - k*q^2 = 1, and the first hit is
-the fundamental (minimal) solution.
+is computed from the periodic continued fraction of sqrt(k).  Write the
+complete quotients as x_n = (sqrt(k) + m_n)/d_n, with small integers
+m_n, d_n and partial quotients a_n = floor(x_n), and the convergents as
+h_n/q_n.  Then
+
+    h_n^2 - k*q_n^2 = (-1)^(n+1) * d_(n+1),
+
+and d_(n+1) = 1 exactly when n + 1 is a multiple of the period.  So the
+first convergent with h^2 - k*q^2 = 1 is the first n with d_(n+1) = 1
+and n odd, and it is the fundamental (minimal) solution.  The test reads
+the small d the expansion carries anyway, so each step costs two
+big-integer multiply-adds and no squaring of the convergents.
 """
 
 from __future__ import annotations
@@ -70,16 +79,21 @@ def pell_fundamental(k: int) -> PellSolution:
         raise ValueError(
             f"Pell equation q^2 - {k}p^2 = 1 has only trivial solutions (k is a square)"
         )
-    # Continued fraction of sqrt(k): x_i = (sqrt(k) + m)/d, next term a.
+    # Continued fraction of sqrt(k): x_n = (sqrt(k) + m)/d, next term a.
+    # h/q is the convergent h_n/q_n; odd says whether n is odd.
     m, d, a = 0, 1, a0
     h_prev, h = 1, a0  # convergent numerators
     q_prev, q = 0, 1  # convergent denominators
-    while h * h - k * q * q != 1:
+    odd = False
+    while True:
         m = d * a - m
-        d = (k - m * m) // d
+        d = (k - m * m) // d  # d_(n+1), so h^2 - k*q^2 = (-1)^(n+1) * d
+        if d == 1 and odd:
+            break
         a = (a0 + m) // d
         h_prev, h = h, a * h + h_prev
         q_prev, q = q, a * q + q_prev
+        odd = not odd
     return PellSolution(p0=q, q0=h, k=k)
 
 

@@ -2,7 +2,9 @@
 
 from fractions import Fraction
 
+from seshadri.bounds import SubmaximalCandidate, ThresholdScan
 from seshadri.exact import isqrt
+from seshadri.inequalities import el_xu_feasible, is_subgeneric
 from seshadri.oracle import (
     CaseLabel,
     SearchResult,
@@ -22,6 +24,60 @@ def pell_brute_force(k: int, q_cap: int) -> tuple[int, int] | None:
             if p >= 1 and p * p * k == t:
                 return p, q
     return None
+
+
+def pell_convergent_walk(k: int) -> tuple[int, int]:
+    """(p0, q0) by walking the convergents h/q of sqrt(k) and squaring each
+    one until h^2 - k*q^2 = 1; k must be a non-square >= 2."""
+    a0 = isqrt(k)
+    m, d, a = 0, 1, a0
+    h_prev, h = 1, a0
+    q_prev, q = 0, 1
+    while h * h - k * q * q != 1:
+        m = d * a - m
+        d = (k - m * m) // d
+        a = (a0 + m) // d
+        h_prev, h = h, a * h + h_prev
+        q_prev, q = q, a * q + q_prev
+    return q, h
+
+
+def dominance_scan_walk(r: int, k_caps) -> dict[int, ThresholdScan]:
+    """dominance_scan at each cap in k_caps, by testing every k from 1 to
+    the largest cap in one walk."""
+    j = 0
+    while j * j * r * (r + 3) < (r + 2) * (r * (j + 1) ** 2 + r - 1):
+        j += 1
+    band_cutoff = r * j * j
+    wanted, scans, last_failure = set(k_caps), {}, None
+    for k in range(1, max(wanted) + 1):
+        floor = isqrt(k // r)
+        if floor * floor * (r + 3) * r < (r + 2) * k:
+            last_failure = k
+        if k in wanted:
+            if last_failure is None:
+                threshold = 1
+            elif last_failure == k:
+                threshold = None
+            else:
+                threshold = last_failure + 1
+            scans[k] = ThresholdScan(r, k, threshold, last_failure, band_cutoff, k + 1 >= band_cutoff)
+    return scans
+
+
+def candidates_double_loop(k: int, r: int) -> tuple[SubmaximalCandidate, ...]:
+    """enumerate_exceptional_candidates by testing every (d, s), d up to the
+    first d where even s = r is not sub-generic."""
+    out = []
+    d = 1
+    while is_subgeneric(d * d * k, r, r):
+        d2k = d * d * k
+        for s in range(1, r + 1):
+            if el_xu_feasible(d2k, s, 1) and is_subgeneric(d2k, s, r):
+                out.append(SubmaximalCandidate(d, s, Fraction(d * k, s)))
+        d += 1
+    out.sort(key=lambda c: (c.value, c.d, c.s))
+    return tuple(out)
 
 
 def pow_unit(a: int, b: int, k: int, j: int) -> tuple[int, int]:

@@ -8,6 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from oracles import candidates_double_loop, dominance_scan_walk
 
 import seshadri.bounds as bounds
 import seshadri.cli as cli
@@ -111,6 +112,17 @@ class TestExceptionalCandidates:
         values = [c.value for c in cands]
         assert values == sorted(values)
         assert all(c.s - 1 <= c.d * c.d for c in cands)
+
+
+class TestCandidatesAgainstDoubleLoop:
+    def test_every_k_to_60_and_r_to_300(self):
+        found = 0
+        for k in range(1, 61):
+            for r in range(2, 301):
+                expected = candidates_double_loop(k, r)
+                assert enumerate_exceptional_candidates(k, r) == expected, (k, r)
+                found += len(expected)
+        assert found > 0
 
 
 class TestSzembergFloor:
@@ -392,3 +404,25 @@ class TestDominanceThreshold:
         for k in range(scan.band_cutoff, 12000):
             j = isqrt(k // 10)
             assert j * j * 13 * 10 >= 12 * k
+
+    def test_against_walk_at_band_edges(self):
+        # Caps at and next to every band edge j^2 r - 1, j^2 r, (j+1)^2 r - 1,
+        # up to the band past the cutoff, so stable_beyond_cap flips too.
+        for r in range(2, 41):
+            cutoff = dominance_scan(r, 1).band_cutoff
+            top = isqrt(cutoff // r) + 1
+            caps = {
+                cap
+                for j in range(top + 1)
+                for cap in (j * j * r - 1, j * j * r, (j + 1) ** 2 * r - 1)
+                if cap >= 1
+            }
+            walked = dominance_scan_walk(r, caps)
+            for cap in caps:
+                assert dominance_scan(r, cap) == walked[cap], (r, cap)
+
+    def test_far_cap_matches_near_cap(self):
+        far = dominance_scan(10, 10**15)
+        near = dominance_scan(10, 10**4)
+        assert far.last_failure == near.last_failure == 6249
+        assert far.threshold == near.threshold == 6250

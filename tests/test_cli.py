@@ -179,8 +179,28 @@ class TestSearchCommand:
         assert code == 1
 
     def test_empty_box_exits_2(self, capsys):
-        code, _, _ = run_cli(capsys, "search", "--k", "1", "--r", "0", "--d-max", "1")
+        code, _, _ = run_cli(capsys, "search", "--k", "1", "--r", "2", "--d-max", "0")
         assert code == 2
+
+    @pytest.mark.parametrize("r", ["1", "0", "-3"])
+    def test_r_below_two_is_usage_error(self, capsys, monkeypatch, r):
+        # rejected while parsing, before any search runs
+        monkeypatch.setattr(cli, "min_ratio_search", lambda *a: pytest.fail("searched"))
+        code, out, err = run_cli(capsys, "search", "--k", "1", "--r", r, "--d-max", "1")
+        assert (code, out) == (1, "")
+        assert f"argument --r: must be >= 2, got {r}" in err
+
+    def test_long_vectors_do_not_exhaust_the_stack(self, capsys):
+        # the witness has 1200 entries, past the default recursion limit
+        code, out, _ = run_cli(
+            capsys, "search", "--k", "2000", "--r", "1200", "--d-max", "1", "--m-max", "1",
+            "--format", "json",
+        )
+        assert code == 0
+        (rec,) = json_records(out)
+        by_name = {e["name"]: e for e in rec["entries"]}
+        assert by_name["minimum"]["exact"] == "5/3"
+        assert by_name["witness-1"]["applicability"] == "d=1, m=(" + ",".join(["1"] * 1200) + ")"
 
     def test_caveat_note_present(self, capsys):
         _, out, _ = run_cli(

@@ -53,6 +53,7 @@ CASES = {
     "usage-k3-empty": "verify --suite k3 --k-max 1 --r-max 2",
     "usage-p2-table-empty": "p2-table --r-max 0",
     "p2-table-one-row": "p2-table --r-max 1",
+    "usage-search-r1": "search --k 1 --r 1 --d-max 1",
 }
 
 

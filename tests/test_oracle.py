@@ -313,6 +313,15 @@ class TestAgainstFullWalk:
                             assert min(m) >= d2k // (r_max + 2) + 1, (d, k, r_max, m)
         assert hits > 0
 
+    def test_long_vectors_do_not_exhaust_the_stack(self):
+        # budget 1000 with unit entries: vectors of every length up to 1001,
+        # longer than the default recursion limit
+        scan = verify_theorem(1000, 1100, 1, 1, k_min=1000)
+        assert scan == theorem_scan_walk(1000, 1100, 1, 1, k_min=1000)
+        assert scan.ok and scan.feasible_vectors == 1001
+        assert scan.subgeneric_counts[CaseLabel.UNIT_MULTIPLICITY] == 1  # (1,)*1001 at r = 1001
+        assert min_ratio_search(2000, 1200, 1, 1) == min_ratio_walk(2000, 1200, 1, 1)
+
     @pytest.mark.parametrize("lo", [1, 2, 3, 5])
     def test_walk_lower_entry(self, lo):
         walked = [m for m, _ in oracle._iter_feasible(3 * 3 * 4, 6, 7, lo)]

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from oracles import is_proper_power_of_smaller_solution, pell_brute_force
+from oracles import is_proper_power_of_smaller_solution, pell_brute_force, pell_convergent_walk
 
 from seshadri.exact import Surd, isqrt, surd_compare
 from seshadri.pell import FsstWitness, PellSolution, fsst_applicable, pell_fundamental, szemberg_single_point_bound
@@ -58,6 +58,32 @@ class TestPellFundamental:
     def test_constructor_rejects_non_solutions(self):
         with pytest.raises(ValueError):
             PellSolution(p0=1, q0=5, k=35)
+
+
+def period_length(k):
+    """Length of the period of the continued fraction of sqrt(k)."""
+    a0 = isqrt(k)
+    m, d, a, n = 0, 1, a0, 0
+    while a != 2 * a0:
+        m = d * a - m
+        d = (k - m * m) // d
+        a = (a0 + m) // d
+        n += 1
+    return n
+
+
+class TestAgainstConvergentWalk:
+    def test_every_non_square_to_5000(self):
+        # The solver stops on the period test; the walk squares every
+        # convergent.  Odd periods solve at the end of the second period.
+        parities = set()
+        for k in range(2, 5001):
+            if isqrt(k) ** 2 == k:
+                continue
+            sol = pell_fundamental(k)
+            assert (sol.p0, sol.q0) == pell_convergent_walk(k), k
+            parities.add(period_length(k) % 2)
+        assert parities == {0, 1}
 
 
 class TestSinglePointBound:

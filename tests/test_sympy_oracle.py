@@ -38,6 +38,13 @@ def test_pell_fundamental_small_k():
         assert (sol.p0, sol.q0) == sympy_pell(k), k
 
 
+def test_pell_fundamental_past_4500_digits():
+    # a k of the size the benchmark solves; q0 has about 4,530 digits
+    sol = pell_fundamental(129813574)
+    assert (sol.p0, sol.q0) == sympy_pell(129813574)
+    assert sol.q0.bit_length() > 15000
+
+
 @given(st.integers(2, 10**7).filter(lambda k: math.isqrt(k) ** 2 != k))
 def test_pell_fundamental(k):
     sol = pell_fundamental(k)
