@@ -27,7 +27,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional
 
-from .exact import Rational, Surd, isqrt, surd_compare
+from .exact import Rational, Surd, isqrt
 from .inequalities import is_square, is_subgeneric
 from .pell import FsstWitness, PellSolution, fsst_applicable, pell_fundamental, szemberg_single_point_bound
 
@@ -431,15 +431,19 @@ def compare_bounds(k: int, r: int, very_ample: bool = False) -> BoundReport:
             )
         )
 
+    # Values are nonnegative, so squares order them.  Each is squared once:
+    # the Pell coefficient can run to thousands of digits.
+    upper_sq = upper.value.squared()
+    square = {e.name: e.value.value.squared() for e in entries}
     # Unconditional, non-supremum entries can never exceed the optimal value.
     for e in entries:
-        if not e.value.conditional and surd_compare(e.value.value, upper.value) > 0:
+        if not e.value.conditional and square[e.name] > upper_sq:
             raise RuntimeError(f"unconditional {e.name} bound exceeds sqrt(k/r) at k={k}, r={r}")
 
-    entries.sort(key=lambda e: (-e.value.value.squared(), e.name))
+    entries.sort(key=lambda e: (-square[e.name], e.name))
     ranks: list[int] = []
     for i, e in enumerate(entries):
-        if i > 0 and surd_compare(e.value.value, entries[i - 1].value.value) == 0:
+        if i > 0 and square[e.name] == square[entries[i - 1].name]:
             ranks.append(ranks[-1])
         else:
             ranks.append(i + 1)

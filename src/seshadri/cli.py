@@ -175,16 +175,6 @@ _EMITTERS = {"text": _emit_text, "json": _emit_json, "csv": _emit_csv}
 # -- helpers -------------------------------------------------------------
 
 
-def _int_list(text: str) -> list[int]:
-    try:
-        values = [int(part) for part in text.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected integer(s), got {text!r}")
-    if not values:
-        raise argparse.ArgumentTypeError("empty integer list")
-    return values
-
-
 def _int_at_least(lo: int):
     """An argparse type: an integer >= lo, so a value out of range is a
     usage error before any work starts."""
@@ -199,6 +189,12 @@ def _int_at_least(lo: int):
         return value
 
     return parse
+
+
+def _int_list(lo: int):
+    """An argparse type: comma-separated integers, each >= lo."""
+    item = _int_at_least(lo)
+    return lambda text: [item(part) for part in text.split(",")]
 
 
 def _all_digit_note(name: str, value: Surd) -> str:
@@ -563,8 +559,8 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
 
     p = sub.add_parser("bounds", parents=[common, display], help="bound comparison table")
-    p.add_argument("--k", type=_int_list, default=None, help="L^2 value(s), comma-separated")
-    p.add_argument("--r", type=_int_list, required=True, help="point count(s), comma-separated")
+    p.add_argument("--k", type=_int_list(1), default=None, help="L^2 value(s), comma-separated")
+    p.add_argument("--r", type=_int_list(2), required=True, help="point count(s) >= 2, comma-separated")
     p.add_argument("--surface", default=None, help="p2 | k3:<k> | hyp:<deg> | ab:<d> | custom:<k>[,va]")
     p.add_argument("--very-ample", action="store_true", help="assert very-ampleness without a surface")
     p.add_argument(
@@ -579,7 +575,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=cmd_pell)
 
     p = sub.add_parser("search", parents=[common, display], help="minimum-ratio search")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_int_at_least(1), required=True)
     p.add_argument("--r", type=_int_at_least(2), required=True, help="point count, at least 2")
     p.add_argument("--d-max", type=int, required=True, help="explicit degree cap (required)")
     p.add_argument("--m-max", type=int, default=None, help="per-point cap (default: EL-feasible max)")
@@ -588,14 +584,14 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("verify", parents=[common], help="exhaustive verification suites")
     p.add_argument("--suite", choices=["theorem", "han", "k3"], required=True)
     p.add_argument("--k-max", type=int, default=20)
-    p.add_argument("--r-max", type=int, default=10)
+    p.add_argument("--r-max", type=_int_at_least(2), default=10)
     p.add_argument("--d-max", type=int, default=5)
     p.add_argument("--m-max", type=int, default=8, help="entry cap (theorem) / m_1 cap (han)")
     p.add_argument("--s-max", type=int, default=8, help="length cap for the han suite")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("threshold", parents=[common], help="floor-bound dominance threshold")
-    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--r", type=_int_at_least(2), required=True, help="point count, at least 2")
     p.add_argument("--k-cap", type=int, required=True)
     p.set_defaults(func=cmd_threshold)
 

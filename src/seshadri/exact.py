@@ -11,11 +11,11 @@ value at a requested number of digits.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
+from math import isqrt
 
 # The universal exact scalar.  Fraction is arbitrary-precision and always
 # in lowest terms, which is exactly the contract we need.
@@ -29,16 +29,6 @@ __all__ = [
     "surd_compare",
     "render_decimal",
 ]
-
-
-def isqrt(n: int) -> int:
-    """Floor of sqrt(n): the unique t with t*t <= n < (t+1)*(t+1).
-
-    Raises ValueError for negative input.
-    """
-    if n < 0:
-        raise ValueError(f"isqrt of negative integer {n}")
-    return math.isqrt(n)
 
 
 def squarefree_decompose(n: int) -> tuple[int, int]:

@@ -147,49 +147,17 @@ def classify_case(d: int, k: int, r: int, m: Sequence[int]) -> CaseLabel:
     return CaseLabel.GENERIC
 
 
-def _iter_feasible(
-    budget: int, max_len: int, m_max: int, lo: int = 1
-) -> Iterator[tuple[Multiplicities, int]]:
-    """Yield (m, sum(m)) for every nonincreasing vector with entries in
-    [lo, m_max], length <= max_len, and sum(m_i^2) - m_s <= budget.
-
-    Pruning: appending entries can only grow sum(m_i^2) - m_s, and once
-    the prefix's plain square sum exceeds the budget no completion is
-    feasible, so the walk descends only while sum(m_i^2) <= budget.
-    Vectors come depth first, each before its extensions, entries in
-    increasing order.  The walk keeps its own stack, one frame per entry,
-    so a long vector cannot exhaust the interpreter's recursion limit.
-    """
-    if max_len < 1 or m_max < 1 or budget < 0:
-        return
-    entries: list[int] = []
-    frames = [(iter(range(lo, m_max + 1)), 0, 0)]  # (next entries, sum_sq, total)
-    while frames:
-        choices, sum_sq, total = frames[-1]
-        for e in choices:
-            new_sq = sum_sq + e * e
-            if new_sq - e > budget:
-                break  # increasing in e, so larger e fail too
-            entries.append(e)
-            yield tuple(entries), total + e
-            if len(entries) < max_len and new_sq <= budget:
-                frames.append((iter(range(lo, e + 1)), new_sq, total + e))
-                break  # extend first; this frame resumes at e + 1
-            entries.pop()
-        if frames[-1][0] is choices:  # the frame is done
-            frames.pop()
-            if entries:
-                entries.pop()
-
-
-# The memoized counts below mirror the walk of _iter_feasible: a vector
-# whose prefix leaves `room` = budget - sum(prefix^2) extends by an entry
-# e <= cap with e^2 - e <= room, and descends further only while
-# e^2 <= room.  Every vector with at most `length` entries <= cap has
-# sum(m_i^2) - m_s < length * cap^2, so a larger room changes nothing and
-# is clamped, which lets many budgets share one memo entry.  The memo is
-# an argument, not a closure or a module-level cache, so it is freed as
-# soon as the call that made it returns.
+# _walk and the memoized counts below cover one tree, the EL-Xu tree: a
+# vector whose prefix leaves `room` = budget - sum(prefix^2) extends by an
+# entry e <= cap with e^2 - e <= room, and descends further only while
+# e^2 <= room, since appending entries can only grow sum(m_i^2) - m_s.
+# Both test the prefix's room inline rather than call el_xu_feasible on
+# whole vectors, because they are the innermost loops of the theorem scan
+# and the minimum search.  Every vector with at most `length` entries
+# <= cap has sum(m_i^2) - m_s < length * cap^2, so a larger room changes
+# nothing and is clamped, which lets many budgets share one memo entry.
+# The memo is an argument, not a closure or a module-level cache, so it
+# is freed as soon as the call that made it returns.
 
 _Memo = dict[tuple[int, int, int], tuple[int, int]]
 
@@ -202,7 +170,7 @@ class _TooDeep(Exception):
 
 def _tally(cap: int, length: int, room: int, memo: _Memo) -> tuple[int, int]:
     """(number of vectors, largest sum(m)) over what
-    _iter_feasible(room, length, cap) yields; (0, 0) when it yields none.
+    _walk(cap, length, room, memo) yields; (0, 0) when it yields none.
 
     The recursion is one level per entry, so a long vector would pass the
     interpreter's recursion limit.  _tally_rec stops at _TALLY_DEPTH and
@@ -248,32 +216,38 @@ def _tally_rec(cap: int, length: int, room: int, memo: _Memo, depth: int) -> tup
     return tally
 
 
-def _iter_reaching(need: int, cap: int, length: int, room: int, memo: _Memo) -> Iterator[Multiplicities]:
-    """Yield every v that _iter_feasible(room, length, cap) yields with
-    sum(v) = need, the largest sum _tally(cap, length, room) finds, in the
-    walk's order.
+def _walk(
+    cap: int, length: int, room: int, memo: _Memo, lo: int = 1, need: int = 0
+) -> Iterator[tuple[Multiplicities, int]]:
+    """Yield (m, sum(m)) for every nonincreasing vector with entries in
+    [lo, cap], at most length of them, sum(m_i^2) - m_s <= room and
+    sum(m) >= need.
 
-    A subtree is entered only when its best total still reaches need, so
-    the walk visits only prefixes of the vectors it yields.  Like
-    _iter_feasible it keeps its own stack, one frame per entry.
+    Vectors come depth first, each before its extensions, entries in
+    increasing order: Python's tuple order.  While a prefix is still
+    short of need, the walk enters a subtree only when _tally's best
+    total below it reaches need, so with need set to the largest sum it
+    visits only prefixes of the vectors it yields.  It keeps its own
+    stack, one frame per entry, so a long vector cannot exhaust the
+    interpreter's recursion limit.
     """
     entries: list[int] = []
-    frames = [(iter(range(1, cap + 1)), need, length, room)]  # need, length, room left
+    frames = [(iter(range(lo, cap + 1)), length, room, 0)]  # (next entries, length, room, total)
     while frames:
-        choices, need, length, room = frames[-1]
+        choices, length, room, total = frames[-1]
         for e in choices:
-            if e * e - e > room or e > need:
-                break
-            if e == need:
-                yield (*entries, e)
-            elif (
-                length > 1
-                and e * e <= room
-                and e + _tally(e, length - 1, room - e * e, memo)[1] >= need
+            if e * e - e > room:
+                break  # increasing in e, so larger e fail too
+            entries.append(e)
+            reached = total + e
+            if reached >= need:
+                yield tuple(entries), reached
+            if length > 1 and e * e <= room and (
+                reached >= need or reached + _tally(e, length - 1, room - e * e, memo)[1] >= need
             ):
-                entries.append(e)
-                frames.append((iter(range(1, e + 1)), need - e, length - 1, room - e * e))
+                frames.append((iter(range(lo, e + 1)), length - 1, room - e * e, reached))
                 break  # extend first; this frame resumes at e + 1
+            entries.pop()
         if frames[-1][0] is choices:  # the frame is done
             frames.pop()
             if entries:
@@ -284,7 +258,9 @@ def feasible_multiplicities(d: int, k: int, max_points: int, m_max: int) -> Iter
     """All EL-Xu-feasible multiplicity vectors for curves in |dL|."""
     if d < 1 or k < 1:
         raise ValueError(f"need d, k >= 1, got d={d}, k={k}")
-    for m, _ in _iter_feasible(d * d * k, max_points, m_max):
+    if max_points < 1 or m_max < 1:
+        return
+    for m, _ in _walk(m_max, max_points, d * d * k, {}):
         yield m
 
 
@@ -313,7 +289,7 @@ def min_ratio_search(k: int, r: int, d_max: int, m_max: int) -> SearchResult:
         (d, m)
         for d, best in bests
         if Fraction(d * k, best) == minimum
-        for m in _iter_reaching(best, m_max, r, d * d * k, memo)
+        for m, _ in _walk(m_max, r, d * d * k, memo, need=best)
     ]
     if not witnesses:
         raise RuntimeError(f"no vector reaches the minimum at k={k}, r={r}, yet one attains it")
@@ -395,7 +371,7 @@ def verify_theorem(
         for d in range(1, d_max + 1):
             budget = d * d * k
             feasible += _tally(m_max, r_max, budget, memo)[0]
-            for m, total in _iter_feasible(budget, r_max, m_max, budget // (r_max + 2) + 1):
+            for m, total in _walk(m_max, r_max, budget, memo, lo=budget // (r_max + 2) + 1):
                 for r in range(max(r_min, len(m)), r_max + 1):
                     if not is_subgeneric(budget, total, r):
                         break  # generic from here on; monotone in r

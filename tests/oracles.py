@@ -5,13 +5,7 @@ from fractions import Fraction
 from seshadri.bounds import SubmaximalCandidate, ThresholdScan
 from seshadri.exact import isqrt
 from seshadri.inequalities import el_xu_feasible, is_subgeneric
-from seshadri.oracle import (
-    CaseLabel,
-    SearchResult,
-    TheoremScan,
-    Violation,
-    feasible_multiplicities,
-)
+from seshadri.oracle import CaseLabel, SearchResult, TheoremScan, Violation
 from seshadri.pell import PellSolution
 
 
@@ -126,6 +120,29 @@ def is_proper_power_of_smaller_solution(sol: PellSolution) -> bool:
     return False
 
 
+def el_xu_vectors(budget, max_len, m_max):
+    """Every nonincreasing vector with entries in [1, m_max], at most
+    max_len of them and sum(m_i^2) - m_s <= budget, sorted.
+
+    Built one length at a time.  Appending an entry e to a vector with
+    last entry m_s changes sum(m_i^2) - m_s by e^2 - e + m_s > 0, so every
+    prefix of a feasible vector is feasible, and extending each feasible
+    vector by every entry up to its last, keeping the feasible
+    extensions, reaches them all.  No recursion, so vectors longer than
+    the recursion limit are fine.
+    """
+    found, level = [], [((), 0)]  # (vector, sum of squares)
+    for _ in range(max_len):
+        level = [
+            (m + (e,), sq + e * e)
+            for m, sq in level
+            for e in range(1, (m[-1] if m else m_max) + 1)
+            if sq + e * e - e <= budget
+        ]
+        found.extend(m for m, _ in level)
+    return sorted(found)
+
+
 def theorem_scan_walk(
     k_max, r_max, d_max, m_max, *, k_min=1, r_min=2,
     is_exception=lambda d, k, m: (d, k, m) == (1, 6, (2, 2)),
@@ -133,17 +150,16 @@ def theorem_scan_walk(
     """verify_theorem by the full walk: every feasible vector is enumerated,
     counted and tested at each r until it clears the generic bound.
 
-    The walk is feasible_multiplicities, which prunes nothing that can be
-    feasible and is itself checked against an itertools re-enumeration.
-    is_exception(d, k, m) replaces the (1, 6, (2, 2)) test, so a test can
-    turn that configuration into a violation.
+    The walk is el_xu_vectors, which is checked against an itertools
+    re-enumeration.  is_exception(d, k, m) replaces the (1, 6, (2, 2))
+    test, so a test can turn that configuration into a violation.
     """
     counts = {CaseLabel.UNIT_MULTIPLICITY: 0, CaseLabel.TWO_SIX: 0}
     violations, feasible = [], 0
     for k in range(k_min, k_max + 1):
         for d in range(1, d_max + 1):
             budget = d * d * k
-            for m in feasible_multiplicities(d, k, r_max, m_max):
+            for m in el_xu_vectors(budget, r_max, m_max):
                 feasible += 1
                 total = sum(m)
                 for r in range(max(r_min, len(m)), r_max + 1):
@@ -162,7 +178,7 @@ def min_ratio_walk(k, r, d_max, m_max):
     """min_ratio_search by the full walk over every feasible vector."""
     best, witnesses = None, []
     for d in range(1, d_max + 1):
-        for m in feasible_multiplicities(d, k, r, m_max):
+        for m in el_xu_vectors(d * d * k, r, m_max):
             ratio = Fraction(d * k, sum(m))
             if best is None or ratio < best:
                 best, witnesses = ratio, [(d, m)]

@@ -252,6 +252,10 @@ class TestCompareBounds:
         values = [e.value.value.squared() for e in rep.entries]
         assert values == sorted(values, reverse=True)
         assert rep.ranks[0] == 1
+        # biran-product and harbourne are both 2/3 here: equal values share a rank
+        tied = compare_bounds(2, 3, very_ample=True)
+        assert [e.name for e in tied.entries] == ["main", "biran-product", "harbourne", "szemberg-floor"]
+        assert tied.ranks == (1, 2, 2, 4)
 
     def test_harbourne_omitted_without_very_ample(self):
         rep = compare_bounds(35, 101, very_ample=False)

@@ -54,6 +54,11 @@ CASES = {
     "usage-p2-table-empty": "p2-table --r-max 0",
     "p2-table-one-row": "p2-table --r-max 1",
     "usage-search-r1": "search --k 1 --r 1 --d-max 1",
+    "usage-bounds-r1": "bounds --k 5 --r 4,1",
+    "usage-bounds-k0": "bounds --k 0 --r 4",
+    "usage-threshold-r1": "threshold --r 1 --k-cap 10",
+    "usage-verify-r-max1": "verify --suite theorem --r-max 1",
+    "usage-search-k-negative": "search --k -5 --r 3 --d-max 1",
 }
 
 

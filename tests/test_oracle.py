@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import seshadri.oracle as oracle
-from oracles import min_ratio_walk, theorem_scan_walk
+from oracles import el_xu_vectors, min_ratio_walk, theorem_scan_walk
 from seshadri.oracle import (
     CaseLabel,
     TheoremViolation,
@@ -129,8 +129,14 @@ class TestEnumeration:
         (1, 1, 3, 3),
     ])
     def test_matches_naive_reenumeration(self, d, k, max_points, m_max):
-        ours = set(feasible_multiplicities(d, k, max_points, m_max))
-        assert ours == naive_feasible(d, k, max_points, m_max)
+        # each vector once, in Python's tuple order; so is the test oracle
+        expected = sorted(naive_feasible(d, k, max_points, m_max))
+        assert list(feasible_multiplicities(d, k, max_points, m_max)) == expected
+        assert el_xu_vectors(d * d * k, max_points, m_max) == expected
+
+    @pytest.mark.parametrize("max_points,m_max", [(0, 3), (3, 0), (-1, -1)])
+    def test_empty_box_yields_nothing(self, max_points, m_max):
+        assert list(feasible_multiplicities(2, 5, max_points, m_max)) == []
 
     def test_all_nonincreasing_and_feasible(self):
         for m in feasible_multiplicities(2, 5, 6, 7):
@@ -181,7 +187,7 @@ class TestMinRatioSearch:
             assert set(res.witnesses) == wits
 
     def test_empty_walk_raises(self, monkeypatch):
-        monkeypatch.setattr(oracle, "_iter_reaching", lambda *args: iter(()))
+        monkeypatch.setattr(oracle, "_walk", lambda *args, **kwargs: iter(()))
         with pytest.raises(RuntimeError):
             min_ratio_search(1, 5, 3, 5)
 
@@ -324,9 +330,25 @@ class TestAgainstFullWalk:
 
     @pytest.mark.parametrize("lo", [1, 2, 3, 5])
     def test_walk_lower_entry(self, lo):
-        walked = [m for m, _ in oracle._iter_feasible(3 * 3 * 4, 6, 7, lo)]
+        walked = [m for m, _ in oracle._walk(7, 6, 3 * 3 * 4, {}, lo)]
         assert len(walked) == len(set(walked))
         assert set(walked) == {m for m in naive_feasible(3, 4, 6, 7) if m[-1] >= lo}
+
+    @pytest.mark.parametrize("need", [1, 9, 13, 14])
+    def test_walk_need(self, need):
+        # the vectors with sum >= need, with their sums, in tuple order
+        expected = [(m, sum(m)) for m in sorted(naive_feasible(3, 4, 6, 7)) if sum(m) >= need]
+        assert expected
+        assert list(oracle._walk(7, 6, 3 * 3 * 4, {}, need=need)) == expected
+
+    @pytest.mark.parametrize("need", [2, 5, 6])
+    def test_walk_descends_only_where_tally_reaches(self, need, monkeypatch):
+        # Below a prefix still short of need, the walk descends only when
+        # _tally's best total reaches need.  Told that no subtree does, it
+        # keeps exactly the vectors whose first entry alone reaches need.
+        monkeypatch.setattr(oracle, "_tally", lambda cap, length, room, memo: (0, 0))
+        walked = [m for m, _ in oracle._walk(7, 6, 3 * 3 * 4, {}, need=need)]
+        assert walked == sorted(m for m in naive_feasible(3, 4, 6, 7) if m[0] >= need)
 
 
 class TestVerifyHan:
