@@ -7,7 +7,7 @@ bounds are surds q*sqrt(n), and every comparison is decided by integer
 cross-multiplication.
 """
 
-from .exact import Rational, Surd, isqrt, render_decimal, squarefree_decompose, surd_compare
+from .exact import Surd, isqrt, render_decimal, squarefree_decompose
 from .pell import FsstWitness, PellSolution, fsst_applicable, pell_fundamental, szemberg_single_point_bound
 from .bounds import (
     BoundEntry,
@@ -29,15 +29,11 @@ from .bounds import (
     harbourne_bound,
     main_lower_bound,
     nagata_plane_value,
-    szemberg_dominance_threshold,
     szemberg_floor_bound,
     upper_bound,
 )
 from .oracle import (
-    AsymptoticScan,
-    AsymptoticTraceRow,
     CaseLabel,
-    HanCheck,
     HanScan,
     K3Exclusion,
     K3TraceRow,
@@ -46,9 +42,7 @@ from .oracle import (
     TheoremScan,
     TheoremViolation,
     Violation,
-    case2_asymptotic_infeasible,
     check_el_xu,
-    check_han_inequality,
     classify_case,
     feasible_multiplicities,
     k3_case2_excluded,

@@ -27,7 +27,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional
 
-from .exact import Rational, Surd, isqrt
+from .exact import Surd, isqrt
 from .inequalities import is_square, is_subgeneric
 from .pell import FsstWitness, PellSolution, fsst_applicable, pell_fundamental, szemberg_single_point_bound
 
@@ -52,7 +52,6 @@ __all__ = [
     "biran_product_bound",
     "nagata_plane_value",
     "compare_bounds",
-    "szemberg_dominance_threshold",
     "dominance_scan",
 ]
 
@@ -82,7 +81,7 @@ class SubmaximalCandidate:
 
     d: int
     s: int
-    value: Rational
+    value: Fraction
 
 
 @dataclass(frozen=True)
@@ -115,7 +114,7 @@ class HarbourneElement:
       ceil-multiple    d*k / ceil(d*sqrt(r*k))
     """
 
-    value: Rational
+    value: Fraction
     source: str
     d: Optional[int]
     num: int
@@ -128,7 +127,6 @@ class HarbourneBound:
     winner: Optional[HarbourneElement]  # None in the exceptional case
     elements: tuple[HarbourneElement, ...]
     exceptional: bool
-    advisory: bool  # True when very-ampleness was not asserted by the caller
 
 
 class PlaneValueStatus(Enum):
@@ -236,7 +234,7 @@ def szemberg_floor_bound(k: int, r: int) -> int:
     return isqrt(k // r)
 
 
-def harbourne_bound(k: int, r: int, very_ample: bool) -> HarbourneBound:
+def harbourne_bound(k: int, r: int) -> HarbourneBound:
     """Maximum of the three explicit sets bounding the constant below.
 
     Sets (d ranges over 1 <= d <= sqrt(r/k), empty when k > r):
@@ -246,8 +244,8 @@ def harbourne_bound(k: int, r: int, very_ample: bool) -> HarbourneBound:
     Exceptional case k <= r with r*k a perfect square: the maximum equals
     sqrt(k/r) and the true statement is only that every value strictly
     below sqrt(k/r) is a bound, so the value is returned with
-    attained=False.  The bound needs L very ample; when the caller does
-    not assert that, the result is marked advisory.
+    attained=False.  The bound needs L very ample; compare_bounds
+    includes it only when very-ampleness is asserted.
     """
     if k < 1 or r < 1:
         raise ValueError(f"need k, r >= 1, got k={k}, r={r}")
@@ -284,11 +282,10 @@ def harbourne_bound(k: int, r: int, very_ample: bool) -> HarbourneBound:
         winner=winner,
         elements=tuple(elements),
         exceptional=exceptional,
-        advisory=not very_ample,
     )
 
 
-def biran_product_bound(eps_single: Surd | Rational, eps_plane_r: Surd | Rational) -> Surd:
+def biran_product_bound(eps_single: Surd | Fraction, eps_plane_r: Surd | Fraction) -> Surd:
     """Exact product of a single-point bound and a plane multi-point value."""
     a = eps_single if isinstance(eps_single, Surd) else Surd(Fraction(eps_single))
     b = eps_plane_r if isinstance(eps_plane_r, Surd) else Surd(Fraction(eps_plane_r))
@@ -404,7 +401,7 @@ def compare_bounds(k: int, r: int, very_ample: bool = False) -> BoundReport:
     ]
 
     if very_ample:
-        harb = harbourne_bound(k, r, very_ample=True)
+        harb = harbourne_bound(k, r)
         entries.append(
             BoundEntry(
                 name="harbourne",
@@ -512,9 +509,3 @@ def dominance_scan(r: int, k_cap: int) -> ThresholdScan:
     else:
         threshold = last_failure + 1
     return ThresholdScan(r, k_cap, threshold, last_failure, band_cutoff, stable)
-
-
-def szemberg_dominance_threshold(r: int, k_cap: int) -> Optional[int]:
-    """Minimal N <= k_cap such that the floor bound dominates the generic
-    bound for every k with N <= k <= k_cap; None when k_cap itself fails."""
-    return dominance_scan(r, k_cap).threshold

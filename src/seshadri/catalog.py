@@ -1,9 +1,9 @@
 """Stock surfaces with Picard number 1 and their known exact values.
 
 Each descriptor pins down k = L^2 for the ample generator L and whether
-very-ampleness may be asserted (the very-ample bound is advisory without
-it).  Exact multi-point values are on record only for the plane; every
-other kind returns None from known_value.
+very-ampleness may be asserted (the very-ample bound is computed only
+with it).  Exact multi-point values are on record only for the plane;
+every other kind returns None from known_value.
 """
 
 from __future__ import annotations
@@ -134,6 +134,6 @@ def parse_surface(text: str) -> SurfaceSpec:
     if head == "custom" and rest.endswith(",va"):
         very_ample = True
         rest = rest[: -len(",va")]
-    if not rest.isdigit():
+    if not rest.isdecimal() or int(rest) < 1:
         raise SurfaceSyntaxError(f"surface parameter must be a positive integer: {text!r}")
     return make_surface(kinds[head], int(rest), very_ample=very_ample)

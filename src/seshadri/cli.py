@@ -439,6 +439,8 @@ def cmd_verify(args: argparse.Namespace) -> tuple[list[Record], int]:
         return [rec], 3 if scan.violations else 0
 
     if args.suite == "han":
+        if args.m_max < 2:
+            raise UsageError(f"the han suite needs --m-max >= 2, got {args.m_max}")
         scan = verify_han_exhaustive(args.s_max, args.m_max)
         rec = Record(
             command="verify",
@@ -571,28 +573,32 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("pell", parents=[common, display], help="fundamental Pell solution")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_int_at_least(2), required=True, help="L^2 value, at least 2")
     p.set_defaults(func=cmd_pell)
 
     p = sub.add_parser("search", parents=[common, display], help="minimum-ratio search")
     p.add_argument("--k", type=_int_at_least(1), required=True)
     p.add_argument("--r", type=_int_at_least(2), required=True, help="point count, at least 2")
-    p.add_argument("--d-max", type=int, required=True, help="explicit degree cap (required)")
-    p.add_argument("--m-max", type=int, default=None, help="per-point cap (default: EL-feasible max)")
+    p.add_argument("--d-max", type=_int_at_least(1), required=True, help="explicit degree cap (required)")
+    p.add_argument(
+        "--m-max", type=_int_at_least(1), default=None, help="per-point cap (default: EL-feasible max)"
+    )
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("verify", parents=[common], help="exhaustive verification suites")
     p.add_argument("--suite", choices=["theorem", "han", "k3"], required=True)
-    p.add_argument("--k-max", type=int, default=20)
+    p.add_argument("--k-max", type=_int_at_least(1), default=20)
     p.add_argument("--r-max", type=_int_at_least(2), default=10)
-    p.add_argument("--d-max", type=int, default=5)
-    p.add_argument("--m-max", type=int, default=8, help="entry cap (theorem) / m_1 cap (han)")
-    p.add_argument("--s-max", type=int, default=8, help="length cap for the han suite")
+    p.add_argument("--d-max", type=_int_at_least(1), default=5)
+    p.add_argument(
+        "--m-max", type=_int_at_least(1), default=8, help="entry cap (theorem) / m_1 cap, at least 2 (han)"
+    )
+    p.add_argument("--s-max", type=_int_at_least(2), default=8, help="length cap for the han suite")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("threshold", parents=[common], help="floor-bound dominance threshold")
     p.add_argument("--r", type=_int_at_least(2), required=True, help="point count, at least 2")
-    p.add_argument("--k-cap", type=int, required=True)
+    p.add_argument("--k-cap", type=_int_at_least(1), required=True)
     p.set_defaults(func=cmd_threshold)
 
     p = sub.add_parser("p2-table", parents=[common, display], help="known plane values")

@@ -5,8 +5,8 @@ with q a nonnegative rational and n a squarefree nonnegative integer.
 Comparisons between such values decide the published inequalities, and
 some of those are far too tight for floating point (0.5842 vs 0.5833
 territory), so everything here is integer arithmetic.  Decimal strings
-are produced only for display, by truncating (or rounding) the exact
-value at a requested number of digits.
+are produced only for display, by truncating the exact value at a
+requested number of digits.
 """
 
 from __future__ import annotations
@@ -17,16 +17,10 @@ from fractions import Fraction
 from functools import total_ordering
 from math import isqrt
 
-# The universal exact scalar.  Fraction is arbitrary-precision and always
-# in lowest terms, which is exactly the contract we need.
-Rational = Fraction
-
 __all__ = [
-    "Rational",
     "Surd",
     "isqrt",
     "squarefree_decompose",
-    "surd_compare",
     "render_decimal",
 ]
 
@@ -123,15 +117,6 @@ class Surd:
 
     # -- structure ------------------------------------------------------
 
-    @property
-    def is_rational(self) -> bool:
-        return self.radicand == 1
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational:
-            raise ValueError(f"{self} is irrational")
-        return self.coeff
-
     def squared(self) -> Fraction:
         """The exact square, always rational: coeff^2 * radicand."""
         return self.coeff * self.coeff * self.radicand
@@ -186,40 +171,20 @@ class Surd:
         return f"Surd({self.coeff!r}, {self.radicand})"
 
 
-def surd_compare(x: Surd, y: Surd) -> int:
-    """Exact three-way comparison of two surds: -1, 0 or +1.
+def render_decimal(x: Surd, digits: int) -> str:
+    """Decimal string of a surd, truncated at a fixed number of fractional digits.
 
-    Both values are nonnegative, so comparing their squares
-    coeff^2 * radicand (plain rational arithmetic) decides the order.
-    """
-    a, b = x.squared(), y.squared()
-    if a < b:
-        return -1
-    if a > b:
-        return 1
-    return 0
-
-
-def render_decimal(x: Surd, digits: int, mode: str = "truncate") -> str:
-    """Decimal string of a surd at a fixed number of fractional digits.
-
-    truncate: the result is floor(x * 10^digits) / 10^digits, i.e. never
-    exceeds the true value and differs from it by less than 10^-digits.
-    round: half-up rounding.  Both are computed with integer arithmetic
-    on scaled values; no floating point is involved.
+    The result is floor(x * 10^digits) / 10^digits, i.e. never exceeds
+    the true value and differs from it by less than 10^-digits.  It is
+    computed with integer arithmetic on scaled values; no floating point
+    is involved.
     """
     if digits < 1:
         raise ValueError(f"digits must be >= 1, got {digits}")
-    if mode not in ("truncate", "round"):
-        raise ValueError(f"unknown rendering mode {mode!r}")
     p = x.coeff.numerator
     q = x.coeff.denominator
     scale = 10**digits
     # floor(value * 10^d) = floor(sqrt(p^2 * n * 10^2d)) // q
     scaled = isqrt(p * p * x.radicand * scale * scale) // q
-    if mode == "round":
-        # fractional part >= 1/2  <=>  4 p^2 n 10^2d >= q^2 (2*scaled+1)^2
-        if 4 * p * p * x.radicand * scale * scale >= (q * (2 * scaled + 1)) ** 2:
-            scaled += 1
     whole, frac = divmod(scaled, scale)
     return f"{whole}.{frac:0{digits}d}"

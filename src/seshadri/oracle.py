@@ -10,8 +10,8 @@ and contributes the ratio d*k/(m_1 + ... + m_s) to the infimum defining
 the constant.  This module covers every feasible configuration in a
 finite box: it classifies each one against the trichotomy behind the
 main bound, searches for the minimum ratio, and replays the
-dimension-count arguments that exclude the unit-multiplicity alternative
-(referred to as "case 2" throughout) on K3 surfaces and for large r.
+dimension-count argument that excludes the unit-multiplicity alternative
+(referred to as "case 2" throughout) on K3 surfaces.
 
 The minima computed here are candidate-level quantities over enumerated
 configurations, not the true constants: whether a configuration is
@@ -28,27 +28,22 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
-from .exact import isqrt
 from .inequalities import el_xu_feasible, han_inequality, is_subgeneric
 
 __all__ = [
     "Multiplicities",
     "CaseLabel",
     "TheoremViolation",
-    "HanCheck",
     "SearchResult",
     "Violation",
     "TheoremScan",
     "HanScan",
     "K3TraceRow",
     "K3Exclusion",
-    "AsymptoticTraceRow",
-    "AsymptoticScan",
     "validate_multiplicities",
     "check_el_xu",
-    "check_han_inequality",
     "classify_case",
     "feasible_multiplicities",
     "min_ratio_search",
@@ -56,7 +51,6 @@ __all__ = [
     "verify_han_exhaustive",
     "k3_h0",
     "k3_case2_excluded",
-    "case2_asymptotic_infeasible",
 ]
 
 Multiplicities = tuple[int, ...]
@@ -104,19 +98,6 @@ def check_el_xu(d: int, k: int, m: Sequence[int]) -> bool:
         raise ValueError(f"need d, k >= 1, got d={d}, k={k}")
     m = validate_multiplicities(m)
     return el_xu_feasible(d * d * k, sum(e * e for e in m), m[-1])
-
-
-class HanCheck(NamedTuple):
-    applicable: bool
-    holds: bool
-
-
-def check_han_inequality(m: Sequence[int]) -> HanCheck:
-    """The combinatorial inequality behind the generic bound (see
-    inequalities.han_inequality); holds is evaluated whether or not it
-    applies."""
-    applicable, margin = han_inequality(validate_multiplicities(m))
-    return HanCheck(applicable, margin >= 0)
 
 
 def _is_two_six(d: int, k: int, m: Multiplicities) -> bool:
@@ -486,64 +467,3 @@ def k3_case2_excluded(k: int, r: int, d_max: int) -> K3Exclusion:
             rows.append(K3TraceRow(d, s, branch))
     excluded = all(row.branch in ("direct", "no-curve") for row in rows)
     return K3Exclusion(excluded=excluded, trace=tuple(rows))
-
-
-class AsymptoticTraceRow(NamedTuple):
-    d: int
-    s: int
-    verdict: str  # above-optimal | too-few-sections | feasible
-
-
-@dataclass
-class AsymptoticScan:
-    infeasible: bool
-    model: str  # "asymptotic" | "exact"
-    d_bound: int
-    witnesses: tuple[tuple[int, int], ...]  # (d, s) pairs that survive
-    trace: tuple[AsymptoticTraceRow, ...]
-    closing_argument: str
-
-
-_CLOSING = (
-    "a case-2 curve below the optimal value needs d^2*k*r <= s^2 and "
-    "s <= d^2*k/2, chaining to 2r <= s <= r, a contradiction"
-)
-
-
-def case2_asymptotic_infeasible(
-    k: int, r: int, h0: Optional[Callable[[int], int]] = None
-) -> AsymptoticScan:
-    """Scan for (d, s) pairs allowing a case-2 curve at or below sqrt(k/r).
-
-    Such a pair needs d^2*k <= s^2/r (value at most optimal) together
-    with a section-count constraint: s <= d^2*k/2 under the asymptotic
-    model, or s < h0(d) when an exact count is supplied.  Since
-    d^2 <= s^2/(r*k) <= r/k, only d <= floor(sqrt(r/k)) can qualify; the
-    trace records the failing constraint for each (d, s) in that range.
-    Under the asymptotic model the two constraints chain to 2r <= s <= r,
-    so the scan always comes back empty.
-    """
-    if k < 1 or r < 2:
-        raise ValueError(f"need k >= 1 and r >= 2, got k={k}, r={r}")
-    d_bound = isqrt(r // k)
-    witnesses: list[tuple[int, int]] = []
-    trace: list[AsymptoticTraceRow] = []
-    for d in range(1, d_bound + 1):
-        d2k = d * d * k
-        for s in range(1, r + 1):
-            if d2k * r > s * s:
-                verdict = "above-optimal"
-            elif (s < h0(d)) if h0 is not None else (2 * s <= d2k):
-                verdict = "feasible"
-                witnesses.append((d, s))
-            else:
-                verdict = "too-few-sections"
-            trace.append(AsymptoticTraceRow(d, s, verdict))
-    return AsymptoticScan(
-        infeasible=not witnesses,
-        model="exact" if h0 is not None else "asymptotic",
-        d_bound=d_bound,
-        witnesses=tuple(witnesses),
-        trace=tuple(trace),
-        closing_argument=_CLOSING,
-    )

@@ -17,17 +17,17 @@ from oracles import is_proper_power_of_smaller_solution, pell_brute_force
 import seshadri.cli as cli
 from seshadri.bounds import (
     compare_bounds,
+    dominance_scan,
     enumerate_exceptional_candidates,
     generic_lower_value,
     harbourne_bound,
     biran_product_bound,
     main_lower_bound,
     nagata_plane_value,
-    szemberg_dominance_threshold,
     szemberg_floor_bound,
     upper_bound,
 )
-from seshadri.exact import Surd, isqrt, render_decimal, surd_compare
+from seshadri.exact import Surd, isqrt, render_decimal
 from seshadri.oracle import (
     CaseLabel,
     k3_case2_excluded,
@@ -58,7 +58,7 @@ def criterion(number, summary):
 def test_criterion_1_floor_comparison_table():
     for k, rendered, floor in [(150, "3.72", 3), (1050, "9.84", 10), (2500, "15.19", 15)]:
         main = main_lower_bound(k, 10)
-        assert render_decimal(main.bound.value, 2, "truncate") == rendered
+        assert render_decimal(main.bound.value, 2) == rendered
         assert szemberg_floor_bound(k, 10) == floor
 
 
@@ -66,25 +66,25 @@ def test_criterion_1_floor_comparison_table():
 def test_criterion_2_very_ample_comparison():
     for k, rendered, harb in [(6, "0.744", Fraction(3, 4)), (7, "0.803", Fraction(4, 5))]:
         main = main_lower_bound(k, 10)
-        assert render_decimal(main.bound.value, 3, "truncate") == rendered
-        res = harbourne_bound(k, 10, very_ample=True)
+        assert render_decimal(main.bound.value, 3) == rendered
+        res = harbourne_bound(k, 10)
         assert res.bound.value == harb
 
 
 @criterion(3, "full comparison at (k, r) = (35, 101), Pell and product bounds")
 def test_criterion_3_k35_r101():
     main = main_lower_bound(35, 101)
-    assert render_decimal(main.bound.value, 4, "truncate") == "0.5858"
-    assert render_decimal(upper_bound(35, 101).value, 4, "truncate") == "0.5886"
+    assert render_decimal(main.bound.value, 4) == "0.5858"
+    assert render_decimal(upper_bound(35, 101).value, 4) == "0.5886"
 
     product = biran_product_bound(Fraction(35, 6), Surd.sqrt(Fraction(1, 101)))
-    assert render_decimal(product, 4, "truncate") == "0.5804"
+    assert render_decimal(product, 4) == "0.5804"
 
     sol = pell_fundamental(35)
     assert (sol.p0, sol.q0) == (1, 6)
     assert szemberg_single_point_bound(35) == Fraction(35, 6)
 
-    harb = harbourne_bound(35, 101, very_ample=True)
+    harb = harbourne_bound(35, 101)
     assert harb.bound.value == Fraction(59, 101)
     assert Fraction(35, 60) in {e.value for e in harb.elements}
 
@@ -107,7 +107,7 @@ def test_criterion_3_k35_r101():
 def test_criterion_4_two_six_edge_case():
     res = main_lower_bound(6, 2)
     assert res.bound.value == Surd(Fraction(3, 2))
-    assert surd_compare(res.bound.value, generic_lower_value(6, 2)) == -1
+    assert res.bound.value < generic_lower_value(6, 2)
     assert res.annotation is not None and "multiplicity two" in res.annotation
 
 
@@ -169,7 +169,7 @@ def test_criterion_8_k3_suite():
 def test_criterion_9_dominance_threshold():
     # The informal figure quoted for this threshold is about 5000; the
     # exact scan puts the last failure at 6249, so dominance starts at 6250.
-    assert szemberg_dominance_threshold(10, 10000) == 6250
+    assert dominance_scan(10, 10000).threshold == 6250
 
     failures = [
         k
@@ -177,7 +177,7 @@ def test_criterion_9_dominance_threshold():
         if Fraction(isqrt(k // 10)) ** 2 < Fraction(12 * k, 13 * 10)
     ]
     assert failures[-1] == 6249
-    assert szemberg_dominance_threshold(10, 10000) == failures[-1] + 1
+    assert dominance_scan(10, 10000).threshold == failures[-1] + 1
 
 
 @criterion(10, "global sanity: bounds below optimal, Pell identity and minimality")
@@ -185,13 +185,13 @@ def test_criterion_10_global_sanity():
     for k in range(1, 201):
         for r in range(2, 51):
             upper = upper_bound(k, r).value
-            assert surd_compare(generic_lower_value(k, r), upper) <= 0
-            assert surd_compare(Surd(Fraction(szemberg_floor_bound(k, r))), upper) <= 0
-            harb = harbourne_bound(k, r, very_ample=True)
+            assert generic_lower_value(k, r) <= upper
+            assert Surd(Fraction(szemberg_floor_bound(k, r))) <= upper
+            harb = harbourne_bound(k, r)
             if not harb.exceptional:
-                assert surd_compare(harb.bound.value, upper) <= 0
+                assert harb.bound.value <= upper
             for e in harb.elements:
-                assert surd_compare(Surd(e.value), upper) <= 0
+                assert Surd(e.value) <= upper
 
     for k in range(2, 201):
         if isqrt(k) ** 2 == k:
@@ -201,4 +201,4 @@ def test_criterion_10_global_sanity():
         assert not is_proper_power_of_smaller_solution(sol)
         if sol.q0 <= 10**5:
             assert pell_brute_force(k, sol.q0) == (sol.p0, sol.q0)
-        assert surd_compare(Surd(szemberg_single_point_bound(k)), Surd.sqrt(k)) == -1
+        assert Surd(szemberg_single_point_bound(k)) < Surd.sqrt(k)

@@ -23,11 +23,10 @@ from seshadri.bounds import (
     biran_product_bound,
     main_lower_bound,
     nagata_plane_value,
-    szemberg_dominance_threshold,
     szemberg_floor_bound,
     upper_bound,
 )
-from seshadri.exact import Surd, isqrt, render_decimal, surd_compare
+from seshadri.exact import Surd, isqrt, render_decimal
 from seshadri.pell import fsst_applicable, szemberg_single_point_bound
 
 
@@ -58,7 +57,7 @@ class TestMainLowerBound:
         assert res.candidates == ()
         assert "multiplicity two" in res.annotation
         # strictly below the generic formula value sqrt(12/5)
-        assert surd_compare(res.bound.value, generic_lower_value(6, 2)) == -1
+        assert res.bound.value < generic_lower_value(6, 2)
 
     def test_35_101(self):
         res = main_lower_bound(35, 101)
@@ -141,18 +140,18 @@ class TestSzembergFloor:
 
 class TestHarbourne:
     def test_6_10(self):
-        res = harbourne_bound(6, 10, very_ample=True)
+        res = harbourne_bound(6, 10)
         assert res.bound.value == Fraction(3, 4)
         assert res.winner.source == "ceil-multiple"
         assert (res.winner.num, res.winner.den) == (6, 8)
 
     def test_7_10(self):
-        res = harbourne_bound(7, 10, very_ample=True)
+        res = harbourne_bound(7, 10)
         assert res.bound.value == Fraction(4, 5)
         assert res.winner.source == "floor-multiple"
 
     def test_35_101(self):
-        res = harbourne_bound(35, 101, very_ample=True)
+        res = harbourne_bound(35, 101)
         assert res.bound.value == Fraction(59, 101)
         assert Fraction(35, 60) in {e.value for e in res.elements}
         raw = {(e.num, e.den) for e in res.elements}
@@ -160,17 +159,13 @@ class TestHarbourne:
 
     def test_exceptional_case(self):
         # k <= r and r*k a perfect square: supremum only
-        res = harbourne_bound(1, 4, very_ample=True)
+        res = harbourne_bound(1, 4)
         assert res.exceptional
         assert not res.bound.attained
         assert res.bound.value == Surd.sqrt(Fraction(1, 4))
 
-    def test_advisory_flag(self):
-        assert harbourne_bound(6, 10, very_ample=False).advisory
-        assert not harbourne_bound(6, 10, very_ample=True).advisory
-
     def test_k_above_r_only_singleton(self):
-        res = harbourne_bound(35, 10, very_ample=True)
+        res = harbourne_bound(35, 10)
         assert [e.source for e in res.elements] == ["unit-reciprocal"]
         assert res.bound.value == Fraction(1, 1)
 
@@ -231,21 +226,21 @@ class TestCompareBounds:
         assert render_decimal(by_name["main"].value.value, 2) == "3.72"
         assert by_name["szemberg-floor"].value.value == Fraction(3)
         # main beats floor here
-        assert surd_compare(by_name["main"].value.value, by_name["szemberg-floor"].value.value) == 1
+        assert by_name["main"].value.value > by_name["szemberg-floor"].value.value
 
     def test_comparison_table_1050_10(self):
         rep = compare_bounds(1050, 10, very_ample=True)
         by_name = {e.name: e for e in rep.entries}
         assert render_decimal(by_name["main"].value.value, 2) == "9.84"
         assert by_name["szemberg-floor"].value.value == Fraction(10)
-        assert surd_compare(by_name["szemberg-floor"].value.value, by_name["main"].value.value) == 1
+        assert by_name["szemberg-floor"].value.value > by_name["main"].value.value
 
     def test_comparison_table_2500_10(self):
         rep = compare_bounds(2500, 10, very_ample=True)
         by_name = {e.name: e for e in rep.entries}
         assert render_decimal(by_name["main"].value.value, 2) == "15.19"
         assert by_name["szemberg-floor"].value.value == Fraction(15)
-        assert surd_compare(by_name["main"].value.value, by_name["szemberg-floor"].value.value) == 1
+        assert by_name["main"].value.value > by_name["szemberg-floor"].value.value
 
     def test_entries_sorted_descending_with_tied_ranks(self):
         rep = compare_bounds(35, 101, very_ample=True)
@@ -292,7 +287,7 @@ class TestCompareBounds:
         rep = compare_bounds(35, 101, very_ample=True)
         by_name = {e.name: e for e in rep.entries}
         assert by_name["main"].detail == main_lower_bound(35, 101)
-        assert by_name["harbourne"].detail == harbourne_bound(35, 101, very_ample=True)
+        assert by_name["harbourne"].detail == harbourne_bound(35, 101)
         assert by_name["szemberg-floor"].detail is None
         factors = by_name["biran-product"].detail
         assert (factors.single, factors.pell.q0, factors.witness.n) == (Fraction(35, 6), 6, 6)
@@ -334,11 +329,11 @@ class TestGlobalDominance:
         for k in range(1, 201):
             for r in range(2, 51):
                 upper = upper_bound(k, r).value
-                assert surd_compare(generic_lower_value(k, r), upper) <= 0
-                assert surd_compare(Surd(Fraction(szemberg_floor_bound(k, r))), upper) <= 0
-                harb = harbourne_bound(k, r, very_ample=True)
+                assert generic_lower_value(k, r) <= upper
+                assert Surd(Fraction(szemberg_floor_bound(k, r))) <= upper
+                harb = harbourne_bound(k, r)
                 for e in harb.elements:
-                    assert surd_compare(Surd(e.value), upper) <= 0
+                    assert Surd(e.value) <= upper
 
     def test_biran_with_proven_inputs_below_optimal(self):
         for k in range(2, 201):
@@ -349,7 +344,7 @@ class TestGlobalDominance:
                 plane = nagata_plane_value(r)
                 assert plane.status is not PlaneValueStatus.CONJECTURAL
                 prod = biran_product_bound(single, plane.bound.value)
-                assert surd_compare(prod, upper_bound(k, r).value) <= 0
+                assert prod <= upper_bound(k, r).value
 
 
 class TestRatioExactness:
@@ -377,13 +372,13 @@ class TestRatioExactness:
 
 class TestDominanceThreshold:
     def test_r10(self):
-        assert szemberg_dominance_threshold(10, 10000) == 6250
+        assert dominance_scan(10, 10000).threshold == 6250
 
     def test_r2(self):
-        assert szemberg_dominance_threshold(2, 1000) == 162
+        assert dominance_scan(2, 1000).threshold == 162
 
     def test_cap_too_small(self):
-        assert szemberg_dominance_threshold(10, 100) is None
+        assert dominance_scan(10, 100).threshold is None
 
     def test_against_naive_scan_oracle(self):
         # direct Fraction-based re-scan, no shared code with the implementation
@@ -398,7 +393,7 @@ class TestDominanceThreshold:
             return None if failures[-1] == cap else failures[-1] + 1
 
         for r, cap in [(2, 1000), (3, 2000), (10, 10000), (7, 300)]:
-            assert szemberg_dominance_threshold(r, cap) == naive(r, cap)
+            assert dominance_scan(r, cap).threshold == naive(r, cap)
 
     def test_band_certificate(self):
         scan = dominance_scan(10, 10000)

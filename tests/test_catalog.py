@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from seshadri.bounds import PlaneValueStatus, upper_bound
-from seshadri.catalog import SurfaceKind, make_surface, known_value, parse_surface
-from seshadri.exact import surd_compare
+from seshadri.catalog import SurfaceKind, SurfaceSyntaxError, make_surface, known_value, parse_surface
 
 
 class TestMakeSurface:
@@ -69,7 +68,7 @@ class TestKnownValue:
         plane = make_surface(SurfaceKind.PROJECTIVE_PLANE)
         for r in range(1, 100):
             res = known_value(plane, r)
-            assert surd_compare(res.bound.value, upper_bound(1, r).value) <= 0
+            assert res.bound.value <= upper_bound(1, r).value
 
 
 class TestParseSurface:
@@ -92,4 +91,9 @@ class TestParseSurface:
     @pytest.mark.parametrize("bad", ["", "p2:1", "k3:", "k3:x", "weird:3", "hyp:3"])
     def test_rejects_malformed(self, bad):
         with pytest.raises(ValueError):
+            parse_surface(bad)
+
+    @pytest.mark.parametrize("bad", ["custom:0", "custom:0,va", "k3:0", "ab:00", "hyp:0", "k3:\u00b2"])
+    def test_parameter_must_be_a_positive_decimal(self, bad):
+        with pytest.raises(SurfaceSyntaxError):
             parse_surface(bad)

@@ -178,9 +178,12 @@ class TestSearchCommand:
         code, _, _ = run_cli(capsys, "search", "--k", "1", "--r", "5")
         assert code == 1
 
-    def test_empty_box_exits_2(self, capsys):
-        code, _, _ = run_cli(capsys, "search", "--k", "1", "--r", "2", "--d-max", "0")
-        assert code == 2
+    def test_empty_box_is_usage_error(self, capsys, monkeypatch):
+        # rejected while parsing, before any search runs
+        monkeypatch.setattr(cli, "min_ratio_search", lambda *a: pytest.fail("searched"))
+        code, out, err = run_cli(capsys, "search", "--k", "1", "--r", "2", "--d-max", "0")
+        assert (code, out) == (1, "")
+        assert "argument --d-max: must be >= 1, got 0" in err
 
     @pytest.mark.parametrize("r", ["1", "0", "-3"])
     def test_r_below_two_is_usage_error(self, capsys, monkeypatch, r):
@@ -270,6 +273,65 @@ class TestVerifyCommand:
         assert code == 3
         (rec,) = json_records(out)
         assert any(e["name"] == "counterexample" for e in rec["entries"])
+
+    def test_han_suite_fails_on_a_wrong_margin(self, capsys, monkeypatch):
+        # One less margin turns the equality case (2, 2, 2) into a
+        # counterexample; every other applicable vector of the box keeps a
+        # positive margin.
+        han_inequality = oracle.han_inequality
+
+        def shifted(m):
+            applicable, margin = han_inequality(m)
+            return applicable, margin - 1
+
+        monkeypatch.setattr(oracle, "han_inequality", shifted)
+        code, out, _ = run_cli(
+            capsys, "verify", "--suite", "han", "--s-max", "3", "--m-max", "2",
+            "--format", "json",
+        )
+        assert code == 3
+        (rec,) = json_records(out)
+        listed = [e["applicability"] for e in rec["entries"] if e["name"] == "counterexample"]
+        assert listed == ["m=(2, 2, 2)"]
+
+
+class TestUsageFloors:
+    """A number below its documented floor is a usage error (exit 1),
+    whichever subcommand or suite reads it; exit 2 is kept for well-formed
+    inputs where the mathematics is undefined."""
+
+    @pytest.mark.parametrize(
+        "command,flag,floor",
+        [
+            ("threshold --r 10 --k-cap 0", "--k-cap", 1),
+            ("verify --suite theorem --k-max 0", "--k-max", 1),
+            ("verify --suite k3 --k-max 0", "--k-max", 1),
+            ("verify --suite theorem --d-max 0", "--d-max", 1),
+            ("verify --suite k3 --d-max 0", "--d-max", 1),
+            ("verify --suite theorem --m-max 0", "--m-max", 1),
+            ("verify --suite han --m-max -1", "--m-max", 1),
+            ("verify --suite han --s-max 1", "--s-max", 2),
+            ("search --k 1 --r 2 --d-max 1 --m-max 0", "--m-max", 1),
+            ("pell --k 1", "--k", 2),
+            ("pell --k -3", "--k", 2),
+        ],
+    )
+    def test_below_floor(self, capsys, command, flag, floor):
+        value = command.split()[-1]
+        code, out, err = run_cli(capsys, *command.split())
+        assert (code, out) == (1, "")
+        assert f"argument {flag}: must be >= {floor}, got {value}" in err
+
+    def test_han_m_max_floor(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "verify_han_exhaustive", lambda *a: pytest.fail("scanned"))
+        code, out, err = run_cli(capsys, "verify", "--suite", "han", "--m-max", "1")
+        assert (code, out) == (1, "")
+        assert "the han suite needs --m-max >= 2, got 1" in err
+
+    @pytest.mark.parametrize("surface", ["hyp:3", "k3:3"])
+    def test_surface_outside_its_domain_stays_a_domain_error(self, capsys, surface):
+        code, out, _ = run_cli(capsys, "bounds", "--surface", surface, "--r", "3")
+        assert (code, out) == (2, "")
 
 
 class TestThresholdCommand:

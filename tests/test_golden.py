@@ -59,6 +59,13 @@ CASES = {
     "usage-threshold-r1": "threshold --r 1 --k-cap 10",
     "usage-verify-r-max1": "verify --suite theorem --r-max 1",
     "usage-search-k-negative": "search --k -5 --r 3 --d-max 1",
+    "usage-threshold-k-cap0": "threshold --r 10 --k-cap 0",
+    "usage-verify-k-max0": "verify --suite theorem --k-max 0",
+    "usage-verify-han-s-max1": "verify --suite han --s-max 1",
+    "usage-verify-han-m-max1": "verify --suite han --m-max 1",
+    "usage-search-m-max0": "search --k 1 --r 3 --d-max 1 --m-max 0",
+    "usage-pell-k1": "pell --k 1",
+    "usage-surface-zero": "bounds --surface custom:0 --r 3",
 }
 
 

@@ -7,12 +7,11 @@ import pytest
 
 import seshadri.oracle as oracle
 from oracles import el_xu_vectors, min_ratio_walk, theorem_scan_walk
+from seshadri.inequalities import han_inequality
 from seshadri.oracle import (
     CaseLabel,
     TheoremViolation,
-    case2_asymptotic_infeasible,
     check_el_xu,
-    check_han_inequality,
     classify_case,
     feasible_multiplicities,
     k3_case2_excluded,
@@ -68,25 +67,24 @@ class TestElXu:
 
 class TestHanInequality:
     def test_excluded_pair(self):
-        res = check_han_inequality((2, 2))
-        assert not res.applicable
-        assert not res.holds  # 10*6/4 = 15 < 16: the reason it is excluded
+        applicable, margin = han_inequality((2, 2))
+        assert not applicable
+        assert margin < 0  # 10*6/4 = 15 < 16: the reason it is excluded
 
     def test_3_2(self):
-        res = check_han_inequality((3, 2))
-        assert res.applicable and res.holds  # 55/2 >= 25
+        applicable, margin = han_inequality((3, 2))
+        assert applicable and margin >= 0  # 55/2 >= 25
 
     def test_equality_at_2_2_2(self):
-        res = check_han_inequality((2, 2, 2))
-        assert res.applicable and res.holds
         # exact equality: (18/5)*10 = 36 = 6^2
+        assert han_inequality((2, 2, 2)) == (True, 0)
         assert 6 * 3 * (12 - 2) == 5 * 36
 
     def test_unit_vector_inapplicable(self):
-        assert not check_han_inequality((1, 1, 1)).applicable
+        assert not han_inequality((1, 1, 1))[0]
 
     def test_single_point_inapplicable(self):
-        assert not check_han_inequality((5,)).applicable
+        assert not han_inequality((5,))[0]
 
 
 class TestClassify:
@@ -357,18 +355,19 @@ class TestVerifyHan:
         assert scan.counterexamples == ()
         assert (2, 2, 2) in scan.equality_witnesses
 
-    def test_agrees_with_check_han_inequality(self):
+    def test_agrees_with_han_inequality(self):
         scan = verify_han_exhaustive(6, 8)
         applicable, counterexamples, equalities = 0, [], []
         for s in range(1, 7):
             for combo in itertools.combinations_with_replacement(range(8, 0, -1), s):
-                check = check_han_inequality(combo)
-                if not check.applicable:
+                is_applicable, margin = han_inequality(combo)
+                if not is_applicable:
                     continue
                 applicable += 1
                 lhs = Fraction((s + 3) * s, s + 2) * (sum(e * e for e in combo) - combo[-1])
-                assert check.holds == (lhs >= sum(combo) ** 2)
-                if not check.holds:
+                holds = margin >= 0
+                assert holds == (lhs >= sum(combo) ** 2)
+                if not holds:
                     counterexamples.append(combo)
                 elif lhs == sum(combo) ** 2:
                     equalities.append(combo)
@@ -420,39 +419,3 @@ class TestK3:
                 assert d2k < row.s and h0 == row.s + 1
             else:
                 assert d2k < row.s and h0 > row.s + 1
-
-
-class TestAsymptotic:
-    def test_scan_empty(self):
-        res = case2_asymptotic_infeasible(4, 100)
-        assert res.infeasible and res.witnesses == ()
-        assert "2r <= s" in res.closing_argument
-
-    def test_always_infeasible_asymptotic_model(self):
-        for k in (1, 2, 5, 9):
-            for r in (2, 7, 30):
-                assert case2_asymptotic_infeasible(k, r).infeasible
-
-    def test_exact_model_k3(self):
-        res = case2_asymptotic_infeasible(2, 5, h0=lambda d: k3_h0(d, 2))
-        assert res.model == "exact"
-        assert res.infeasible
-        # per-(d, s) table: d is capped at floor(sqrt(5/2)) = 1, s <= 4
-        # fails optimality (s^2 < d^2*k*r = 10), s = 4, 5 fail the
-        # section count (h0(1) = 3)
-        verdicts = {(row.d, row.s): row.verdict for row in res.trace}
-        assert verdicts == {
-            (1, 1): "above-optimal",
-            (1, 2): "above-optimal",
-            (1, 3): "above-optimal",
-            (1, 4): "too-few-sections",
-            (1, 5): "too-few-sections",
-        }
-
-    def test_exact_model_boundary_r2(self):
-        # At k = 2, r = 2 the pair (d, s) = (1, 2) sits exactly on the
-        # optimal value and passes the exact section count: 2*2 <= 4 and
-        # s = 2 < h0 = 3.  The scan reports it honestly.
-        res = case2_asymptotic_infeasible(2, 2, h0=lambda d: k3_h0(d, 2))
-        assert not res.infeasible
-        assert res.witnesses == ((1, 2),)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from oracles import is_proper_power_of_smaller_solution, pell_brute_force, pell_convergent_walk
 
-from seshadri.exact import Surd, isqrt, surd_compare
+from seshadri.exact import Surd, isqrt
 from seshadri.pell import FsstWitness, PellSolution, fsst_applicable, pell_fundamental, szemberg_single_point_bound
 
 
@@ -102,7 +102,7 @@ class TestSinglePointBound:
         # p0*k/q0 < sqrt(k), the single-point optimal value.
         for k in NON_SQUARES_TO_200:
             bound = Surd(szemberg_single_point_bound(k))
-            assert surd_compare(bound, Surd.sqrt(k)) == -1
+            assert bound < Surd.sqrt(k)
 
 
 class TestFsst:
