@@ -273,6 +273,11 @@ def cmd_bounds(args: argparse.Namespace) -> tuple[list[Record], int]:
                 raise UsageError(
                     f"--k {k} conflicts with surface {surface.label()} (k = {surface.k})"
                 )
+        if args.very_ample and not surface.very_ample:
+            raise UsageError(
+                f"--very-ample conflicts with surface {surface.label()}, which is not "
+                "very ample; a custom surface asserts it as custom:<k>,va"
+            )
     very_ample = surface.very_ample if surface is not None else args.very_ample
     digits = args.digits
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from .exact import isqrt
 
-__all__ = ["el_xu_feasible", "is_subgeneric", "han_inequality", "is_square"]
+__all__ = ["el_xu_feasible", "is_subgeneric", "han_applies", "han_margin", "han_inequality", "is_square"]
 
 
 def el_xu_feasible(d2k: int, sum_sq: int, last: int) -> bool:
@@ -23,17 +23,34 @@ def is_subgeneric(d2k: int, total: int, r: int) -> bool:
     return d2k * r * (r + 3) < (r + 2) * total * total
 
 
-def han_inequality(m: tuple[int, ...]) -> tuple[bool, int]:
-    """(applicable, margin) of (s+3)*s*(sum(m_i^2) - m_s) >= (s+2)*(sum m_i)^2.
+def han_margin(s: int, total: int, sum_sq: int, last: int) -> int:
+    """Left side minus right side of Han's inequality
+    (s+3)*s*(sum(m_i^2) - m_s) >= (s+2)*(sum m_i)^2 for a vector of
+    length s with sum(m_i) = total, sum(m_i^2) = sum_sq and m_s = last;
+    the inequality holds iff the margin is >= 0.
 
-    margin is the left side minus the right, so the inequality holds iff
-    margin >= 0.  It applies iff m_1 >= 2 and (s >= 3, or s = 2 with
-    m != (2, 2)); the pair (2, 2) fails it, which is why it is excluded.
+    Remark: since s*sum(m_i^2) - (sum m_i)^2 = sum_{i<j} (m_i - m_j)^2,
+    the margin equals (s+2)*sum_{i<j} (m_i - m_j)^2
+    + s*(sum(m_i^2) - (s+3)*m_s).  For s equal entries c the first term
+    vanishes and the margin is s*c*(s*(c-1) - 3): zero at (2, 2, 2),
+    negative at (2, 2).  The scans use the margin, not this identity.
     """
-    s = len(m)
-    applicable = m[0] >= 2 and (s >= 3 or (s == 2 and m != (2, 2)))
-    margin = (s + 3) * s * (sum(e * e for e in m) - m[-1]) - (s + 2) * sum(m) ** 2
-    return applicable, margin
+    return (s + 3) * s * (sum_sq - last) - (s + 2) * total * total
+
+
+def han_applies(s: int, total: int, sum_sq: int) -> bool:
+    """Whether Han's inequality applies to a vector of length s with
+    sum(m_i) = total and sum(m_i^2) = sum_sq: iff m_1 >= 2 (total > s)
+    and s >= 3, or s = 2 with m != (2, 2).  The pair (2, 2), the only one
+    with total 4 and sum_sq 8, fails it, which is why it is excluded."""
+    return total > s and (s >= 3 or (s == 2 and (total, sum_sq) != (4, 8)))
+
+
+def han_inequality(m: tuple[int, ...]) -> tuple[bool, int]:
+    """(applicable, margin) of Han's inequality for the vector m; see
+    han_applies and han_margin."""
+    s, total, sum_sq = len(m), sum(m), sum(e * e for e in m)
+    return han_applies(s, total, sum_sq), han_margin(s, total, sum_sq, m[-1])
 
 
 def is_square(n: int) -> bool:

@@ -19,18 +19,20 @@ realized by an actual curve is geometric input beyond exact arithmetic.
 
 Enumeration is deterministic.  The theorem scan and the minimum search
 walk only the vectors that can change their results, and count or bound
-the rest with memoized recursions that enumerate nothing.
+the rest with memoized recursions that enumerate nothing.  The Han scan
+counts vectors by class (length, last entry, sum, sum of squares), on
+which Han's inequality depends, and builds only the vectors of the
+classes that fail it or reach equality.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence
 
-from .inequalities import el_xu_feasible, han_inequality, is_subgeneric
+from .inequalities import el_xu_feasible, han_applies, han_margin, is_subgeneric
 
 __all__ = [
     "Multiplicities",
@@ -385,25 +387,110 @@ class HanScan:
 
 
 def verify_han_exhaustive(s_max: int, m_max: int) -> HanScan:
-    """Check the combinatorial inequality on every applicable vector with
-    s <= s_max and m_1 <= m_max; equality witnesses are recorded."""
+    """Check Han's inequality on every applicable vector with s <= s_max
+    and m_1 <= m_max; equality witnesses are recorded.
+
+    Whether the inequality applies, and its margin, depend only on the
+    class of a vector: its length s, last entry m_s, sum(m) and
+    sum(m_i^2); a vector applies iff s >= 2, sum(m) > s (not all ones)
+    and it is not (2, 2).  So the scan counts the vectors of each class,
+    evaluates the margin once per class, and builds only the vectors of
+    the classes with margin <= 0, checking them against the count.
+
+    Layer s holds, for each last entry e, the vector counts of the
+    classes of length s ending in e, keyed by sum(m)*Q + sum(m_i^2) with
+    Q above every sum of squares.  The vectors of length s ending in e
+    are those of length s - 1 ending in some L >= e, with e appended.
+    So, with e running from m_max down, the classes of layer s - 1 that
+    end in e are merged into one running union, whose keys shifted by
+    (e, e^2) are the classes of layer s that end in e.  Each class is
+    checked as it is made.  Layer s - 1 is dropped as it is merged, and
+    the layer of length s_max is never stored, so at most two layers are
+    held: memory grows with the classes of one length, not with s_max.
+    Counterexamples and equality witnesses come in the order of
+    (s, m[::-1]): by length, then as nondecreasing tuples.
+    """
     if s_max < 2 or m_max < 2:
         raise ValueError(f"need s_max, m_max >= 2, got {s_max}, {m_max}")
+    q_base = s_max * m_max * m_max + 1
     counterexamples: list[Multiplicities] = []
     equalities: list[Multiplicities] = []
     checked = 0
-    for s in range(1, s_max + 1):
-        for combo in itertools.combinations_with_replacement(range(1, m_max + 1), s):
-            m = combo[::-1]
-            applicable, margin = han_inequality(m)
-            if not applicable:
+    layer = {e: {e * q_base + e * e: 1} for e in range(1, m_max + 1)}  # s = 1
+    for s in range(2, s_max + 1):
+        running: dict[int, int] = {}
+        following: dict[int, dict[int, int]] = {}
+        for e in range(m_max, 0, -1):
+            for key, count in layer.pop(e).items():
+                running[key] = running.get(key, 0) + count
+            shift = e * q_base + e * e  # appending e
+            classes = following[e] = {} if s < s_max else None
+            for key, count in running.items():
+                key += shift
+                if classes is not None:
+                    classes[key] = count
+                total, sum_sq = divmod(key, q_base)
+                if not han_applies(s, total, sum_sq):
+                    continue
+                checked += count
+                margin = han_margin(s, total, sum_sq, e)
+                if margin > 0:
+                    continue
+                vectors = _han_class(s, e, total, sum_sq, m_max)
+                if len(vectors) != count:
+                    raise RuntimeError(
+                        f"class s={s}, m_s={e}, sum={total}, sum_sq={sum_sq} "
+                        f"lists {len(vectors)} vectors, its count is {count}"
+                    )
+                (counterexamples if margin < 0 else equalities).extend(vectors)
+        layer = following
+    return HanScan(
+        s_max, m_max, checked, _in_scan_order(counterexamples), _in_scan_order(equalities)
+    )
+
+
+def _in_scan_order(vectors: list[Multiplicities]) -> tuple[Multiplicities, ...]:
+    """By length, then as nondecreasing tuples: the vector-by-vector order."""
+    return tuple(sorted(vectors, key=lambda m: (len(m), m[::-1])))
+
+
+def _han_class(s: int, last: int, total: int, sum_sq: int, cap: int) -> list[Multiplicities]:
+    """Every nonincreasing vector with s entries in [last, cap], m_s = last,
+    sum(m) = total and sum(m_i^2) = sum_sq, in increasing order of m[::-1].
+
+    s >= 2.  The walk picks entries from the last one up and keeps its
+    own stack, so a long class cannot exhaust the interpreter's recursion
+    limit.  It takes an entry e only if the n entries still to pick, each
+    in [e, cap], can have the remaining sum t and sum of squares q:
+    n*e <= t <= n*cap, n*e^2 <= q, t^2 <= n*q (Cauchy-Schwarz) and
+    q <= (e + cap)*t - n*e*cap (from sum (m_i - e)*(cap - m_i) >= 0).
+    """
+
+    def reachable(n: int, e: int, t: int, q: int) -> bool:
+        return (
+            n * e <= t <= n * cap
+            and n * e * e <= q <= (e + cap) * t - n * e * cap
+            and t * t <= n * q
+        )
+
+    found: list[Multiplicities] = []
+    entries = [last]
+    frames = [(iter(range(last, cap + 1)), s - 1, total - last, sum_sq - last * last)]
+    while frames:
+        choices, n, t, q = frames[-1]
+        for e in choices:
+            if not reachable(n - 1, e, t - e, q - e * e):
                 continue
-            checked += 1
-            if margin < 0:
-                counterexamples.append(m)
-            elif margin == 0:
-                equalities.append(m)
-    return HanScan(s_max, m_max, checked, tuple(counterexamples), tuple(equalities))
+            if n == 1:
+                found.append((e, *reversed(entries)))
+            else:
+                entries.append(e)
+                frames.append((iter(range(e, cap + 1)), n - 1, t - e, q - e * e))
+                break  # extend first; this frame resumes at e + 1
+        else:
+            frames.pop()
+            entries.pop()
+    return found
 
 
 def k3_h0(d: int, k: int) -> int:

@@ -1,11 +1,12 @@
 """Independent test oracles, kept free of the implementation's code paths."""
 
+import itertools
 from fractions import Fraction
 
 from seshadri.bounds import SubmaximalCandidate, ThresholdScan
 from seshadri.exact import isqrt
-from seshadri.inequalities import el_xu_feasible, is_subgeneric
-from seshadri.oracle import CaseLabel, SearchResult, TheoremScan, Violation
+from seshadri.inequalities import el_xu_feasible, han_inequality, is_subgeneric
+from seshadri.oracle import CaseLabel, HanScan, SearchResult, TheoremScan, Violation
 from seshadri.pell import PellSolution
 
 
@@ -186,3 +187,28 @@ def min_ratio_walk(k, r, d_max, m_max):
                 witnesses.append((d, m))
     witnesses.sort(key=lambda w: (w[0], len(w[1]), w[1]))
     return SearchResult(best, tuple(witnesses))
+
+
+def han_scan_walk(s_max, m_max, margin=None):
+    """verify_han_exhaustive by testing every nonincreasing vector with
+    han_inequality, length by length and in itertools order.
+
+    margin(s, total, sum_sq, last), when given, replaces the margin
+    han_inequality computes, so a test can make many classes fail or
+    reach equality and compare what the scan lists.
+    """
+    counterexamples, equalities, checked = [], [], 0
+    for s in range(1, s_max + 1):
+        for combo in itertools.combinations_with_replacement(range(1, m_max + 1), s):
+            m = combo[::-1]
+            applicable, value = han_inequality(m)
+            if not applicable:
+                continue
+            if margin is not None:
+                value = margin(s, sum(m), sum(e * e for e in m), m[-1])
+            checked += 1
+            if value < 0:
+                counterexamples.append(m)
+            elif value == 0:
+                equalities.append(m)
+    return HanScan(s_max, m_max, checked, tuple(counterexamples), tuple(equalities))

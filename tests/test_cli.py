@@ -76,6 +76,18 @@ class TestBoundsCommand:
         code, _, err = run_cli(capsys, "bounds", "--k", "5", "--r", "2", "--surface", "p2")
         assert code == 1 and "conflicts" in err
 
+    @pytest.mark.parametrize("surface", ["custom:35", "k3:2", "ab:3"])
+    def test_very_ample_flag_on_a_surface_that_is_not_is_usage_error(self, capsys, surface):
+        code, out, err = run_cli(capsys, "bounds", "--r", "101", "--surface", surface, "--very-ample")
+        assert (code, out) == (1, "")
+        assert f"--very-ample conflicts with surface {surface}" in err and ",va" in err
+
+    @pytest.mark.parametrize("surface", ["custom:35,va", "p2", "k3:4", "hyp:5"])
+    def test_very_ample_flag_agrees_with_a_very_ample_surface(self, capsys, surface):
+        code, with_flag, _ = run_cli(capsys, "bounds", "--r", "10", "--surface", surface, "--very-ample")
+        assert code == 0
+        assert run_cli(capsys, "bounds", "--r", "10", "--surface", surface) == (0, with_flag, "")
+
     def test_malformed_surface_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "bounds", "--r", "2", "--surface", "weird:3")
         assert code == 1
@@ -278,13 +290,8 @@ class TestVerifyCommand:
         # One less margin turns the equality case (2, 2, 2) into a
         # counterexample; every other applicable vector of the box keeps a
         # positive margin.
-        han_inequality = oracle.han_inequality
-
-        def shifted(m):
-            applicable, margin = han_inequality(m)
-            return applicable, margin - 1
-
-        monkeypatch.setattr(oracle, "han_inequality", shifted)
+        han_margin = oracle.han_margin
+        monkeypatch.setattr(oracle, "han_margin", lambda *args: han_margin(*args) - 1)
         code, out, _ = run_cli(
             capsys, "verify", "--suite", "han", "--s-max", "3", "--m-max", "2",
             "--format", "json",

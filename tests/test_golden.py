@@ -67,6 +67,7 @@ CASES = {
     "usage-search-m-max0": "search --k 1 --r 3 --d-max 1 --m-max 0",
     "usage-pell-k1": "pell --k 1",
     "usage-surface-zero": "bounds --surface custom:0 --r 3",
+    "usage-surface-very-ample": "bounds --surface custom:35 --very-ample --r 101",
 }
 
 

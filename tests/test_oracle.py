@@ -1,13 +1,15 @@
 """Oracle module tests: feasibility checks, classification, searches."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 import seshadri.oracle as oracle
-from oracles import el_xu_vectors, min_ratio_walk, theorem_scan_walk
-from seshadri.inequalities import han_inequality
+from oracles import el_xu_vectors, han_scan_walk, min_ratio_walk, theorem_scan_walk
+from seshadri.inequalities import han_applies, han_inequality, han_margin
 from seshadri.oracle import (
     CaseLabel,
     TheoremViolation,
@@ -85,6 +87,24 @@ class TestHanInequality:
 
     def test_single_point_inapplicable(self):
         assert not han_inequality((5,))[0]
+
+    @given(st.lists(st.integers(1, 50), min_size=1, max_size=30))
+    def test_margin_identity(self, entries):
+        # margin = (s+2)*sum_{i<j} (m_i - m_j)^2 + s*(sum(m_i^2) - (s+3)*m_s)
+        m = tuple(sorted(entries, reverse=True))
+        s, sum_sq = len(m), sum(e * e for e in m)
+        spread = sum((a - b) ** 2 for a, b in itertools.combinations(m, 2))
+        expected = (s + 2) * spread + s * (sum_sq - (s + 3) * m[-1])
+        assert han_margin(s, sum(m), sum_sq, m[-1]) == expected
+        assert han_inequality(m)[1] == expected
+
+    @given(st.lists(st.integers(1, 4), min_size=1, max_size=6))
+    def test_applies_by_the_vector_rule(self, entries):
+        m = tuple(sorted(entries, reverse=True))
+        s = len(m)
+        expected = m[0] >= 2 and (s >= 3 or (s == 2 and m != (2, 2)))
+        assert han_applies(s, sum(m), sum(e * e for e in m)) == expected
+        assert han_inequality(m)[0] == expected
 
 
 class TestClassify:
@@ -381,6 +401,65 @@ class TestVerifyHan:
         scan = verify_han_exhaustive(3, 2)
         assert scan.counterexamples == ()
         assert (2, 2, 2) in scan.equality_witnesses
+
+    @pytest.mark.parametrize(
+        "s_max,m_max",
+        [(s, m) for s in range(2, 8) for m in range(2, 10)] + [(8, 12)],
+    )
+    def test_equals_the_vector_walk(self, s_max, m_max):
+        assert verify_han_exhaustive(s_max, m_max) == han_scan_walk(s_max, m_max)
+
+    @pytest.mark.parametrize("s_max,m_max", [(4, 5), (6, 4), (7, 7)])
+    def test_lists_every_vector_of_a_failing_class_in_order(self, s_max, m_max, monkeypatch):
+        # A margin that is <= 0 on about two classes in three, so classes
+        # holding many vectors are enumerated and interleave in the order.
+        def fake(s, total, sum_sq, last):
+            return (total * 7 + sum_sq * 3 + last + s) % 3 - 1
+
+        monkeypatch.setattr(oracle, "han_margin", fake)
+        scan = verify_han_exhaustive(s_max, m_max)
+        assert scan == han_scan_walk(s_max, m_max, margin=fake)
+        classes = {(len(m), m[-1], sum(m), sum(e * e for e in m)) for m in scan.counterexamples}
+        assert len(scan.counterexamples) > len(classes) > 10
+
+    @pytest.mark.parametrize(
+        "s_max,m_max", [(2, 2), (2, 20), (12, 2), (5, 7), (8, 12), (10, 16), (12, 20)]
+    )
+    def test_applicable_count_closed_form(self, s_max, m_max):
+        # C(m_max + s_max, s_max) - 1 nonempty vectors, less the s_max
+        # all-ones vectors, the m_max - 1 single entries >= 2 and (2, 2)
+        scan = verify_han_exhaustive(s_max, m_max)
+        assert scan.applicable_checked == math.comb(m_max + s_max, s_max) - m_max - s_max - 1
+
+    def test_long_class_is_listed_without_recursion(self, monkeypatch):
+        true_margin = oracle.han_margin
+
+        def failing(s, total, sum_sq, last):
+            return -1 if (s, total) == (1200, 1201) else true_margin(s, total, sum_sq, last)
+
+        monkeypatch.setattr(oracle, "han_margin", failing)
+        scan = verify_han_exhaustive(1200, 2)
+        assert scan.counterexamples == ((2,) + (1,) * 1199,)
+        assert scan.equality_witnesses == ((2, 2, 2),)
+
+    @pytest.mark.parametrize("s,cap", [(4, 5), (5, 6), (7, 4), (8, 7)])
+    def test_class_walk_lists_each_class_in_order(self, s, cap):
+        classes = {}
+        for combo in itertools.combinations_with_replacement(range(1, cap + 1), s):
+            key = (combo[0], sum(combo), sum(e * e for e in combo))
+            classes.setdefault(key, []).append(combo[::-1])
+        assert max(len(vectors) for vectors in classes.values()) > 1
+        for (last, total, sum_sq), vectors in classes.items():
+            assert oracle._han_class(s, last, total, sum_sq, cap) == vectors
+            assert oracle._han_class(s, last, total, sum_sq + 1, cap) == classes.get(
+                (last, total, sum_sq + 1), []
+            )
+
+    def test_class_count_mismatch_raises(self, monkeypatch):
+        han_class = oracle._han_class
+        monkeypatch.setattr(oracle, "_han_class", lambda *args: han_class(*args)[1:])
+        with pytest.raises(RuntimeError, match="count is 1"):
+            verify_han_exhaustive(3, 2)
 
 
 class TestK3:
