@@ -651,7 +651,17 @@ def _run(argv: Optional[list[str]]) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (as `| head` does).  Point stdout at
+        # devnull so the interpreter's final flush cannot fail again, and
+        # exit 128 + SIGPIPE, as a process killed by the signal would.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        sys.exit(141)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

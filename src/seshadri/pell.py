@@ -6,18 +6,53 @@ For a non-square k >= 2, the fundamental solution (p0, q0) of
 
 yields the single-point lower bound p0*k/q0 (Szemberg's conjectured
 bound, a theorem when k has the form n^2 - 1 or n^2 + 1).  The solution
-is computed from the periodic continued fraction of sqrt(k).  Write the
-complete quotients as x_n = (sqrt(k) + m_n)/d_n, with small integers
-m_n, d_n and partial quotients a_n = floor(x_n), and the convergents as
-h_n/q_n.  Then
+is computed from the periodic continued fraction
 
-    h_n^2 - k*q_n^2 = (-1)^(n+1) * d_(n+1),
+    sqrt(k) = [a_0; a_1, ..., a_(P-1), 2*a_0, a_1, ...]
 
-and d_(n+1) = 1 exactly when n + 1 is a multiple of the period.  So the
-first convergent with h^2 - k*q^2 = 1 is the first n with d_(n+1) = 1
-and n odd, and it is the fundamental (minimal) solution.  The test reads
-the small d the expansion carries anyway, so each step costs two
-big-integer multiply-adds and no squaring of the convergents.
+of period P.  Write the complete quotients as x_n = (sqrt(k) + m_n)/d_n,
+with small integers m_n, d_n and partial quotients a_n = floor(x_n), and
+the convergents as h_n/q_n.  With A_a = [[a, 1], [1, 0]],
+
+    A_(a_0) A_(a_1) ... A_(a_n) = [[h_n, h_(n-1)], [q_n, q_(n-1)]],
+
+and (h_(P-1), q_(P-1)) solves h^2 - k*q^2 = (-1)^P.
+
+Half the period is enough.  The quotients a_1, ..., a_(P-1) read the same
+backwards, and so do d_0, ..., d_P and m_1, ..., m_P (Lenstra, "Solving
+the Pell equation", Notices AMS 49, 2002).  The walk steps the small m, d
+and stops at the centre, the first n where
+
+    d_(n+1) = d_n:  P = 2n + 1 is odd, or
+    m_(n+1) = m_n:  P = 2n is even.
+
+Each A_a is symmetric, so the reversed product A_n ... A_1 is the
+transpose of W = A_1 ... A_n.  For odd P the quotients after the centre
+are those before it in reverse, A_1 ... A_(P-1) = W W^T, and the first
+column of (A_0 W) W^T gives
+
+    h_(P-1) = h_n q_n + h_(n-1) q_(n-1),  q_(P-1) = q_n^2 + q_(n-1)^2.
+
+For even P the centre quotient a_n stands alone,
+A_1 ... A_(P-1) = V A_n V^T with V = A_1 ... A_(n-1), and the first
+column of (A_0 V A_n) V^T gives, with q_(n-2) = q_n - a_n q_(n-1),
+
+    h_(P-1) = h_n q_(n-1) + h_(n-1) q_(n-2),
+    q_(P-1) = q_n q_(n-1) + q_(n-1) q_(n-2).
+
+(h_(P-1), q_(P-1)) is the smallest solution of h^2 - k*q^2 = +-1, and
+every solution is a power of it.  An even period gives norm +1, so it is
+the fundamental solution.  An odd period gives x + y*sqrt(k) of norm -1,
+whose odd powers have norm -1 and even powers norm +1, so the fundamental
+solution is its square, q0 + p0*sqrt(k) = x^2 + k*y^2 + 2xy*sqrt(k).
+
+The half walk is small-integer work.  A_0 W is then built as a product
+tree (Bernstein, "Fast multiplication and its applications", MSRI Publ.
+44, 2008): the leaves run the two-term recurrence of the convergents over
+a few dozen quotients each, and the tree multiplies neighbouring 2x2
+products in balanced pairs.  The convergents grow by a few bits per
+quotient, so a chain of big-times-small multiply-adds gives way to a few
+products of equal size, which CPython multiplies by Karatsuba.
 """
 
 from __future__ import annotations
@@ -79,22 +114,48 @@ def pell_fundamental(k: int) -> PellSolution:
         raise ValueError(
             f"Pell equation q^2 - {k}p^2 = 1 has only trivial solutions (k is a square)"
         )
-    # Continued fraction of sqrt(k): x_n = (sqrt(k) + m)/d, next term a.
-    # h/q is the convergent h_n/q_n; odd says whether n is odd.
+    # Step n holds x_n = (sqrt(k) + m)/d and a = a_n, and quotients holds
+    # a_0..a_n; the walk ends at the centre of the period.
     m, d, a = 0, 1, a0
-    h_prev, h = 1, a0  # convergent numerators
-    q_prev, q = 0, 1  # convergent denominators
-    odd = False
+    quotients = [a0]
     while True:
-        m = d * a - m
-        d = (k - m * m) // d  # d_(n+1), so h^2 - k*q^2 = (-1)^(n+1) * d
-        if d == 1 and odd:
+        m_next = d * a - m
+        d_next = (k - m_next * m_next) // d
+        if d_next == d or m_next == m:
             break
+        m, d = m_next, d_next
         a = (a0 + m) // d
-        h_prev, h = h, a * h + h_prev
-        q_prev, q = q, a * q + q_prev
-        odd = not odd
-    return PellSolution(p0=q, q0=h, k=k)
+        quotients.append(a)
+    h, h_prev, q, q_prev = _convergents(quotients)
+    if d_next == d:  # odd period
+        x, y = h * q + h_prev * q_prev, q * q + q_prev * q_prev
+        return PellSolution(p0=2 * x * y, q0=x * x + k * y * y, k=k)
+    q_prev2 = q - a * q_prev
+    return PellSolution(
+        p0=q * q_prev + q_prev * q_prev2, q0=h * q_prev + h_prev * q_prev2, k=k
+    )
+
+
+_LEAF = 32  # quotients per leaf of the product tree
+
+
+def _convergents(quotients: list[int]) -> tuple[int, int, int, int]:
+    """(h_n, h_(n-1), q_n, q_(n-1)) of [a_0; a_1, ..., a_n], the entries of
+    the product A_(a_0) ... A_(a_n), built as a product tree."""
+    nodes = []
+    for i in range(0, len(quotients), _LEAF):
+        h, h_prev, q, q_prev = 1, 0, 0, 1
+        for a in quotients[i : i + _LEAF]:
+            h, h_prev = a * h + h_prev, h
+            q, q_prev = a * q + q_prev, q
+        nodes.append((h, h_prev, q, q_prev))
+    while len(nodes) > 1:
+        merged = [
+            (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+            for (a, b, c, d), (e, f, g, h) in zip(nodes[::2], nodes[1::2])
+        ]
+        nodes = merged + nodes[2 * len(merged) :]
+    return nodes[0]
 
 
 def szemberg_single_point_bound(k: int) -> Fraction:

@@ -37,6 +37,26 @@ def pell_convergent_walk(k: int) -> tuple[int, int]:
     return q, h
 
 
+def pell_period_walk(k: int) -> tuple[int, int]:
+    """(p0, q0) by stepping the convergents through the whole period of
+    sqrt(k): h_n^2 - k*q_n^2 = (-1)^(n+1) * d_(n+1), so it stops at the
+    first odd n with d_(n+1) = 1; k must be a non-square >= 2."""
+    a0 = isqrt(k)
+    m, d, a = 0, 1, a0
+    h_prev, h = 1, a0
+    q_prev, q = 0, 1
+    odd = False
+    while True:
+        m = d * a - m
+        d = (k - m * m) // d
+        if d == 1 and odd:
+            return q, h
+        a = (a0 + m) // d
+        h_prev, h = h, a * h + h_prev
+        q_prev, q = q, a * q + q_prev
+        odd = not odd
+
+
 def dominance_scan_walk(r: int, k_caps) -> dict[int, ThresholdScan]:
     """dominance_scan at each cap in k_caps, by testing every k from 1 to
     the largest cap in one walk."""

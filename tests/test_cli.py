@@ -424,6 +424,20 @@ class TestFormatsAndDeterminism:
         assert proc.returncode == 0
         assert "35/6" in proc.stdout
 
+    def test_closed_stdout_pipe_exits_141_quietly(self):
+        # The table is about 150 KB, more than a pipe buffer holds, so the
+        # writer is still writing when the reader closes the pipe.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "seshadri", "p2-table", "--r-max", "3000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert first == b"p2-table r_max=3000\n"
+        assert (proc.wait(timeout=60), err) == (141, b"")
+
 
 digits_args = st.integers(1, 8).map(lambda d: ["--digits", str(d)])
 value_commands = st.one_of(

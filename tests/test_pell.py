@@ -3,7 +3,13 @@
 from fractions import Fraction
 
 import pytest
-from oracles import is_proper_power_of_smaller_solution, pell_brute_force, pell_convergent_walk
+from hypothesis import given, strategies as st
+from oracles import (
+    is_proper_power_of_smaller_solution,
+    pell_brute_force,
+    pell_convergent_walk,
+    pell_period_walk,
+)
 
 from seshadri.exact import Surd, isqrt
 from seshadri.pell import FsstWitness, PellSolution, fsst_applicable, pell_fundamental, szemberg_single_point_bound
@@ -73,17 +79,52 @@ def period_length(k):
 
 
 class TestAgainstConvergentWalk:
-    def test_every_non_square_to_5000(self):
-        # The solver stops on the period test; the walk squares every
+    def test_every_non_square_to_20000(self):
+        # The solver walks half the period; the walk squares every
         # convergent.  Odd periods solve at the end of the second period.
-        parities = set()
-        for k in range(2, 5001):
+        periods = set()
+        for k in range(2, 20001):
             if isqrt(k) ** 2 == k:
                 continue
             sol = pell_fundamental(k)
             assert (sol.p0, sol.q0) == pell_convergent_walk(k), k
-            parities.add(period_length(k) % 2)
-        assert parities == {0, 1}
+            periods.add(period_length(k))
+        assert {1, 2} <= periods
+        assert {p % 2 for p in periods} == {0, 1}
+
+    @pytest.mark.parametrize(
+        "k,bits",
+        # about 2,600 and 4,500 decimal digits
+        [(106887466, 8500), (120258273, 8500), (129813574, 15000), (140269637, 15000)],
+    )
+    def test_benchmark_k_against_period_walk(self, k, bits):
+        # k from the benchmark tables, with periods of thousands of terms
+        sol = pell_fundamental(k)
+        assert (sol.p0, sol.q0) == pell_period_walk(k)
+        assert sol.q0.bit_length() > bits
+
+
+class TestClosedFormFamilies:
+    # Periods of length 1, 2 and 4: the centre is found within three steps.
+    @given(st.integers(1, 10**9))
+    def test_n2_plus_1(self, n):
+        sol = pell_fundamental(n * n + 1)
+        assert (sol.p0, sol.q0) == (2 * n, 2 * n * n + 1)
+
+    @given(st.integers(2, 10**9))
+    def test_n2_minus_1(self, n):
+        sol = pell_fundamental(n * n - 1)
+        assert (sol.p0, sol.q0) == (1, n)
+
+    @given(st.integers(1, 10**9))
+    def test_n2_plus_2(self, n):
+        sol = pell_fundamental(n * n + 2)
+        assert (sol.p0, sol.q0) == (n, n * n + 1)
+
+    @given(st.integers(2, 10**9))
+    def test_n2_minus_2(self, n):
+        sol = pell_fundamental(n * n - 2)
+        assert (sol.p0, sol.q0) == (n, n * n - 1)
 
 
 class TestSinglePointBound:
