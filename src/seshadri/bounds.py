@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cmp_to_key
 from typing import Optional
 
 from .exact import Surd, isqrt
@@ -287,8 +288,8 @@ def harbourne_bound(k: int, r: int) -> HarbourneBound:
 
 def biran_product_bound(eps_single: Surd | Fraction, eps_plane_r: Surd | Fraction) -> Surd:
     """Exact product of a single-point bound and a plane multi-point value."""
-    a = eps_single if isinstance(eps_single, Surd) else Surd(Fraction(eps_single))
-    b = eps_plane_r if isinstance(eps_plane_r, Surd) else Surd(Fraction(eps_plane_r))
+    a = eps_single if isinstance(eps_single, Surd) else Surd(eps_single)
+    b = eps_plane_r if isinstance(eps_plane_r, Surd) else Surd(eps_plane_r)
     return a * b
 
 
@@ -368,6 +369,11 @@ class BoundReport:
     ranks: tuple[int, ...]
 
 
+def _square(value: Surd) -> tuple[int, int]:
+    """value^2 as (numerator, denominator), not reduced."""
+    return value.num * value.num * value.radicand, value.den * value.den
+
+
 def compare_bounds(k: int, r: int, very_ample: bool = False) -> BoundReport:
     """Assemble and exactly order all applicable bounds at (k, r).
 
@@ -394,7 +400,7 @@ def compare_bounds(k: int, r: int, very_ample: bool = False) -> BoundReport:
         ),
         BoundEntry(
             name="szemberg-floor",
-            value=BoundValue(Surd(Fraction(szemberg_floor_bound(k, r)))),
+            value=BoundValue(Surd(szemberg_floor_bound(k, r))),
             applicability="ample generator, Picard number 1",
             attribution="Szemberg's floor bound floor(sqrt(k/r))",
         ),
@@ -428,19 +434,26 @@ def compare_bounds(k: int, r: int, very_ample: bool = False) -> BoundReport:
             )
         )
 
-    # Values are nonnegative, so squares order them.  Each is squared once:
-    # the Pell coefficient can run to thousands of digits.
-    upper_sq = upper.value.squared()
-    square = {e.name: e.value.value.squared() for e in entries}
+    # Values are nonnegative, so squares order them.  Each is squared once,
+    # as an unreduced pair num^2 * radicand / den^2 of ints, and pairs are
+    # compared by cross-multiplying: the Pell coefficient can run to
+    # thousands of digits, and no gcd is taken on it here.
+    up_n, up_d = _square(upper.value)
+    square = {e.name: _square(e.value.value) for e in entries}
     # Unconditional, non-supremum entries can never exceed the optimal value.
     for e in entries:
-        if not e.value.conditional and square[e.name] > upper_sq:
+        n, d = square[e.name]
+        if not e.value.conditional and n * up_d > up_n * d:
             raise RuntimeError(f"unconditional {e.name} bound exceeds sqrt(k/r) at k={k}, r={r}")
 
-    entries.sort(key=lambda e: (-square[e.name], e.name))
+    def descending(x: BoundEntry, y: BoundEntry) -> int:
+        (xn, xd), (yn, yd) = square[x.name], square[y.name]
+        return yn * xd - xn * yd or (x.name > y.name) - (x.name < y.name)
+
+    entries.sort(key=cmp_to_key(descending))
     ranks: list[int] = []
     for i, e in enumerate(entries):
-        if i > 0 and square[e.name] == square[entries[i - 1].name]:
+        if i > 0 and e.value.value == entries[i - 1].value.value:
             ranks.append(ranks[-1])
         else:
             ranks.append(i + 1)

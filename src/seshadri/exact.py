@@ -4,18 +4,21 @@ Every bound that this package computes is a value of the form q*sqrt(n)
 with q a nonnegative rational and n a squarefree nonnegative integer.
 Comparisons between such values decide the published inequalities, and
 some of those are far too tight for floating point (0.5842 vs 0.5833
-territory), so everything here is integer arithmetic.  Decimal strings
-are produced only for display, by truncating the exact value at a
-requested number of digits.
+territory), so everything here is integer arithmetic.  A Surd holds three
+ints, num/den*sqrt(radicand), in canonical form, and its operations work
+on those ints directly: sqrt factors numerator and denominator apart,
+products cancel with gcds of the parts they bring together, and the
+order compares cross-multiplied squares.  No float is accepted as an
+input.  Decimal strings are produced only for display, by truncating the
+exact value at a requested number of digits.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
-from math import isqrt
+from math import gcd, isqrt
 
 __all__ = [
     "Surd",
@@ -54,40 +57,78 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
     return square_part, free_part
 
 
-_SURD_RE = re.compile(r"^\s*(-?\d+)(?:/(\d+))?(?:\*sqrt\((\d+)\))?\s*$")
+# A denominator needs a nonzero digit: "1/0" is not a surd string.
+_SURD_RE = re.compile(r"^\s*(-?\d+)(?:/(0*[1-9]\d*))?(?:\*sqrt\((\d+)\))?\s*$")
+
+
+def _ratio(x: Fraction | int, what: str) -> tuple[int, int]:
+    """(numerator, denominator) of an exact rational; anything else, a
+    float above all, is a TypeError."""
+    if isinstance(x, int):
+        return int(x), 1
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
+    raise TypeError(f"{what} must be an int or a Fraction, got {type(x).__name__} {x!r}")
+
+
+def _surd(num: int, den: int, rad: int) -> Surd:
+    """A Surd from fields that are already canonical; nothing is checked."""
+    s = _new(Surd)
+    s._num, s._den, s._rad = num, den, rad
+    return s
 
 
 @total_ordering
-@dataclass(frozen=True, eq=False)
 class Surd:
-    """A nonnegative real of the form coeff * sqrt(radicand).
+    """A nonnegative real of the form num/den * sqrt(radicand), held as ints.
 
-    Canonical form: radicand is squarefree and >= 1, and coeff == 0
-    forces radicand == 1.  With that normalization, two Surds are equal
-    as real numbers iff their fields are equal, and order comparison
-    reduces to comparing coeff^2 * radicand (both operands being >= 0).
+    Canonical form: num >= 0 and den >= 1 are coprime, radicand is
+    squarefree and >= 1, and num == 0 forces den == radicand == 1.  With
+    that normalization, two Surds are equal as real numbers iff their
+    fields are equal, and order comparison reduces to comparing the
+    squares num^2 * radicand / den^2, cross-multiplied (both operands
+    being >= 0).
 
-    Sums of distinct radicals are deliberately unsupported; every
-    quantity handled here is a single radical term.
+    Every operation keeps the form without a general reduction.
+    Surd(coeff, radicand) factors the radicand as a^2 * b and cancels a
+    against den with one gcd.  Surd.sqrt(p/q), p and q coprime, factors p
+    and q apart as a1^2*b1 and a2^2*b2: sqrt(p/q) = a1*sqrt(b1*b2)/(a2*b2)
+    is already in lowest terms, so it takes no gcd at all.  A product
+    cancels its coefficients with cross gcds, and with g = gcd(a, b) of
+    two squarefree radicands, sqrt(a)*sqrt(b) = g*sqrt((a/g)*(b/g)), so
+    nothing is factored; one more gcd cancels g against the denominator.
+
+    coeff is the rational num/den as a Fraction.  A Surd with radicand 1
+    hashes like that Fraction, as it compares equal to it.  Only ints and Fractions are accepted, never
+    floats.  Sums of distinct radicals are deliberately unsupported;
+    every quantity handled here is a single radical term.
     """
 
-    coeff: Fraction
-    radicand: int = 1
+    __slots__ = ("_num", "_den", "_rad")
 
-    def __post_init__(self) -> None:
-        coeff = self.coeff if isinstance(self.coeff, Fraction) else Fraction(self.coeff)
-        n = self.radicand
+    def __init__(self, coeff: Fraction | int, radicand: int = 1) -> None:
+        self.__post_init__(coeff, radicand)
+
+    def __post_init__(self, coeff: Fraction | int, radicand: int) -> None:
+        # The checks live here rather than in __init__ because
+        # perfbench/tracing.py counts constructions by wrapping
+        # Surd.__post_init__.
+        num, den = _ratio(coeff, "surd coefficient")
+        if not isinstance(radicand, int):
+            raise TypeError(f"radicand must be an int, got {type(radicand).__name__} {radicand!r}")
+        n = int(radicand)
         if n < 0:
             raise ValueError(f"radicand must be nonnegative, got {n}")
-        if coeff < 0:
-            raise ValueError(f"surd values are nonnegative, got coefficient {coeff}")
-        if coeff == 0 or n == 0:
-            coeff, n = Fraction(0), 1
+        if num < 0:
+            raise ValueError(f"surd values are nonnegative, got coefficient {Fraction(num, den)}")
+        if num == 0 or n == 0:
+            num, den, n = 0, 1, 1
         elif n > 1:
-            a, b = squarefree_decompose(n)
-            coeff, n = coeff * a, b
-        object.__setattr__(self, "coeff", coeff)
-        object.__setattr__(self, "radicand", n)
+            a, n = squarefree_decompose(n)
+            if a > 1:
+                g = gcd(a, den)
+                num, den = num * (a // g), den // g
+        self._num, self._den, self._rad = num, den, n
 
     # -- constructors ---------------------------------------------------
 
@@ -95,15 +136,19 @@ class Surd:
     def sqrt(cls, q: Fraction | int) -> Surd:
         """Exact square root of a nonnegative rational, as a canonical Surd.
 
-        sqrt(p/q) = sqrt(p*q)/q, and the constructor pulls the square part
-        of p*q out into the coefficient.
+        With q = p/d in lowest terms, p = a1^2*b1 and d = a2^2*b2 (b1, b2
+        squarefree), sqrt(q) = a1*sqrt(b1*b2)/(a2*b2).  p and d are
+        coprime, so a1 is coprime to a2*b2 and b1*b2 is squarefree: the
+        result is canonical as it stands.
         """
-        q = Fraction(q)
-        if q < 0:
-            raise ValueError(f"sqrt of negative rational {q}")
-        if q == 0:
-            return cls(Fraction(0), 1)
-        return cls(Fraction(1, q.denominator), q.numerator * q.denominator)
+        p, d = _ratio(q, "sqrt argument")
+        if p < 0:
+            raise ValueError(f"sqrt of negative rational {Fraction(p, d)}")
+        if p == 0:
+            return _ZERO
+        a1, b1 = squarefree_decompose(p)
+        a2, b2 = squarefree_decompose(d)
+        return _surd(a1, a2 * b2, b1 * b2)
 
     @classmethod
     def from_string(cls, text: str) -> Surd:
@@ -117,58 +162,96 @@ class Surd:
 
     # -- structure ------------------------------------------------------
 
+    @property
+    def coeff(self) -> Fraction:
+        """The rational coefficient num/den."""
+        return Fraction(self._num, self._den)
+
+    @property
+    def num(self) -> int:
+        """Numerator of the coefficient, in lowest terms."""
+        return self._num
+
+    @property
+    def den(self) -> int:
+        """Denominator of the coefficient, in lowest terms."""
+        return self._den
+
+    @property
+    def radicand(self) -> int:
+        """The squarefree radicand (1 for a rational value)."""
+        return self._rad
+
     def squared(self) -> Fraction:
         """The exact square, always rational: coeff^2 * radicand."""
-        return self.coeff * self.coeff * self.radicand
+        return Fraction(self._num * self._num * self._rad, self._den * self._den)
 
     # -- arithmetic (products only; sums of radicals are out of scope) --
 
     def __mul__(self, other: Surd | Fraction | int) -> Surd:
         if isinstance(other, Surd):
-            return Surd(self.coeff * other.coeff, self.radicand * other.radicand)
-        if isinstance(other, (Fraction, int)):
-            return Surd(self.coeff * Fraction(other), self.radicand)
-        return NotImplemented
+            n2, d2, b = other._num, other._den, other._rad
+        elif isinstance(other, (Fraction, int)):
+            n2, d2, b = other.numerator, other.denominator, 1
+            if n2 < 0 and self._num:
+                raise ValueError(f"surd values are nonnegative, got coefficient {self.coeff * other}")
+        else:
+            return NotImplemented
+        n1, d1, a = self._num, self._den, self._rad
+        if n1 == 0 or n2 == 0:
+            return _ZERO
+        g1, g2 = gcd(n1, d2), gcd(n2, d1)
+        num, den = (n1 // g1) * (n2 // g2), (d1 // g2) * (d2 // g1)
+        g = gcd(a, b)
+        if g > 1:
+            h = gcd(g, den)
+            num, den = num * (g // h), den // h
+        return _surd(num, den, (a // g) * (b // g))
 
     __rmul__ = __mul__
 
     # -- exact total order ----------------------------------------------
 
-    def _coerced(self, other: object) -> Surd | None:
-        if isinstance(other, Surd):
-            return other
-        if isinstance(other, (Fraction, int)):
-            if other < 0:
-                return None
-            return Surd(Fraction(other), 1)
-        return None
-
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (Fraction, int)) and other < 0:
-            return False
-        coerced = self._coerced(other)
-        if coerced is None:
-            return NotImplemented
-        return self.coeff == coerced.coeff and self.radicand == coerced.radicand
+        if isinstance(other, Surd):
+            return self._num == other._num and self._den == other._den and self._rad == other._rad
+        if isinstance(other, (Fraction, int)):
+            # A negative rational never matches: num >= 0, and 0 is 0/1.
+            return self._rad == 1 and self._num == other.numerator and self._den == other.denominator
+        return NotImplemented
 
     def __lt__(self, other: object) -> bool:
-        coerced = self._coerced(other)
-        if coerced is None:
-            if isinstance(other, (Fraction, int)):  # negative rational
+        if isinstance(other, Surd):
+            n2, d2, b = other._num, other._den, other._rad
+        elif isinstance(other, (Fraction, int)):
+            n2, d2, b = other.numerator, other.denominator, 1
+            if n2 < 0:
                 return False
+        else:
             return NotImplemented
-        return self.squared() < coerced.squared()
+        n1, d1 = self._num, self._den
+        return n1 * n1 * self._rad * d2 * d2 < n2 * n2 * b * d1 * d1
 
     def __hash__(self) -> int:
-        return hash((self.coeff, self.radicand))
+        if self._rad == 1:
+            return hash(self.coeff)
+        return hash((self.coeff, self._rad))
 
     def __str__(self) -> str:
-        if self.radicand == 1:
-            return str(self.coeff)
-        return f"{self.coeff}*sqrt({self.radicand})"
+        coeff = str(self._num) if self._den == 1 else f"{self._num}/{self._den}"
+        if self._rad == 1:
+            return coeff
+        return f"{coeff}*sqrt({self._rad})"
 
     def __repr__(self) -> str:
-        return f"Surd({self.coeff!r}, {self.radicand})"
+        return f"Surd({self.coeff!r}, {self._rad})"
+
+    def __reduce__(self) -> tuple:
+        return _surd, (self._num, self._den, self._rad)
+
+
+_new = object.__new__
+_ZERO = _surd(0, 1, 1)
 
 
 def render_decimal(x: Surd, digits: int) -> str:
@@ -181,10 +264,9 @@ def render_decimal(x: Surd, digits: int) -> str:
     """
     if digits < 1:
         raise ValueError(f"digits must be >= 1, got {digits}")
-    p = x.coeff.numerator
-    q = x.coeff.denominator
+    p, q, n = x._num, x._den, x._rad
     scale = 10**digits
     # floor(value * 10^d) = floor(sqrt(p^2 * n * 10^2d)) // q
-    scaled = isqrt(p * p * x.radicand * scale * scale) // q
+    scaled = isqrt(p * p * n * scale * scale) // q
     whole, frac = divmod(scaled, scale)
     return f"{whole}.{frac:0{digits}d}"

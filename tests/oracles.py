@@ -1,13 +1,112 @@
 """Independent test oracles, kept free of the implementation's code paths."""
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import total_ordering
 
 from seshadri.bounds import SubmaximalCandidate, ThresholdScan
-from seshadri.exact import isqrt
+from seshadri.exact import isqrt, squarefree_decompose
 from seshadri.inequalities import el_xu_feasible, han_inequality, is_subgeneric
 from seshadri.oracle import CaseLabel, HanScan, SearchResult, TheoremScan, Violation
 from seshadri.pell import PellSolution
+
+
+@total_ordering
+@dataclass(frozen=True, eq=False)
+class FractionSurd:
+    """Surd with a Fraction coefficient, renormalized through Fraction
+    arithmetic and a squarefree decomposition at every construction.
+
+    sqrt(p/q) is taken as sqrt(p*q)/q, a product multiplies the radicands
+    and factors the result again, and the order compares the Fraction
+    squares.  A rational value hashes like its Fraction, as it compares
+    equal to it.
+    """
+
+    coeff: Fraction
+    radicand: int = 1
+
+    def __post_init__(self) -> None:
+        coeff = self.coeff if isinstance(self.coeff, Fraction) else Fraction(self.coeff)
+        n = self.radicand
+        if n < 0:
+            raise ValueError(f"radicand must be nonnegative, got {n}")
+        if coeff < 0:
+            raise ValueError(f"surd values are nonnegative, got coefficient {coeff}")
+        if coeff == 0 or n == 0:
+            coeff, n = Fraction(0), 1
+        elif n > 1:
+            a, b = squarefree_decompose(n)
+            coeff, n = coeff * a, b
+        object.__setattr__(self, "coeff", coeff)
+        object.__setattr__(self, "radicand", n)
+
+    @classmethod
+    def sqrt(cls, q):
+        q = Fraction(q)
+        if q < 0:
+            raise ValueError(f"sqrt of negative rational {q}")
+        if q == 0:
+            return cls(Fraction(0), 1)
+        return cls(Fraction(1, q.denominator), q.numerator * q.denominator)
+
+    def squared(self) -> Fraction:
+        return self.coeff * self.coeff * self.radicand
+
+    def __mul__(self, other):
+        if isinstance(other, FractionSurd):
+            return FractionSurd(self.coeff * other.coeff, self.radicand * other.radicand)
+        if isinstance(other, (Fraction, int)):
+            return FractionSurd(self.coeff * Fraction(other), self.radicand)
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def _coerced(self, other):
+        if isinstance(other, FractionSurd):
+            return other
+        if isinstance(other, (Fraction, int)):
+            if other < 0:
+                return None
+            return FractionSurd(Fraction(other), 1)
+        return None
+
+    def __eq__(self, other):
+        if isinstance(other, (Fraction, int)) and other < 0:
+            return False
+        coerced = self._coerced(other)
+        if coerced is None:
+            return NotImplemented
+        return self.coeff == coerced.coeff and self.radicand == coerced.radicand
+
+    def __lt__(self, other):
+        coerced = self._coerced(other)
+        if coerced is None:
+            if isinstance(other, (Fraction, int)):  # negative rational
+                return False
+            return NotImplemented
+        return self.squared() < coerced.squared()
+
+    def __hash__(self):
+        if self.radicand == 1:
+            return hash(self.coeff)
+        return hash((self.coeff, self.radicand))
+
+    def __str__(self):
+        if self.radicand == 1:
+            return str(self.coeff)
+        return f"{self.coeff}*sqrt({self.radicand})"
+
+
+def fraction_render_decimal(x: FractionSurd, digits: int) -> str:
+    """floor(x * 10^digits) / 10^digits as a decimal string, from the
+    Fraction coefficient of a FractionSurd."""
+    p, q = x.coeff.numerator, x.coeff.denominator
+    scale = 10**digits
+    scaled = isqrt(p * p * x.radicand * scale * scale) // q
+    whole, frac = divmod(scaled, scale)
+    return f"{whole}.{frac:0{digits}d}"
 
 
 def pell_brute_force(k: int, q_cap: int) -> tuple[int, int] | None:

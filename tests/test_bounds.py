@@ -1,5 +1,6 @@
 """Bounds module tests: published comparison values and global invariants."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -251,6 +252,17 @@ class TestCompareBounds:
         tied = compare_bounds(2, 3, very_ample=True)
         assert [e.name for e in tied.entries] == ["main", "biran-product", "harbourne", "szemberg-floor"]
         assert tied.ranks == (1, 2, 2, 4)
+
+    def test_every_desk_scale_report_is_pinned(self):
+        # One digest over the repr of every report with k <= 200, 2 <= r <= 50,
+        # with and without very-ampleness: values, order, ranks, candidates
+        # and details.  It was taken from the Fraction-based Surd kernel.
+        digest = hashlib.sha256()
+        for very_ample in (False, True):
+            for k in range(1, 201):
+                for r in range(2, 51):
+                    digest.update(repr(compare_bounds(k, r, very_ample=very_ample)).encode() + b"\n")
+        assert digest.hexdigest() == "27005534259d58e9244f41b22e5503713ac5ddf697648f32ac6a872fbdedb066"
 
     def test_harbourne_omitted_without_very_ample(self):
         rep = compare_bounds(35, 101, very_ample=False)

@@ -1,9 +1,15 @@
 """Exact kernel tests: isqrt, squarefree decomposition, surd order, rendering."""
 
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
+from oracles import FractionSurd, fraction_render_decimal
 
 from seshadri.exact import Surd, isqrt, render_decimal, squarefree_decompose
 
@@ -96,6 +102,33 @@ class TestSurdCanonicalForm:
         s = Surd(q, n)
         assert Surd.from_string(str(s)) == s
 
+    @pytest.mark.parametrize("text", ["1/0", "1/0*sqrt(2)", "0/0"])
+    def test_zero_denominator_is_not_a_surd_string(self, text):
+        with pytest.raises(ValueError, match="not a surd string"):
+            Surd.from_string(text)
+
+
+class TestNoFloats:
+    def test_float_coefficient_rejected(self):
+        with pytest.raises(TypeError):
+            Surd(0.1)
+
+    def test_float_sqrt_argument_rejected(self):
+        with pytest.raises(TypeError):
+            Surd.sqrt(0.5)
+
+    def test_float_radicand_rejected(self):
+        with pytest.raises(TypeError):
+            Surd(1, 2.0)
+
+    def test_float_comparison_rejected(self):
+        with pytest.raises(TypeError):
+            Surd(2) < 2.5
+
+    def test_radicand_stored_as_plain_int(self):
+        s = Surd(Fraction(1, 2), True)
+        assert type(s.radicand) is int and s.radicand == 1
+
 
 class TestSurdOrder:
     def test_theorem_value_vs_generic_formula_at_2_6(self):
@@ -129,6 +162,102 @@ class TestSurdOrder:
         x = Surd(q, n)
         y = Surd(x.coeff, x.radicand)
         assert x == y and hash(x) == hash(y)
+
+    @given(st.fractions(min_value=0, max_value=10**6))
+    def test_rational_hashes_like_its_fraction(self, q):
+        assert Surd(q) == q and hash(Surd(q)) == hash(q)
+
+    def test_rational_and_its_value_are_one_set_element(self):
+        assert len({Surd(2), 2}) == 1
+        assert len({Surd(Fraction(1, 2)), Fraction(1, 2)}) == 1
+
+
+rationals = st.one_of(
+    st.fractions(min_value=0, max_value=10**4, max_denominator=10**4),
+    st.integers(min_value=0, max_value=10**4),
+)
+radicands = st.integers(min_value=0, max_value=10**5)
+# p/q with square parts on both sides, so sqrt has something to pull out.
+square_rich = st.builds(
+    lambda a1, b1, a2, b2: Fraction(a1 * a1 * b1, a2 * a2 * b2),
+    st.integers(0, 300), st.integers(1, 3000), st.integers(1, 300), st.integers(1, 3000),
+)
+
+
+def fields(x):
+    return x.coeff, x.radicand
+
+
+class TestAgainstFractionSurd:
+    """The int kernel against the Fraction-based Surd it replaced."""
+
+    @given(rationals, radicands, st.integers(1, 12))
+    def test_construction_str_hash_and_decimal(self, q, n, digits):
+        s, f = Surd(q, n), FractionSurd(q, n)
+        assert fields(s) == fields(f)
+        assert s.squared() == f.squared()
+        assert str(s) == str(f)
+        assert hash(s) == hash(f)
+        assert render_decimal(s, digits) == fraction_render_decimal(f, digits)
+
+    @given(st.one_of(rationals, square_rich))
+    def test_sqrt(self, q):
+        s, f = Surd.sqrt(q), FractionSurd.sqrt(q)
+        assert fields(s) == fields(f)
+        assert (s.num, s.den) == (s.coeff.numerator, s.coeff.denominator)
+
+    @given(rationals, radicands, rationals, radicands, st.integers(1, 50))
+    def test_products(self, q1, n1, q2, n2, shared):
+        s1, s2 = Surd(q1, n1), Surd(q2, n2 * shared)
+        f1, f2 = FractionSurd(q1, n1), FractionSurd(q2, n2 * shared)
+        assert fields(s1 * s2) == fields(f1 * f2)
+        assert fields(s1 * s1) == fields(f1 * f1)
+        assert fields(s1 * q2) == fields(f1 * q2)
+        assert fields(q2 * s1) == fields(q2 * f1)
+        assert fields(s1 * shared) == fields(f1 * shared)
+
+    @given(rationals, radicands, rationals, radicands)
+    def test_order_and_equality(self, q1, n1, q2, n2):
+        s1, s2 = Surd(q1, n1), Surd(q2, n2)
+        f1, f2 = FractionSurd(q1, n1), FractionSurd(q2, n2)
+        assert (s1 < s2) == (f1 < f2) and (s2 < s1) == (f2 < f1)
+        assert (s1 == s2) == (f1 == f2)
+        assert (s1 < q2) == (f1 < q2) and (s1 > q2) == (f1 > q2)
+        assert (s1 == q2) == (f1 == q2)
+        assert (s1 < -q2 - 1) == (f1 < -q2 - 1)
+
+    def test_negative_factor_rejected_like_the_reference(self):
+        for cls in (Surd, FractionSurd):
+            with pytest.raises(ValueError):
+                cls(1, 2) * -1
+            assert fields(cls(0) * -1) == (0, 1)
+
+
+class TestOptimizedMode:
+    def test_construction_checks_survive_python_O(self):
+        # -O strips asserts, so each of these raising shows a real check.
+        script = textwrap.dedent("""
+            from seshadri.exact import Surd
+            from seshadri.pell import PellSolution
+            if __debug__:
+                raise SystemExit("not running under -O")
+            cases = [
+                (lambda: Surd(-1), ValueError),
+                (lambda: Surd(1, -2), ValueError),
+                (lambda: Surd(0.5), TypeError),
+                (lambda: PellSolution(2, 3, 3), ValueError),
+            ]
+            for i, (make, error) in enumerate(cases):
+                try:
+                    make()
+                except error:
+                    continue
+                raise SystemExit(f"case {i} did not raise {error.__name__}")
+        """)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestMediantProperty:
