@@ -33,6 +33,9 @@ CASES = {
     "bounds-surface-p2": "bounds --surface p2 --r 9",
     "bounds-surface-k3": "bounds --surface k3:2 --r 5",
     "bounds-surface-ab": "bounds --surface ab:3 --r 4",
+    "bounds-surface-custom": "bounds --surface custom:35,va --r 101",
+    "bounds-surface-hyp": "bounds --surface hyp:5 --r 4",
+    "bounds-surface-k3-va": "bounds --surface k3:4 --r 3",
     "bounds-all-digits": "bounds --k 150 --r 10 --all-digits",
     "bounds-grid": "bounds --k 1,2 --r 3,4",
     "bounds-digits-2": "bounds --k 150 --r 10 --digits 2",
