@@ -21,7 +21,6 @@ from .bounds import (
     ProductFactors,
     SubmaximalCandidate,
     ThresholdScan,
-    biran_product_bound,
     compare_bounds,
     dominance_scan,
     enumerate_exceptional_candidates,

@@ -17,7 +17,9 @@ here:
   biran       product bound: (single-point bound) * (plane value at r),
               conjectural unless both factors are proven.
 
-All values are exact Surds; every comparison is exact.
+All values are exact Surds; every comparison is exact.  The results are
+data (values, flags, candidates, set elements, factors and their tags);
+the CLI writes every sentence about them.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ __all__ = [
     "enumerate_exceptional_candidates",
     "szemberg_floor_bound",
     "harbourne_bound",
-    "biran_product_bound",
     "nagata_plane_value",
     "compare_bounds",
     "dominance_scan",
@@ -87,11 +88,11 @@ class SubmaximalCandidate:
 
 @dataclass(frozen=True)
 class MainLowerBound:
-    """Main theorem bound plus its exceptional-candidate list."""
+    """Main theorem bound plus its exceptional-candidate list; the bound is
+    unconditional only at (r, k) = (2, 6)."""
 
     bound: BoundValue
     candidates: tuple[SubmaximalCandidate, ...]
-    annotation: Optional[str] = None
 
     @property
     def guaranteed(self) -> Surd:
@@ -124,10 +125,11 @@ class HarbourneElement:
 
 @dataclass(frozen=True)
 class HarbourneBound:
+    """The three-set maximum with every element; bound.attained is False
+    in the exceptional case."""
+
     bound: BoundValue
-    winner: Optional[HarbourneElement]  # None in the exceptional case
     elements: tuple[HarbourneElement, ...]
-    exceptional: bool
 
 
 class PlaneValueStatus(Enum):
@@ -142,7 +144,6 @@ class PlaneValue:
 
     bound: BoundValue
     status: PlaneValueStatus
-    note: Optional[str] = None
 
 
 def upper_bound(k: int, r: int) -> BoundValue:
@@ -158,12 +159,6 @@ def generic_lower_value(k: int, r: int) -> Surd:
     if k < 1 or r < 2:
         raise ValueError(f"need k >= 1 and r >= 2, got k={k}, r={r}")
     return Surd.sqrt(Fraction((r + 2) * k, (r + 3) * r))
-
-
-TWO_SIX_ANNOTATION = (
-    "equality case: a curve in the ample class through the two points "
-    "with multiplicity two at each"
-)
 
 
 def enumerate_exceptional_candidates(k: int, r: int) -> tuple[SubmaximalCandidate, ...]:
@@ -219,7 +214,6 @@ def main_lower_bound(k: int, r: int) -> MainLowerBound:
         return MainLowerBound(
             bound=BoundValue(Surd(Fraction(3, 2)), attained=True, conditional=False),
             candidates=(),
-            annotation=TWO_SIX_ANNOTATION,
         )
     candidates = enumerate_exceptional_candidates(k, r)
     return MainLowerBound(
@@ -268,29 +262,11 @@ def harbourne_bound(k: int, r: int) -> HarbourneBound:
     c = d - 1 if (d - 1) ** 2 * k == r else d
     elements.append(HarbourneElement(Fraction(1, c), "unit-reciprocal", None, 1, c))
 
-    exceptional = k <= r and is_square(r * k)
-    if exceptional:
+    if k <= r and is_square(r * k):
         value = BoundValue(Surd.sqrt(Fraction(k, r)), attained=False)
-        winner = None
     else:
-        best = max(
-            elements, key=lambda e: (e.value, e.source, -(e.d or 0))
-        )
-        value = BoundValue(Surd(best.value), attained=True)
-        winner = best
-    return HarbourneBound(
-        bound=value,
-        winner=winner,
-        elements=tuple(elements),
-        exceptional=exceptional,
-    )
-
-
-def biran_product_bound(eps_single: Surd | Fraction, eps_plane_r: Surd | Fraction) -> Surd:
-    """Exact product of a single-point bound and a plane multi-point value."""
-    a = eps_single if isinstance(eps_single, Surd) else Surd(eps_single)
-    b = eps_plane_r if isinstance(eps_plane_r, Surd) else Surd(eps_plane_r)
-    return a * b
+        value = BoundValue(Surd(max(e.value for e in elements)))
+    return HarbourneBound(bound=value, elements=tuple(elements))
 
 
 # Exact plane values for few points; 1/sqrt(r) takes over from r = 9 on
@@ -306,10 +282,6 @@ _PLANE_SMALL: dict[int, Fraction] = {
     8: Fraction(6, 17),
 }
 
-_NINE_POINT_NOTE = (
-    "value is 1/3 = 1/sqrt(9); comparison tables occasionally misprint it as 3"
-)
-
 
 def nagata_plane_value(r: int) -> PlaneValue:
     """Multi-point constant of the plane with unit line class.
@@ -323,8 +295,7 @@ def nagata_plane_value(r: int) -> PlaneValue:
         return PlaneValue(BoundValue(Surd(_PLANE_SMALL[r])), PlaneValueStatus.KNOWN)
     value = Surd.sqrt(Fraction(1, r))
     if is_square(r):
-        note = _NINE_POINT_NOTE if r == 9 else None
-        return PlaneValue(BoundValue(value), PlaneValueStatus.PROVED_SQUARE, note)
+        return PlaneValue(BoundValue(value), PlaneValueStatus.PROVED_SQUARE)
     return PlaneValue(BoundValue(value), PlaneValueStatus.CONJECTURAL)
 
 
@@ -346,8 +317,6 @@ class BoundEntry:
 
     name: str
     value: BoundValue
-    applicability: str
-    attribution: str
     conjectural: bool = False
     candidates: tuple[SubmaximalCandidate, ...] = ()
     detail: MainLowerBound | HarbourneBound | ProductFactors | None = None
@@ -390,33 +359,13 @@ def compare_bounds(k: int, r: int, very_ample: bool = False) -> BoundReport:
     upper = upper_bound(k, r)
     main = main_lower_bound(k, r)
     entries = [
-        BoundEntry(
-            name="main",
-            value=main.bound,
-            applicability="ample generator, Picard number 1, r >= 2",
-            attribution="generic value sqrt((r+2)/(r+3))*sqrt(k/r), or 3/2 at (r,k)=(2,6)",
-            candidates=main.candidates,
-            detail=main,
-        ),
-        BoundEntry(
-            name="szemberg-floor",
-            value=BoundValue(Surd(szemberg_floor_bound(k, r))),
-            applicability="ample generator, Picard number 1",
-            attribution="Szemberg's floor bound floor(sqrt(k/r))",
-        ),
+        BoundEntry("main", main.bound, candidates=main.candidates, detail=main),
+        BoundEntry("szemberg-floor", BoundValue(Surd(szemberg_floor_bound(k, r)))),
     ]
 
     if very_ample:
         harb = harbourne_bound(k, r)
-        entries.append(
-            BoundEntry(
-                name="harbourne",
-                value=harb.bound,
-                applicability="very ample L (asserted by caller)",
-                attribution="Harbourne's three-set maximum for very ample line bundles",
-                detail=harb,
-            )
-        )
+        entries.append(BoundEntry("harbourne", harb.bound, detail=harb))
 
     if k >= 2 and not is_square(k):
         factors = ProductFactors(
@@ -425,9 +374,7 @@ def compare_bounds(k: int, r: int, very_ample: bool = False) -> BoundReport:
         entries.append(
             BoundEntry(
                 name="biran-product",
-                value=BoundValue(biran_product_bound(factors.single, factors.plane.bound.value)),
-                applicability="product of single-point and plane multi-point bounds",
-                attribution="Biran-type product bound",
+                value=BoundValue(factors.plane.bound.value * factors.single),
                 conjectural=not factors.witness.applicable
                 or factors.plane.status is PlaneValueStatus.CONJECTURAL,
                 detail=factors,

@@ -3,7 +3,8 @@
 Each descriptor pins down k = L^2 for the ample generator L and whether
 very-ampleness may be asserted (the very-ample bound is computed only
 with it).  Exact multi-point values are on record only for the plane;
-every other kind returns None from known_value.
+every other kind returns None from known_value.  Descriptors are data
+only: the caveats that go with a kind are written by the CLI.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ class SurfaceSpec:
     kind: SurfaceKind
     k: int  # self-intersection of the ample generator
     very_ample: bool
-    notes: tuple[str, ...] = ()
 
     def label(self) -> str:
         if self.kind is SurfaceKind.PROJECTIVE_PLANE:
@@ -75,12 +75,7 @@ def make_surface(
             )
         # The ample generator is very ample once k >= 4; at k = 2 the
         # associated map is a double cover of the plane.
-        return SurfaceSpec(
-            kind,
-            k=parameter,
-            very_ample=parameter >= 4,
-            notes=() if parameter >= 4 else ("k = 2: ample generator is not very ample",),
-        )
+        return SurfaceSpec(kind, k=parameter, very_ample=parameter >= 4)
     if kind is SurfaceKind.HYPERSURFACE_P3:
         if parameter < 4:
             raise ValueError(
@@ -90,21 +85,12 @@ def make_surface(
     if kind is SurfaceKind.ABELIAN_TYPE_1D:
         if parameter < 1:
             raise ValueError(f"polarization type (1, d) needs d >= 1, got {parameter}")
-        return SurfaceSpec(
-            kind,
-            k=2 * parameter,
-            very_ample=False,
-            notes=("very-ampleness not asserted for abelian polarizations",),
-        )
+        return SurfaceSpec(kind, k=2 * parameter, very_ample=False)
     if kind is SurfaceKind.CUSTOM:
         if parameter < 1:
             raise ValueError(f"need k >= 1, got {parameter}")
-        return SurfaceSpec(
-            kind,
-            k=parameter,
-            very_ample=very_ample,
-            notes=("custom surface: Picard number 1 is an unverified assumption",),
-        )
+        # Picard number 1 is assumed, not checked.
+        return SurfaceSpec(kind, k=parameter, very_ample=very_ample)
     raise ValueError(f"unknown surface kind {kind!r}")
 
 

@@ -39,7 +39,7 @@ from .bounds import (
     dominance_scan,
     nagata_plane_value,
 )
-from .catalog import SurfaceSpec, SurfaceSyntaxError, known_value, parse_surface
+from .catalog import SurfaceKind, SurfaceSpec, SurfaceSyntaxError, known_value, parse_surface
 from .exact import Surd, isqrt, render_decimal
 from .inequalities import is_square
 from .oracle import (
@@ -59,6 +59,26 @@ SEARCH_CAVEAT = (
 )
 BOX_CAVEAT = "conclusions hold within the searched box only"
 NOTE_DIGITS = 4  # notes quote values at a fixed precision, whatever --digits says
+
+# (applicability, attribution) of each row of the bounds table, by name
+BOUND_WORDS = {
+    "upper": ("any nef line bundle", "optimal value sqrt(k/r)"),
+    "main": (
+        "ample generator, Picard number 1, r >= 2",
+        "generic value sqrt((r+2)/(r+3))*sqrt(k/r), or 3/2 at (r,k)=(2,6)",
+    ),
+    "szemberg-floor": ("ample generator, Picard number 1", "Szemberg's floor bound floor(sqrt(k/r))"),
+    "harbourne": (
+        "very ample L (asserted by caller)",
+        "Harbourne's three-set maximum for very ample line bundles",
+    ),
+    "biran-product": ("product of single-point and plane multi-point bounds", "Biran-type product bound"),
+}
+TWO_SIX_NOTE = (
+    "equality case: a curve in the ample class through the two points "
+    "with multiplicity two at each"
+)
+NINE_POINT_NOTE = "value is 1/3 = 1/sqrt(9); comparison tables occasionally misprint it as 3"
 
 
 class UsageError(Exception):
@@ -204,12 +224,28 @@ def _all_digit_note(name: str, value: Surd) -> str:
     )
 
 
+def _n2_pm_1(k: int, n: int) -> str:
+    """k, known to be n^2 + 1 or n^2 - 1, written as one of the two."""
+    return f"{n}^2{'+' if k > n * n else '-'}1"
+
+
+def _surface_note(surface: SurfaceSpec) -> Optional[str]:
+    """The caveat that goes with a surface, if any."""
+    if surface.kind is SurfaceKind.GENERAL_K3 and not surface.very_ample:
+        return f"k = {surface.k}: ample generator is not very ample"
+    if surface.kind is SurfaceKind.ABELIAN_TYPE_1D:
+        return "very-ampleness not asserted for abelian polarizations"
+    if surface.kind is SurfaceKind.CUSTOM:
+        return "custom surface: Picard number 1 is an unverified assumption"
+    return None
+
+
 def _entry_notes(entry: BoundEntry, r: int) -> list[str]:
     """Notes on one bound, written from the object it was built from."""
     detail, notes = entry.detail, []
     if isinstance(detail, MainLowerBound):
-        if detail.annotation:
-            notes.append(detail.annotation)
+        if not detail.bound.conditional:
+            notes.append(TWO_SIX_NOTE)
         if detail.candidates:
             listed = ", ".join(
                 f"d={c.d}, s={c.s}: {c.value} ({render_decimal(Surd(c.value), NOTE_DIGITS)})"
@@ -229,7 +265,7 @@ def _entry_notes(entry: BoundEntry, r: int) -> list[str]:
             max((e for e in detail.elements if e.source == source), key=lambda e: e.value, default=None)
             for source in ("floor-multiple", "ceil-multiple")
         )
-        if detail.exceptional:
+        if not detail.bound.attained:
             notes.append(
                 "exceptional case (k <= r and r*k a perfect square): sqrt(k/r) is a "
                 "supremum only; every value strictly below it is a valid bound"
@@ -246,11 +282,11 @@ def _entry_notes(entry: BoundEntry, r: int) -> list[str]:
         notes.append(f"single-point factor {detail.single} from Pell solution (p0, q0) = ({sol.p0}, {sol.q0})")
         notes.append(f"plane factor {plane.bound.value} at r = {r} ({plane.status.value})")
         if witness.applicable:
-            notes.append(f"single-point bound proven: k = {sol.k} = {witness.n}^2{witness.form[3:]}")
+            notes.append(f"single-point bound proven: k = {sol.k} = {_n2_pm_1(sol.k, witness.n)}")
         else:
             notes.append(f"single-point bound conjectural: k = {sol.k} is not of the form n^2 +- 1")
-        if plane.note:
-            notes.append(plane.note)
+        if r == 9:
+            notes.append(NINE_POINT_NOTE)
     return notes
 
 
@@ -260,7 +296,7 @@ def _entry_notes(entry: BoundEntry, r: int) -> list[str]:
 def cmd_bounds(args: argparse.Namespace) -> tuple[list[Record], int]:
     try:
         surface: Optional[SurfaceSpec] = (
-            parse_surface(args.surface) if args.surface else None
+            parse_surface(args.surface) if args.surface is not None else None
         )
     except SurfaceSyntaxError as e:  # malformed string: usage, not domain
         raise UsageError(str(e))
@@ -295,12 +331,11 @@ def cmd_bounds(args: argparse.Namespace) -> tuple[list[Record], int]:
             )
             rec.entries.append(
                 Entry(
-                    name="upper",
-                    exact=str(report.upper.value),
-                    decimal=render_decimal(report.upper.value, digits),
-                    flags=("upper-bound", "supremum"),
-                    applicability="any nef line bundle",
-                    attribution="optimal value sqrt(k/r)",
+                    "upper",
+                    str(report.upper.value),
+                    render_decimal(report.upper.value, digits),
+                    ("upper-bound", "supremum"),
+                    *BOUND_WORDS["upper"],
                 )
             )
             for entry, rank in zip(report.entries, report.ranks):
@@ -314,25 +349,26 @@ def cmd_bounds(args: argparse.Namespace) -> tuple[list[Record], int]:
                 flags.append(f"rank={rank}")
                 rec.entries.append(
                     Entry(
-                        name=entry.name,
-                        exact=str(entry.value.value),
-                        decimal=render_decimal(entry.value.value, digits),
-                        flags=tuple(flags),
-                        applicability=entry.applicability,
-                        attribution=entry.attribution,
+                        entry.name,
+                        str(entry.value.value),
+                        render_decimal(entry.value.value, digits),
+                        tuple(flags),
+                        *BOUND_WORDS[entry.name],
                     )
                 )
                 rec.notes.extend(f"{entry.name}: {n}" for n in _entry_notes(entry, r))
             if k >= 2 and is_square(k):
                 rec.notes.append(f"no Pell single-point bound: k = {k} is a perfect square")
             if surface is not None:
-                rec.notes.extend(f"surface: {n}" for n in surface.notes)
+                note = _surface_note(surface)
+                if note:
+                    rec.notes.append(f"surface: {note}")
                 known = known_value(surface, r)
                 if known is not None:
                     rec.notes.append(
                         f"known exact value: {known.bound.value} "
                         f"({known.status.value})"
-                        + (f"; {known.note}" if known.note else "")
+                        + (f"; {NINE_POINT_NOTE}" if r == 9 else "")
                     )
             if args.all_digits:
                 rec.notes.append(_all_digit_note("upper", report.upper.value))
@@ -363,9 +399,7 @@ def cmd_pell(args: argparse.Namespace) -> tuple[list[Record], int]:
         f"fundamental solution of q^2 - {k}*p^2 = 1: (p0, q0) = ({sol.p0}, {sol.q0})"
     )
     if witness.applicable:
-        rec.notes.append(
-            f"k = {k} = {witness.n}^2{witness.form[3:]}: bound is a proven case"
-        )
+        rec.notes.append(f"k = {k} = {_n2_pm_1(k, witness.n)}: bound is a proven case")
         rec.entries.append(Entry(name="fsst-witness-n", exact=str(witness.n)))
     else:
         rec.notes.append(
@@ -541,8 +575,8 @@ def cmd_p2_table(args: argparse.Namespace) -> tuple[list[Record], int]:
                 applicability=achievers.get(r, ""),
             )
         )
-        if value.note:
-            rec.notes.append(f"r={r}: {value.note}")
+        if r == 9:
+            rec.notes.append(f"r={r}: {NINE_POINT_NOTE}")
     return [rec], 0
 
 

@@ -182,10 +182,6 @@ class Surd:
         """The squarefree radicand (1 for a rational value)."""
         return self._rad
 
-    def squared(self) -> Fraction:
-        """The exact square, always rational: coeff^2 * radicand."""
-        return Fraction(self._num * self._num * self._rad, self._den * self._den)
-
     # -- arithmetic (products only; sums of radicals are out of scope) --
 
     def __mul__(self, other: Surd | Fraction | int) -> Surd:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from .exact import isqrt
 
-__all__ = ["el_xu_feasible", "is_subgeneric", "han_applies", "han_margin", "han_inequality", "is_square"]
+__all__ = ["el_xu_feasible", "is_subgeneric", "han_applies", "han_margin", "is_square"]
 
 
 def el_xu_feasible(d2k: int, sum_sq: int, last: int) -> bool:
@@ -44,13 +44,6 @@ def han_applies(s: int, total: int, sum_sq: int) -> bool:
     and s >= 3, or s = 2 with m != (2, 2).  The pair (2, 2), the only one
     with total 4 and sum_sq 8, fails it, which is why it is excluded."""
     return total > s and (s >= 3 or (s == 2 and (total, sum_sq) != (4, 8)))
-
-
-def han_inequality(m: tuple[int, ...]) -> tuple[bool, int]:
-    """(applicable, margin) of Han's inequality for the vector m; see
-    han_applies and han_margin."""
-    s, total, sum_sq = len(m), sum(m), sum(e * e for e in m)
-    return han_applies(s, total, sum_sq), han_margin(s, total, sum_sq, m[-1])
 
 
 def is_square(n: int) -> bool:

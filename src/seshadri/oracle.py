@@ -298,12 +298,6 @@ class TheoremScan:
     trichotomy on the box.
     """
 
-    k_min: int
-    k_max: int
-    r_min: int
-    r_max: int
-    d_max: int
-    m_max: int
     feasible_vectors: int
     subgeneric_counts: dict[CaseLabel, int]
     violations: tuple[Violation, ...]
@@ -364,23 +358,11 @@ def verify_theorem(
                         counts[CaseLabel.TWO_SIX] += 1
                     else:
                         violations.append(Violation(d, k, r, m))
-    return TheoremScan(
-        k_min=k_min,
-        k_max=k_max,
-        r_min=r_min,
-        r_max=r_max,
-        d_max=d_max,
-        m_max=m_max,
-        feasible_vectors=feasible,
-        subgeneric_counts=counts,
-        violations=tuple(violations),
-    )
+    return TheoremScan(feasible, counts, tuple(violations))
 
 
 @dataclass
 class HanScan:
-    s_max: int
-    m_max: int
     applicable_checked: int
     counterexamples: tuple[Multiplicities, ...]
     equality_witnesses: tuple[Multiplicities, ...]
@@ -444,9 +426,7 @@ def verify_han_exhaustive(s_max: int, m_max: int) -> HanScan:
                     )
                 (counterexamples if margin < 0 else equalities).extend(vectors)
         layer = following
-    return HanScan(
-        s_max, m_max, checked, _in_scan_order(counterexamples), _in_scan_order(equalities)
-    )
+    return HanScan(checked, _in_scan_order(counterexamples), _in_scan_order(equalities))
 
 
 def _in_scan_order(vectors: list[Multiplicities]) -> tuple[Multiplicities, ...]:

@@ -93,11 +93,11 @@ class PellSolution:
 
 
 class FsstWitness(NamedTuple):
-    """Whether k = n^2 - 1 or k = n^2 + 1 for some positive integer n."""
+    """Whether k = n^2 - 1 or k = n^2 + 1 for some positive integer n; the
+    sign of k - n^2 tells the two forms apart."""
 
     applicable: bool
     n: Optional[int]
-    form: Optional[str]  # "n^2-1" | "n^2+1"
 
 
 @lru_cache(maxsize=None)
@@ -174,8 +174,8 @@ def fsst_applicable(k: int) -> FsstWitness:
         raise ValueError(f"fsst_applicable needs k >= 2, got {k}")
     t = isqrt(k - 1)
     if t >= 1 and t * t + 1 == k:
-        return FsstWitness(True, t, "n^2+1")
+        return FsstWitness(True, t)
     t = isqrt(k + 1)
     if t * t == k + 1:
-        return FsstWitness(True, t, "n^2-1")
-    return FsstWitness(False, None, None)
+        return FsstWitness(True, t)
+    return FsstWitness(False, None)

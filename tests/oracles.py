@@ -7,7 +7,7 @@ from functools import total_ordering
 
 from seshadri.bounds import SubmaximalCandidate, ThresholdScan
 from seshadri.exact import isqrt, squarefree_decompose
-from seshadri.inequalities import el_xu_feasible, han_inequality, is_subgeneric
+from seshadri.inequalities import el_xu_feasible, han_applies, han_margin, is_subgeneric
 from seshadri.oracle import CaseLabel, HanScan, SearchResult, TheoremScan, Violation
 from seshadri.pell import PellSolution
 
@@ -291,7 +291,7 @@ def theorem_scan_walk(
                         counts[CaseLabel.TWO_SIX] += 1
                     else:
                         violations.append(Violation(d, k, r, m))
-    return TheoremScan(k_min, k_max, r_min, r_max, d_max, m_max, feasible, counts, tuple(violations))
+    return TheoremScan(feasible, counts, tuple(violations))
 
 
 def min_ratio_walk(k, r, d_max, m_max):
@@ -306,6 +306,13 @@ def min_ratio_walk(k, r, d_max, m_max):
                 witnesses.append((d, m))
     witnesses.sort(key=lambda w: (w[0], len(w[1]), w[1]))
     return SearchResult(best, tuple(witnesses))
+
+
+def han_inequality(m):
+    """(applicable, margin) of Han's inequality for the vector m; see
+    han_applies and han_margin."""
+    s, total, sum_sq = len(m), sum(m), sum(e * e for e in m)
+    return han_applies(s, total, sum_sq), han_margin(s, total, sum_sq, m[-1])
 
 
 def han_scan_walk(s_max, m_max, margin=None):
@@ -330,4 +337,4 @@ def han_scan_walk(s_max, m_max, margin=None):
                 counterexamples.append(m)
             elif value == 0:
                 equalities.append(m)
-    return HanScan(s_max, m_max, checked, tuple(counterexamples), tuple(equalities))
+    return HanScan(checked, tuple(counterexamples), tuple(equalities))

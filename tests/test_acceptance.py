@@ -21,7 +21,6 @@ from seshadri.bounds import (
     enumerate_exceptional_candidates,
     generic_lower_value,
     harbourne_bound,
-    biran_product_bound,
     main_lower_bound,
     nagata_plane_value,
     szemberg_floor_bound,
@@ -36,6 +35,14 @@ from seshadri.oracle import (
     verify_theorem,
 )
 from seshadri.pell import pell_fundamental, szemberg_single_point_bound
+
+
+def cli_notes(*argv):
+    """The notes of the one JSON record the CLI prints for argv."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main([*argv, "--format", "json"]) == 0
+    return json.loads(out.getvalue())["notes"]
 
 
 def criterion(number, summary):
@@ -77,7 +84,7 @@ def test_criterion_3_k35_r101():
     assert render_decimal(main.bound.value, 4) == "0.5858"
     assert render_decimal(upper_bound(35, 101).value, 4) == "0.5886"
 
-    product = biran_product_bound(Fraction(35, 6), Surd.sqrt(Fraction(1, 101)))
+    product = Surd(Fraction(35, 6)) * Surd.sqrt(Fraction(1, 101))
     assert render_decimal(product, 4) == "0.5804"
 
     sol = pell_fundamental(35)
@@ -93,10 +100,7 @@ def test_criterion_3_k35_r101():
     report = compare_bounds(35, 101, very_ample=True)
     harb_entry = next(e for e in report.entries if e.name == "harbourne")
     assert {(59, 101), (35, 60)} <= {(e.num, e.den) for e in harb_entry.detail.elements}
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        assert cli.main(["bounds", "--k", "35", "--r", "101", "--very-ample", "--format", "json"]) == 0
-    notes = json.loads(out.getvalue())["notes"]
+    notes = cli_notes("bounds", "--k", "35", "--r", "101", "--very-ample")
     assert any(
         note.startswith("harbourne: ") and "35/60" in note and "59/101" in note and "smaller" in note
         for note in notes
@@ -108,7 +112,8 @@ def test_criterion_4_two_six_edge_case():
     res = main_lower_bound(6, 2)
     assert res.bound.value == Surd(Fraction(3, 2))
     assert res.bound.value < generic_lower_value(6, 2)
-    assert res.annotation is not None and "multiplicity two" in res.annotation
+    assert not res.bound.conditional
+    assert any("multiplicity two" in note for note in cli_notes("bounds", "--k", "6", "--r", "2"))
 
 
 @criterion(5, "plane values for r <= 9 and the two exceptional candidates")
@@ -128,7 +133,9 @@ def test_criterion_5_plane_conformance():
         assert res.bound.value == value, (r, value)
     nine = nagata_plane_value(9)
     assert nine.status.value == "proved-square"
-    assert nine.note is not None and "3" in nine.note  # misprint recorded
+    assert any(  # misprint recorded
+        note.startswith("r=9: ") and "3" in note for note in cli_notes("p2-table", "--r-max", "9")
+    )
 
     assert [(c.d, c.s, c.value) for c in enumerate_exceptional_candidates(1, 2)] == [
         (1, 2, Fraction(1, 2))
@@ -188,7 +195,7 @@ def test_criterion_10_global_sanity():
             assert generic_lower_value(k, r) <= upper
             assert Surd(Fraction(szemberg_floor_bound(k, r))) <= upper
             harb = harbourne_bound(k, r)
-            if not harb.exceptional:
+            if harb.bound.attained:
                 assert harb.bound.value <= upper
             for e in harb.elements:
                 assert Surd(e.value) <= upper

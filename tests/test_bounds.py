@@ -21,7 +21,6 @@ from seshadri.bounds import (
     enumerate_exceptional_candidates,
     generic_lower_value,
     harbourne_bound,
-    biran_product_bound,
     main_lower_bound,
     nagata_plane_value,
     szemberg_floor_bound,
@@ -51,12 +50,13 @@ class TestMainLowerBound:
         assert res.bound.value == Surd.sqrt(Fraction(180, 13))
         assert render_decimal(res.bound.value, 2) == "3.72"
 
-    def test_two_six_special_case(self):
+    def test_two_six_special_case(self, capsys):
         res = main_lower_bound(6, 2)
         assert res.bound.value == Fraction(3, 2)
         assert not res.bound.conditional
         assert res.candidates == ()
-        assert "multiplicity two" in res.annotation
+        assert cli.main(["bounds", "--k", "6", "--r", "2"]) == 0
+        assert "multiplicity two" in capsys.readouterr().out
         # strictly below the generic formula value sqrt(12/5)
         assert res.bound.value < generic_lower_value(6, 2)
 
@@ -143,13 +143,14 @@ class TestHarbourne:
     def test_6_10(self):
         res = harbourne_bound(6, 10)
         assert res.bound.value == Fraction(3, 4)
-        assert res.winner.source == "ceil-multiple"
-        assert (res.winner.num, res.winner.den) == (6, 8)
+        winner = max(res.elements, key=lambda e: e.value)
+        assert winner.source == "ceil-multiple"
+        assert (winner.num, winner.den) == (6, 8)
 
     def test_7_10(self):
         res = harbourne_bound(7, 10)
         assert res.bound.value == Fraction(4, 5)
-        assert res.winner.source == "floor-multiple"
+        assert max(res.elements, key=lambda e: e.value).source == "floor-multiple"
 
     def test_35_101(self):
         res = harbourne_bound(35, 101)
@@ -161,7 +162,6 @@ class TestHarbourne:
     def test_exceptional_case(self):
         # k <= r and r*k a perfect square: supremum only
         res = harbourne_bound(1, 4)
-        assert res.exceptional
         assert not res.bound.attained
         assert res.bound.value == Surd.sqrt(Fraction(1, 4))
 
@@ -173,16 +173,17 @@ class TestHarbourne:
 
 class TestBiranProduct:
     def test_35_101(self):
-        prod = biran_product_bound(Fraction(35, 6), Surd.sqrt(Fraction(1, 101)))
+        rep = compare_bounds(35, 101)
+        prod = next(e for e in rep.entries if e.name == "biran-product").value.value
         assert prod == Surd(Fraction(35, 606), 101)
         assert render_decimal(prod, 4) == "0.5804"
 
     def test_identity(self):
         x = Surd.sqrt(Fraction(7, 3))
-        assert biran_product_bound(Fraction(1), x) == x
+        assert Surd(Fraction(1)) * x == x
 
     def test_rational_product(self):
-        assert biran_product_bound(Fraction(1), Fraction(2, 5)) == Fraction(2, 5)
+        assert Surd(Fraction(1)) * Fraction(2, 5) == Fraction(2, 5)
 
 
 class TestNagataPlaneValue:
@@ -206,8 +207,10 @@ class TestNagataPlaneValue:
         assert res.bound.value == value
         assert res.status is status
 
-    def test_nine_point_misprint_note(self):
-        assert "misprint" in nagata_plane_value(9).note
+    def test_nine_point_misprint_note(self, capsys):
+        assert cli.main(["p2-table", "--r-max", "9"]) == 0
+        assert "note: r=9: " in capsys.readouterr().out
+        assert "misprint" in cli.NINE_POINT_NOTE
 
     def test_conjectural_above_nine(self):
         res = nagata_plane_value(101)
@@ -245,7 +248,7 @@ class TestCompareBounds:
 
     def test_entries_sorted_descending_with_tied_ranks(self):
         rep = compare_bounds(35, 101, very_ample=True)
-        values = [e.value.value.squared() for e in rep.entries]
+        values = [e.value.value * e.value.value for e in rep.entries]
         assert values == sorted(values, reverse=True)
         assert rep.ranks[0] == 1
         # biran-product and harbourne are both 2/3 here: equal values share a rank
@@ -256,13 +259,16 @@ class TestCompareBounds:
     def test_every_desk_scale_report_is_pinned(self):
         # One digest over the repr of every report with k <= 200, 2 <= r <= 50,
         # with and without very-ampleness: values, order, ranks, candidates
-        # and details.  It was taken from the Fraction-based Surd kernel.
+        # and details.  It was taken from the Fraction-based Surd kernel, and
+        # retaken when the records lost their prose fields (applicability,
+        # attribution, annotation, winner, exceptional, note, form): the old
+        # reprs with exactly those fields cut out hash to the new value.
         digest = hashlib.sha256()
         for very_ample in (False, True):
             for k in range(1, 201):
                 for r in range(2, 51):
                     digest.update(repr(compare_bounds(k, r, very_ample=very_ample)).encode() + b"\n")
-        assert digest.hexdigest() == "27005534259d58e9244f41b22e5503713ac5ddf697648f32ac6a872fbdedb066"
+        assert digest.hexdigest() == "4519a1f361ca85ad41cb72494df113538bfd25db7bb037d07a53115618b2810f"
 
     def test_harbourne_omitted_without_very_ample(self):
         rep = compare_bounds(35, 101, very_ample=False)
@@ -355,16 +361,31 @@ class TestGlobalDominance:
             for r in list(range(2, 10)) + [16, 25, 36, 49]:
                 plane = nagata_plane_value(r)
                 assert plane.status is not PlaneValueStatus.CONJECTURAL
-                prod = biran_product_bound(single, plane.bound.value)
+                prod = plane.bound.value * single
                 assert prod <= upper_bound(k, r).value
+
+
+class TestDataBehindTheNotes:
+    """The CLI keys its two-six and exceptional-case notes on these flags."""
+
+    def test_main_is_unconditional_only_at_two_six(self):
+        for k in range(1, 201):
+            for r in range(2, 51):
+                assert main_lower_bound(k, r).bound.conditional == ((r, k) != (2, 6)), (k, r)
+
+    def test_harbourne_is_a_supremum_only_in_the_exceptional_case(self):
+        for k in range(1, 201):
+            for r in range(2, 51):
+                exceptional = k <= r and isqrt(r * k) ** 2 == r * k
+                assert harbourne_bound(k, r).bound.attained == (not exceptional), (k, r)
 
 
 class TestRatioExactness:
     def test_ratio_of_main_to_upper(self):
         for k in (1, 6, 35, 150):
             for r in (2, 3, 10, 101):
-                main_sq = generic_lower_value(k, r).squared()
-                upper_sq = upper_bound(k, r).value.squared()
+                main, upper = generic_lower_value(k, r), upper_bound(k, r).value
+                main_sq, upper_sq = (main * main).coeff, (upper * upper).coeff
                 assert main_sq / upper_sq == Fraction(r + 2, r + 3)
 
     def test_ratio_increases_and_stays_below_one(self):

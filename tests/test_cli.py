@@ -10,7 +10,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import seshadri.cli as cli
 import seshadri.oracle as oracle
@@ -276,7 +276,7 @@ class TestVerifyCommand:
         assert "k=4, r=10" in failed
 
     def test_counterexample_exits_3(self, capsys, monkeypatch):
-        fake = HanScan(2, 2, 1, ((3, 1),), ())
+        fake = HanScan(1, ((3, 1),), ())
         monkeypatch.setattr(cli, "verify_han_exhaustive", lambda s, m: fake)
         code, out, _ = run_cli(
             capsys, "verify", "--suite", "han", "--s-max", "2", "--m-max", "2",
@@ -474,3 +474,19 @@ class TestProperties:
             assert len(frac) == int(digits[1])
             low = Fraction(e["decimal"])
             assert low <= value < low + Fraction(1, 10 ** len(frac)), e
+
+    @settings(max_examples=40)
+    @given(st.integers(1, 3000), st.sampled_from([1, -1]), st.integers(2, 40))
+    def test_n2_pm_1_is_written_with_its_sign(self, n, sign, r):
+        k = n * n + sign
+        assume(k >= 2)
+        form = f"{n}^2{'+' if sign > 0 else '-'}1"
+        notes = {}
+        for argv in (["pell", "--k", str(k)], ["bounds", "--k", str(k), "--r", str(r)]):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert cli.main(argv + ["--format", "json"]) == 0
+            (rec,) = json_records(out.getvalue())
+            notes[argv[0]] = rec["notes"]
+        assert f"k = {k} = {form}: bound is a proven case" in notes["pell"]
+        assert f"biran-product: single-point bound proven: k = {k} = {form}" in notes["bounds"]

@@ -71,6 +71,7 @@ CASES = {
     "usage-pell-k1": "pell --k 1",
     "usage-surface-zero": "bounds --surface custom:0 --r 3",
     "usage-surface-very-ample": "bounds --surface custom:35 --very-ample --r 101",
+    "usage-surface-empty": "bounds --k 3 --r 2 --surface=",  # --surface '' as one word
 }
 
 

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import seshadri.oracle as oracle
-from oracles import el_xu_vectors, han_scan_walk, min_ratio_walk, theorem_scan_walk
-from seshadri.inequalities import han_applies, han_inequality, han_margin
+from oracles import el_xu_vectors, han_inequality, han_scan_walk, min_ratio_walk, theorem_scan_walk
+from seshadri.inequalities import han_applies, han_margin
 from seshadri.oracle import (
     CaseLabel,
     TheoremViolation,

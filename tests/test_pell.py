@@ -150,11 +150,11 @@ class TestFsst:
     @pytest.mark.parametrize(
         "k,expected",
         [
-            (35, FsstWitness(True, 6, "n^2-1")),
-            (5, FsstWitness(True, 2, "n^2+1")),
-            (2, FsstWitness(True, 1, "n^2+1")),
-            (3, FsstWitness(True, 2, "n^2-1")),
-            (7, FsstWitness(False, None, None)),
+            (35, FsstWitness(True, 6)),
+            (5, FsstWitness(True, 2)),
+            (2, FsstWitness(True, 1)),
+            (3, FsstWitness(True, 2)),
+            (7, FsstWitness(False, None)),
         ],
     )
     def test_examples(self, k, expected):
@@ -164,7 +164,7 @@ class TestFsst:
         for k in range(2, 500):
             w = fsst_applicable(k)
             if w.applicable:
-                assert k == (w.n**2 - 1 if w.form == "n^2-1" else w.n**2 + 1)
+                assert k - w.n**2 in (-1, 1)
             else:
                 for n in range(1, isqrt(k) + 2):
                     assert k not in (n * n - 1, n * n + 1)
