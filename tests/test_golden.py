@@ -40,6 +40,7 @@ CASES = {
     "bounds-grid": "bounds --k 1,2 --r 3,4",
     "bounds-digits-2": "bounds --k 150 --r 10 --digits 2",
     "bounds-digits-6": "bounds --k 35 --r 101 --very-ample --digits 6",
+    "bounds-two-prime-radicand": "bounds --k 1008017 --r 1007999",
     "pell-proven": "pell --k 35",
     "pell-conjectural": "pell --k 61",
     "search": "search --k 1 --r 5 --d-max 3",
@@ -50,6 +51,7 @@ CASES = {
     "threshold-global": "threshold --r 10 --k-cap 10000",
     "threshold-window": "threshold --r 10 --k-cap 6000",
     "threshold-none": "threshold --r 10 --k-cap 100",
+    "threshold-large-r": "threshold --r 200000 --k-cap 1000000000000",
     "p2-table": "p2-table --r-max 12",
     "usage-error": "bounds --r 2",
     "domain-error": "pell --k 9",
