@@ -30,9 +30,9 @@ from fractions import Fraction
 from functools import cmp_to_key
 from typing import Optional
 
-from .exact import Surd, isqrt
+from .exact import Surd, _surd, isqrt
 from .inequalities import is_square, is_subgeneric
-from .pell import FsstWitness, PellSolution, fsst_applicable, pell_fundamental, szemberg_single_point_bound
+from .pell import FsstWitness, PellSolution, fsst_applicable, pell_fundamental
 
 __all__ = [
     "BoundValue",
@@ -301,13 +301,18 @@ def nagata_plane_value(r: int) -> PlaneValue:
 
 @dataclass(frozen=True)
 class ProductFactors:
-    """The product bound's factors: the single-point value p0*k/q0 with its
-    Pell solution and n^2 +- 1 witness, and the plane value at r."""
+    """The product bound's factors: the Pell solution behind the
+    single-point value p0*k/q0, its n^2 +- 1 witness, and the plane value
+    at r."""
 
-    single: Fraction
     pell: PellSolution
     witness: FsstWitness
     plane: PlaneValue
+
+    @property
+    def single(self) -> Fraction:
+        """The single-point value p0*k/q0."""
+        return Fraction(self.pell.p0 * self.pell.k, self.pell.q0)
 
 
 @dataclass(frozen=True)
@@ -368,13 +373,16 @@ def compare_bounds(k: int, r: int, very_ample: bool = False) -> BoundReport:
         entries.append(BoundEntry("harbourne", harb.bound, detail=harb))
 
     if k >= 2 and not is_square(k):
-        factors = ProductFactors(
-            szemberg_single_point_bound(k), pell_fundamental(k), fsst_applicable(k), nagata_plane_value(r)
-        )
+        sol = pell_fundamental(k)
+        factors = ProductFactors(sol, fsst_applicable(k), nagata_plane_value(r))
+        # q0^2 - k*p0^2 = 1 makes q0 coprime to p0*k, so p0*k/q0 is in
+        # lowest terms as it stands, and each gcd the product takes has a
+        # small operand: none is taken on two Pell-sized numbers.
+        single = _surd(sol.p0 * k, sol.q0, 1)
         entries.append(
             BoundEntry(
                 name="biran-product",
-                value=BoundValue(factors.plane.bound.value * factors.single),
+                value=BoundValue(factors.plane.bound.value * single),
                 conjectural=not factors.witness.applicable
                 or factors.plane.status is PlaneValueStatus.CONJECTURAL,
                 detail=factors,
@@ -431,41 +439,28 @@ def dominance_scan(r: int, k_cap: int) -> ThresholdScan:
 
     Bands: on j^2 r <= k < (j+1)^2 r the floor is j, so k fails exactly
     when (r+2) k > j^2 r (r+3).  The failures of a band are therefore its
-    upper part, and the band (clipped to k_cap) holds a failure iff its
-    last k does; the last failure is the end of the last such band.
-
-    The tail certificate: k <= r (j+1)^2 + r - 1 always, so failures are
-    impossible once j^2 r (r+3) >= (r+2)(r (j+1)^2 + r - 1).  With j* the
-    smallest such j, every k >= r * j*^2 dominates; when k_cap reaches
-    that cutoff, the window contains every failure there is.  Only the
-    bands below min(k_cap, cutoff) are visited, so the cost is O(j*),
-    about 2r bands, whatever k_cap is.
+    upper part, and a band holds a failure iff its last k does.  That k,
+    (j+1)^2 r - 1, fails iff r j^2 - 2r(r+2) j - (r+2)(r-1) < 0.  With
+    x = r + 2 the larger root of that quadratic is
+    x + sqrt(x^2 + x (r-1)/r), and since 0 < x (r-1)/r < 2x + 1 it lies
+    strictly between 2x and 2x + 1; the smaller root is negative.  So
+    the bands j <= 2r + 4 all fail at their end, and no k from
+    band_cutoff = r (2r + 5)^2 on fails: band_cutoff - 1 is the last
+    failure there is.  Below the cutoff, the last failure up to k_cap is
+    k_cap itself or, when k_cap dominates, the end of the band below
+    k_cap's.  The cost is a few big-int steps whatever r and k_cap are.
     """
     if r < 2:
         raise ValueError(f"dominance scan needs r >= 2, got {r}")
     if k_cap < 1:
         raise ValueError(f"need k_cap >= 1, got {k_cap}")
-    # As a quadratic in j the certificate margin opens upward, is negative
-    # at j = 0, and has its vertex at j = r + 2, so the first nonnegative j
-    # lies past the vertex and the margin stays nonnegative from there on.
-    j = 0
-    while j * j * r * (r + 3) < (r + 2) * (r * (j + 1) ** 2 + r - 1):
-        j += 1
-    band_cutoff = r * j * j
-    stable = k_cap + 1 >= band_cutoff
-
-    last_failure = None
-    j = 0
-    while j * j * r <= min(k_cap, band_cutoff):
-        end = min((j + 1) ** 2 * r - 1, k_cap)
-        if not _floor_dominates(end, r):
-            last_failure = end
-        j += 1
-
-    if last_failure is None:
-        threshold: Optional[int] = 1
-    elif last_failure == k_cap:
-        threshold = None
+    band_cutoff = r * (2 * r + 5) ** 2
+    if k_cap >= band_cutoff:
+        last_failure = band_cutoff - 1
+    elif _floor_dominates(k_cap, r):
+        # band 0 fails at every k >= 1, so k_cap's band is band 1 or above
+        last_failure = isqrt(k_cap // r) ** 2 * r - 1
     else:
-        threshold = last_failure + 1
-    return ThresholdScan(r, k_cap, threshold, last_failure, band_cutoff, stable)
+        last_failure = k_cap
+    threshold = None if last_failure == k_cap else last_failure + 1
+    return ThresholdScan(r, k_cap, threshold, last_failure, band_cutoff, k_cap + 1 >= band_cutoff)

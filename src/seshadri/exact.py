@@ -31,19 +31,21 @@ __all__ = [
 def squarefree_decompose(n: int) -> tuple[int, int]:
     """Write n = a*a*b with b squarefree; returns (a, b).
 
-    Trial division, while p*p is at most the part of n not yet divided
-    out, so the loop runs up to the larger of the second-largest prime
-    factor and the square root of the largest.  Radicands are not small:
-    generic_lower_value decomposes the reduced (r+2)*k*(r+3)*r, which is
-    about 2.5 * 10^14 at k = 997, r = 10^4.  Its prime factors are those
-    of the small arguments k, r, r+2 and r+3, which keeps the loop short.
+    Trial division, while p*p*p is at most the part m of n not yet
+    divided out.  When it stops, every prime below p has been divided out
+    and p^3 > m, so m has at most two prime factors: it is 1, a prime, a
+    product of two distinct primes, or the square of a prime, and one
+    isqrt(m) tells the square from the rest.  The loop never passes the
+    cube root of n, so a radicand with two large prime factors, such as
+    (r+2)*k with r+2 and k primes near 10^8, costs about 10^5 divisions
+    where a loop to the square root took 5 * 10^7.
     """
     if n < 1:
         raise ValueError(f"squarefree_decompose requires n >= 1, got {n}")
     square_part, free_part = 1, 1
     m = n
     p = 2
-    while p * p <= m:
+    while p * p * p <= m:
         if m % p == 0:
             e = 0
             while m % p == 0:
@@ -53,8 +55,10 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
             if e % 2:
                 free_part *= p
         p += 1 if p == 2 else 2
-    free_part *= m  # leftover factor is prime, hence squarefree
-    return square_part, free_part
+    s = isqrt(m)
+    if s * s == m:  # m is 1 or the square of a prime
+        return square_part * s, free_part
+    return square_part, free_part * m  # a prime or two distinct primes
 
 
 # A denominator needs a nonzero digit: "1/0" is not a surd string.

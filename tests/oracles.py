@@ -3,13 +3,13 @@
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import total_ordering
+from functools import lru_cache, total_ordering
 
-from seshadri.bounds import SubmaximalCandidate, ThresholdScan
+from seshadri.bounds import SubmaximalCandidate, ThresholdScan, nagata_plane_value
 from seshadri.exact import isqrt, squarefree_decompose
 from seshadri.inequalities import el_xu_feasible, han_applies, han_margin, is_subgeneric
 from seshadri.oracle import CaseLabel, HanScan, SearchResult, TheoremScan, Violation
-from seshadri.pell import PellSolution
+from seshadri.pell import PellSolution, szemberg_single_point_bound
 
 
 @total_ordering
@@ -156,26 +156,77 @@ def pell_period_walk(k: int) -> tuple[int, int]:
         odd = not odd
 
 
-def dominance_scan_walk(r: int, k_caps) -> dict[int, ThresholdScan]:
-    """dominance_scan at each cap in k_caps, by testing every k from 1 to
-    the largest cap in one walk."""
+def squarefree_trial_division(n: int) -> tuple[int, int]:
+    """squarefree_decompose by trial division while p*p is at most the part
+    of n not yet divided out; what is left over is 1 or a prime."""
+    square_part, free_part = 1, 1
+    m = n
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            square_part *= p ** (e // 2)
+            if e % 2:
+                free_part *= p
+        p += 1 if p == 2 else 2
+    return square_part, free_part * m
+
+
+def biran_product_value(k: int, r: int):
+    """The product bound at (k, r): the plane value times the single-point
+    bound as a Fraction, reduced by its gcd."""
+    return nagata_plane_value(r).bound.value * szemberg_single_point_bound(k)
+
+
+@lru_cache(maxsize=None)
+def band_cutoff_by_steps(r: int) -> int:
+    """r * j*^2 for the least j* with j*^2 r (r+3) >= (r+2)(r (j*+1)^2 + r - 1),
+    found by stepping j up from 0."""
     j = 0
     while j * j * r * (r + 3) < (r + 2) * (r * (j + 1) ** 2 + r - 1):
         j += 1
-    band_cutoff = r * j * j
+    return r * j * j
+
+
+def _threshold(last_failure, k_cap):
+    if last_failure is None:
+        return 1
+    return None if last_failure == k_cap else last_failure + 1
+
+
+def dominance_scan_bands(r: int, k_cap: int) -> ThresholdScan:
+    """dominance_scan by testing the last k of every band j^2 r <= k <
+    (j+1)^2 r, clipped to k_cap, up to min(k_cap, band cutoff)."""
+    band_cutoff = band_cutoff_by_steps(r)
+    last_failure = None
+    j = 0
+    while j * j * r <= min(k_cap, band_cutoff):
+        end = min((j + 1) ** 2 * r - 1, k_cap)
+        floor = isqrt(end // r)
+        if floor * floor * (r + 3) * r < (r + 2) * end:
+            last_failure = end
+        j += 1
+    return ThresholdScan(
+        r, k_cap, _threshold(last_failure, k_cap), last_failure, band_cutoff, k_cap + 1 >= band_cutoff
+    )
+
+
+def dominance_scan_walk(r: int, k_caps) -> dict[int, ThresholdScan]:
+    """dominance_scan at each cap in k_caps, by testing every k from 1 to
+    the largest cap in one walk."""
+    band_cutoff = band_cutoff_by_steps(r)
     wanted, scans, last_failure = set(k_caps), {}, None
     for k in range(1, max(wanted) + 1):
         floor = isqrt(k // r)
         if floor * floor * (r + 3) * r < (r + 2) * k:
             last_failure = k
         if k in wanted:
-            if last_failure is None:
-                threshold = 1
-            elif last_failure == k:
-                threshold = None
-            else:
-                threshold = last_failure + 1
-            scans[k] = ThresholdScan(r, k, threshold, last_failure, band_cutoff, k + 1 >= band_cutoff)
+            scans[k] = ThresholdScan(
+                r, k, _threshold(last_failure, k), last_failure, band_cutoff, k + 1 >= band_cutoff
+            )
     return scans
 
 

@@ -9,7 +9,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from oracles import candidates_double_loop, dominance_scan_walk
+from oracles import (
+    band_cutoff_by_steps,
+    biran_product_value,
+    candidates_double_loop,
+    dominance_scan_bands,
+    dominance_scan_walk,
+)
 
 import seshadri.bounds as bounds
 import seshadri.cli as cli
@@ -27,6 +33,7 @@ from seshadri.bounds import (
     upper_bound,
 )
 from seshadri.exact import Surd, isqrt, render_decimal
+from seshadri.inequalities import is_square
 from seshadri.pell import fsst_applicable, szemberg_single_point_bound
 
 
@@ -185,6 +192,26 @@ class TestBiranProduct:
     def test_rational_product(self):
         assert Surd(Fraction(1)) * Fraction(2, 5) == Fraction(2, 5)
 
+    # Four k from each of the benchmark's Pell tables: solutions of about
+    # 2,600 and 4,500 digits.
+    PELL_K = (106887466, 391454951, 719426705, 970814363)
+    OVERFLOW_K = (129813574, 417416365, 683838295, 967662097)
+
+    def test_matches_the_fraction_product_on_large_pell_k(self):
+        for k in self.PELL_K + self.OVERFLOW_K:
+            for r in (2, 8, 9, 150, 10**4):
+                entry = next(e for e in compare_bounds(k, r).entries if e.name == "biran-product")
+                assert entry.value.value == biran_product_value(k, r), (k, r)
+                assert entry.detail.single == szemberg_single_point_bound(k)
+
+    def test_matches_the_fraction_product_to_k_200(self):
+        for k in range(2, 201):
+            if is_square(k):
+                continue
+            for r in list(range(2, 13)) + [16, 25, 49, 101]:
+                entry = next(e for e in compare_bounds(k, r).entries if e.name == "biran-product")
+                assert entry.value.value == biran_product_value(k, r), (k, r)
+
 
 class TestNagataPlaneValue:
     @pytest.mark.parametrize(
@@ -261,14 +288,16 @@ class TestCompareBounds:
         # with and without very-ampleness: values, order, ranks, candidates
         # and details.  It was taken from the Fraction-based Surd kernel, and
         # retaken when the records lost their prose fields (applicability,
-        # attribution, annotation, winner, exceptional, note, form): the old
-        # reprs with exactly those fields cut out hash to the new value.
+        # attribution, annotation, winner, exceptional, note, form), and again
+        # when ProductFactors.single became a property read from the Pell
+        # solution: each time the old reprs with exactly those fields cut
+        # out hash to the new value.
         digest = hashlib.sha256()
         for very_ample in (False, True):
             for k in range(1, 201):
                 for r in range(2, 51):
                     digest.update(repr(compare_bounds(k, r, very_ample=very_ample)).encode() + b"\n")
-        assert digest.hexdigest() == "4519a1f361ca85ad41cb72494df113538bfd25db7bb037d07a53115618b2810f"
+        assert digest.hexdigest() == "3da06d6e0038529a764d8b0f022405ae5bd00e9aef531fa402fd607e53338216"
 
     def test_harbourne_omitted_without_very_ample(self):
         rep = compare_bounds(35, 101, very_ample=False)
@@ -452,6 +481,51 @@ class TestDominanceThreshold:
             walked = dominance_scan_walk(r, caps)
             for cap in caps:
                 assert dominance_scan(r, cap) == walked[cap], (r, cap)
+
+    def test_against_band_loop(self):
+        # Every r below 300 on caps 1..399 and a cap far past every cutoff;
+        # a few r past the walk test's range also at every band edge j^2 r
+        # and (j+1)^2 r - 1 and its neighbours, up to the band past the
+        # cutoff.
+        for r in range(2, 300):
+            caps = set(range(1, 400)) | {10**12}
+            if r in (41, 97, 151):
+                top = isqrt(band_cutoff_by_steps(r) // r) + 1
+                caps |= {
+                    edge + step
+                    for j in range(top + 1)
+                    for edge in (j * j * r, (j + 1) ** 2 * r - 1)
+                    for step in (-1, 0, 1)
+                    if edge + step >= 1
+                }
+            for cap in caps:
+                assert dominance_scan(r, cap) == dominance_scan_bands(r, cap), (r, cap)
+
+    def test_ten_million_points(self):
+        # At r = 10^7 the certificate's j* is about 2 * 10^7, too far to
+        # step to; (j* - 1, j*) bracket the certificate.
+        r = 10**7
+        scan = dominance_scan(r, 1)
+        j = isqrt(scan.band_cutoff // r)
+        assert j * j * r == scan.band_cutoff
+
+        def certified(j):
+            return j * j * r * (r + 3) >= (r + 2) * (r * (j + 1) ** 2 + r - 1)
+
+        assert certified(j) and not certified(j - 1)
+        assert (scan.threshold, scan.last_failure, scan.stable_beyond_cap) == (None, 1, False)
+
+        def fails(k):
+            f = isqrt(k // r)
+            return f * f * (r + 3) * r < (r + 2) * k
+
+        # Past the cutoff, the last failure ends a band, and the next band
+        # end dominates.
+        far = dominance_scan(r, 10**30)
+        big_j = isqrt((far.last_failure + 1) // r)
+        assert big_j * big_j * r == far.last_failure + 1
+        assert fails(far.last_failure) and not fails((big_j + 1) ** 2 * r - 1)
+        assert far.threshold == far.last_failure + 1 and far.stable_beyond_cap
 
     def test_far_cap_matches_near_cap(self):
         far = dominance_scan(10, 10**15)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
-from oracles import FractionSurd, fraction_render_decimal
+from oracles import FractionSurd, fraction_render_decimal, squarefree_trial_division
 
 from seshadri.exact import Surd, isqrt, render_decimal, squarefree_decompose
 
@@ -52,6 +52,21 @@ class TestSquarefreeDecompose:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             squarefree_decompose(0)
+
+    def test_matches_trial_division_to_200_000(self):
+        for n in range(1, 200_001):
+            assert squarefree_decompose(n) == squarefree_trial_division(n), n
+
+    # Primes on both sides of the cube-root cutoff: p*q has its smaller
+    # factor below the cube root exactly when q > p^2, so each small prime
+    # comes with primes just under and just over its square.
+    PRIMES = (2, 3, 7, 11, 47, 53, 101, 2207, 2213, 2803, 2819, 10193, 10211)
+
+    def test_matches_trial_division_on_two_and_three_prime_factors(self):
+        for p in self.PRIMES:
+            for q in self.PRIMES:
+                for n in (p**2, p**3, p * p * q, p * q):
+                    assert squarefree_decompose(n) == squarefree_trial_division(n), (p, q, n)
 
     @given(st.integers(min_value=1, max_value=200_000))
     def test_reconstructs_and_is_squarefree(self, n):

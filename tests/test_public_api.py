@@ -48,7 +48,7 @@ RECORD_FIELDS = {
     "HarbourneElement": ("value", "source", "d", "num", "den"),
     "HarbourneBound": ("bound", "elements"),
     "PlaneValue": ("bound", "status"),
-    "ProductFactors": ("single", "pell", "witness", "plane"),
+    "ProductFactors": ("pell", "witness", "plane"),
     "BoundEntry": ("name", "value", "conjectural", "candidates", "detail"),
     "BoundReport": ("k", "r", "upper", "entries", "ranks"),
     "ThresholdScan": ("r", "k_cap", "threshold", "last_failure", "band_cutoff", "stable_beyond_cap"),

@@ -60,3 +60,11 @@ def test_squarefree_decompose(n):
 def test_squarefree_decompose_with_square_part(a, b):
     n = a * a * b
     assert squarefree_decompose(n) == sympy_squarefree(n)
+
+
+def test_squarefree_decompose_two_primes_near_1e8():
+    # 99999971 * 99999989: trial division stops at the cube root, not at
+    # the smaller prime
+    n = 9_999_996_000_000_319
+    assert len(sympy.factorint(n)) == 2
+    assert squarefree_decompose(n) == sympy_squarefree(n) == (1, n)
