@@ -5,59 +5,101 @@ bounds for the Seshadri constant of the ample generator at r very general
 points, entirely in exact arithmetic: rationals are fractions, irrational
 bounds are surds q*sqrt(n), and every comparison is decided by integer
 cross-multiplication.
+
+Importing the package loads none of its modules: each name below loads
+the module that defines it on first access (PEP 562), so a command-line
+run pays only for the modules its subcommand uses.
 """
 
-from .exact import Surd, isqrt, render_decimal, squarefree_decompose
-from .pell import FsstWitness, PellSolution, fsst_applicable, pell_fundamental, szemberg_single_point_bound
-from .bounds import (
-    BoundEntry,
-    BoundReport,
-    BoundValue,
-    HarbourneBound,
-    HarbourneElement,
-    MainLowerBound,
-    PlaneValue,
-    PlaneValueStatus,
-    ProductFactors,
-    SubmaximalCandidate,
-    ThresholdScan,
-    compare_bounds,
-    dominance_scan,
-    enumerate_exceptional_candidates,
-    generic_lower_value,
-    harbourne_bound,
-    main_lower_bound,
-    nagata_plane_value,
-    szemberg_floor_bound,
-    upper_bound,
-)
-from .oracle import (
-    CaseLabel,
-    HanScan,
-    K3Exclusion,
-    K3TraceRow,
-    Multiplicities,
-    SearchResult,
-    TheoremScan,
-    TheoremViolation,
-    Violation,
-    check_el_xu,
-    classify_case,
-    feasible_multiplicities,
-    k3_case2_excluded,
-    k3_h0,
-    min_ratio_search,
-    validate_multiplicities,
-    verify_han_exhaustive,
-    verify_theorem,
-)
-from .catalog import (
-    SurfaceKind,
-    SurfaceSpec,
-    SurfaceSyntaxError,
-    known_value,
-    make_surface,
-    parse_surface,
-)
-
 __version__ = "0.1.0"
+
+# Every public name, with the module that defines it.
+_EXPORTS = {
+    **dict.fromkeys(("Surd", "isqrt", "render_decimal", "squarefree_decompose"), "exact"),
+    **dict.fromkeys(
+        (
+            "FsstWitness",
+            "PellSolution",
+            "fsst_applicable",
+            "pell_fundamental",
+            "szemberg_single_point_bound",
+        ),
+        "pell",
+    ),
+    **dict.fromkeys(
+        (
+            "BoundEntry",
+            "BoundReport",
+            "BoundValue",
+            "HarbourneBound",
+            "HarbourneElement",
+            "MainLowerBound",
+            "PlaneValue",
+            "PlaneValueStatus",
+            "ProductFactors",
+            "SubmaximalCandidate",
+            "ThresholdScan",
+            "compare_bounds",
+            "dominance_scan",
+            "enumerate_exceptional_candidates",
+            "generic_lower_value",
+            "harbourne_bound",
+            "main_lower_bound",
+            "nagata_plane_value",
+            "szemberg_floor_bound",
+            "upper_bound",
+        ),
+        "bounds",
+    ),
+    **dict.fromkeys(
+        (
+            "CaseLabel",
+            "HanScan",
+            "K3Exclusion",
+            "K3TraceRow",
+            "Multiplicities",
+            "SearchResult",
+            "TheoremScan",
+            "TheoremViolation",
+            "Violation",
+            "check_el_xu",
+            "classify_case",
+            "feasible_multiplicities",
+            "k3_case2_excluded",
+            "k3_h0",
+            "min_ratio_search",
+            "validate_multiplicities",
+            "verify_han_exhaustive",
+            "verify_theorem",
+        ),
+        "oracle",
+    ),
+    **dict.fromkeys(
+        (
+            "SurfaceKind",
+            "SurfaceSpec",
+            "SurfaceSyntaxError",
+            "known_value",
+            "make_surface",
+            "parse_surface",
+        ),
+        "catalog",
+    ),
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cmp_to_key
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .exact import Surd, _surd, isqrt
 from .inequalities import is_square, is_subgeneric
@@ -58,8 +58,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BoundValue:
+class BoundValue(NamedTuple):
     """An exact bound value with its qualifications.
 
     attained is False when the value is only a supremum (approached but
@@ -72,8 +71,7 @@ class BoundValue:
     conditional: bool = False
 
 
-@dataclass(frozen=True)
-class SubmaximalCandidate:
+class SubmaximalCandidate(NamedTuple):
     """A potential exceptional curve class: C in |dL| through s points.
 
     The curve passes through s <= r very general points with multiplicity
@@ -86,8 +84,7 @@ class SubmaximalCandidate:
     value: Fraction
 
 
-@dataclass(frozen=True)
-class MainLowerBound:
+class MainLowerBound(NamedTuple):
     """Main theorem bound plus its exceptional-candidate list; the bound is
     unconditional only at (r, k) = (2, 6)."""
 
@@ -105,8 +102,7 @@ class MainLowerBound:
         return min(self.bound.value, smallest)
 
 
-@dataclass(frozen=True)
-class HarbourneElement:
+class HarbourneElement(NamedTuple):
     """One member of the three-set maximum, with its defining fraction.
 
     num/den is the fraction exactly as the formula produces it (before
@@ -123,8 +119,7 @@ class HarbourneElement:
     den: int
 
 
-@dataclass(frozen=True)
-class HarbourneBound:
+class HarbourneBound(NamedTuple):
     """The three-set maximum with every element; bound.attained is False
     in the exceptional case."""
 
@@ -138,8 +133,7 @@ class PlaneValueStatus(Enum):
     CONJECTURAL = "conjectural"
 
 
-@dataclass(frozen=True)
-class PlaneValue:
+class PlaneValue(NamedTuple):
     """Multi-point constant of the plane with its epistemic status."""
 
     bound: BoundValue
@@ -299,8 +293,7 @@ def nagata_plane_value(r: int) -> PlaneValue:
     return PlaneValue(BoundValue(value), PlaneValueStatus.CONJECTURAL)
 
 
-@dataclass(frozen=True)
-class ProductFactors:
+class ProductFactors(NamedTuple):
     """The product bound's factors: the Pell solution behind the
     single-point value p0*k/q0, its n^2 +- 1 witness, and the plane value
     at r."""
@@ -422,7 +415,7 @@ class ThresholdScan:
     r: int
     k_cap: int
     threshold: Optional[int]  # minimal N <= k_cap dominating through k_cap
-    last_failure: Optional[int]
+    last_failure: int  # k = 1 always fails (its floor is 0), so there is one
     band_cutoff: int  # every k >= band_cutoff provably dominates
     stable_beyond_cap: bool  # k_cap window covers all possible failures
 

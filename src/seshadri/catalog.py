@@ -9,9 +9,8 @@ only: the caveats that go with a kind are written by the CLI.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .bounds import PlaneValue, nagata_plane_value
 
@@ -37,8 +36,7 @@ class SurfaceKind(Enum):
     CUSTOM = "custom"
 
 
-@dataclass(frozen=True)
-class SurfaceSpec:
+class SurfaceSpec(NamedTuple):
     kind: SurfaceKind
     k: int  # self-intersection of the ample generator
     very_ample: bool

@@ -21,35 +21,22 @@ found a counterexample.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
-from .bounds import (
-    BoundEntry,
-    HarbourneBound,
-    MainLowerBound,
-    ProductFactors,
-    compare_bounds,
-    dominance_scan,
-    nagata_plane_value,
-)
-from .catalog import SurfaceKind, SurfaceSpec, SurfaceSyntaxError, known_value, parse_surface
+# Every subcommand renders through .exact, and every other module of the
+# package loads it.  The rest is imported inside the function that runs
+# it, so a process loads only its own subcommand's modules: `pell` never
+# loads the bounds or the oracle, the catalog loads only for --surface,
+# and json and csv only for their own format.
 from .exact import Surd, isqrt, render_decimal
-from .inequalities import is_square
-from .oracle import (
-    classify_case,
-    k3_case2_excluded,
-    min_ratio_search,
-    verify_han_exhaustive,
-    verify_theorem,
-)
-from .pell import fsst_applicable, pell_fundamental, szemberg_single_point_bound
+
+if TYPE_CHECKING:
+    from .bounds import BoundEntry
+    from .catalog import SurfaceSpec
 
 __all__ = ["main", "entrypoint"]
 
@@ -90,8 +77,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass
-class Entry:
+class Entry(NamedTuple):
     name: str
     exact: str
     decimal: str = ""
@@ -100,12 +86,17 @@ class Entry:
     attribution: str = ""
 
 
-@dataclass
 class Record:
-    command: str
-    inputs: list[tuple[str, str]]
-    entries: list[Entry] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
+    """One output record: the command, its inputs, then the entries and
+    notes the command appends."""
+
+    __slots__ = ("command", "inputs", "entries", "notes")
+
+    def __init__(self, command: str, inputs: list[tuple[str, str]]) -> None:
+        self.command = command
+        self.inputs = inputs
+        self.entries: list[Entry] = []
+        self.notes: list[str] = []
 
 
 # -- emission ------------------------------------------------------------
@@ -144,11 +135,13 @@ def _emit_text(records: list[Record], out: io.TextIOBase) -> None:
 
 
 def _emit_json(records: list[Record], out: io.TextIOBase) -> None:
+    import json
+
     for rec in records:
         obj = {
             "command": rec.command,
             "inputs": {k: v for k, v in rec.inputs},
-            "entries": [asdict(e) for e in rec.entries],
+            "entries": [e._asdict() for e in rec.entries],
             "notes": rec.notes,
         }
         out.write(json.dumps(obj, separators=(",", ":")) + "\n")
@@ -168,6 +161,8 @@ CSV_COLUMNS = [
 
 
 def _emit_csv(records: list[Record], out: io.TextIOBase) -> None:
+    import csv
+
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for rec in records:
@@ -229,19 +224,32 @@ def _n2_pm_1(k: int, n: int) -> str:
     return f"{n}^2{'+' if k > n * n else '-'}1"
 
 
-def _surface_note(surface: SurfaceSpec) -> Optional[str]:
-    """The caveat that goes with a surface, if any."""
+def _surface_notes(surface: SurfaceSpec, r: int) -> list[str]:
+    """The caveat that goes with a surface, if any, and its known value at
+    r, if one is on record."""
+    from .catalog import SurfaceKind, known_value
+
+    notes = []
     if surface.kind is SurfaceKind.GENERAL_K3 and not surface.very_ample:
-        return f"k = {surface.k}: ample generator is not very ample"
-    if surface.kind is SurfaceKind.ABELIAN_TYPE_1D:
-        return "very-ampleness not asserted for abelian polarizations"
-    if surface.kind is SurfaceKind.CUSTOM:
-        return "custom surface: Picard number 1 is an unverified assumption"
-    return None
+        notes.append(f"surface: k = {surface.k}: ample generator is not very ample")
+    elif surface.kind is SurfaceKind.ABELIAN_TYPE_1D:
+        notes.append("surface: very-ampleness not asserted for abelian polarizations")
+    elif surface.kind is SurfaceKind.CUSTOM:
+        notes.append("surface: custom surface: Picard number 1 is an unverified assumption")
+    known = known_value(surface, r)
+    if known is not None:
+        notes.append(
+            f"known exact value: {known.bound.value} "
+            f"({known.status.value})"
+            + (f"; {NINE_POINT_NOTE}" if r == 9 else "")
+        )
+    return notes
 
 
 def _entry_notes(entry: BoundEntry, r: int) -> list[str]:
     """Notes on one bound, written from the object it was built from."""
+    from .bounds import HarbourneBound, MainLowerBound, ProductFactors
+
     detail, notes = entry.detail, []
     if isinstance(detail, MainLowerBound):
         if not detail.bound.conditional:
@@ -294,12 +302,17 @@ def _entry_notes(entry: BoundEntry, r: int) -> list[str]:
 
 
 def cmd_bounds(args: argparse.Namespace) -> tuple[list[Record], int]:
-    try:
-        surface: Optional[SurfaceSpec] = (
-            parse_surface(args.surface) if args.surface is not None else None
-        )
-    except SurfaceSyntaxError as e:  # malformed string: usage, not domain
-        raise UsageError(str(e))
+    from .bounds import compare_bounds
+    from .inequalities import is_square
+
+    surface: Optional[SurfaceSpec] = None
+    if args.surface is not None:
+        from .catalog import SurfaceSyntaxError, parse_surface
+
+        try:
+            surface = parse_surface(args.surface)
+        except SurfaceSyntaxError as e:  # malformed string: usage, not domain
+            raise UsageError(str(e))
     if args.k is None and surface is None:
         raise UsageError("bounds needs --k or --surface")
     k_values = args.k if args.k is not None else [surface.k]
@@ -360,16 +373,7 @@ def cmd_bounds(args: argparse.Namespace) -> tuple[list[Record], int]:
             if k >= 2 and is_square(k):
                 rec.notes.append(f"no Pell single-point bound: k = {k} is a perfect square")
             if surface is not None:
-                note = _surface_note(surface)
-                if note:
-                    rec.notes.append(f"surface: {note}")
-                known = known_value(surface, r)
-                if known is not None:
-                    rec.notes.append(
-                        f"known exact value: {known.bound.value} "
-                        f"({known.status.value})"
-                        + (f"; {NINE_POINT_NOTE}" if r == 9 else "")
-                    )
+                rec.notes.extend(_surface_notes(surface, r))
             if args.all_digits:
                 rec.notes.append(_all_digit_note("upper", report.upper.value))
                 for entry in report.entries:
@@ -379,6 +383,8 @@ def cmd_bounds(args: argparse.Namespace) -> tuple[list[Record], int]:
 
 
 def cmd_pell(args: argparse.Namespace) -> tuple[list[Record], int]:
+    from .pell import fsst_applicable, pell_fundamental, szemberg_single_point_bound
+
     k = args.k
     sol = pell_fundamental(k)
     bound = szemberg_single_point_bound(k)
@@ -409,6 +415,8 @@ def cmd_pell(args: argparse.Namespace) -> tuple[list[Record], int]:
 
 
 def cmd_search(args: argparse.Namespace) -> tuple[list[Record], int]:
+    from .oracle import classify_case, min_ratio_search
+
     k, r, d_max = args.k, args.r, args.d_max
     m_max = args.m_max if args.m_max is not None else isqrt(d_max * d_max * k) + 1
     result = min_ratio_search(k, r, d_max, m_max)
@@ -446,6 +454,8 @@ def cmd_search(args: argparse.Namespace) -> tuple[list[Record], int]:
 
 
 def cmd_verify(args: argparse.Namespace) -> tuple[list[Record], int]:
+    from .oracle import k3_case2_excluded, verify_han_exhaustive, verify_theorem
+
     if args.suite == "theorem":
         scan = verify_theorem(args.k_max, args.r_max, args.d_max, args.m_max)
         rec = Record(
@@ -527,6 +537,8 @@ def cmd_verify(args: argparse.Namespace) -> tuple[list[Record], int]:
 
 
 def cmd_threshold(args: argparse.Namespace) -> tuple[list[Record], int]:
+    from .bounds import dominance_scan
+
     scan = dominance_scan(args.r, args.k_cap)
     rec = Record(
         command="threshold",
@@ -539,8 +551,7 @@ def cmd_threshold(args: argparse.Namespace) -> tuple[list[Record], int]:
             applicability="minimal N with floor dominance on [N, k_cap]",
         )
     )
-    if scan.last_failure is not None:
-        rec.entries.append(Entry(name="last-failure", exact=str(scan.last_failure)))
+    rec.entries.append(Entry(name="last-failure", exact=str(scan.last_failure)))
     rec.entries.append(Entry(name="band-cutoff", exact=str(scan.band_cutoff)))
     if scan.threshold is None:
         rec.notes.append("floor bound still loses at k_cap; raise the cap")
@@ -557,6 +568,8 @@ def cmd_threshold(args: argparse.Namespace) -> tuple[list[Record], int]:
 
 
 def cmd_p2_table(args: argparse.Namespace) -> tuple[list[Record], int]:
+    from .bounds import nagata_plane_value
+
     achievers = {
         2: "achieved by a line through two of the points",
         3: "achieved by a line through two of the points",

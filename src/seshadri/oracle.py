@@ -491,8 +491,7 @@ class K3TraceRow(NamedTuple):
     branch: str  # direct | no-curve | dimension-exact | dimension-excess
 
 
-@dataclass
-class K3Exclusion:
+class K3Exclusion(NamedTuple):
     excluded: bool
     trace: tuple[K3TraceRow, ...]
 

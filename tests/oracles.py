@@ -192,8 +192,6 @@ def band_cutoff_by_steps(r: int) -> int:
 
 
 def _threshold(last_failure, k_cap):
-    if last_failure is None:
-        return 1
     return None if last_failure == k_cap else last_failure + 1
 
 

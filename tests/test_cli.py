@@ -192,7 +192,7 @@ class TestSearchCommand:
 
     def test_empty_box_is_usage_error(self, capsys, monkeypatch):
         # rejected while parsing, before any search runs
-        monkeypatch.setattr(cli, "min_ratio_search", lambda *a: pytest.fail("searched"))
+        monkeypatch.setattr(oracle, "min_ratio_search", lambda *a: pytest.fail("searched"))
         code, out, err = run_cli(capsys, "search", "--k", "1", "--r", "2", "--d-max", "0")
         assert (code, out) == (1, "")
         assert "argument --d-max: must be >= 1, got 0" in err
@@ -200,7 +200,7 @@ class TestSearchCommand:
     @pytest.mark.parametrize("r", ["1", "0", "-3"])
     def test_r_below_two_is_usage_error(self, capsys, monkeypatch, r):
         # rejected while parsing, before any search runs
-        monkeypatch.setattr(cli, "min_ratio_search", lambda *a: pytest.fail("searched"))
+        monkeypatch.setattr(oracle, "min_ratio_search", lambda *a: pytest.fail("searched"))
         code, out, err = run_cli(capsys, "search", "--k", "1", "--r", r, "--d-max", "1")
         assert (code, out) == (1, "")
         assert f"argument --r: must be >= 2, got {r}" in err
@@ -277,7 +277,7 @@ class TestVerifyCommand:
 
     def test_counterexample_exits_3(self, capsys, monkeypatch):
         fake = HanScan(1, ((3, 1),), ())
-        monkeypatch.setattr(cli, "verify_han_exhaustive", lambda s, m: fake)
+        monkeypatch.setattr(oracle, "verify_han_exhaustive", lambda s, m: fake)
         code, out, _ = run_cli(
             capsys, "verify", "--suite", "han", "--s-max", "2", "--m-max", "2",
             "--format", "json",
@@ -330,7 +330,7 @@ class TestUsageFloors:
         assert f"argument {flag}: must be >= {floor}, got {value}" in err
 
     def test_han_m_max_floor(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "verify_han_exhaustive", lambda *a: pytest.fail("scanned"))
+        monkeypatch.setattr(oracle, "verify_han_exhaustive", lambda *a: pytest.fail("scanned"))
         code, out, err = run_cli(capsys, "verify", "--suite", "han", "--m-max", "1")
         assert (code, out) == (1, "")
         assert "the han suite needs --m-max >= 2, got 1" in err

@@ -1,9 +1,11 @@
 """The public surface: each module's __all__ is what the package re-exports,
 and each public result record holds the fields pinned here."""
 
-import ast
 import dataclasses
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,16 +13,26 @@ import pytest
 import seshadri
 
 MODULES = ("exact", "pell", "bounds", "oracle", "catalog")
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def reexports() -> dict[str, list[str]]:
-    """Names seshadri/__init__.py imports, by the module they come from."""
-    tree = ast.parse(Path(seshadri.__file__).read_text())
+    """Names the package exports, by the module that defines them."""
     found: dict[str, list[str]] = {}
-    for node in tree.body:
-        if isinstance(node, ast.ImportFrom) and node.level == 1:
-            found.setdefault(node.module, []).extend(a.name for a in node.names)
+    for name, module in seshadri._EXPORTS.items():
+        found.setdefault(module, []).append(name)
     return found
+
+
+def fresh_python(script: str) -> str:
+    """stdout of `script` in a new interpreter without site, importing
+    seshadri from this checkout."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-B", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def test_reexports_come_only_from_the_listed_modules():
@@ -35,6 +47,40 @@ def test_all_matches_the_package_reexports(name):
     assert sorted(module.__all__) == sorted(imported)
     for attr in module.__all__:
         assert getattr(seshadri, attr) is getattr(module, attr)
+
+
+def test_star_import_binds_every_export_and_dir_lists_them():
+    namespace: dict = {}
+    exec("from seshadri import *", namespace)
+    exported = set(seshadri._EXPORTS)
+    assert set(seshadri.__all__) == exported
+    assert exported <= set(namespace) and exported <= set(dir(seshadri))
+    assert "__version__" in dir(seshadri)
+    for name in exported:
+        assert namespace[name] is getattr(seshadri, name)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="'seshadri' has no attribute 'nope'"):
+        seshadri.nope
+    assert not hasattr(seshadri, "nope")
+
+
+def test_bare_import_loads_no_submodule():
+    loaded = fresh_python(
+        "import sys, seshadri\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('seshadri'))))"
+    )
+    assert loaded.split() == ["seshadri"]
+
+
+def test_first_access_loads_only_the_defining_module():
+    loaded = fresh_python(
+        "import sys, seshadri\n"
+        "seshadri.pell_fundamental\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('seshadri'))))"
+    )
+    assert loaded.split() == ["seshadri", "seshadri.exact", "seshadri.pell"]
 
 
 # Records hold data only; the sentences the CLI prints about them live in
