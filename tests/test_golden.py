@@ -45,6 +45,7 @@ CASES = {
     "pell-conjectural": "pell --k 61",
     "search": "search --k 1 --r 5 --d-max 3",
     "verify-theorem": "verify --suite theorem --k-max 8 --r-max 6 --d-max 3 --m-max 6",
+    "verify-theorem-acceptance": "verify --suite theorem --k-max 20 --r-max 10 --d-max 5 --m-max 8",
     "verify-han": "verify --suite han --s-max 5 --m-max 6",
     "verify-han-wide": "verify --suite han --s-max 10 --m-max 14",
     "verify-k3": "verify --suite k3 --k-max 10 --r-max 6 --d-max 3",
