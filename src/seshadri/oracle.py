@@ -18,8 +18,10 @@ configurations, not the true constants: whether a configuration is
 realized by an actual curve is geometric input beyond exact arithmetic.
 
 Enumeration is deterministic.  The theorem scan and the minimum search
-walk only the vectors that can change their results, and count or bound
-the rest with memoized recursions that enumerate nothing.  The Han scan
+walk only the vectors that can change their results.  The theorem scan
+counts its whole box with one exact generating function, and the
+minimum search bounds the rest with a memoized recursion; neither
+enumerates the vectors it does not walk.  The Han scan
 counts vectors by class (length, last entry, sum, sum of squares), on
 which Han's inequality depends, and builds only the vectors of the
 classes that fail it or reach equality.
@@ -27,6 +29,7 @@ classes that fail it or reach equality.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -130,7 +133,7 @@ def classify_case(d: int, k: int, r: int, m: Sequence[int]) -> CaseLabel:
     return CaseLabel.GENERIC
 
 
-# _walk and the memoized counts below cover one tree, the EL-Xu tree: a
+# _walk and the memoized best sum below cover one tree, the EL-Xu tree: a
 # vector whose prefix leaves `room` = budget - sum(prefix^2) extends by an
 # entry e <= cap with e^2 - e <= room, and descends further only while
 # e^2 <= room, since appending entries can only grow sum(m_i^2) - m_s.
@@ -140,9 +143,11 @@ def classify_case(d: int, k: int, r: int, m: Sequence[int]) -> CaseLabel:
 # <= cap has sum(m_i^2) - m_s < length * cap^2, so a larger room changes
 # nothing and is clamped, which lets many budgets share one memo entry.
 # The memo is an argument, not a closure or a module-level cache, so it
-# is freed as soon as the call that made it returns.
+# is freed as soon as the call that made it returns.  The theorem scan
+# does not count this tree node by node: _count_feasible counts every
+# vector of it, for all of a scan's budgets at once, by sum(m_i^2) - m_s.
 
-_Memo = dict[tuple[int, int, int], tuple[int, int]]
+_Memo = dict[tuple[int, int, int], int]
 
 _TALLY_DEPTH = 256  # deepest recursion _tally_rec may reach
 
@@ -151,9 +156,9 @@ class _TooDeep(Exception):
     """_tally_rec needs the entry args[0], which lies deeper than it may recurse."""
 
 
-def _tally(cap: int, length: int, room: int, memo: _Memo) -> tuple[int, int]:
-    """(number of vectors, largest sum(m)) over what
-    _walk(cap, length, room, memo) yields; (0, 0) when it yields none.
+def _tally(cap: int, length: int, room: int, memo: _Memo) -> int:
+    """The largest sum(m) over what _walk(cap, length, room, memo)
+    yields; 0 when it yields none.
 
     The recursion is one level per entry, so a long vector would pass the
     interpreter's recursion limit.  _tally_rec stops at _TALLY_DEPTH and
@@ -175,28 +180,66 @@ def _tally(cap: int, length: int, room: int, memo: _Memo) -> tuple[int, int]:
         cap, length, room = pending.pop()
 
 
-def _tally_rec(cap: int, length: int, room: int, memo: _Memo, depth: int) -> tuple[int, int]:
+def _tally_rec(cap: int, length: int, room: int, memo: _Memo, depth: int) -> int:
     """_tally's recursion, depth levels below the entry _tally asked for."""
     room = min(room, length * cap * cap)
     key = (cap, length, room)
-    tally = memo.get(key)
-    if tally is None:
+    best = memo.get(key)
+    if best is None:
         if depth > _TALLY_DEPTH:
             raise _TooDeep(key)
-        count = best = 0
+        best = 0
         for e in range(1, cap + 1):
             if e * e - e > room:
                 break
-            count += 1
             total = e
             if length > 1 and e * e <= room:
-                tail_count, tail_best = _tally_rec(e, length - 1, room - e * e, memo, depth + 1)
-                count += tail_count
-                total += tail_best
+                total += _tally_rec(e, length - 1, room - e * e, memo, depth + 1)
             if total > best:
                 best = total
-        memo[key] = tally = (count, best)
-    return tally
+        memo[key] = best
+    return best
+
+
+def _count_feasible(cap: int, length: int, budgets: Sequence[int]) -> list[int]:
+    """For each budget, the number of nonincreasing vectors with entries in
+    [1, cap], at most length of them and sum(m_i^2) - m_s <= budget:
+    everything _walk(cap, length, budget, memo) yields.
+
+    A vector is its last entry e = m_s after a multiset of entries in
+    [e, cap], and sum(m_i^2) - m_s is the multiset's sum of squares plus
+    e^2 - e.  The counts are exact polynomials in x, packed into ints
+    with one `width`-bit slot per degree (Kronecker substitution), so a
+    shift by width*j multiplies by x^j.  With e running from cap down,
+    polys[l] gains polys[l - 1] * x^(e^2) for l ascending, and then counts
+    the multisets of l entries in [e, cap] by sum of squares; their sum,
+    times x^(e^2 - e), counts the vectors that end in e.  One product with
+    1 + x + ... + x^top turns the total into prefix sums, and the count
+    for a budget is the slot at that degree.  Memory: min(length, top + 1)
+    polys of (top + 1)*width bits.
+    """
+    # Past length*cap^2 no budget admits more vectors, so no slot above top
+    # is ever read, and every poly is truncated there.
+    top = min(max(budgets), length * cap * cap)
+    # Every coefficient, the prefix sums included, counts distinct vectors
+    # of the box, of which there are comb(length + cap, cap) - 1, so a slot
+    # of this width never carries into the next.
+    width = math.comb(length + cap, cap).bit_length()
+    mask = (1 << width * (top + 1)) - 1
+    # A vector of l + 1 entries has sum(m_i^2) - m_s >= l, so multisets of
+    # more than top entries never reach a slot that is read.
+    polys = [1] + [0] * (min(length, top + 1) - 1)
+    total = 0
+    for e in range(cap, 0, -1):
+        shift = width * e * e
+        for l in range(1, min(len(polys), top // (e * e) + 1)):
+            polys[l] = (polys[l] + (polys[l - 1] << shift)) & mask
+        if e * e - e <= top:
+            total += sum(polys) << width * (e * e - e)
+    ones = mask // ((1 << width) - 1)  # 1 + x + ... + x^top
+    prefix = ((total & mask) * ones) & mask
+    slot = (1 << width) - 1
+    return [(prefix >> width * min(budget, top)) & slot for budget in budgets]
 
 
 def _walk(
@@ -226,7 +269,7 @@ def _walk(
             if reached >= need:
                 yield tuple(entries), reached
             if length > 1 and e * e <= room and (
-                reached >= need or reached + _tally(e, length - 1, room - e * e, memo)[1] >= need
+                reached >= need or reached + _tally(e, length - 1, room - e * e, memo) >= need
             ):
                 frames.append((iter(range(lo, e + 1)), length - 1, room - e * e, reached))
                 break  # extend first; this frame resumes at e + 1
@@ -266,7 +309,7 @@ def min_ratio_search(k: int, r: int, d_max: int, m_max: int) -> SearchResult:
             f"empty search box: k={k}, r={r}, d_max={d_max}, m_max={m_max}"
         )
     memo: _Memo = {}
-    bests = [(d, _tally(m_max, r, d * d * k, memo)[1]) for d in range(1, d_max + 1)]
+    bests = [(d, _tally(m_max, r, d * d * k, memo)) for d in range(1, d_max + 1)]
     minimum = min(Fraction(d * k, best) for d, best in bests)
     witnesses = [
         (d, m)
@@ -332,8 +375,9 @@ def verify_theorem(
     d^2*k < (s+2)*m_s.  As s <= r_max, every entry of such a vector is at
     least d^2*k // (r_max + 2) + 1, and the walk starts its entries
     there.  The lemma does not use the trichotomy, so a real violation
-    is still found.  feasible_vectors counts the whole box with a
-    memoized recursion that enumerates nothing.
+    is still found.  feasible_vectors counts the whole box with one
+    exact generating function over every budget d^2*k of the scan
+    (_count_feasible), which enumerates nothing.
     """
     if not (1 <= k_min <= k_max and 2 <= r_min <= r_max and d_max >= 1 and m_max >= 1):
         raise ValueError("bad scan box")
@@ -342,13 +386,13 @@ def verify_theorem(
         CaseLabel.UNIT_MULTIPLICITY: 0,
         CaseLabel.TWO_SIX: 0,
     }
-    feasible = 0
-    memo: _Memo = {}
+    budgets = [d * d * k for k in range(k_min, k_max + 1) for d in range(1, d_max + 1)]
+    feasible = sum(_count_feasible(m_max, r_max, budgets))
     for k in range(k_min, k_max + 1):
         for d in range(1, d_max + 1):
             budget = d * d * k
-            feasible += _tally(m_max, r_max, budget, memo)[0]
-            for m, total in _walk(m_max, r_max, budget, memo, lo=budget // (r_max + 2) + 1):
+            # need = 0: the walk never consults the memo of best sums
+            for m, total in _walk(m_max, r_max, budget, {}, lo=budget // (r_max + 2) + 1):
                 for r in range(max(r_min, len(m)), r_max + 1):
                     if not is_subgeneric(budget, total, r):
                         break  # generic from here on; monotone in r

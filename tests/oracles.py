@@ -312,6 +312,35 @@ def el_xu_vectors(budget, max_len, m_max):
     return sorted(found)
 
 
+def el_xu_tally(cap, length, room, memo):
+    """(number of vectors, largest sum(m)) over the nonincreasing vectors
+    with entries in [1, cap], at most length of them and
+    sum(m_i^2) - m_s <= room; (0, 0) when there are none.
+
+    A memoized recursion over (cap, remaining length, remaining room),
+    one level per entry, so for short vectors only: the reference for
+    the theorem scan's generating-function count.  A vector extends by
+    e <= cap while e^2 - e fits the room, and descends past e only while
+    e^2 does.  memo may be shared between calls.
+    """
+    room = min(room, length * cap * cap)
+    key = (cap, length, room)
+    if key not in memo:
+        count = best = 0
+        for e in range(1, cap + 1):
+            if e * e - e > room:
+                break
+            count += 1
+            total = e
+            if length > 1 and e * e <= room:
+                tail_count, tail_best = el_xu_tally(e, length - 1, room - e * e, memo)
+                count += tail_count
+                total += tail_best
+            best = max(best, total)
+        memo[key] = (count, best)
+    return memo[key]
+
+
 def theorem_scan_walk(
     k_max, r_max, d_max, m_max, *, k_min=1, r_min=2,
     is_exception=lambda d, k, m: (d, k, m) == (1, 6, (2, 2)),

@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 import seshadri.oracle as oracle
-from oracles import el_xu_vectors, han_inequality, han_scan_walk, min_ratio_walk, theorem_scan_walk
+from oracles import (
+    el_xu_tally,
+    el_xu_vectors,
+    han_inequality,
+    han_scan_walk,
+    min_ratio_walk,
+    theorem_scan_walk,
+)
 from seshadri.inequalities import han_applies, han_margin
 from seshadri.oracle import (
     CaseLabel,
@@ -364,9 +371,67 @@ class TestAgainstFullWalk:
         # Below a prefix still short of need, the walk descends only when
         # _tally's best total reaches need.  Told that no subtree does, it
         # keeps exactly the vectors whose first entry alone reaches need.
-        monkeypatch.setattr(oracle, "_tally", lambda cap, length, room, memo: (0, 0))
+        monkeypatch.setattr(oracle, "_tally", lambda cap, length, room, memo: 0)
         walked = [m for m, _ in oracle._walk(7, 6, 3 * 3 * 4, {}, need=need)]
         assert walked == sorted(m for m in naive_feasible(3, 4, 6, 7) if m[0] >= need)
+
+
+class TestCountFeasible:
+    """_count_feasible, the theorem scan's count, against the memoized
+    recursion in tests/oracles.py and two closed forms."""
+
+    def test_agrees_with_the_memoized_recursion(self):
+        memo = {}
+        for cap in range(1, 10):
+            for length in range(1, 12):
+                rooms = range(length * cap * cap + 5)
+                expected = [el_xu_tally(cap, length, room, memo)[0] for room in rooms]
+                assert oracle._count_feasible(cap, length, rooms) == expected, (cap, length)
+                # alone, each room is the largest budget, so its slot is the top one
+                for room in rooms:
+                    assert oracle._count_feasible(cap, length, [room]) == [expected[room]], (cap, length, room)
+
+    def test_the_recursion_counts_the_vectors(self):
+        memo = {}
+        for cap, length, room in itertools.product((1, 3, 5), (1, 4, 6), (0, 3, 10, 40)):
+            vectors = el_xu_vectors(room, length, cap)
+            best = max(map(sum, vectors), default=0)
+            assert el_xu_tally(cap, length, room, memo) == (len(vectors), best)
+
+    @pytest.mark.parametrize("k_min,k_max,r_max,d_max", [(1, 9, 2, 3), (3, 40, 30, 2), (50, 60, 400, 4)])
+    def test_unit_entries(self, k_min, k_max, r_max, d_max):
+        # with m_max = 1 the vectors are (1,)*s, and s - 1 <= d^2*k
+        scan = verify_theorem(k_max, r_max, d_max, 1, k_min=k_min)
+        assert scan.feasible_vectors == sum(
+            min(r_max, d * d * k + 1) for k in range(k_min, k_max + 1) for d in range(1, d_max + 1)
+        )
+
+    @pytest.mark.parametrize("r_max,m_max", [(2, 2), (5, 3), (10, 8), (7, 12), (30, 4)])
+    def test_budgets_past_the_box(self, r_max, m_max):
+        # sum(m_i^2) - m_s is at most r_max*m_max^2 - m_max, so every budget
+        # from there on admits every nonincreasing vector of the box:
+        # comb(r_max + m_max, m_max) - 1 of them, which fills the count's
+        # widest slot.  No entry clears the walk's floor.
+        whole = math.comb(r_max + m_max, m_max) - 1
+        k_min = r_max * m_max * m_max
+        budgets = [k_min - m_max, k_min, k_min + 1, 4 * k_min]
+        assert oracle._count_feasible(m_max, r_max, budgets) == [whole] * 4
+        scan = verify_theorem(k_min + 4, r_max, 3, m_max, k_min=k_min)
+        assert scan.feasible_vectors == 5 * 3 * whole
+        assert scan.subgeneric_counts == {CaseLabel.UNIT_MULTIPLICITY: 0, CaseLabel.TWO_SIX: 0}
+
+    def test_repeated_budgets_each_count(self):
+        # With k_min > 1, d^2*k still repeats across (k, d): 8 at (8, 1) and
+        # (2, 2), 36 at (9, 2) and (4, 3).  Each (k, d) counts on its own.
+        k_min, k_max, r_max, d_max, m_max = 2, 9, 7, 3, 6
+        budgets = [d * d * k for k in range(k_min, k_max + 1) for d in range(1, d_max + 1)]
+        assert len(set(budgets)) < len(budgets)
+        memo = {}
+        expected = [el_xu_tally(m_max, r_max, budget, memo)[0] for budget in budgets]
+        assert oracle._count_feasible(m_max, r_max, budgets) == expected
+        scan = verify_theorem(k_max, r_max, d_max, m_max, k_min=k_min)
+        assert scan.feasible_vectors == sum(expected)
+        assert oracle._count_feasible(m_max, r_max, [4, 4, 4]) == [expected[budgets.index(4)]] * 3
 
 
 class TestVerifyHan:
