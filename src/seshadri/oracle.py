@@ -22,9 +22,10 @@ walk only the vectors that can change their results.  The theorem scan
 counts its whole box with one exact generating function, and the
 minimum search bounds the rest with a memoized recursion; neither
 enumerates the vectors it does not walk.  The Han scan
-counts vectors by class (length, last entry, sum, sum of squares), on
-which Han's inequality depends, and builds only the vectors of the
-classes that fail it or reach equality.
+counts vectors by group (length, last entry, sum), holding each group's
+least sum of squares, which settles Han's inequality for the whole
+group; it builds only the vectors of the groups that can fail it or
+reach equality.
 """
 
 from __future__ import annotations
@@ -416,59 +417,80 @@ def verify_han_exhaustive(s_max: int, m_max: int) -> HanScan:
     """Check Han's inequality on every applicable vector with s <= s_max
     and m_1 <= m_max; equality witnesses are recorded.
 
-    Whether the inequality applies, and its margin, depend only on the
-    class of a vector: its length s, last entry m_s, sum(m) and
-    sum(m_i^2); a vector applies iff s >= 2, sum(m) > s (not all ones)
-    and it is not (2, 2).  So the scan counts the vectors of each class,
-    evaluates the margin once per class, and builds only the vectors of
-    the classes with margin <= 0, checking them against the count.
+    A vector applies iff s >= 2, sum(m) > s (not all ones) and it is not
+    (2, 2).  The scan counts the vectors of each group: length s, last
+    entry m_s and sum(m).  Each group holds its vector count and its
+    least sum(m_i^2), and one margin at that least sum of squares decides
+    the whole group (see the comments below).  Only the groups whose
+    least margin is <= 0 are listed vector by vector, checked against the
+    count and the least sum of squares, and each listed vector is then
+    sorted by its own margin.
 
-    Layer s holds, for each last entry e, the vector counts of the
-    classes of length s ending in e, keyed by sum(m)*Q + sum(m_i^2) with
-    Q above every sum of squares.  The vectors of length s ending in e
-    are those of length s - 1 ending in some L >= e, with e appended.
-    So, with e running from m_max down, the classes of layer s - 1 that
-    end in e are merged into one running union, whose keys shifted by
-    (e, e^2) are the classes of layer s that end in e.  Each class is
-    checked as it is made.  Layer s - 1 is dropped as it is merged, and
-    the layer of length s_max is never stored, so at most two layers are
-    held: memory grows with the classes of one length, not with s_max.
-    Counterexamples and equality witnesses come in the order of
-    (s, m[::-1]): by length, then as nondecreasing tuples.
+    Layer s holds, for each last entry e, the (count, least sum(m_i^2))
+    of the groups of length s ending in e, keyed by sum(m).  The vectors
+    of length s ending in e are those of length s - 1 ending in some
+    L >= e, with e appended.  So, with e running from m_max down, the
+    groups of layer s - 1 that end in e are merged into one running
+    union (counts added, least sums of squares min-ed), whose sums
+    shifted by e and least sums of squares shifted by e^2 are the groups
+    of layer s that end in e.  Each group is checked as it is made.
+    Layer s - 1 is dropped as it is merged, and the layer of length
+    s_max is never stored, so at most two layers are held: memory grows
+    with the groups of one length, not with s_max.  Counterexamples and
+    equality witnesses come in the order of (s, m[::-1]): by length,
+    then as nondecreasing tuples.
     """
     if s_max < 2 or m_max < 2:
         raise ValueError(f"need s_max, m_max >= 2, got {s_max}, {m_max}")
-    q_base = s_max * m_max * m_max + 1
     counterexamples: list[Multiplicities] = []
     equalities: list[Multiplicities] = []
     checked = 0
-    layer = {e: {e * q_base + e * e: 1} for e in range(1, m_max + 1)}  # s = 1
+    layer = {e: {e: (1, e * e)} for e in range(1, m_max + 1)}  # s = 1
     for s in range(2, s_max + 1):
-        running: dict[int, int] = {}
-        following: dict[int, dict[int, int]] = {}
+        running: dict[int, tuple[int, int]] = {}
+        following: dict[int, dict[int, tuple[int, int]]] = {}
         for e in range(m_max, 0, -1):
-            for key, count in layer.pop(e).items():
-                running[key] = running.get(key, 0) + count
-            shift = e * q_base + e * e  # appending e
-            classes = following[e] = {} if s < s_max else None
-            for key, count in running.items():
-                key += shift
-                if classes is not None:
-                    classes[key] = count
-                total, sum_sq = divmod(key, q_base)
-                if not han_applies(s, total, sum_sq):
+            for total, group in layer.pop(e).items():
+                held = running.get(total)
+                if held is not None:
+                    group = (held[0] + group[0], min(held[1], group[1]))
+                running[total] = group
+            groups = following[e] = {} if s < s_max else None
+            for total, (count, least) in running.items():
+                total += e  # appending e
+                least += e * e
+                if groups is not None:
+                    groups[total] = (count, least)
+                # han_applies reads sum(m_i^2) only to exclude (s, sum, sum_sq)
+                # = (2, 4, 8); the group (s, m_s, sum) = (2, 2, 4) is the
+                # singleton {(2, 2)}, so testing the least sum of squares is
+                # exact for every vector of the group.
+                if not han_applies(s, total, least):
                     continue
                 checked += count
-                margin = han_margin(s, total, sum_sq, e)
-                if margin > 0:
+                # The margin's sum(m_i^2) coefficient is (s+3)*s > 0, so a
+                # group holds a vector with margin <= 0 iff its vector of
+                # least sum(m_i^2) does.
+                if han_margin(s, total, least, e) > 0:
                     continue
-                vectors = _han_class(s, e, total, sum_sq, m_max)
+                vectors = _han_group(s, e, total, m_max)
                 if len(vectors) != count:
                     raise RuntimeError(
-                        f"class s={s}, m_s={e}, sum={total}, sum_sq={sum_sq} "
+                        f"group s={s}, m_s={e}, sum={total} "
                         f"lists {len(vectors)} vectors, its count is {count}"
                     )
-                (counterexamples if margin < 0 else equalities).extend(vectors)
+                squares = [sum(x * x for x in m) for m in vectors]
+                if min(squares) != least:
+                    raise RuntimeError(
+                        f"group s={s}, m_s={e}, sum={total} lists a least sum of "
+                        f"squares {min(squares)}, its least is {least}"
+                    )
+                for m, sum_sq in zip(vectors, squares):
+                    margin = han_margin(s, total, sum_sq, e)
+                    if margin < 0:
+                        counterexamples.append(m)
+                    elif margin == 0:
+                        equalities.append(m)
         layer = following
     return HanScan(checked, _in_scan_order(counterexamples), _in_scan_order(equalities))
 
@@ -478,38 +500,33 @@ def _in_scan_order(vectors: list[Multiplicities]) -> tuple[Multiplicities, ...]:
     return tuple(sorted(vectors, key=lambda m: (len(m), m[::-1])))
 
 
-def _han_class(s: int, last: int, total: int, sum_sq: int, cap: int) -> list[Multiplicities]:
-    """Every nonincreasing vector with s entries in [last, cap], m_s = last,
-    sum(m) = total and sum(m_i^2) = sum_sq, in increasing order of m[::-1].
+def _han_group(s: int, last: int, total: int, cap: int) -> list[Multiplicities]:
+    """Every nonincreasing vector with s entries in [last, cap], m_s = last
+    and sum(m) = total, in increasing order of m[::-1].
 
     s >= 2.  The walk picks entries from the last one up and keeps its
-    own stack, so a long class cannot exhaust the interpreter's recursion
-    limit.  It takes an entry e only if the n entries still to pick, each
-    in [e, cap], can have the remaining sum t and sum of squares q:
-    n*e <= t <= n*cap, n*e^2 <= q, t^2 <= n*q (Cauchy-Schwarz) and
-    q <= (e + cap)*t - n*e*cap (from sum (m_i - e)*(cap - m_i) >= 0).
+    own stack, so a long group cannot exhaust the interpreter's recursion
+    limit.  With n entries still to pick, each in [lo, cap] for lo the
+    entry before them, summing to t, the next entry e needs n*e <= t and
+    t - e <= (n - 1)*cap.  So it runs over exactly
+    [max(lo, t - (n - 1)*cap), min(cap, t // n)], and every entry taken
+    leads to a vector.
     """
 
-    def reachable(n: int, e: int, t: int, q: int) -> bool:
-        return (
-            n * e <= t <= n * cap
-            and n * e * e <= q <= (e + cap) * t - n * e * cap
-            and t * t <= n * q
-        )
+    def choices(lo: int, n: int, t: int) -> Iterator[int]:
+        return iter(range(max(lo, t - (n - 1) * cap), min(cap, t // n) + 1))
 
     found: list[Multiplicities] = []
     entries = [last]
-    frames = [(iter(range(last, cap + 1)), s - 1, total - last, sum_sq - last * last)]
+    frames = [(choices(last, s - 1, total - last), s - 1, total - last)]
     while frames:
-        choices, n, t, q = frames[-1]
-        for e in choices:
-            if not reachable(n - 1, e, t - e, q - e * e):
-                continue
+        next_entries, n, t = frames[-1]
+        for e in next_entries:
             if n == 1:
                 found.append((e, *reversed(entries)))
             else:
                 entries.append(e)
-                frames.append((iter(range(e, cap + 1)), n - 1, t - e, q - e * e))
+                frames.append((choices(e, n - 1, t - e), n - 1, t - e))
                 break  # extend first; this frame resumes at e + 1
         else:
             frames.pop()

@@ -416,3 +416,83 @@ def han_scan_walk(s_max, m_max, margin=None):
             elif value == 0:
                 equalities.append(m)
     return HanScan(checked, tuple(counterexamples), tuple(equalities))
+
+
+def han_class_scan(s_max, m_max, margin=None):
+    """verify_han_exhaustive by one layered DP state per class (s, m_s,
+    sum(m), sum(m_i^2)): the margin is evaluated once per class, and only
+    the classes with margin <= 0 are listed, by _han_class.
+
+    The scan's previous fast path, kept as a reference for its group DP.
+    Layer s holds, for each last entry e, the vector counts of the
+    classes of length s ending in e, keyed by sum(m)*Q + sum(m_i^2) with
+    Q above every sum of squares.  With e running from m_max down, the
+    classes of layer s - 1 that end in e join one running union, whose
+    keys shifted by (e, e^2) are the classes of layer s that end in e.
+    margin is as in han_scan_walk.
+    """
+    margin = margin or han_margin
+    q_base = s_max * m_max * m_max + 1
+    counterexamples, equalities, checked = [], [], 0
+    layer = {e: {e * q_base + e * e: 1} for e in range(1, m_max + 1)}  # s = 1
+    for s in range(2, s_max + 1):
+        running, following = {}, {}
+        for e in range(m_max, 0, -1):
+            for key, count in layer.pop(e).items():
+                running[key] = running.get(key, 0) + count
+            classes = following[e] = {}
+            for key, count in running.items():
+                key += e * q_base + e * e  # appending e
+                classes[key] = count
+                total, sum_sq = divmod(key, q_base)
+                if not han_applies(s, total, sum_sq):
+                    continue
+                checked += count
+                value = margin(s, total, sum_sq, e)
+                if value > 0:
+                    continue
+                vectors = _han_class(s, e, total, sum_sq, m_max)
+                if len(vectors) != count:
+                    raise AssertionError(f"class {s, e, total, sum_sq} lists {len(vectors)}, not {count}")
+                (counterexamples if value < 0 else equalities).extend(vectors)
+        layer = following
+    order = lambda m: (len(m), m[::-1])  # noqa: E731
+    return HanScan(checked, tuple(sorted(counterexamples, key=order)), tuple(sorted(equalities, key=order)))
+
+
+def _han_class(s, last, total, sum_sq, cap):
+    """Every nonincreasing vector with s entries in [last, cap], m_s = last,
+    sum(m) = total and sum(m_i^2) = sum_sq, in increasing order of m[::-1].
+
+    s >= 2.  Entries are picked from the last one up, on an explicit
+    stack.  An entry e is taken only if the n entries still to pick, each
+    in [e, cap], can have the remaining sum t and sum of squares q:
+    n*e <= t <= n*cap, n*e^2 <= q, t^2 <= n*q (Cauchy-Schwarz) and
+    q <= (e + cap)*t - n*e*cap (from sum (m_i - e)*(cap - m_i) >= 0).
+    """
+
+    def reachable(n, e, t, q):
+        return (
+            n * e <= t <= n * cap
+            and n * e * e <= q <= (e + cap) * t - n * e * cap
+            and t * t <= n * q
+        )
+
+    found = []
+    entries = [last]
+    frames = [(iter(range(last, cap + 1)), s - 1, total - last, sum_sq - last * last)]
+    while frames:
+        choices, n, t, q = frames[-1]
+        for e in choices:
+            if not reachable(n - 1, e, t - e, q - e * e):
+                continue
+            if n == 1:
+                found.append((e, *reversed(entries)))
+            else:
+                entries.append(e)
+                frames.append((iter(range(e, cap + 1)), n - 1, t - e, q - e * e))
+                break  # extend first; this frame resumes at e + 1
+        else:
+            frames.pop()
+            entries.pop()
+    return found

@@ -9,8 +9,10 @@ from hypothesis import given, strategies as st
 
 import seshadri.oracle as oracle
 from oracles import (
+    _han_class,
     el_xu_tally,
     el_xu_vectors,
+    han_class_scan,
     han_inequality,
     han_scan_walk,
     min_ratio_walk,
@@ -30,6 +32,12 @@ from seshadri.oracle import (
     verify_han_exhaustive,
     verify_theorem,
 )
+
+
+def split_margin(s, total, sum_sq, last):
+    """A fake Han margin, strictly increasing in sum_sq, that puts vectors
+    of one group (s, m_s, sum) on both sides of 0."""
+    return sum_sq - total * total // s - (total * 7 + last + s) % 5
 
 
 def naive_feasible(d, k, max_points, m_max):
@@ -472,12 +480,25 @@ class TestVerifyHan:
         [(s, m) for s in range(2, 8) for m in range(2, 10)] + [(8, 12)],
     )
     def test_equals_the_vector_walk(self, s_max, m_max):
-        assert verify_han_exhaustive(s_max, m_max) == han_scan_walk(s_max, m_max)
+        scan = verify_han_exhaustive(s_max, m_max)
+        assert scan == han_class_scan(s_max, m_max) == han_scan_walk(s_max, m_max)
+
+    @pytest.mark.parametrize(
+        "s_max,m_max",
+        [(s, m) for s in range(2, 8) for m in range(2, 10)] + [(8, 12)],
+    )
+    def test_equals_the_vector_walk_under_a_split_margin(self, s_max, m_max, monkeypatch):
+        monkeypatch.setattr(oracle, "han_margin", split_margin)
+        scan = verify_han_exhaustive(s_max, m_max)
+        assert scan == han_class_scan(s_max, m_max, split_margin)
+        assert scan == han_scan_walk(s_max, m_max, margin=split_margin)
 
     @pytest.mark.parametrize("s_max,m_max", [(4, 5), (6, 4), (7, 7)])
     def test_lists_every_vector_of_a_failing_class_in_order(self, s_max, m_max, monkeypatch):
         # A margin that is <= 0 on about two classes in three, so classes
         # holding many vectors are enumerated and interleave in the order.
+        # sum_sq*3 % 3 == 0, so it ignores sum(m_i^2): every vector of a
+        # group (s, m_s, sum) gets the same margin, and no group is split.
         def fake(s, total, sum_sq, last):
             return (total * 7 + sum_sq * 3 + last + s) % 3 - 1
 
@@ -486,6 +507,39 @@ class TestVerifyHan:
         assert scan == han_scan_walk(s_max, m_max, margin=fake)
         classes = {(len(m), m[-1], sum(m), sum(e * e for e in m)) for m in scan.counterexamples}
         assert len(scan.counterexamples) > len(classes) > 10
+
+    @pytest.mark.parametrize("s_max,m_max", [(4, 5), (6, 4), (7, 7)])
+    def test_lists_only_the_failing_vectors_of_a_split_group(self, s_max, m_max, monkeypatch):
+        # split_margin increases in sum(m_i^2), so a group (s, m_s, sum) can
+        # hold vectors on both sides of 0; the scan must list the group
+        # and keep only the vectors whose own margin is <= 0.
+        signs = {}
+        for s in range(2, s_max + 1):
+            for combo in itertools.combinations_with_replacement(range(1, m_max + 1), s):
+                m = combo[::-1]
+                if han_inequality(m)[0]:
+                    value = split_margin(s, sum(m), sum(e * e for e in m), m[-1])
+                    signs.setdefault((s, m[-1], sum(m)), set()).add((value > 0) - (value < 0))
+        assert any({-1, 1} <= group for group in signs.values())
+        monkeypatch.setattr(oracle, "han_margin", split_margin)
+        scan = verify_han_exhaustive(s_max, m_max)
+        assert scan == han_scan_walk(s_max, m_max, margin=split_margin)
+        assert scan.counterexamples and scan.equality_witnesses
+
+    def test_margin_evaluations_grow_with_groups_not_classes(self, monkeypatch):
+        # 12,749 group margins at (12, 20); one margin per class (s, m_s,
+        # sum, sum_sq) takes 1,157,735.
+        calls = 0
+        true_margin = oracle.han_margin
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return true_margin(*args)
+
+        monkeypatch.setattr(oracle, "han_margin", counted)
+        verify_han_exhaustive(12, 20)
+        assert calls <= 15_000
 
     @pytest.mark.parametrize(
         "s_max,m_max", [(2, 2), (2, 20), (12, 2), (5, 7), (8, 12), (10, 16), (12, 20)]
@@ -508,6 +562,18 @@ class TestVerifyHan:
         assert scan.equality_witnesses == ((2, 2, 2),)
 
     @pytest.mark.parametrize("s,cap", [(4, 5), (5, 6), (7, 4), (8, 7)])
+    def test_group_walk_lists_each_group_in_order(self, s, cap):
+        groups = {}
+        for combo in itertools.combinations_with_replacement(range(1, cap + 1), s):
+            groups.setdefault((combo[0], sum(combo)), []).append(combo[::-1])
+        assert max(len(vectors) for vectors in groups.values()) > 1
+        for (last, total), vectors in groups.items():
+            assert oracle._han_group(s, last, total, cap) == vectors
+            assert oracle._han_group(s, last, total + 1, cap) == groups.get((last, total + 1), [])
+        assert oracle._han_group(s, cap, s * cap + 1, cap) == []
+        assert oracle._han_group(s, 2, 2 * s - 1, cap) == []
+
+    @pytest.mark.parametrize("s,cap", [(4, 5), (5, 6), (7, 4), (8, 7)])
     def test_class_walk_lists_each_class_in_order(self, s, cap):
         classes = {}
         for combo in itertools.combinations_with_replacement(range(1, cap + 1), s):
@@ -515,16 +581,32 @@ class TestVerifyHan:
             classes.setdefault(key, []).append(combo[::-1])
         assert max(len(vectors) for vectors in classes.values()) > 1
         for (last, total, sum_sq), vectors in classes.items():
-            assert oracle._han_class(s, last, total, sum_sq, cap) == vectors
-            assert oracle._han_class(s, last, total, sum_sq + 1, cap) == classes.get(
+            assert _han_class(s, last, total, sum_sq, cap) == vectors
+            assert _han_class(s, last, total, sum_sq + 1, cap) == classes.get(
                 (last, total, sum_sq + 1), []
             )
 
     def test_class_count_mismatch_raises(self, monkeypatch):
-        han_class = oracle._han_class
-        monkeypatch.setattr(oracle, "_han_class", lambda *args: han_class(*args)[1:])
+        han_group = oracle._han_group
+        monkeypatch.setattr(oracle, "_han_group", lambda *args: han_group(*args)[1:])
         with pytest.raises(RuntimeError, match="count is 1"):
             verify_han_exhaustive(3, 2)
+
+    def test_group_least_square_mismatch_raises(self, monkeypatch):
+        # Every group fails, and each listed group has its vector of least
+        # sum(m_i^2) swapped for one of its largest: the count still holds.
+        han_group = oracle._han_group
+
+        def skewed(*args):
+            vectors = han_group(*args)
+            least = min(vectors, key=lambda m: sum(e * e for e in m))
+            most = max(vectors, key=lambda m: sum(e * e for e in m))
+            return [most if m == least else m for m in vectors]
+
+        monkeypatch.setattr(oracle, "han_margin", lambda *args: -1)
+        monkeypatch.setattr(oracle, "_han_group", skewed)
+        with pytest.raises(RuntimeError, match="its least is 9"):
+            verify_han_exhaustive(3, 3)
 
 
 class TestK3:
