@@ -456,8 +456,11 @@ def han_class_scan(s_max, m_max, margin=None):
                     raise AssertionError(f"class {s, e, total, sum_sq} lists {len(vectors)}, not {count}")
                 (counterexamples if value < 0 else equalities).extend(vectors)
         layer = following
-    order = lambda m: (len(m), m[::-1])  # noqa: E731
-    return HanScan(checked, tuple(sorted(counterexamples, key=order)), tuple(sorted(equalities, key=order)))
+
+    def in_scan_order(vectors):
+        return tuple(sorted(vectors, key=lambda m: (len(m), m[::-1])))
+
+    return HanScan(checked, in_scan_order(counterexamples), in_scan_order(equalities))
 
 
 def _han_class(s, last, total, sum_sq, cap):
