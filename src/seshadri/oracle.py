@@ -20,8 +20,8 @@ realized by an actual curve is geometric input beyond exact arithmetic.
 Enumeration is deterministic.  The theorem scan and the minimum search
 walk only the vectors that can change their results.  The theorem scan
 counts its whole box with one exact generating function, and the
-minimum search bounds the rest with a memoized recursion; neither
-enumerates the vectors it does not walk.  The Han scan
+minimum search bounds the rest with the largest feasible sum in closed
+form; neither enumerates the vectors it does not walk.  The Han scan
 counts vectors by group (length, last entry, sum), holding each group's
 least sum of squares, which settles Han's inequality for the whole
 group; it builds only the vectors of the groups that can fail it or
@@ -134,78 +134,35 @@ def classify_case(d: int, k: int, r: int, m: Sequence[int]) -> CaseLabel:
     return CaseLabel.GENERIC
 
 
-# _walk and the memoized best sum below cover one tree, the EL-Xu tree: a
-# vector whose prefix leaves `room` = budget - sum(prefix^2) extends by an
-# entry e <= cap with e^2 - e <= room, and descends further only while
-# e^2 <= room, since appending entries can only grow sum(m_i^2) - m_s.
-# Both test the prefix's room inline rather than call el_xu_feasible on
-# whole vectors, because they are the innermost loops of the theorem scan
-# and the minimum search.  Every vector with at most `length` entries
-# <= cap has sum(m_i^2) - m_s < length * cap^2, so a larger room changes
-# nothing and is clamped, which lets many budgets share one memo entry.
-# The memo is an argument, not a closure or a module-level cache, so it
-# is freed as soon as the call that made it returns.  The theorem scan
-# does not count this tree node by node: _count_feasible counts every
-# vector of it, for all of a scan's budgets at once, by sum(m_i^2) - m_s.
-
-_Memo = dict[tuple[int, int, int], int]
-
-_TALLY_DEPTH = 256  # deepest recursion _tally_rec may reach
+# _walk and _best_sum cover the EL-Xu tree: a vector whose prefix leaves
+# `room` = budget - sum(prefix^2) extends by an entry e <= cap with
+# e^2 - e <= room, and descends further only while e^2 <= room, since
+# appending entries can only grow sum(m_i^2) - m_s.  _walk, an innermost
+# loop, tests the room inline; _count_feasible counts the whole tree.
 
 
-class _TooDeep(Exception):
-    """_tally_rec needs the entry args[0], which lies deeper than it may recurse."""
+def _best_sum(cap: int, length: int, room: int) -> int:
+    """The largest sum(m) over what _walk(cap, length, room) yields;
+    cap, length >= 1 and room >= 0.
 
-
-def _tally(cap: int, length: int, room: int, memo: _Memo) -> int:
-    """The largest sum(m) over what _walk(cap, length, room, memo)
-    yields; 0 when it yields none.
-
-    The recursion is one level per entry, so a long vector would pass the
-    interpreter's recursion limit.  _tally_rec stops at _TALLY_DEPTH and
-    names the entry it could not reach; that entry is computed first, from
-    depth 0, and the interrupted one is started again.  Everything either
-    stored stays in the memo, so each restart gets further than the last,
-    and no recursion is more than _TALLY_DEPTH + 1 levels deep.
+    For s entries and one sum, the balanced vector (entries q and q + 1)
+    has the least sum(m_i^2) and the largest m_s, and its sum(m_i^2) - m_s
+    rises with the sum.  Moving a unit off a largest entry a onto a new
+    last entry 1 adds 1 - 2a + m_s <= 0, so s is the most room allows.
+    s entries q fit iff s*q^2 - q <= room; below cap, fewer than s fit at
+    q + 1, since all s fail.
     """
-    pending = []  # interrupted entries, innermost last
-    while True:
-        try:
-            tally = _tally_rec(cap, length, room, memo, 0)
-        except _TooDeep as deep:
-            pending.append((cap, length, room))
-            cap, length, room = deep.args[0]
-            continue
-        if not pending:
-            return tally
-        cap, length, room = pending.pop()
-
-
-def _tally_rec(cap: int, length: int, room: int, memo: _Memo, depth: int) -> int:
-    """_tally's recursion, depth levels below the entry _tally asked for."""
-    room = min(room, length * cap * cap)
-    key = (cap, length, room)
-    best = memo.get(key)
-    if best is None:
-        if depth > _TALLY_DEPTH:
-            raise _TooDeep(key)
-        best = 0
-        for e in range(1, cap + 1):
-            if e * e - e > room:
-                break
-            total = e
-            if length > 1 and e * e <= room:
-                total += _tally_rec(e, length - 1, room - e * e, memo, depth + 1)
-            if total > best:
-                best = total
-        memo[key] = best
-    return best
+    s = min(length, room + 1)
+    q = min(cap, (1 + math.isqrt(1 + 4 * s * room)) // (2 * s))
+    if q == cap:
+        return s * q
+    return s * q + (room - s * q * q + q) // (2 * q + 1)
 
 
 def _count_feasible(cap: int, length: int, budgets: Sequence[int]) -> list[int]:
     """For each budget, the number of nonincreasing vectors with entries in
     [1, cap], at most length of them and sum(m_i^2) - m_s <= budget:
-    everything _walk(cap, length, budget, memo) yields.
+    everything _walk(cap, length, budget) yields.
 
     A vector is its last entry e = m_s after a multiset of entries in
     [e, cap], and sum(m_i^2) - m_s is the multiset's sum of squares plus
@@ -244,7 +201,7 @@ def _count_feasible(cap: int, length: int, budgets: Sequence[int]) -> list[int]:
 
 
 def _walk(
-    cap: int, length: int, room: int, memo: _Memo, lo: int = 1, need: int = 0
+    cap: int, length: int, room: int, lo: int = 1, need: int = 0
 ) -> Iterator[tuple[Multiplicities, int]]:
     """Yield (m, sum(m)) for every nonincreasing vector with entries in
     [lo, cap], at most length of them, sum(m_i^2) - m_s <= room and
@@ -252,7 +209,7 @@ def _walk(
 
     Vectors come depth first, each before its extensions, entries in
     increasing order: Python's tuple order.  While a prefix is still
-    short of need, the walk enters a subtree only when _tally's best
+    short of need, the walk enters a subtree only when _best_sum's
     total below it reaches need, so with need set to the largest sum it
     visits only prefixes of the vectors it yields.  It keeps its own
     stack, one frame per entry, so a long vector cannot exhaust the
@@ -270,7 +227,7 @@ def _walk(
             if reached >= need:
                 yield tuple(entries), reached
             if length > 1 and e * e <= room and (
-                reached >= need or reached + _tally(e, length - 1, room - e * e, memo) >= need
+                reached >= need or reached + _best_sum(e, length - 1, room - e * e) >= need
             ):
                 frames.append((iter(range(lo, e + 1)), length - 1, room - e * e, reached))
                 break  # extend first; this frame resumes at e + 1
@@ -287,7 +244,7 @@ def feasible_multiplicities(d: int, k: int, max_points: int, m_max: int) -> Iter
         raise ValueError(f"need d, k >= 1, got d={d}, k={k}")
     if max_points < 1 or m_max < 1:
         return
-    for m, _ in _walk(m_max, max_points, d * d * k, {}):
+    for m, _ in _walk(m_max, max_points, d * d * k):
         yield m
 
 
@@ -300,7 +257,7 @@ def min_ratio_search(k: int, r: int, d_max: int, m_max: int) -> SearchResult:
     """Minimum of d*k/sum(m) over the feasible box, with all witnesses.
 
     For each d the smallest ratio comes from the largest feasible sum(m),
-    which a memoized recursion finds without enumerating vectors; only
+    which _best_sum computes without enumerating vectors; only
     the d that attain the minimum are walked, and only down to the
     vectors that reach that largest sum.  Witnesses are reported in
     lexicographic (d, s, entries) order.
@@ -309,14 +266,13 @@ def min_ratio_search(k: int, r: int, d_max: int, m_max: int) -> SearchResult:
         raise ValueError(
             f"empty search box: k={k}, r={r}, d_max={d_max}, m_max={m_max}"
         )
-    memo: _Memo = {}
-    bests = [(d, _tally(m_max, r, d * d * k, memo)) for d in range(1, d_max + 1)]
+    bests = [(d, _best_sum(m_max, r, d * d * k)) for d in range(1, d_max + 1)]
     minimum = min(Fraction(d * k, best) for d, best in bests)
     witnesses = [
         (d, m)
         for d, best in bests
         if Fraction(d * k, best) == minimum
-        for m, _ in _walk(m_max, r, d * d * k, memo, need=best)
+        for m, _ in _walk(m_max, r, d * d * k, need=best)
     ]
     if not witnesses:
         raise RuntimeError(f"no vector reaches the minimum at k={k}, r={r}, yet one attains it")
@@ -392,8 +348,7 @@ def verify_theorem(
     for k in range(k_min, k_max + 1):
         for d in range(1, d_max + 1):
             budget = d * d * k
-            # need = 0: the walk never consults the memo of best sums
-            for m, total in _walk(m_max, r_max, budget, {}, lo=budget // (r_max + 2) + 1):
+            for m, total in _walk(m_max, r_max, budget, lo=budget // (r_max + 2) + 1):
                 for r in range(max(r_min, len(m)), r_max + 1):
                     if not is_subgeneric(budget, total, r):
                         break  # generic from here on; monotone in r

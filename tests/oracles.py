@@ -319,7 +319,8 @@ def el_xu_tally(cap, length, room, memo):
 
     A memoized recursion over (cap, remaining length, remaining room),
     one level per entry, so for short vectors only: the reference for
-    the theorem scan's generating-function count.  A vector extends by
+    the theorem scan's generating-function count and for the minimum
+    search's closed-form largest sum.  A vector extends by
     e <= cap while e^2 - e fits the room, and descends past e only while
     e^2 does.  memo may be shared between calls.
     """

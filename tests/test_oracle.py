@@ -333,6 +333,19 @@ class TestAgainstFullWalk:
         ):
             assert min_ratio_search(k, r, d_max, m_max) == min_ratio_walk(k, r, d_max, m_max)
 
+    @pytest.mark.parametrize(
+        "k,r,d_max,m_max",
+        [(50, 8, 3, 6), (30, 9, 2, 4), (200, 6, 2, 9), (12, 10, 4, 3),
+         (1, 12, 2, 5), (2, 10, 1, 3), (3, 15, 2, 4), (1, 30, 3, 8)],
+    )
+    def test_min_ratio_search_where_the_cap_or_the_room_binds(self, k, r, d_max, m_max):
+        # At every d, either m_max < sqrt(d^2*k), so the cap stops entries
+        # that the room alone would allow, or d^2*k + 1 < r, so no feasible
+        # vector has r entries and the room limits the length.
+        ds = range(1, d_max + 1)
+        assert all(m_max * m_max < d * d * k for d in ds) or all(d * d * k + 1 < r for d in ds)
+        assert min_ratio_search(k, r, d_max, m_max) == min_ratio_walk(k, r, d_max, m_max)
+
     def test_subgeneric_entries_clear_the_cut(self):
         # The lemma behind verify_theorem's walk: a feasible vector that is
         # sub-generic at some admissible r has every entry above
@@ -363,7 +376,7 @@ class TestAgainstFullWalk:
 
     @pytest.mark.parametrize("lo", [1, 2, 3, 5])
     def test_walk_lower_entry(self, lo):
-        walked = [m for m, _ in oracle._walk(7, 6, 3 * 3 * 4, {}, lo)]
+        walked = [m for m, _ in oracle._walk(7, 6, 3 * 3 * 4, lo)]
         assert len(walked) == len(set(walked))
         assert set(walked) == {m for m in naive_feasible(3, 4, 6, 7) if m[-1] >= lo}
 
@@ -372,16 +385,29 @@ class TestAgainstFullWalk:
         # the vectors with sum >= need, with their sums, in tuple order
         expected = [(m, sum(m)) for m in sorted(naive_feasible(3, 4, 6, 7)) if sum(m) >= need]
         assert expected
-        assert list(oracle._walk(7, 6, 3 * 3 * 4, {}, need=need)) == expected
+        assert list(oracle._walk(7, 6, 3 * 3 * 4, need=need)) == expected
 
     @pytest.mark.parametrize("need", [2, 5, 6])
-    def test_walk_descends_only_where_tally_reaches(self, need, monkeypatch):
+    def test_walk_descends_only_where_best_sum_reaches(self, need, monkeypatch):
         # Below a prefix still short of need, the walk descends only when
-        # _tally's best total reaches need.  Told that no subtree does, it
+        # _best_sum's total reaches need.  Told that no subtree does, it
         # keeps exactly the vectors whose first entry alone reaches need.
-        monkeypatch.setattr(oracle, "_tally", lambda cap, length, room, memo: 0)
-        walked = [m for m, _ in oracle._walk(7, 6, 3 * 3 * 4, {}, need=need)]
+        monkeypatch.setattr(oracle, "_best_sum", lambda cap, length, room: 0)
+        walked = [m for m, _ in oracle._walk(7, 6, 3 * 3 * 4, need=need)]
         assert walked == sorted(m for m in naive_feasible(3, 4, 6, 7) if m[0] >= need)
+
+
+class TestBestSum:
+    """_best_sum, the minimum search's closed form, against the memoized
+    recursion in tests/oracles.py."""
+
+    def test_agrees_with_the_memoized_recursion(self):
+        memo = {}
+        for cap in range(1, 13):
+            for length in range(1, 14):
+                for room in range(length * cap * cap + 6):
+                    expected = el_xu_tally(cap, length, room, memo)[1]
+                    assert oracle._best_sum(cap, length, room) == expected, (cap, length, room)
 
 
 class TestCountFeasible:
