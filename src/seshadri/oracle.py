@@ -22,10 +22,10 @@ walk only the vectors that can change their results.  The theorem scan
 counts its whole box with one exact generating function, and the
 minimum search bounds the rest with the largest feasible sum in closed
 form; neither enumerates the vectors it does not walk.  The Han scan
-counts vectors by group (length, last entry, sum), holding each group's
-least sum of squares, which settles Han's inequality for the whole
-group; it builds only the vectors of the groups that can fail it or
-reach equality.
+takes each group of vectors (length, last entry, sum) once, with its
+least sum of squares in closed form, which settles Han's inequality for
+the whole group; it builds only the vectors of the groups that can fail
+it or reach equality, and counts its applicable vectors in closed form.
 """
 
 from __future__ import annotations
@@ -373,81 +373,79 @@ def verify_han_exhaustive(s_max: int, m_max: int) -> HanScan:
     and m_1 <= m_max; equality witnesses are recorded.
 
     A vector applies iff s >= 2, sum(m) > s (not all ones) and it is not
-    (2, 2).  The scan counts the vectors of each group: length s, last
-    entry m_s and sum(m).  Each group holds its vector count and its
-    least sum(m_i^2), and one margin at that least sum of squares decides
-    the whole group (see the comments below).  Only the groups whose
-    least margin is <= 0 are listed vector by vector, checked against the
-    count and the least sum of squares, and each listed vector is then
-    sorted by its own margin.
-
-    Layer s holds, for each last entry e, the (count, least sum(m_i^2))
-    of the groups of length s ending in e, keyed by sum(m).  The vectors
-    of length s ending in e are those of length s - 1 ending in some
-    L >= e, with e appended.  So, with e running from m_max down, the
-    groups of layer s - 1 that end in e are merged into one running
-    union (counts added, least sums of squares min-ed), whose sums
-    shifted by e and least sums of squares shifted by e^2 are the groups
-    of layer s that end in e.  Each group is checked as it is made.
-    Layer s - 1 is dropped as it is merged, and the layer of length
-    s_max is never stored, so at most two layers are held: memory grows
-    with the groups of one length, not with s_max.  Counterexamples and
-    equality witnesses come in the order of (s, m[::-1]): by length,
-    then as nondecreasing tuples.
+    (2, 2): C(m_max + s_max, s_max) - 1 nonempty vectors, less s_max all
+    ones, m_max - 1 single entries >= 2 and (2, 2).  The scan takes each
+    group (length s, last entry e = m_s, sum(m)) once.  With n = s - 1,
+    the group's vector of least sum(m_i^2) is balanced: e, then n - rho
+    entries q and rho entries q + 1, 0 <= rho < n (rho = 0 at q = m_max).
+    So (q, rho) indexes the groups, and one margin at the least sum of
+    squares e^2 + n*q^2 + rho*(2q + 1) decides the whole group (see the
+    comments below).  Only the groups whose least margin is <= 0 are
+    listed, checked against their count (_partitions) and least sum of
+    squares, and each listed vector is sorted by its own margin.
+    Counterexamples and equality witnesses come in the order of
+    (s, m[::-1]): by length, then as nondecreasing tuples.
     """
     if s_max < 2 or m_max < 2:
         raise ValueError(f"need s_max, m_max >= 2, got {s_max}, {m_max}")
     counterexamples: list[Multiplicities] = []
     equalities: list[Multiplicities] = []
-    checked = 0
-    layer = {e: {e: (1, e * e)} for e in range(1, m_max + 1)}  # s = 1
     for s in range(2, s_max + 1):
-        running: dict[int, tuple[int, int]] = {}
-        following: dict[int, dict[int, tuple[int, int]]] = {}
-        for e in range(m_max, 0, -1):
-            for total, group in layer.pop(e).items():
-                held = running.get(total)
-                if held is not None:
-                    group = (held[0] + group[0], min(held[1], group[1]))
-                running[total] = group
-            groups = following[e] = {} if s < s_max else None
-            for total, (count, least) in running.items():
-                total += e  # appending e
-                least += e * e
-                if groups is not None:
-                    groups[total] = (count, least)
-                # han_applies reads sum(m_i^2) only to exclude (s, sum, sum_sq)
-                # = (2, 4, 8); the group (s, m_s, sum) = (2, 2, 4) is the
-                # singleton {(2, 2)}, so testing the least sum of squares is
-                # exact for every vector of the group.
-                if not han_applies(s, total, least):
-                    continue
-                checked += count
-                # The margin's sum(m_i^2) coefficient is (s+3)*s > 0, so a
-                # group holds a vector with margin <= 0 iff its vector of
-                # least sum(m_i^2) does.
-                if han_margin(s, total, least, e) > 0:
-                    continue
-                vectors = _han_group(s, e, total, m_max)
-                if len(vectors) != count:
-                    raise RuntimeError(
-                        f"group s={s}, m_s={e}, sum={total} "
-                        f"lists {len(vectors)} vectors, its count is {count}"
-                    )
-                squares = [sum(x * x for x in m) for m in vectors]
-                if min(squares) != least:
-                    raise RuntimeError(
-                        f"group s={s}, m_s={e}, sum={total} lists a least sum of "
-                        f"squares {min(squares)}, its least is {least}"
-                    )
-                for m, sum_sq in zip(vectors, squares):
-                    margin = han_margin(s, total, sum_sq, e)
-                    if margin < 0:
-                        counterexamples.append(m)
-                    elif margin == 0:
-                        equalities.append(m)
-        layer = following
+        n = s - 1
+        for e in range(1, m_max + 1):
+            for q in range(e, m_max + 1):
+                for rho in range(n if q < m_max else 1):
+                    total = e + n * q + rho
+                    least = e * e + n * q * q + rho * (2 * q + 1)
+                    # The margin's sum(m_i^2) coefficient is (s+3)*s > 0, so a
+                    # group holds a vector with margin <= 0 iff its vector of
+                    # least sum(m_i^2) does.  han_applies reads sum(m_i^2) only
+                    # to exclude (s, sum, sum_sq) = (2, 4, 8); the group
+                    # (s, m_s, sum) = (2, 2, 4) is the singleton {(2, 2)}, so
+                    # testing the least sum of squares is exact for every
+                    # vector of the group.
+                    if han_margin(s, total, least, e) > 0 or not han_applies(s, total, least):
+                        continue
+                    vectors = _han_group(s, e, total, m_max)
+                    count = _partitions(total - s * e, n, m_max - e)
+                    if len(vectors) != count:
+                        raise RuntimeError(
+                            f"group s={s}, m_s={e}, sum={total} "
+                            f"lists {len(vectors)} vectors, its count is {count}"
+                        )
+                    squares = [sum(x * x for x in m) for m in vectors]
+                    if min(squares) != least:
+                        raise RuntimeError(
+                            f"group s={s}, m_s={e}, sum={total} lists a least sum of "
+                            f"squares {min(squares)}, its least is {least}"
+                        )
+                    for m, sum_sq in zip(vectors, squares):
+                        margin = han_margin(s, total, sum_sq, e)
+                        if margin < 0:
+                            counterexamples.append(m)
+                        elif margin == 0:
+                            equalities.append(m)
+    checked = math.comb(m_max + s_max, s_max) - m_max - s_max - 1
     return HanScan(checked, _in_scan_order(counterexamples), _in_scan_order(equalities))
+
+
+def _partitions(t: int, n: int, k: int) -> int:
+    """Partitions of t into at most n parts, each <= k.  The n entries
+    after m_s = e exceed e by such a partition of sum(m) - s*e, with
+    k = m_max - e, so this counts a group's vectors.  It is the x^t
+    coefficient of the Gaussian binomial [n + k, n], symmetric of degree
+    n*k: prod_{i=1..n} (1 - x^(k+i)) / (1 - x^i), truncated past x^t.
+    """
+    t = min(t, n * k - t)
+    if t < 0:
+        return 0
+    coeffs = [1] + [0] * t
+    for i in range(1, n + 1):
+        for j in range(t, k + i - 1, -1):
+            coeffs[j] -= coeffs[j - k - i]
+        for j in range(i, t + 1):
+            coeffs[j] += coeffs[j - i]
+    return coeffs[t]
 
 
 def _in_scan_order(vectors: list[Multiplicities]) -> tuple[Multiplicities, ...]:

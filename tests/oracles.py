@@ -424,13 +424,13 @@ def han_class_scan(s_max, m_max, margin=None):
     sum(m), sum(m_i^2)): the margin is evaluated once per class, and only
     the classes with margin <= 0 are listed, by _han_class.
 
-    The scan's previous fast path, kept as a reference for its group DP.
-    Layer s holds, for each last entry e, the vector counts of the
-    classes of length s ending in e, keyed by sum(m)*Q + sum(m_i^2) with
-    Q above every sum of squares.  With e running from m_max down, the
-    classes of layer s - 1 that end in e join one running union, whose
-    keys shifted by (e, e^2) are the classes of layer s that end in e.
-    margin is as in han_scan_walk.
+    An earlier fast path of the scan, kept as a second reference for the
+    whole scan next to han_scan_walk.  Layer s holds, for each last entry
+    e, the vector counts of the classes of length s ending in e, keyed by
+    sum(m)*Q + sum(m_i^2) with Q above every sum of squares.  With e
+    running from m_max down, the classes of layer s - 1 that end in e
+    join one running union, whose keys shifted by (e, e^2) are the
+    classes of layer s that end in e.  margin is as in han_scan_walk.
     """
     margin = margin or han_margin
     q_base = s_max * m_max * m_max + 1
@@ -462,6 +462,34 @@ def han_class_scan(s_max, m_max, margin=None):
         return tuple(sorted(vectors, key=lambda m: (len(m), m[::-1])))
 
     return HanScan(checked, in_scan_order(counterexamples), in_scan_order(equalities))
+
+
+def han_group_table(s_max, m_max):
+    """{(s, m_s, sum(m)): (count, least sum(m_i^2))} for every group of the
+    nonincreasing vectors with 2 <= s <= s_max entries in [1, m_max].
+
+    A layered DP over s, the scan's fast path before its closed forms:
+    the vectors of length s ending in e are those of length s - 1 ending
+    in some L >= e, with e appended.  So, with e running from m_max down,
+    the groups of layer s - 1 that end in e join one running union
+    (counts added, least sums of squares min-ed), whose sums shifted by e
+    and least sums of squares shifted by e^2 are the groups of layer s
+    that end in e.
+    """
+    table = {}
+    layer = {e: {e: (1, e * e)} for e in range(1, m_max + 1)}  # s = 1
+    for s in range(2, s_max + 1):
+        running, following = {}, {}
+        for e in range(m_max, 0, -1):
+            for total, (count, least) in layer.pop(e).items():
+                held_count, held_least = running.get(total, (0, least))
+                running[total] = (held_count + count, min(held_least, least))
+            following[e] = {
+                total + e: (count, least + e * e) for total, (count, least) in running.items()
+            }
+            table.update(((s, e, total), group) for total, group in following[e].items())
+        layer = following
+    return table
 
 
 def _han_class(s, last, total, sum_sq, cap):

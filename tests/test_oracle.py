@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from oracles import (
     el_xu_tally,
     el_xu_vectors,
     han_class_scan,
+    han_group_table,
     han_inequality,
     han_scan_walk,
     min_ratio_walk,
@@ -468,6 +470,9 @@ class TestCountFeasible:
         assert oracle._count_feasible(m_max, r_max, [4, 4, 4]) == [expected[budgets.index(4)]] * 3
 
 
+GROUP_TABLE_BOXES = [(2, 2), (3, 2), (5, 7), (8, 12), (12, 20), (40, 3)]
+
+
 class TestVerifyHan:
     def test_no_counterexamples_8_12(self):
         scan = verify_han_exhaustive(8, 12)
@@ -575,6 +580,44 @@ class TestVerifyHan:
         # all-ones vectors, the m_max - 1 single entries >= 2 and (2, 2)
         scan = verify_han_exhaustive(s_max, m_max)
         assert scan.applicable_checked == math.comb(m_max + s_max, s_max) - m_max - s_max - 1
+
+    @pytest.mark.parametrize("s_max,m_max", GROUP_TABLE_BOXES)
+    def test_evaluates_each_group_once_at_its_least_square(self, s_max, m_max, monkeypatch):
+        calls = []
+
+        def recorded(s, total, sum_sq, last):
+            calls.append(((s, last, total), sum_sq))
+            return 1
+
+        monkeypatch.setattr(oracle, "han_margin", recorded)
+        verify_han_exhaustive(s_max, m_max)
+        table = han_group_table(s_max, m_max)
+        assert len(calls) == len(table)
+        assert dict(calls) == {group: least for group, (_, least) in table.items()}
+
+    @pytest.mark.parametrize("s_max,m_max", GROUP_TABLE_BOXES)
+    def test_partitions_count_each_group(self, s_max, m_max):
+        for (s, last, total), (count, _) in han_group_table(s_max, m_max).items():
+            assert oracle._partitions(total - s * last, s - 1, m_max - last) == count
+
+    @pytest.mark.parametrize("n,k", [(1, 0), (1, 4), (3, 0), (3, 3), (4, 2), (5, 5)])
+    def test_partitions_match_a_direct_count(self, n, k):
+        for t in range(-2, n * k + 3):
+            direct = sum(
+                sum(parts) == t for parts in itertools.combinations_with_replacement(range(k + 1), n)
+            )
+            assert oracle._partitions(t, n, k) == direct
+
+    def test_memory_does_not_grow_with_the_box(self):
+        # Peak traced allocation over the whole scan: the layered group DP
+        # held two lengths of groups at once, about 144 kB at (10, 16).
+        tracemalloc.start()
+        try:
+            verify_han_exhaustive(10, 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16_000
 
     def test_long_class_is_listed_without_recursion(self, monkeypatch):
         true_margin = oracle.han_margin
