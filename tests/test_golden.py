@@ -47,6 +47,7 @@ CASES = {
     "search-wide": "search --k 200 --r 20 --d-max 4",
     "verify-theorem": "verify --suite theorem --k-max 8 --r-max 6 --d-max 3 --m-max 6",
     "verify-theorem-acceptance": "verify --suite theorem --k-max 20 --r-max 10 --d-max 5 --m-max 8",
+    "verify-theorem-wide": "verify --suite theorem --k-max 50 --r-max 60 --d-max 3 --m-max 24",
     "verify-han": "verify --suite han --s-max 5 --m-max 6",
     "verify-han-wide": "verify --suite han --s-max 10 --m-max 14",
     "verify-han-widest": "verify --suite han --s-max 12 --m-max 20",
