@@ -17,11 +17,13 @@ The minima computed here are candidate-level quantities over enumerated
 configurations, not the true constants: whether a configuration is
 realized by an actual curve is geometric input beyond exact arithmetic.
 
-Enumeration is deterministic.  The theorem scan and the minimum search
-walk only the vectors that can change their results.  The theorem scan
-counts its whole box with one exact generating function, and the
-minimum search bounds the rest with the largest feasible sum in closed
-form; neither enumerates the vectors it does not walk.  The Han scan
+Enumeration is deterministic.  The theorem scan decides each cell
+(k, d, length) from the cell's largest feasible sum in closed form, and
+walks a cell only when that sum is sub-generic, which on a correct
+trichotomy happens at the (1, 6, (2, 2)) cell alone; it counts its whole
+box with one exact generating function.  The minimum search walks only
+towards the vectors that reach the largest feasible sum.  Neither
+enumerates the vectors it does not walk.  The Han scan
 takes each group of vectors (length, last entry, sum) once, with its
 least sum of squares in closed form, which settles Han's inequality for
 the whole group; it builds only the vectors of the groups that can fail
@@ -171,17 +173,20 @@ def _count_feasible(cap: int, length: int, budgets: Sequence[int]) -> list[int]:
     shift by width*j multiplies by x^j.  With e running from cap down,
     polys[l] gains polys[l - 1] * x^(e^2) for l ascending, and then counts
     the multisets of l entries in [e, cap] by sum of squares; their sum,
-    times x^(e^2 - e), counts the vectors that end in e.  One product with
-    1 + x + ... + x^top turns the total into prefix sums, and the count
-    for a budget is the slot at that degree.  Memory: min(length, top + 1)
-    polys of (top + 1)*width bits.
+    times x^(e^2 - e), counts the vectors that end in e.  The count for a
+    budget b is the sum of the slots at degrees 0..b, and one modulus
+    takes it: since 2^width = 1 mod 2^width - 1, the total cut to its low
+    b + 1 slots is congruent to the sum of those slots, which is less
+    than 2^width - 1 (see below), so the residue is that sum.  Memory:
+    min(length, top + 1) polys of (top + 1)*width bits.
     """
     # Past length*cap^2 no budget admits more vectors, so no slot above top
     # is ever read, and every poly is truncated there.
     top = min(max(budgets), length * cap * cap)
-    # Every coefficient, the prefix sums included, counts distinct vectors
-    # of the box, of which there are comb(length + cap, cap) - 1, so a slot
-    # of this width never carries into the next.
+    # Every coefficient, and every sum of them below top, counts distinct
+    # vectors of the box, of which there are comb(length + cap, cap) - 1 <=
+    # 2^width - 2.  So a slot of this width never carries into the next,
+    # and the modulus 2^width - 1 exceeds every count it returns.
     width = math.comb(length + cap, cap).bit_length()
     mask = (1 << width * (top + 1)) - 1
     # A vector of l + 1 entries has sum(m_i^2) - m_s >= l, so multisets of
@@ -194,17 +199,13 @@ def _count_feasible(cap: int, length: int, budgets: Sequence[int]) -> list[int]:
             polys[l] = (polys[l] + (polys[l - 1] << shift)) & mask
         if e * e - e <= top:
             total += sum(polys) << width * (e * e - e)
-    ones = mask // ((1 << width) - 1)  # 1 + x + ... + x^top
-    prefix = ((total & mask) * ones) & mask
     slot = (1 << width) - 1
-    return [(prefix >> width * min(budget, top)) & slot for budget in budgets]
+    return [(total & ((1 << width * (min(budget, top) + 1)) - 1)) % slot for budget in budgets]
 
 
-def _walk(
-    cap: int, length: int, room: int, lo: int = 1, need: int = 0
-) -> Iterator[tuple[Multiplicities, int]]:
+def _walk(cap: int, length: int, room: int, need: int = 0) -> Iterator[tuple[Multiplicities, int]]:
     """Yield (m, sum(m)) for every nonincreasing vector with entries in
-    [lo, cap], at most length of them, sum(m_i^2) - m_s <= room and
+    [1, cap], at most length of them, sum(m_i^2) - m_s <= room and
     sum(m) >= need.
 
     Vectors come depth first, each before its extensions, entries in
@@ -216,7 +217,7 @@ def _walk(
     interpreter's recursion limit.
     """
     entries: list[int] = []
-    frames = [(iter(range(lo, cap + 1)), length, room, 0)]  # (next entries, length, room, total)
+    frames = [(iter(range(1, cap + 1)), length, room, 0)]  # (next entries, length, room, total)
     while frames:
         choices, length, room, total = frames[-1]
         for e in choices:
@@ -229,7 +230,7 @@ def _walk(
             if length > 1 and e * e <= room and (
                 reached >= need or reached + _best_sum(e, length - 1, room - e * e) >= need
             ):
-                frames.append((iter(range(lo, e + 1)), length - 1, room - e * e, reached))
+                frames.append((iter(range(1, e + 1)), length - 1, room - e * e, reached))
                 break  # extend first; this frame resumes at e + 1
             entries.pop()
         if frames[-1][0] is choices:  # the frame is done
@@ -322,19 +323,31 @@ def verify_theorem(
     In the sub-generic test d^2*k*r*(r+3) < (r+2)*(sum m)^2 the left side
     grows faster in r than the right, because r*(r+3)/(r+2) increases in
     r.  So each vector is sub-generic on a prefix of r values, and the
-    scan stops at the first r that clears the bound.
+    scan stops at the first r that clears the bound.  The test reads a
+    vector only through its sum, and it rises with the sum.
 
-    Only vectors that can be sub-generic are walked.  Lemma: a feasible
-    vector m of length s that is sub-generic at some r >= s has
-    m_s*(s+2) > d^2*k.  Proof: sub-generic at r implies sub-generic at s,
-    and (sum m)^2 <= s*sum(m_i^2) <= s*(d^2*k + m_s) by Cauchy-Schwarz
-    and EL-Xu, so d^2*k*s*(s+3)/(s+2) < s*(d^2*k + m_s), which is
-    d^2*k < (s+2)*m_s.  As s <= r_max, every entry of such a vector is at
-    least d^2*k // (r_max + 2) + 1, and the walk starts its entries
-    there.  The lemma does not use the trichotomy, so a real violation
-    is still found.  feasible_vectors counts the whole box with one
-    exact generating function over every budget d^2*k of the scan
-    (_count_feasible), which enumerates nothing.
+    So the scan decides each cell (k, d, s), s the length, on its own.  A
+    vector of length s is tested from r0 = max(r_min, s).  Its all-ones
+    vector gives the unit-multiplicity hits, counted by stepping r up
+    from r0.  Every other vector has m_1 >= 2 and a sum above s, and the
+    largest sum in the cell, _best_sum(m_max, s, d^2*k), decides them
+    all: if it is at most s, or not sub-generic at r0, the cell holds no
+    violation.  Otherwise the scan walks the cell's vectors whose sum is
+    sub-generic at r0 and classifies each of them.  The only such cell
+    on a correct trichotomy is (k, d, s) = (6, 1, 2).  Violations come in
+    the order (k, d), then m as tuples, then r.
+
+    A cell holds vectors iff s <= d^2*k + 1, the all-ones vector's bound,
+    and only its longer lengths can hold a hit.  Lemma: a feasible vector m of length s
+    that is sub-generic at some r >= s has m_s*(s+2) > d^2*k.  Proof:
+    sub-generic at r implies sub-generic at s, and
+    (sum m)^2 <= s*sum(m_i^2) <= s*(d^2*k + m_s) by Cauchy-Schwarz and
+    EL-Xu, so d^2*k*s*(s+3)/(s+2) < s*(d^2*k + m_s), which is
+    d^2*k < (s+2)*m_s.  As m_s <= m_max, s >= d^2*k // m_max - 1, and the
+    scan starts its lengths there.  The lemma does not use the
+    trichotomy, so a real violation is still found.  feasible_vectors
+    counts the whole box with one exact generating function over every
+    budget d^2*k of the scan (_count_feasible), which enumerates nothing.
     """
     if not (1 <= k_min <= k_max and 2 <= r_min <= r_max and d_max >= 1 and m_max >= 1):
         raise ValueError("bad scan box")
@@ -348,16 +361,31 @@ def verify_theorem(
     for k in range(k_min, k_max + 1):
         for d in range(1, d_max + 1):
             budget = d * d * k
-            for m, total in _walk(m_max, r_max, budget, lo=budget // (r_max + 2) + 1):
-                for r in range(max(r_min, len(m)), r_max + 1):
-                    if not is_subgeneric(budget, total, r):
-                        break  # generic from here on; monotone in r
-                    if m[0] == 1:
-                        counts[CaseLabel.UNIT_MULTIPLICITY] += 1
-                    elif _is_two_six(d, k, m):
-                        counts[CaseLabel.TWO_SIX] += 1
-                    else:
-                        violations.append(Violation(d, k, r, m))
+            found: list[Violation] = []
+            for s in range(max(1, budget // m_max - 1), min(r_max, budget + 1) + 1):
+                r0 = max(r_min, s)
+                r = r0
+                while r <= r_max and is_subgeneric(budget, s, r):  # (1,)*s
+                    counts[CaseLabel.UNIT_MULTIPLICITY] += 1
+                    r += 1
+                best = _best_sum(m_max, s, budget)
+                if best <= s or not is_subgeneric(budget, best, r0):
+                    continue
+                need = best  # the least sum above s that is sub-generic at r0
+                while need > s + 1 and is_subgeneric(budget, need - 1, r0):
+                    need -= 1
+                for m, total in _walk(m_max, s, budget, need=need):
+                    if len(m) != s or m[0] == 1:
+                        continue
+                    for r in range(r0, r_max + 1):
+                        if not is_subgeneric(budget, total, r):
+                            break  # generic from here on; monotone in r
+                        if _is_two_six(d, k, m):
+                            counts[CaseLabel.TWO_SIX] += 1
+                        else:
+                            found.append(Violation(d, k, r, m))
+            found.sort(key=lambda v: v.m)  # tuple order across lengths, stable in r
+            violations += found
     return TheoremScan(feasible, counts, tuple(violations))
 
 

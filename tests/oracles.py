@@ -345,13 +345,16 @@ def el_xu_tally(cap, length, room, memo):
 def theorem_scan_walk(
     k_max, r_max, d_max, m_max, *, k_min=1, r_min=2,
     is_exception=lambda d, k, m: (d, k, m) == (1, 6, (2, 2)),
+    is_subgeneric=lambda d2k, total, r: d2k * r * (r + 3) < (r + 2) * total * total,
 ):
     """verify_theorem by the full walk: every feasible vector is enumerated,
     counted and tested at each r until it clears the generic bound.
 
     The walk is el_xu_vectors, which is checked against an itertools
     re-enumeration.  is_exception(d, k, m) replaces the (1, 6, (2, 2))
-    test, so a test can turn that configuration into a violation.
+    test, so a test can turn that configuration into a violation, and
+    is_subgeneric(d2k, total, r) replaces the sub-generic test, so a test
+    can loosen it and compare what the scan reports under the same one.
     """
     counts = {CaseLabel.UNIT_MULTIPLICITY: 0, CaseLabel.TWO_SIX: 0}
     violations, feasible = [], 0
@@ -362,7 +365,7 @@ def theorem_scan_walk(
                 feasible += 1
                 total = sum(m)
                 for r in range(max(r_min, len(m)), r_max + 1):
-                    if budget * r * (r + 3) >= (r + 2) * total * total:
+                    if not is_subgeneric(budget, total, r):
                         break
                     if m[0] == 1:
                         counts[CaseLabel.UNIT_MULTIPLICITY] += 1
@@ -371,6 +374,63 @@ def theorem_scan_walk(
                     else:
                         violations.append(Violation(d, k, r, m))
     return TheoremScan(feasible, counts, tuple(violations))
+
+
+def theorem_scan_floor_walk(k_max, r_max, d_max, m_max, *, k_min=1, r_min=2):
+    """verify_theorem by walking every vector whose entries all exceed
+    d^2*k // (r_max + 2): the scan's fast path before it decided each
+    length in closed form, kept as a second reference for the whole scan.
+
+    By the lemma in verify_theorem's docstring, a sub-generic vector has
+    m_s*(s+2) > d^2*k with s <= r_max, so no vector below that entry
+    floor can be sub-generic.  The count is el_xu_tally's, so this is for
+    boxes whose vectors are short.
+    """
+    counts = {CaseLabel.UNIT_MULTIPLICITY: 0, CaseLabel.TWO_SIX: 0}
+    violations, feasible, memo = [], 0, {}
+    for k in range(k_min, k_max + 1):
+        for d in range(1, d_max + 1):
+            budget = d * d * k
+            feasible += el_xu_tally(m_max, r_max, budget, memo)[0]
+            for m, total in _entry_floor_walk(m_max, r_max, budget, budget // (r_max + 2) + 1):
+                for r in range(max(r_min, len(m)), r_max + 1):
+                    if not is_subgeneric(budget, total, r):
+                        break
+                    if m[0] == 1:
+                        counts[CaseLabel.UNIT_MULTIPLICITY] += 1
+                    elif (d, k, m) == (1, 6, (2, 2)):
+                        counts[CaseLabel.TWO_SIX] += 1
+                    else:
+                        violations.append(Violation(d, k, r, m))
+    return TheoremScan(feasible, counts, tuple(violations))
+
+
+def _entry_floor_walk(cap, length, room, lo):
+    """Yield (m, sum(m)) for every nonincreasing vector with entries in
+    [lo, cap], at most length of them and sum(m_i^2) - m_s <= room, in
+    tuple order.
+
+    Depth first, each vector before its extensions, on an explicit stack.
+    A prefix that leaves room extends by an entry e with e^2 - e <= room,
+    and descends further only while e^2 <= room.
+    """
+    entries = []
+    frames = [(iter(range(lo, cap + 1)), length, room, 0)]  # (next entries, length, room, total)
+    while frames:
+        choices, length, room, total = frames[-1]
+        for e in choices:
+            if e * e - e > room:
+                break  # increasing in e, so larger e fail too
+            entries.append(e)
+            yield tuple(entries), total + e
+            if length > 1 and e * e <= room:
+                frames.append((iter(range(lo, e + 1)), length - 1, room - e * e, total + e))
+                break  # extend first; this frame resumes at e + 1
+            entries.pop()
+        if frames[-1][0] is choices:  # the frame is done
+            frames.pop()
+            if entries:
+                entries.pop()
 
 
 def min_ratio_walk(k, r, d_max, m_max):

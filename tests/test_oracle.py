@@ -18,6 +18,7 @@ from oracles import (
     han_inequality,
     han_scan_walk,
     min_ratio_walk,
+    theorem_scan_floor_walk,
     theorem_scan_walk,
 )
 from seshadri.inequalities import han_applies, han_margin
@@ -302,6 +303,7 @@ DIFFERENTIAL_BOXES = [
     (1, 1, 2, 12, 6, 12),
     (1, 3, 2, 14, 3, 10),
     (10, 14, 2, 4, 4, 12),
+    (1, 8, 2, 6, 3, 2),  # (2, 2) at (k, d) = (6, 1) has length 6 // m_max - 1, the floor
 ]
 
 
@@ -349,8 +351,8 @@ class TestAgainstFullWalk:
         assert min_ratio_search(k, r, d_max, m_max) == min_ratio_walk(k, r, d_max, m_max)
 
     def test_subgeneric_entries_clear_the_cut(self):
-        # The lemma behind verify_theorem's walk: a feasible vector that is
-        # sub-generic at some admissible r has every entry above
+        # The lemma behind theorem_scan_floor_walk: a feasible vector that
+        # is sub-generic at some admissible r has every entry above
         # d^2*k // (r_max + 2), whatever r_min is.
         hits = 0
         for k in range(1, 13):
@@ -376,11 +378,26 @@ class TestAgainstFullWalk:
         assert scan.subgeneric_counts[CaseLabel.UNIT_MULTIPLICITY] == 1  # (1,)*1001 at r = 1001
         assert min_ratio_search(2000, 1200, 1, 1) == min_ratio_walk(2000, 1200, 1, 1)
 
-    @pytest.mark.parametrize("lo", [1, 2, 3, 5])
-    def test_walk_lower_entry(self, lo):
-        walked = [m for m, _ in oracle._walk(7, 6, 3 * 3 * 4, lo)]
-        assert len(walked) == len(set(walked))
-        assert set(walked) == {m for m in naive_feasible(3, 4, 6, 7) if m[-1] >= lo}
+    def test_subgeneric_lengths_clear_the_floor(self):
+        # The lemma behind verify_theorem's first length: a feasible vector
+        # of length s that is sub-generic at some admissible r has
+        # s >= d^2*k // m_max - 1.  The floor is reached.
+        hits = at_floor = 0
+        for k in range(1, 13):
+            for d in range(1, 4):
+                d2k = d * d * k
+                for m_max in (1, 2, 3, 5, 8):
+                    for m in feasible_multiplicities(d, k, 9, m_max):
+                        s, total = len(m), sum(m)
+                        if any(
+                            d2k * r * (r + 3) < (r + 2) * total * total
+                            for r in range(max(2, s), 10)
+                        ):
+                            hits += 1
+                            floor = d2k // m_max - 1
+                            assert s >= floor, (d, k, m_max, m)
+                            at_floor += s == floor
+        assert hits > 0 and at_floor > 0
 
     @pytest.mark.parametrize("need", [1, 9, 13, 14])
     def test_walk_need(self, need):
@@ -397,6 +414,58 @@ class TestAgainstFullWalk:
         monkeypatch.setattr(oracle, "_best_sum", lambda cap, length, room: 0)
         walked = [m for m, _ in oracle._walk(7, 6, 3 * 3 * 4, need=need)]
         assert walked == sorted(m for m in naive_feasible(3, 4, 6, 7) if m[0] >= need)
+
+
+class TestTheoremCertificate:
+    """verify_theorem decides each cell (k, d, s) in closed form and walks
+    only the cells whose largest sum is sub-generic."""
+
+    @pytest.mark.parametrize(
+        "box",
+        [(k, k, 10, 5, 8) for k in range(1, 21)] + [(1, 50, 60, 3, 24), (1, 40, 40, 5, 20)],
+    )
+    def test_against_the_floor_walk(self, box):
+        # the verify-box sub-boxes, the wide golden box and one more
+        k_min, k_max, r_max, d_max, m_max = box
+        assert verify_theorem(
+            k_max, r_max, d_max, m_max, k_min=k_min
+        ) == theorem_scan_floor_walk(k_max, r_max, d_max, m_max, k_min=k_min)
+
+    @pytest.mark.parametrize(
+        "box,found,walked", [((8, 6, 3, 6), 56, 68), ((12, 8, 4, 6), 105, 132), ((20, 10, 5, 8), 195, 216)]
+    )
+    def test_reports_violations_under_a_looser_test(self, box, found, walked, monkeypatch):
+        # A looser sub-generic test makes many configurations with m_1 >= 2
+        # fail.  The scan reports exactly the full walk's failures at the
+        # lengths it decides, s >= d^2*k // m_max - 1 (a floor whose lemma
+        # holds for the true test only), in (k, d, m, r) order.
+        def loose(d2k, total, r):
+            return d2k * r * (r + 3) < (r + 2) * (total + 1) ** 2
+
+        monkeypatch.setattr(oracle, "is_subgeneric", loose)
+        m_max = box[3]
+        scan = verify_theorem(*box)
+        full = theorem_scan_walk(*box, is_subgeneric=loose).violations
+        assert (len(scan.violations), len(full)) == (found, walked)
+        assert set(scan.violations) <= set(full)
+        assert list(scan.violations) == [v for v in full if len(v.m) >= v.d * v.d * v.k // m_max - 1]
+        assert list(scan.violations) == sorted(scan.violations, key=lambda v: (v.k, v.d, v.m, v.r))
+
+    @pytest.mark.parametrize("box", [(20, 10, 5, 8), (50, 60, 3, 24)])
+    def test_walks_only_the_two_six_cell(self, box, monkeypatch):
+        # On the acceptance box and the wide golden box, the only cell whose
+        # largest sum is sub-generic is (k, d, s) = (6, 1, 2): budget 6,
+        # length 2.
+        walk, calls = oracle._walk, []
+
+        def recording_walk(cap, length, room, need=0):
+            calls.append((length, room))
+            return walk(cap, length, room, need=need)
+
+        monkeypatch.setattr(oracle, "_walk", recording_walk)
+        scan = verify_theorem(*box)
+        assert scan.ok and scan.subgeneric_counts[CaseLabel.TWO_SIX] == 1
+        assert calls == [(2, 6)]
 
 
 class TestBestSum:
@@ -447,7 +516,7 @@ class TestCountFeasible:
         # sum(m_i^2) - m_s is at most r_max*m_max^2 - m_max, so every budget
         # from there on admits every nonincreasing vector of the box:
         # comb(r_max + m_max, m_max) - 1 of them, which fills the count's
-        # widest slot.  No entry clears the walk's floor.
+        # widest slot.  No length reaches the scan's first one.
         whole = math.comb(r_max + m_max, m_max) - 1
         k_min = r_max * m_max * m_max
         budgets = [k_min - m_max, k_min, k_min + 1, 4 * k_min]
@@ -455,6 +524,20 @@ class TestCountFeasible:
         scan = verify_theorem(k_min + 4, r_max, 3, m_max, k_min=k_min)
         assert scan.feasible_vectors == 5 * 3 * whole
         assert scan.subgeneric_counts == {CaseLabel.UNIT_MULTIPLICITY: 0, CaseLabel.TWO_SIX: 0}
+
+    @pytest.mark.parametrize("j", range(2, 7))
+    def test_modulus_at_its_largest_residue(self, j):
+        # cap = 1 and length = 2^j - 2: the box holds (1,)*s for s <= length,
+        # length = 2^width - 2 vectors, the largest residue the modulus
+        # 2^width - 1 can return.  Budgets past top and repeated.
+        length = 2**j - 2
+        assert math.comb(length + 1, 1).bit_length() == j
+        budgets = [0, length - 2, length - 1, length - 1, length, 5 * length, 0]
+        memo = {}
+        expected = [el_xu_tally(1, length, budget, memo)[0] for budget in budgets]
+        assert expected == [min(length, budget + 1) for budget in budgets]
+        assert oracle._count_feasible(1, length, budgets) == expected
+        assert oracle._count_feasible(1, length, [length - 1]) == [2**j - 2]
 
     def test_repeated_budgets_each_count(self):
         # With k_min > 1, d^2*k still repeats across (k, d): 8 at (8, 1) and
