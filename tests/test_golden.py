@@ -45,6 +45,7 @@ CASES = {
     "pell-conjectural": "pell --k 61",
     "search": "search --k 1 --r 5 --d-max 3",
     "search-wide": "search --k 200 --r 20 --d-max 4",
+    "search-verify-box": "search --k 20 --r 10 --d-max 4 --m-max 6",
     "verify-theorem": "verify --suite theorem --k-max 8 --r-max 6 --d-max 3 --m-max 6",
     "verify-theorem-acceptance": "verify --suite theorem --k-max 20 --r-max 10 --d-max 5 --m-max 8",
     "verify-theorem-wide": "verify --suite theorem --k-max 50 --r-max 60 --d-max 3 --m-max 24",
