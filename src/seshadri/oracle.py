@@ -212,9 +212,12 @@ def _walk(cap: int, length: int, room: int, need: int = 0) -> Iterator[tuple[Mul
     increasing order: Python's tuple order.  While a prefix is still
     short of need, the walk enters a subtree only when _best_sum's
     total below it reaches need, so with need set to the largest sum it
-    visits only prefixes of the vectors it yields.  It keeps its own
-    stack, one frame per entry, so a long vector cannot exhaust the
-    interpreter's recursion limit.
+    visits only prefixes of the vectors it yields.  Below an entry e
+    every entry is at most e, so _best_sum(e, n, room) <= n*e, and a
+    subtree that n more entries of e cannot lift to need is passed over
+    without calling it; that skips only calls that would fail.  It
+    keeps its own stack, one frame per entry, so a long vector cannot
+    exhaust the interpreter's recursion limit.
     """
     entries: list[int] = []
     frames = [(iter(range(1, cap + 1)), length, room, 0)]  # (next entries, length, room, total)
@@ -228,7 +231,9 @@ def _walk(cap: int, length: int, room: int, need: int = 0) -> Iterator[tuple[Mul
             if reached >= need:
                 yield tuple(entries), reached
             if length > 1 and e * e <= room and (
-                reached >= need or reached + _best_sum(e, length - 1, room - e * e) >= need
+                reached >= need
+                or reached + e * (length - 1) >= need
+                and reached + _best_sum(e, length - 1, room - e * e) >= need
             ):
                 frames.append((iter(range(1, e + 1)), length - 1, room - e * e, reached))
                 break  # extend first; this frame resumes at e + 1
@@ -338,16 +343,24 @@ def verify_theorem(
     the order (k, d), then m as tuples, then r.
 
     A cell holds vectors iff s <= d^2*k + 1, the all-ones vector's bound,
-    and only its longer lengths can hold a hit.  Lemma: a feasible vector m of length s
-    that is sub-generic at some r >= s has m_s*(s+2) > d^2*k.  Proof:
-    sub-generic at r implies sub-generic at s, and
-    (sum m)^2 <= s*sum(m_i^2) <= s*(d^2*k + m_s) by Cauchy-Schwarz and
-    EL-Xu, so d^2*k*s*(s+3)/(s+2) < s*(d^2*k + m_s), which is
-    d^2*k < (s+2)*m_s.  As m_s <= m_max, s >= d^2*k // m_max - 1, and the
-    scan starts its lengths there.  The lemma does not use the
-    trichotomy, so a real violation is still found.  feasible_vectors
-    counts the whole box with one exact generating function over every
-    budget d^2*k of the scan (_count_feasible), which enumerates nothing.
+    and only its longer lengths can hold a hit.  Lemma: a feasible vector
+    m of length s that is sub-generic at some r >= s has
+    m_s*(s+2) > d^2*k.  Proof: sub-generic at r implies sub-generic at s,
+    and (sum m)^2 <= s*sum(m_i^2) <= s*(d^2*k + m_s) by Cauchy-Schwarz
+    and EL-Xu, so d^2*k*s*(s+3)/(s+2) < s*(d^2*k + m_s), which is
+    d^2*k < (s+2)*m_s.  Two floors on s follow.  As m_s <= m_max,
+    s >= d^2*k // m_max - 1.  And EL-Xu gives s*m_s^2 - m_s <= d^2*k.
+    With y = d^2*k/(s+2) < m_s, and x*(s*x - 1) increasing for
+    x >= 1/(2s), d^2*k >= m_s*(s*m_s - 1) > y*(s*y - 1), which is
+    s*d^2*k < (s+2)*(s+3); for y < 1/(2s) that holds outright.  So
+    d^2*k < s + 5 + 6/s <= s + 11, and s >= d^2*k - 10.  The scan
+    starts its lengths at the larger floor, and since budgets rise with
+    d it stops the d loop once d^2*k - 10 exceeds r_max.  The lemma
+    covers every feasible vector, the all-ones one too, and does not use
+    the trichotomy, so no unit hit is lost and a real violation is still
+    found.  feasible_vectors counts the whole box with one exact
+    generating function over every budget d^2*k of the scan
+    (_count_feasible), which enumerates nothing.
     """
     if not (1 <= k_min <= k_max and 2 <= r_min <= r_max and d_max >= 1 and m_max >= 1):
         raise ValueError("bad scan box")
@@ -361,8 +374,10 @@ def verify_theorem(
     for k in range(k_min, k_max + 1):
         for d in range(1, d_max + 1):
             budget = d * d * k
+            if budget - 10 > r_max:
+                break  # no length reaches the floor, nor at any larger d
             found: list[Violation] = []
-            for s in range(max(1, budget // m_max - 1), min(r_max, budget + 1) + 1):
+            for s in range(max(1, budget // m_max - 1, budget - 10), min(r_max, budget + 1) + 1):
                 r0 = max(r_min, s)
                 r = r0
                 while r <= r_max and is_subgeneric(budget, s, r):  # (1,)*s
@@ -408,9 +423,12 @@ def verify_han_exhaustive(s_max: int, m_max: int) -> HanScan:
     entries q and rho entries q + 1, 0 <= rho < n (rho = 0 at q = m_max).
     So (q, rho) indexes the groups, and one margin at the least sum of
     squares e^2 + n*q^2 + rho*(2q + 1) decides the whole group (see the
-    comments below).  Only the groups whose least margin is <= 0 are
-    listed, checked against their count (_partitions) and least sum of
-    squares, and each listed vector is sorted by its own margin.
+    comments below).  Across rho the sum steps by 1 and the least sum of
+    squares by 2q + 1, so neither is taken from products; the margin is
+    still evaluated once per group, in group order.  Only the groups
+    whose least margin is <= 0 are listed, checked against their count
+    (_partitions) and least sum of squares, and each listed vector is
+    sorted by its own margin.
     Counterexamples and equality witnesses come in the order of
     (s, m[::-1]): by length, then as nondecreasing tuples.
     """
@@ -422,9 +440,12 @@ def verify_han_exhaustive(s_max: int, m_max: int) -> HanScan:
         n = s - 1
         for e in range(1, m_max + 1):
             for q in range(e, m_max + 1):
-                for rho in range(n if q < m_max else 1):
-                    total = e + n * q + rho
-                    least = e * e + n * q * q + rho * (2 * q + 1)
+                step = 2 * q + 1
+                total = e + n * q - 1
+                least = e * e + n * q * q - step
+                for _ in range(n if q < m_max else 1):
+                    total += 1  # rho more entries q + 1
+                    least += step
                     # The margin's sum(m_i^2) coefficient is (s+3)*s > 0, so a
                     # group holds a vector with margin <= 0 iff its vector of
                     # least sum(m_i^2) does.  han_applies reads sum(m_i^2) only

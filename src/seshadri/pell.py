@@ -57,7 +57,6 @@ products of equal size, which CPython multiplies by Karatsuba.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Optional
@@ -73,23 +72,44 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class PellSolution:
     """Fundamental solution of q^2 - k*p^2 = 1 for non-square k.
 
     p0 plays the role of the sqrt-coefficient and q0 the rational part,
-    so p0/q0 approximates 1/sqrt(k) from below.
+    so p0/q0 approximates 1/sqrt(k) from below.  Immutable; equal when
+    (p0, q0, k) are.
     """
 
-    p0: int
-    q0: int
-    k: int
+    __slots__ = ("p0", "q0", "k")
+    __match_args__ = ("p0", "q0", "k")
 
-    def __post_init__(self) -> None:
-        if self.p0 < 1 or self.q0 < 2:
+    def __init__(self, p0: int, q0: int, k: int) -> None:
+        for name, value in (("p0", p0), ("q0", q0), ("k", k)):
+            object.__setattr__(self, name, value)
+        if p0 < 1 or q0 < 2:
             raise ValueError(f"not a nontrivial Pell solution: {self}")
-        if self.q0 * self.q0 - self.k * self.p0 * self.p0 != 1:
+        if q0 * q0 - k * p0 * p0 != 1:
             raise ValueError(f"Pell identity fails: {self}")
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return f"PellSolution(p0={self.p0!r}, q0={self.q0!r}, k={self.k!r})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.p0, self.q0, self.k) == (other.p0, other.q0, other.k)
+
+    def __hash__(self) -> int:
+        return hash((self.p0, self.q0, self.k))
+
+    def __reduce__(self) -> tuple:
+        return PellSolution, (self.p0, self.q0, self.k)
 
 
 class FsstWitness(NamedTuple):

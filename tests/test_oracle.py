@@ -399,6 +399,24 @@ class TestAgainstFullWalk:
                             at_floor += s == floor
         assert hits > 0 and at_floor > 0
 
+    def test_subgeneric_lengths_clear_the_budget_floor(self):
+        # The lemma behind verify_theorem's second floor: with EL-Xu's
+        # s*m_s^2 - m_s <= d^2*k, m_s*(s + 2) > d^2*k gives
+        # s*d^2*k < (s + 2)*(s + 3), hence s >= d^2*k - 10.  Sub-generic
+        # at some r >= max(2, s) means sub-generic at max(2, s).
+        margins = []
+        for d in range(1, 4):
+            for k in range(1, 60 // (d * d) + 1):
+                d2k = d * d * k
+                for m in feasible_multiplicities(d, k, 14, 9):
+                    s, total = len(m), sum(m)
+                    r = max(2, s)
+                    if d2k * r * (r + 3) < (r + 2) * total * total:
+                        assert s * d2k < (s + 2) * (s + 3), (d, k, m)
+                        assert s >= d2k - 10, (d, k, m)
+                        margins.append(s - (d2k - 10))
+        assert (len(margins), min(margins)) == (18, 6)
+
     @pytest.mark.parametrize("need", [1, 9, 13, 14])
     def test_walk_need(self, need):
         # the vectors with sum >= need, with their sums, in tuple order
@@ -432,13 +450,14 @@ class TestTheoremCertificate:
         ) == theorem_scan_floor_walk(k_max, r_max, d_max, m_max, k_min=k_min)
 
     @pytest.mark.parametrize(
-        "box,found,walked", [((8, 6, 3, 6), 56, 68), ((12, 8, 4, 6), 105, 132), ((20, 10, 5, 8), 195, 216)]
+        "box,found,walked", [((8, 6, 3, 6), 35, 68), ((12, 8, 4, 6), 64, 132), ((20, 10, 5, 8), 88, 216)]
     )
     def test_reports_violations_under_a_looser_test(self, box, found, walked, monkeypatch):
         # A looser sub-generic test makes many configurations with m_1 >= 2
         # fail.  The scan reports exactly the full walk's failures at the
-        # lengths it decides, s >= d^2*k // m_max - 1 (a floor whose lemma
-        # holds for the true test only), in (k, d, m, r) order.
+        # lengths it decides, s >= max(d^2*k // m_max - 1, d^2*k - 10)
+        # (floors whose lemmas hold for the true test only), in (k, d, m, r)
+        # order.
         def loose(d2k, total, r):
             return d2k * r * (r + 3) < (r + 2) * (total + 1) ** 2
 
@@ -448,7 +467,8 @@ class TestTheoremCertificate:
         full = theorem_scan_walk(*box, is_subgeneric=loose).violations
         assert (len(scan.violations), len(full)) == (found, walked)
         assert set(scan.violations) <= set(full)
-        assert list(scan.violations) == [v for v in full if len(v.m) >= v.d * v.d * v.k // m_max - 1]
+        decided = [v for v in full if len(v.m) >= max(v.d * v.d * v.k // m_max - 1, v.d * v.d * v.k - 10)]
+        assert scan.violations and list(scan.violations) == decided
         assert list(scan.violations) == sorted(scan.violations, key=lambda v: (v.k, v.d, v.m, v.r))
 
     @pytest.mark.parametrize("box", [(20, 10, 5, 8), (50, 60, 3, 24)])
@@ -466,6 +486,38 @@ class TestTheoremCertificate:
         scan = verify_theorem(*box)
         assert scan.ok and scan.subgeneric_counts[CaseLabel.TWO_SIX] == 1
         assert calls == [(2, 6)]
+
+
+class TestPrunedWork:
+    """Work counts of the pruned walks: how many _best_sum calls they make,
+    with their results checked against the full walks."""
+
+    @staticmethod
+    def recorded_best_sum(monkeypatch):
+        best_sum, calls = oracle._best_sum, []
+
+        def recording(cap, length, room):
+            calls.append((cap, length, room))
+            return best_sum(cap, length, room)
+
+        monkeypatch.setattr(oracle, "_best_sum", recording)
+        return calls
+
+    def test_search_skips_subtrees_the_cap_cannot_fill(self, monkeypatch):
+        # 4 calls pick the minimum's d; the walks below it make the rest,
+        # each past the free bound reached + e*(length - 1) >= need.
+        calls = self.recorded_best_sum(monkeypatch)
+        assert min_ratio_search(30, 10, 4, 6) == min_ratio_walk(30, 10, 4, 6)
+        assert len(calls) == 21
+
+    def test_theorem_decides_only_lengths_past_both_floors(self, monkeypatch):
+        calls = self.recorded_best_sum(monkeypatch)
+        assert verify_theorem(20, 10, 5, 8) == theorem_scan_floor_walk(20, 10, 5, 8)
+        assert len(calls) == 167
+
+    @pytest.mark.parametrize("k", range(20, 41))
+    def test_search_equals_the_full_walk(self, k):
+        assert min_ratio_search(k, 10, 4, 6) == min_ratio_walk(k, 10, 4, 6)
 
 
 class TestBestSum:

@@ -1,5 +1,7 @@
 """Pell module tests, with brute-force and proper-power minimality oracles."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -64,6 +66,33 @@ class TestPellFundamental:
     def test_constructor_rejects_non_solutions(self):
         with pytest.raises(ValueError):
             PellSolution(p0=1, q0=5, k=35)
+
+
+class TestPellSolutionRecord:
+    """PellSolution behaves as the frozen record it replaced."""
+
+    def test_repr_equality_and_hash(self):
+        sol = pell_fundamental(35)
+        assert repr(sol) == "PellSolution(p0=1, q0=6, k=35)"
+        assert sol == PellSolution(1, 6, 35) and hash(sol) == hash(PellSolution(p0=1, q0=6, k=35))
+        assert sol != PellSolution(p0=12, q0=17, k=2) and sol != (1, 6, 35)
+
+    def test_immutable(self):
+        sol = pell_fundamental(2)
+        with pytest.raises(AttributeError):
+            sol.p0 = 12
+        with pytest.raises(AttributeError):
+            del sol.q0
+        with pytest.raises(AttributeError):
+            sol.extra = 1
+        assert (sol.p0, sol.q0, sol.k) == (2, 3, 2)
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickles(self, protocol):
+        sol = pell_fundamental(61)
+        again = pickle.loads(pickle.dumps(sol, protocol))
+        assert again == sol and type(again) is PellSolution
+        assert copy.deepcopy(sol) == sol
 
 
 def period_length(k):

@@ -109,12 +109,22 @@ RECORD_FIELDS = {
 
 
 def record_fields(obj):
-    """Field names of a dataclass or NamedTuple class; None for anything else."""
-    if isinstance(obj, type) and dataclasses.is_dataclass(obj):
+    """Field names of a dataclass, a NamedTuple or a class with public
+    __slots__; None for anything else, such as a class whose slots are all
+    private."""
+    if not isinstance(obj, type):
+        return None
+    if dataclasses.is_dataclass(obj):
         return tuple(f.name for f in dataclasses.fields(obj))
-    if isinstance(obj, type) and issubclass(obj, tuple) and hasattr(obj, "_fields"):
+    if issubclass(obj, tuple) and hasattr(obj, "_fields"):
         return obj._fields
-    return None
+    public = tuple(name for name in vars(obj).get("__slots__", ()) if not name.startswith("_"))
+    return public or None
+
+
+def test_record_fields_reads_public_slots_only():
+    assert record_fields(seshadri.PellSolution) == ("p0", "q0", "k")
+    assert "_num" in seshadri.Surd.__slots__ and record_fields(seshadri.Surd) is None
 
 
 def test_every_public_record_has_its_pinned_fields():

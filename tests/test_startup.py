@@ -66,6 +66,12 @@ def test_each_subcommand_loads_only_its_own_modules(command):
     assert not {"json", "csv"} & loaded  # text output needs neither
 
 
+def test_pell_loads_no_dataclasses():
+    # PellSolution is a __slots__ class; the pell command's other modules
+    # define no dataclass either.
+    assert "dataclasses" not in loaded_modules(["pell", "--k", "35", "--format", "text"])
+
+
 @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
 def test_json_and_csv_load_only_for_their_own_format(fmt):
     loaded = loaded_modules(["pell", "--k", "35", "--format", fmt])
