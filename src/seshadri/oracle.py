@@ -444,7 +444,7 @@ def verify_han_exhaustive(s_max: int, m_max: int) -> HanScan:
                 total = e + n * q - 1
                 least = e * e + n * q * q - step
                 for _ in range(n if q < m_max else 1):
-                    total += 1  # rho more entries q + 1
+                    total += 1  # one more entry raised from q to q + 1
                     least += step
                     # The margin's sum(m_i^2) coefficient is (s+3)*s > 0, so a
                     # group holds a vector with margin <= 0 iff its vector of
