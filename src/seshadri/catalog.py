@@ -102,22 +102,18 @@ def known_value(spec: SurfaceSpec, r: int) -> Optional[PlaneValue]:
 def parse_surface(text: str) -> SurfaceSpec:
     """Parse the CLI syntax: p2 | k3:<k> | hyp:<deg> | ab:<d> | custom:<k>[,va]."""
     head, _, rest = text.partition(":")
-    if head == "p2":
+    try:
+        kind = SurfaceKind(head)
+    except ValueError:
+        raise SurfaceSyntaxError(f"unknown surface {text!r}") from None
+    if kind is SurfaceKind.PROJECTIVE_PLANE:
         if rest:
             raise SurfaceSyntaxError("p2 takes no parameter")
-        return make_surface(SurfaceKind.PROJECTIVE_PLANE)
-    kinds = {
-        "k3": SurfaceKind.GENERAL_K3,
-        "hyp": SurfaceKind.HYPERSURFACE_P3,
-        "ab": SurfaceKind.ABELIAN_TYPE_1D,
-        "custom": SurfaceKind.CUSTOM,
-    }
-    if head not in kinds:
-        raise SurfaceSyntaxError(f"unknown surface {text!r}")
+        return make_surface(kind)
     very_ample = False
-    if head == "custom" and rest.endswith(",va"):
+    if kind is SurfaceKind.CUSTOM and rest.endswith(",va"):
         very_ample = True
         rest = rest[: -len(",va")]
     if not rest.isdecimal() or int(rest) < 1:
         raise SurfaceSyntaxError(f"surface parameter must be a positive integer: {text!r}")
-    return make_surface(kinds[head], int(rest), very_ample=very_ample)
+    return make_surface(kind, int(rest), very_ample=very_ample)

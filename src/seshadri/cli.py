@@ -78,12 +78,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 class Entry(NamedTuple):
+    """One row of a record.  Its fields, in order, are the columns of
+    every format; text leaves out the attribution."""
+
     name: str
     exact: str
     decimal: str = ""
     flags: tuple[str, ...] = ()
     applicability: str = ""
     attribution: str = ""
+
+    def cells(self, flag_sep: str) -> tuple[str, ...]:
+        return (*self[:3], flag_sep.join(self.flags), *self[4:])
 
 
 class Record:
@@ -92,44 +98,32 @@ class Record:
 
     __slots__ = ("command", "inputs", "entries", "notes")
 
-    def __init__(self, command: str, inputs: list[tuple[str, str]]) -> None:
+    def __init__(self, command: str, **inputs: object) -> None:
         self.command = command
-        self.inputs = inputs
+        self.inputs = {key: str(value) for key, value in inputs.items()}
         self.entries: list[Entry] = []
         self.notes: list[str] = []
 
+    def input_line(self) -> str:
+        return " ".join(f"{key}={value}" for key, value in self.inputs.items())
+
 
 # -- emission ------------------------------------------------------------
+
+CSV_COLUMNS = ["command", "inputs", *Entry._fields, "notes"]
 
 
 def _emit_text(records: list[Record], out: io.TextIOBase) -> None:
     for i, rec in enumerate(records):
         if i:
             out.write("\n")
-        inputs = " ".join(f"{k}={v}" for k, v in rec.inputs)
-        out.write(f"{rec.command} {inputs}\n" if inputs else f"{rec.command}\n")
+        out.write(f"{rec.command} {rec.input_line()}\n")
         if rec.entries:
-            rows = [
-                (
-                    e.name,
-                    e.exact,
-                    e.decimal,
-                    ",".join(e.flags),
-                    e.applicability,
-                )
-                for e in rec.entries
-            ]
-            headers = ("name", "exact", "decimal", "flags", "applicability")
-            widths = [
-                max(len(h), *(len(r[j]) for r in rows)) for j, h in enumerate(headers)
-            ]
-            out.write(
-                "  " + "  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip() + "\n"
-            )
+            # every column but the attribution, the one long column
+            rows = [Entry._fields[:-1]] + [e.cells(",")[:-1] for e in rec.entries]
+            widths = [max(map(len, column)) for column in zip(*rows)]
             for row in rows:
-                out.write(
-                    "  " + "  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() + "\n"
-                )
+                out.write("  " + "  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() + "\n")
         for note in rec.notes:
             out.write(f"  note: {note}\n")
 
@@ -140,24 +134,11 @@ def _emit_json(records: list[Record], out: io.TextIOBase) -> None:
     for rec in records:
         obj = {
             "command": rec.command,
-            "inputs": {k: v for k, v in rec.inputs},
+            "inputs": rec.inputs,
             "entries": [e._asdict() for e in rec.entries],
             "notes": rec.notes,
         }
         out.write(json.dumps(obj, separators=(",", ":")) + "\n")
-
-
-CSV_COLUMNS = [
-    "command",
-    "inputs",
-    "name",
-    "exact",
-    "decimal",
-    "flags",
-    "applicability",
-    "attribution",
-    "notes",
-]
 
 
 def _emit_csv(records: list[Record], out: io.TextIOBase) -> None:
@@ -166,22 +147,9 @@ def _emit_csv(records: list[Record], out: io.TextIOBase) -> None:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for rec in records:
-        inputs = " ".join(f"{k}={v}" for k, v in rec.inputs)
-        notes = " | ".join(rec.notes)
+        inputs, notes = rec.input_line(), " | ".join(rec.notes)
         for e in rec.entries:
-            writer.writerow(
-                [
-                    rec.command,
-                    inputs,
-                    e.name,
-                    e.exact,
-                    e.decimal,
-                    "|".join(e.flags),
-                    e.applicability,
-                    e.attribution,
-                    notes,
-                ]
-            )
+            writer.writerow([rec.command, inputs, *e.cells("|"), notes])
 
 
 _EMITTERS = {"text": _emit_text, "json": _emit_json, "csv": _emit_csv}
@@ -334,14 +302,7 @@ def cmd_bounds(args: argparse.Namespace) -> tuple[list[Record], int]:
     for k in k_values:
         for r in args.r:
             report = compare_bounds(k, r, very_ample=very_ample)
-            rec = Record(
-                command="bounds",
-                inputs=[
-                    ("k", str(k)),
-                    ("r", str(r)),
-                    ("surface", surface.label() if surface else "-"),
-                ],
-            )
+            rec = Record("bounds", k=k, r=r, surface=surface.label() if surface else "-")
             rec.entries.append(
                 Entry(
                     "upper",
@@ -389,7 +350,7 @@ def cmd_pell(args: argparse.Namespace) -> tuple[list[Record], int]:
     sol = pell_fundamental(k)
     bound = szemberg_single_point_bound(k)
     witness = fsst_applicable(k)
-    rec = Record(command="pell", inputs=[("k", str(k))])
+    rec = Record("pell", k=k)
     rec.entries.append(
         Entry(
             name="single-point-bound",
@@ -420,31 +381,18 @@ def cmd_search(args: argparse.Namespace) -> tuple[list[Record], int]:
     k, r, d_max = args.k, args.r, args.d_max
     m_max = args.m_max if args.m_max is not None else isqrt(d_max * d_max * k) + 1
     result = min_ratio_search(k, r, d_max, m_max)
-    rec = Record(
-        command="search",
-        inputs=[
-            ("k", str(k)),
-            ("r", str(r)),
-            ("d_max", str(d_max)),
-            ("m_max", str(m_max)),
-        ],
-    )
+    rec = Record("search", k=k, r=r, d_max=d_max, m_max=m_max)
+    # every witness attains the minimum, so each row repeats its value
+    value = (str(result.minimum), render_decimal(Surd(result.minimum), args.digits))
     rec.entries.append(
-        Entry(
-            name="minimum",
-            exact=str(result.minimum),
-            decimal=render_decimal(Surd(result.minimum), args.digits),
-            attribution="min of d*k/sum(m) over the searched box",
-        )
+        Entry("minimum", *value, attribution="min of d*k/sum(m) over the searched box")
     )
     for i, (d, m) in enumerate(result.witnesses, start=1):
-        label = classify_case(d, k, r, m)
         rec.entries.append(
             Entry(
-                name=f"witness-{i}",
-                exact=str(result.minimum),
-                decimal=render_decimal(Surd(result.minimum), args.digits),
-                flags=(label.value,),
+                f"witness-{i}",
+                *value,
+                flags=(classify_case(d, k, r, m).value,),
                 applicability=f"d={d}, m={'(' + ','.join(map(str, m)) + ')'}",
             )
         )
@@ -454,84 +402,60 @@ def cmd_search(args: argparse.Namespace) -> tuple[list[Record], int]:
 
 
 def cmd_verify(args: argparse.Namespace) -> tuple[list[Record], int]:
+    """Each suite's record lists what it checked, the number of failures,
+    each failure, then anything else it found; any failure exits 3."""
     from .oracle import k3_case2_excluded, verify_han_exhaustive, verify_theorem
 
     if args.suite == "theorem":
         scan = verify_theorem(args.k_max, args.r_max, args.d_max, args.m_max)
         rec = Record(
-            command="verify",
-            inputs=[
-                ("suite", "theorem"),
-                ("k_max", str(args.k_max)),
-                ("r_max", str(args.r_max)),
-                ("d_max", str(args.d_max)),
-                ("m_max", str(args.m_max)),
-            ],
+            "verify", suite="theorem", k_max=args.k_max, r_max=args.r_max,
+            d_max=args.d_max, m_max=args.m_max,
         )
         rec.entries.append(Entry(name="feasible-vectors", exact=str(scan.feasible_vectors)))
         for label, count in sorted(
             scan.subgeneric_counts.items(), key=lambda kv: kv[0].value
         ):
-            rec.entries.append(
-                Entry(name=f"subgeneric-{label.value}", exact=str(count))
+            rec.entries.append(Entry(name=f"subgeneric-{label.value}", exact=str(count)))
+        counted = "violations"
+        failures = [
+            Entry(
+                name="violation",
+                exact=str(Fraction(v.d * v.k, sum(v.m))),
+                applicability=f"d={v.d}, k={v.k}, r={v.r}, m={v.m}",
             )
-        rec.entries.append(Entry(name="violations", exact=str(len(scan.violations))))
-        for v in scan.violations:
-            rec.entries.append(
-                Entry(
-                    name="violation",
-                    exact=str(Fraction(v.d * v.k, sum(v.m))),
-                    applicability=f"d={v.d}, k={v.k}, r={v.r}, m={v.m}",
-                )
-            )
-        rec.notes.append(BOX_CAVEAT)
-        return [rec], 3 if scan.violations else 0
-
-    if args.suite == "han":
+            for v in scan.violations
+        ]
+        found = []
+    elif args.suite == "han":
         if args.m_max < 2:
             raise UsageError(f"the han suite needs --m-max >= 2, got {args.m_max}")
         scan = verify_han_exhaustive(args.s_max, args.m_max)
-        rec = Record(
-            command="verify",
-            inputs=[
-                ("suite", "han"),
-                ("s_max", str(args.s_max)),
-                ("m_max", str(args.m_max)),
-            ],
-        )
+        rec = Record("verify", suite="han", s_max=args.s_max, m_max=args.m_max)
         rec.entries.append(Entry(name="applicable-vectors", exact=str(scan.applicable_checked)))
-        rec.entries.append(Entry(name="counterexamples", exact=str(len(scan.counterexamples))))
-        for m in scan.counterexamples:
-            rec.entries.append(Entry(name="counterexample", exact="0", applicability=f"m={m}"))
-        for m in scan.equality_witnesses:
-            rec.entries.append(
-                Entry(name="equality-witness", exact="1", applicability=f"m={m}")
-            )
-        rec.notes.append(BOX_CAVEAT)
-        return [rec], 3 if scan.counterexamples else 0
-
-    # k3 suite
-    rec = Record(
-        command="verify",
-        inputs=[
-            ("suite", "k3"),
-            ("k_max", str(args.k_max)),
-            ("r_max", str(args.r_max)),
-            ("d_max", str(args.d_max)),
-        ],
-    )
-    pairs = [(k, r) for k in range(2, args.k_max + 1, 2) for r in range(3, args.r_max + 1)]
-    if not pairs:
-        raise UsageError("the k3 suite checks even k >= 2 and r >= 3: raise --k-max or --r-max")
-    failures = 0
-    for k, r in pairs:
-        if not k3_case2_excluded(k, r, args.d_max).excluded:
-            failures += 1
-            rec.entries.append(
-                Entry(name="not-excluded", exact="0", applicability=f"k={k}, r={r}")
-            )
-    rec.entries.insert(0, Entry(name="pairs-checked", exact=str(len(pairs))))
-    rec.entries.insert(1, Entry(name="exclusion-failures", exact=str(failures)))
+        counted = "counterexamples"
+        failures = [
+            Entry(name="counterexample", exact="0", applicability=f"m={m}")
+            for m in scan.counterexamples
+        ]
+        found = [
+            Entry(name="equality-witness", exact="1", applicability=f"m={m}")
+            for m in scan.equality_witnesses
+        ]
+    else:
+        pairs = [(k, r) for k in range(2, args.k_max + 1, 2) for r in range(3, args.r_max + 1)]
+        if not pairs:
+            raise UsageError("the k3 suite checks even k >= 2 and r >= 3: raise --k-max or --r-max")
+        rec = Record("verify", suite="k3", k_max=args.k_max, r_max=args.r_max, d_max=args.d_max)
+        rec.entries.append(Entry(name="pairs-checked", exact=str(len(pairs))))
+        counted = "exclusion-failures"
+        failures = [
+            Entry(name="not-excluded", exact="0", applicability=f"k={k}, r={r}")
+            for k, r in pairs
+            if not k3_case2_excluded(k, r, args.d_max).excluded
+        ]
+        found = []
+    rec.entries += [Entry(name=counted, exact=str(len(failures))), *failures, *found]
     rec.notes.append(BOX_CAVEAT)
     return [rec], 3 if failures else 0
 
@@ -540,10 +464,7 @@ def cmd_threshold(args: argparse.Namespace) -> tuple[list[Record], int]:
     from .bounds import dominance_scan
 
     scan = dominance_scan(args.r, args.k_cap)
-    rec = Record(
-        command="threshold",
-        inputs=[("r", str(args.r)), ("k_cap", str(args.k_cap))],
-    )
+    rec = Record("threshold", r=args.r, k_cap=args.k_cap)
     rec.entries.append(
         Entry(
             name="threshold",
@@ -576,7 +497,7 @@ def cmd_p2_table(args: argparse.Namespace) -> tuple[list[Record], int]:
         4: "achieved by a line through two of the points",
         5: "achieved by a conic through the five points",
     }
-    rec = Record(command="p2-table", inputs=[("r_max", str(args.r_max))])
+    rec = Record("p2-table", r_max=args.r_max)
     for r in range(1, args.r_max + 1):
         value = nagata_plane_value(r)
         rec.entries.append(
@@ -663,38 +584,26 @@ def _build_parser() -> _Parser:
 def main(argv: Optional[list[str]] = None) -> int:
     # Exact Pell solutions pass the interpreter's int-to-str digit limit
     # (4300 by default) long before they are slow to compute, so the limit
-    # is lifted while main runs.  Interpreters without it have no limit.
+    # is lifted while main runs, emission included.  Interpreters without
+    # it have no limit.
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit:
         sys.set_int_max_str_digits(0)
     try:
-        return _run(argv)
+        args = _build_parser().parse_args(argv)
+        fmt = args.format or os.environ.get("SESHADRI_FORMAT", "text")
+        if fmt not in _EMITTERS:
+            raise UsageError(f"unknown format {fmt!r}")
+        records, code = args.func(args)
+    except (UsageError, ValueError) as e:  # a bad call, or mathematics undefined there
+        print(f"seshadri: error: {e}", file=sys.stderr)
+        return 1 if isinstance(e, UsageError) else 2
+    else:
+        _EMITTERS[fmt](records, sys.stdout)
+        return code
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)
-
-
-def _run(argv: Optional[list[str]]) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except UsageError as e:
-        print(f"seshadri: error: {e}", file=sys.stderr)
-        return 1
-    fmt = args.format or os.environ.get("SESHADRI_FORMAT", "text")
-    if fmt not in _EMITTERS:
-        print(f"seshadri: error: unknown format {fmt!r}", file=sys.stderr)
-        return 1
-    try:
-        records, code = args.func(args)
-    except UsageError as e:
-        print(f"seshadri: error: {e}", file=sys.stderr)
-        return 1
-    except ValueError as e:
-        print(f"seshadri: error: {e}", file=sys.stderr)
-        return 2
-    _EMITTERS[fmt](records, sys.stdout)
-    return code
 
 
 def entrypoint() -> None:

@@ -103,9 +103,10 @@ class Surd:
     nothing is factored; one more gcd cancels g against the denominator.
 
     coeff is the rational num/den as a Fraction.  A Surd with radicand 1
-    hashes like that Fraction, as it compares equal to it.  Only ints and Fractions are accepted, never
-    floats.  Sums of distinct radicals are deliberately unsupported;
-    every quantity handled here is a single radical term.
+    hashes like that Fraction, as it compares equal to it.  Only ints
+    and Fractions are accepted, never floats.  Sums of distinct radicals
+    are deliberately unsupported; every quantity handled here is a
+    single radical term.
     """
 
     __slots__ = ("_num", "_den", "_rad")

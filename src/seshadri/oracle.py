@@ -199,8 +199,12 @@ def _count_feasible(cap: int, length: int, budgets: Sequence[int]) -> list[int]:
             polys[l] = (polys[l] + (polys[l - 1] << shift)) & mask
         if e * e - e <= top:
             total += sum(polys) << width * (e * e - e)
+    # Budgets repeat, and all those past top share its count: one residue
+    # for each distinct budget cut to top.
     slot = (1 << width) - 1
-    return [(total & ((1 << width * (min(budget, top) + 1)) - 1)) % slot for budget in budgets]
+    cut = [min(budget, top) for budget in budgets]
+    counts = {b: (total & ((1 << width * (b + 1)) - 1)) % slot for b in set(cut)}
+    return [counts[b] for b in cut]
 
 
 def _walk(cap: int, length: int, room: int, need: int = 0) -> Iterator[tuple[Multiplicities, int]]:
@@ -355,7 +359,8 @@ def verify_theorem(
     s*d^2*k < (s+2)*(s+3); for y < 1/(2s) that holds outright.  So
     d^2*k < s + 5 + 6/s <= s + 11, and s >= d^2*k - 10.  The scan
     starts its lengths at the larger floor, and since budgets rise with
-    d it stops the d loop once d^2*k - 10 exceeds r_max.  The lemma
+    d it stops the d loop once d^2*k - 10 exceeds r_max; past
+    k = r_max + 10 that holds at d = 1, so the k loop stops there.  The lemma
     covers every feasible vector, the all-ones one too, and does not use
     the trichotomy, so no unit hit is lost and a real violation is still
     found.  feasible_vectors counts the whole box with one exact
@@ -371,7 +376,7 @@ def verify_theorem(
     }
     budgets = [d * d * k for k in range(k_min, k_max + 1) for d in range(1, d_max + 1)]
     feasible = sum(_count_feasible(m_max, r_max, budgets))
-    for k in range(k_min, k_max + 1):
+    for k in range(k_min, min(k_max, r_max + 10) + 1):
         for d in range(1, d_max + 1):
             budget = d * d * k
             if budget - 10 > r_max:

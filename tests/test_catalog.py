@@ -97,6 +97,11 @@ class TestParseSurface:
         with pytest.raises(ValueError):
             parse_surface(bad)
 
+    @pytest.mark.parametrize("bad", ["", "weird:3", "P2", "CUSTOM:3", "k3 :4"])
+    def test_unknown_kind_is_a_syntax_error(self, bad):
+        with pytest.raises(SurfaceSyntaxError, match="unknown surface"):
+            parse_surface(bad)
+
     @pytest.mark.parametrize("bad", ["custom:0", "custom:0,va", "k3:0", "ab:00", "hyp:0", "k3:\u00b2"])
     def test_parameter_must_be_a_positive_decimal(self, bad):
         with pytest.raises(SurfaceSyntaxError):

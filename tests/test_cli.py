@@ -160,6 +160,22 @@ class TestPellCommand:
         assert (code, err) == (0, "")
         assert "note: biran-product: single-point factor" in out
 
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [
+            ("pell --k 1", 1),  # a parse error
+            ("bounds --r 2", 1),  # a usage error from the command
+            ("pell --k 9", 2),
+            ("verify --suite han --s-max 3 --m-max 2", 3),  # under the wrong margin below
+        ],
+    )
+    def test_every_exit_restores_the_digit_limit(self, capsys, monkeypatch, argv, expected):
+        han_margin = oracle.han_margin
+        monkeypatch.setattr(oracle, "han_margin", lambda *args: han_margin(*args) - 1)
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        assert run_cli(capsys, *argv.split())[0] == expected
+        assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+
     def test_square_k_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "pell", "--k", "9")
         assert code == 2 and "trivial" in err
@@ -235,6 +251,20 @@ class TestVerifyCommand:
         (rec,) = json_records(out)
         by_name = {e["name"]: e for e in rec["entries"]}
         assert by_name["violations"]["exact"] == "0"
+
+    def test_theorem_suite_fails_without_the_two_six_exception(self, capsys, monkeypatch):
+        monkeypatch.setattr(oracle, "_is_two_six", lambda d, k, m: False)
+        code, out, _ = run_cli(
+            capsys, "verify", "--suite", "theorem", "--k-max", "6", "--r-max", "2",
+            "--d-max", "1", "--m-max", "2", "--format", "json",
+        )
+        assert code == 3
+        (rec,) = json_records(out)
+        violations = [e for e in rec["entries"] if e["name"].startswith("violation")]
+        assert [(e["name"], e["exact"], e["applicability"]) for e in violations] == [
+            ("violations", "1", ""),
+            ("violation", "3/2", "d=1, k=6, r=2, m=(2, 2)"),
+        ]
 
     def test_han_suite_passes(self, capsys):
         code, out, _ = run_cli(

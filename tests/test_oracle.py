@@ -304,6 +304,7 @@ DIFFERENTIAL_BOXES = [
     (1, 3, 2, 14, 3, 10),
     (10, 14, 2, 4, 4, 12),
     (1, 8, 2, 6, 3, 2),  # (2, 2) at (k, d) = (6, 1) has length 6 // m_max - 1, the floor
+    (1, 30, 2, 6, 3, 6),  # k past r_max + 10, where the length floor leaves no cell
 ]
 
 
