@@ -199,12 +199,8 @@ def _count_feasible(cap: int, length: int, budgets: Sequence[int]) -> list[int]:
             polys[l] = (polys[l] + (polys[l - 1] << shift)) & mask
         if e * e - e <= top:
             total += sum(polys) << width * (e * e - e)
-    # Budgets repeat, and all those past top share its count: one residue
-    # for each distinct budget cut to top.
     slot = (1 << width) - 1
-    cut = [min(budget, top) for budget in budgets]
-    counts = {b: (total & ((1 << width * (b + 1)) - 1)) % slot for b in set(cut)}
-    return [counts[b] for b in cut]
+    return [(total & ((1 << width * (min(budget, top) + 1)) - 1)) % slot for budget in budgets]
 
 
 def _walk(cap: int, length: int, room: int, need: int = 0) -> Iterator[tuple[Multiplicities, int]]:
@@ -360,11 +356,11 @@ def verify_theorem(
     d^2*k < s + 5 + 6/s <= s + 11, and s >= d^2*k - 10.  The scan
     starts its lengths at the larger floor, and since budgets rise with
     d it stops the d loop once d^2*k - 10 exceeds r_max; past
-    k = r_max + 10 that holds at d = 1, so the k loop stops there.  The lemma
-    covers every feasible vector, the all-ones one too, and does not use
-    the trichotomy, so no unit hit is lost and a real violation is still
-    found.  feasible_vectors counts the whole box with one exact
-    generating function over every budget d^2*k of the scan
+    k = r_max + 10 that holds at d = 1, so the k loop stops there.
+    The lemma covers every feasible vector, the all-ones one too, and
+    does not use the trichotomy, so no unit hit is lost and a real
+    violation is still found.  feasible_vectors counts the whole box
+    with one exact generating function over every budget d^2*k of the scan
     (_count_feasible), which enumerates nothing.
     """
     if not (1 <= k_min <= k_max and 2 <= r_min <= r_max and d_max >= 1 and m_max >= 1):

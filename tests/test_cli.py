@@ -160,25 +160,31 @@ class TestPellCommand:
         assert (code, err) == (0, "")
         assert "note: biran-product: single-point factor" in out
 
-    @pytest.mark.parametrize(
-        "argv,expected",
-        [
-            ("pell --k 1", 1),  # a parse error
-            ("bounds --r 2", 1),  # a usage error from the command
-            ("pell --k 9", 2),
-            ("verify --suite han --s-max 3 --m-max 2", 3),  # under the wrong margin below
-        ],
-    )
-    def test_every_exit_restores_the_digit_limit(self, capsys, monkeypatch, argv, expected):
-        han_margin = oracle.han_margin
-        monkeypatch.setattr(oracle, "han_margin", lambda *args: han_margin(*args) - 1)
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        assert run_cli(capsys, *argv.split())[0] == expected
-        assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
-
     def test_square_k_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "pell", "--k", "9")
         assert code == 2 and "trivial" in err
+
+
+class TestExitCodes:
+    """main lifts the int-to-str digit limit while it runs and restores it
+    on every exit, whichever error path ends the run."""
+
+    @pytest.mark.parametrize(
+        "argv,expected,wrong_margin",
+        [
+            ("pell --k 1", 1, False),  # a parse error
+            ("bounds --r 2", 1, False),  # a usage error from the command
+            ("pell --k 9", 2, False),
+            ("verify --suite han --s-max 3 --m-max 2", 3, True),
+        ],
+    )
+    def test_every_exit_restores_the_digit_limit(self, capsys, monkeypatch, argv, expected, wrong_margin):
+        if wrong_margin:
+            han_margin = oracle.han_margin
+            monkeypatch.setattr(oracle, "han_margin", lambda *args: han_margin(*args) - 1)
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        assert run_cli(capsys, *argv.split())[0] == expected
+        assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
 
 
 class TestSearchCommand:
