@@ -420,13 +420,6 @@ class ThresholdScan:
     stable_beyond_cap: bool  # k_cap window covers all possible failures
 
 
-def _floor_dominates(k: int, r: int) -> bool:
-    """floor(sqrt(k/r)) >= sqrt((r+2)k/((r+3)r)), exactly (ties dominate:
-    at k/r a perfect square the floor equals the optimal value)."""
-    j = isqrt(k // r)
-    return j * j * (r + 3) * r >= (r + 2) * k
-
-
 def dominance_scan(r: int, k_cap: int) -> ThresholdScan:
     """Find the last k <= k_cap where the floor bound loses, and certify the tail.
 
@@ -448,11 +441,13 @@ def dominance_scan(r: int, k_cap: int) -> ThresholdScan:
     if k_cap < 1:
         raise ValueError(f"need k_cap >= 1, got {k_cap}")
     band_cutoff = r * (2 * r + 5) ** 2
+    # The floor bound j at k_cap is the ratio d*k/sum(m) at d = j, sum(m) = k.
+    j = isqrt(k_cap // r)
     if k_cap >= band_cutoff:
         last_failure = band_cutoff - 1
-    elif _floor_dominates(k_cap, r):
+    elif not is_subgeneric(j * j * k_cap, k_cap, r):
         # band 0 fails at every k >= 1, so k_cap's band is band 1 or above
-        last_failure = isqrt(k_cap // r) ** 2 * r - 1
+        last_failure = j * j * r - 1
     else:
         last_failure = k_cap
     threshold = None if last_failure == k_cap else last_failure + 1

@@ -303,15 +303,7 @@ def cmd_bounds(args: argparse.Namespace) -> tuple[list[Record], int]:
         for r in args.r:
             report = compare_bounds(k, r, very_ample=very_ample)
             rec = Record("bounds", k=k, r=r, surface=surface.label() if surface else "-")
-            rec.entries.append(
-                Entry(
-                    "upper",
-                    str(report.upper.value),
-                    render_decimal(report.upper.value, digits),
-                    ("upper-bound", "supremum"),
-                    *BOUND_WORDS["upper"],
-                )
-            )
+            rows = [("upper", report.upper.value, ("upper-bound", "supremum"))]
             for entry, rank in zip(report.entries, report.ranks):
                 flags = []
                 if entry.value.conditional:
@@ -321,24 +313,18 @@ def cmd_bounds(args: argparse.Namespace) -> tuple[list[Record], int]:
                 if entry.conjectural:
                     flags.append("conjectural")
                 flags.append(f"rank={rank}")
-                rec.entries.append(
-                    Entry(
-                        entry.name,
-                        str(entry.value.value),
-                        render_decimal(entry.value.value, digits),
-                        tuple(flags),
-                        *BOUND_WORDS[entry.name],
-                    )
-                )
+                rows.append((entry.name, entry.value.value, tuple(flags)))
                 rec.notes.extend(f"{entry.name}: {n}" for n in _entry_notes(entry, r))
+            rec.entries.extend(
+                Entry(name, str(value), render_decimal(value, digits), flags, *BOUND_WORDS[name])
+                for name, value, flags in rows
+            )
             if k >= 2 and is_square(k):
                 rec.notes.append(f"no Pell single-point bound: k = {k} is a perfect square")
             if surface is not None:
                 rec.notes.extend(_surface_notes(surface, r))
             if args.all_digits:
-                rec.notes.append(_all_digit_note("upper", report.upper.value))
-                for entry in report.entries:
-                    rec.notes.append(_all_digit_note(entry.name, entry.value.value))
+                rec.notes.extend(_all_digit_note(name, value) for name, value, _ in rows)
             records.append(rec)
     return records, 0
 

@@ -338,9 +338,9 @@ def verify_theorem(
     largest sum in the cell, _best_sum(m_max, s, d^2*k), decides them
     all: if it is at most s, or not sub-generic at r0, the cell holds no
     violation.  Otherwise the scan walks the cell's vectors whose sum is
-    sub-generic at r0 and classifies each of them.  The only such cell
-    on a correct trichotomy is (k, d, s) = (6, 1, 2).  Violations come in
-    the order (k, d), then m as tuples, then r.
+    above s, which are those with m_1 >= 2, and classifies each of them.
+    The only such cell on a correct trichotomy is (k, d, s) = (6, 1, 2).
+    Violations come in the order (k, d), then m as tuples, then r.
 
     A cell holds vectors iff s <= d^2*k + 1, the all-ones vector's bound,
     and only its longer lengths can hold a hit.  Lemma: a feasible vector
@@ -348,14 +348,13 @@ def verify_theorem(
     m_s*(s+2) > d^2*k.  Proof: sub-generic at r implies sub-generic at s,
     and (sum m)^2 <= s*sum(m_i^2) <= s*(d^2*k + m_s) by Cauchy-Schwarz
     and EL-Xu, so d^2*k*s*(s+3)/(s+2) < s*(d^2*k + m_s), which is
-    d^2*k < (s+2)*m_s.  Two floors on s follow.  As m_s <= m_max,
-    s >= d^2*k // m_max - 1.  And EL-Xu gives s*m_s^2 - m_s <= d^2*k.
-    With y = d^2*k/(s+2) < m_s, and x*(s*x - 1) increasing for
-    x >= 1/(2s), d^2*k >= m_s*(s*m_s - 1) > y*(s*y - 1), which is
-    s*d^2*k < (s+2)*(s+3); for y < 1/(2s) that holds outright.  So
-    d^2*k < s + 5 + 6/s <= s + 11, and s >= d^2*k - 10.  The scan
-    starts its lengths at the larger floor, and since budgets rise with
-    d it stops the d loop once d^2*k - 10 exceeds r_max; past
+    d^2*k < (s+2)*m_s.  A floor on s follows, as EL-Xu gives
+    s*m_s^2 - m_s <= d^2*k.  With y = d^2*k/(s+2) < m_s, and x*(s*x - 1)
+    increasing for x >= 1/(2s), d^2*k >= m_s*(s*m_s - 1) > y*(s*y - 1),
+    which is s*d^2*k < (s+2)*(s+3); for y < 1/(2s) that holds outright.
+    So d^2*k < s + 5 + 6/s <= s + 11, and s >= d^2*k - 10.  The scan
+    starts its lengths at that floor, and since budgets rise with d it
+    stops the d loop once d^2*k - 10 exceeds r_max; past
     k = r_max + 10 that holds at d = 1, so the k loop stops there.
     The lemma covers every feasible vector, the all-ones one too, and
     does not use the trichotomy, so no unit hit is lost and a real
@@ -377,8 +376,7 @@ def verify_theorem(
             budget = d * d * k
             if budget - 10 > r_max:
                 break  # no length reaches the floor, nor at any larger d
-            found: list[Violation] = []
-            for s in range(max(1, budget // m_max - 1, budget - 10), min(r_max, budget + 1) + 1):
+            for s in range(max(1, budget - 10), min(r_max, budget + 1) + 1):
                 r0 = max(r_min, s)
                 r = r0
                 while r <= r_max and is_subgeneric(budget, s, r):  # (1,)*s
@@ -387,11 +385,8 @@ def verify_theorem(
                 best = _best_sum(m_max, s, budget)
                 if best <= s or not is_subgeneric(budget, best, r0):
                     continue
-                need = best  # the least sum above s that is sub-generic at r0
-                while need > s + 1 and is_subgeneric(budget, need - 1, r0):
-                    need -= 1
-                for m, total in _walk(m_max, s, budget, need=need):
-                    if len(m) != s or m[0] == 1:
+                for m, total in _walk(m_max, s, budget, need=s + 1):
+                    if len(m) != s:
                         continue
                     for r in range(r0, r_max + 1):
                         if not is_subgeneric(budget, total, r):
@@ -399,9 +394,8 @@ def verify_theorem(
                         if _is_two_six(d, k, m):
                             counts[CaseLabel.TWO_SIX] += 1
                         else:
-                            found.append(Violation(d, k, r, m))
-            found.sort(key=lambda v: v.m)  # tuple order across lengths, stable in r
-            violations += found
+                            violations.append(Violation(d, k, r, m))
+    violations.sort(key=lambda v: (v.k, v.d, v.m))  # tuple order across lengths, stable in r
     return TheoremScan(feasible, counts, tuple(violations))
 
 

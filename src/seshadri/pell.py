@@ -193,7 +193,7 @@ def fsst_applicable(k: int) -> FsstWitness:
     if k < 2:
         raise ValueError(f"fsst_applicable needs k >= 2, got {k}")
     t = isqrt(k - 1)
-    if t >= 1 and t * t + 1 == k:
+    if t * t + 1 == k:
         return FsstWitness(True, t)
     t = isqrt(k + 1)
     if t * t == k + 1:

@@ -303,8 +303,10 @@ DIFFERENTIAL_BOXES = [
     (1, 1, 2, 12, 6, 12),
     (1, 3, 2, 14, 3, 10),
     (10, 14, 2, 4, 4, 12),
-    (1, 8, 2, 6, 3, 2),  # (2, 2) at (k, d) = (6, 1) has length 6 // m_max - 1, the floor
+    (1, 8, 2, 6, 3, 2),  # m_max 2 walks the (2, 2) cell with every entry at the cap
     (1, 30, 2, 6, 3, 6),  # k past r_max + 10, where the length floor leaves no cell
+    (1, 12, 2, 14, 2, 1),  # m_max 1 and 3: lengths below d^2*k // m_max - 1 are scanned
+    (1, 12, 2, 14, 2, 3),
 ]
 
 
@@ -379,29 +381,8 @@ class TestAgainstFullWalk:
         assert scan.subgeneric_counts[CaseLabel.UNIT_MULTIPLICITY] == 1  # (1,)*1001 at r = 1001
         assert min_ratio_search(2000, 1200, 1, 1) == min_ratio_walk(2000, 1200, 1, 1)
 
-    def test_subgeneric_lengths_clear_the_floor(self):
-        # The lemma behind verify_theorem's first length: a feasible vector
-        # of length s that is sub-generic at some admissible r has
-        # s >= d^2*k // m_max - 1.  The floor is reached.
-        hits = at_floor = 0
-        for k in range(1, 13):
-            for d in range(1, 4):
-                d2k = d * d * k
-                for m_max in (1, 2, 3, 5, 8):
-                    for m in feasible_multiplicities(d, k, 9, m_max):
-                        s, total = len(m), sum(m)
-                        if any(
-                            d2k * r * (r + 3) < (r + 2) * total * total
-                            for r in range(max(2, s), 10)
-                        ):
-                            hits += 1
-                            floor = d2k // m_max - 1
-                            assert s >= floor, (d, k, m_max, m)
-                            at_floor += s == floor
-        assert hits > 0 and at_floor > 0
-
     def test_subgeneric_lengths_clear_the_budget_floor(self):
-        # The lemma behind verify_theorem's second floor: with EL-Xu's
+        # The lemma behind verify_theorem's length floor: with EL-Xu's
         # s*m_s^2 - m_s <= d^2*k, m_s*(s + 2) > d^2*k gives
         # s*d^2*k < (s + 2)*(s + 3), hence s >= d^2*k - 10.  Sub-generic
         # at some r >= max(2, s) means sub-generic at max(2, s).
@@ -456,19 +437,17 @@ class TestTheoremCertificate:
     def test_reports_violations_under_a_looser_test(self, box, found, walked, monkeypatch):
         # A looser sub-generic test makes many configurations with m_1 >= 2
         # fail.  The scan reports exactly the full walk's failures at the
-        # lengths it decides, s >= max(d^2*k // m_max - 1, d^2*k - 10)
-        # (floors whose lemmas hold for the true test only), in (k, d, m, r)
-        # order.
+        # lengths it decides, s >= d^2*k - 10 (a floor whose lemma holds
+        # for the true test only), in (k, d, m, r) order.
         def loose(d2k, total, r):
             return d2k * r * (r + 3) < (r + 2) * (total + 1) ** 2
 
         monkeypatch.setattr(oracle, "is_subgeneric", loose)
-        m_max = box[3]
         scan = verify_theorem(*box)
         full = theorem_scan_walk(*box, is_subgeneric=loose).violations
         assert (len(scan.violations), len(full)) == (found, walked)
         assert set(scan.violations) <= set(full)
-        decided = [v for v in full if len(v.m) >= max(v.d * v.d * v.k // m_max - 1, v.d * v.d * v.k - 10)]
+        decided = [v for v in full if len(v.m) >= v.d * v.d * v.k - 10]
         assert scan.violations and list(scan.violations) == decided
         assert list(scan.violations) == sorted(scan.violations, key=lambda v: (v.k, v.d, v.m, v.r))
 
@@ -511,7 +490,7 @@ class TestPrunedWork:
         assert min_ratio_search(30, 10, 4, 6) == min_ratio_walk(30, 10, 4, 6)
         assert len(calls) == 21
 
-    def test_theorem_decides_only_lengths_past_both_floors(self, monkeypatch):
+    def test_theorem_decides_only_lengths_past_the_floor(self, monkeypatch):
         calls = self.recorded_best_sum(monkeypatch)
         assert verify_theorem(20, 10, 5, 8) == theorem_scan_floor_walk(20, 10, 5, 8)
         assert len(calls) == 167
