@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from .exact import isqrt
 
-__all__ = ["el_xu_feasible", "is_subgeneric", "han_applies", "han_margin", "is_square"]
+__all__ = ["el_xu_feasible", "is_subgeneric", "han_applies", "han_margin", "han_floor", "is_square"]
 
 
 def el_xu_feasible(d2k: int, sum_sq: int, last: int) -> bool:
@@ -33,9 +33,24 @@ def han_margin(s: int, total: int, sum_sq: int, last: int) -> int:
     the margin equals (s+2)*sum_{i<j} (m_i - m_j)^2
     + s*(sum(m_i^2) - (s+3)*m_s).  For s equal entries c the first term
     vanishes and the margin is s*c*(s*(c-1) - 3): zero at (2, 2, 2),
-    negative at (2, 2).  The scans use the margin, not this identity.
+    negative at (2, 2).  The Han scan bounds its loops with the weaker
+    han_floor, which drops the first term, and decides each group it
+    visits by this margin.
     """
     return (s + 3) * s * (sum_sq - last) - (s + 2) * total * total
+
+
+def han_floor(s: int, total: int, last: int) -> int:
+    """A lower bound on han_margin(s, total, sum_sq, last) for every
+    vector of length s with sum(m_i) = total and m_s = last, whatever its
+    sum(m_i^2): total^2 - s*(s+3)*last.
+
+    Proof: s*sum(m_i^2) >= (sum m_i)^2 by Cauchy-Schwarz, so
+    (s+3)*s*(sum(m_i^2) - m_s) >= (s+3)*total^2 - (s+3)*s*m_s, and
+    subtracting (s+2)*total^2 leaves the floor.  Equality holds iff all
+    entries are equal, as at (2, 2, 2), where margin and floor are 0.
+    """
+    return total * total - s * (s + 3) * last
 
 
 def han_applies(s: int, total: int, sum_sq: int) -> bool:

@@ -24,10 +24,12 @@ trichotomy happens at the (1, 6, (2, 2)) cell alone; it counts its whole
 box with one exact generating function.  The minimum search walks only
 towards the vectors that reach the largest feasible sum.  Neither
 enumerates the vectors it does not walk.  The Han scan
-takes each group of vectors (length, last entry, sum) once, with its
-least sum of squares in closed form, which settles Han's inequality for
-the whole group; it builds only the vectors of the groups that can fail
-it or reach equality, and counts its applicable vectors in closed form.
+visits only the groups of vectors (length, last entry, sum) that a
+Cauchy-Schwarz floor on the margin cannot clear, two or three per
+length; one margin at a group's least sum of squares, in closed form,
+settles Han's inequality for the whole group.  It builds only the
+vectors of the groups that can fail it or reach equality, and counts
+its applicable vectors in closed form.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence
 
-from .inequalities import el_xu_feasible, han_applies, han_margin, is_subgeneric
+from .inequalities import el_xu_feasible, han_applies, han_floor, han_margin, is_subgeneric
 
 __all__ = [
     "Multiplicities",
@@ -412,20 +414,31 @@ def verify_han_exhaustive(s_max: int, m_max: int) -> HanScan:
 
     A vector applies iff s >= 2, sum(m) > s (not all ones) and it is not
     (2, 2): C(m_max + s_max, s_max) - 1 nonempty vectors, less s_max all
-    ones, m_max - 1 single entries >= 2 and (2, 2).  The scan takes each
-    group (length s, last entry e = m_s, sum(m)) once.  With n = s - 1,
-    the group's vector of least sum(m_i^2) is balanced: e, then n - rho
-    entries q and rho entries q + 1, 0 <= rho < n (rho = 0 at q = m_max).
-    So (q, rho) indexes the groups, and one margin at the least sum of
-    squares e^2 + n*q^2 + rho*(2q + 1) decides the whole group (see the
-    comments below).  Across rho the sum steps by 1 and the least sum of
-    squares by 2q + 1, so neither is taken from products; the margin is
-    still evaluated once per group, in group order.  Only the groups
-    whose least margin is <= 0 are listed, checked against their count
-    (_partitions) and least sum of squares, and each listed vector is
-    sorted by its own margin.
-    Counterexamples and equality witnesses come in the order of
-    (s, m[::-1]): by length, then as nondecreasing tuples.
+    ones, m_max - 1 single entries >= 2 and (2, 2).
+
+    The scan is a certificate over the groups (length s, last entry
+    e = m_s, sum t): it visits only the groups that han_floor cannot
+    clear.  Every vector of a group has margin >= han_floor(s, t, e) =
+    t^2 - s*(s+3)*e (Cauchy-Schwarz), so a group whose floor is > 0 holds
+    no counterexample and no equality.  The floor rises in t, and a
+    group has t >= s*e, where the floor s*e*(s*e - s - 3) rises in e.  So
+    for each s, e runs up to the last e with floor(s, s*e, e) <= 0 and t
+    from s*e up to the last t with floor <= 0 (and t - e <= (s-1)*m_max):
+    nothing past the first positive floor can fail.  The groups that
+    survive are e = 1 with t <= s + 1, the all-ones vector and
+    (2, 1, ..., 1), two for each length, plus (2, 2) and, for s_max >= 3,
+    (2, 2, 2).
+
+    Each visited group is decided by han_margin at its least sum of
+    squares.  With n = s - 1, that vector is balanced: e, then n - rho
+    entries q and rho entries q + 1, (q, rho) = divmod(t - e, n), least
+    sum of squares e^2 + n*q^2 + rho*(2q + 1).  The margin's sum(m_i^2)
+    coefficient is (s+3)*s > 0, so a group holds a vector with margin
+    <= 0 iff its balanced vector does.  Only the groups whose least
+    margin is <= 0 are listed, checked against their count (_partitions)
+    and least sum of squares, and each listed vector is sorted by its
+    own margin.  Counterexamples and equality witnesses come in the order
+    of (s, m[::-1]): by length, then as nondecreasing tuples.
     """
     if s_max < 2 or m_max < 2:
         raise ValueError(f"need s_max, m_max >= 2, got {s_max}, {m_max}")
@@ -434,41 +447,38 @@ def verify_han_exhaustive(s_max: int, m_max: int) -> HanScan:
     for s in range(2, s_max + 1):
         n = s - 1
         for e in range(1, m_max + 1):
-            for q in range(e, m_max + 1):
-                step = 2 * q + 1
-                total = e + n * q - 1
-                least = e * e + n * q * q - step
-                for _ in range(n if q < m_max else 1):
-                    total += 1  # one more entry raised from q to q + 1
-                    least += step
-                    # The margin's sum(m_i^2) coefficient is (s+3)*s > 0, so a
-                    # group holds a vector with margin <= 0 iff its vector of
-                    # least sum(m_i^2) does.  han_applies reads sum(m_i^2) only
-                    # to exclude (s, sum, sum_sq) = (2, 4, 8); the group
-                    # (s, m_s, sum) = (2, 2, 4) is the singleton {(2, 2)}, so
-                    # testing the least sum of squares is exact for every
-                    # vector of the group.
-                    if han_margin(s, total, least, e) > 0 or not han_applies(s, total, least):
-                        continue
-                    vectors = _han_group(s, e, total, m_max)
-                    count = _partitions(total - s * e, n, m_max - e)
-                    if len(vectors) != count:
-                        raise RuntimeError(
-                            f"group s={s}, m_s={e}, sum={total} "
-                            f"lists {len(vectors)} vectors, its count is {count}"
-                        )
-                    squares = [sum(x * x for x in m) for m in vectors]
-                    if min(squares) != least:
-                        raise RuntimeError(
-                            f"group s={s}, m_s={e}, sum={total} lists a least sum of "
-                            f"squares {min(squares)}, its least is {least}"
-                        )
-                    for m, sum_sq in zip(vectors, squares):
-                        margin = han_margin(s, total, sum_sq, e)
-                        if margin < 0:
-                            counterexamples.append(m)
-                        elif margin == 0:
-                            equalities.append(m)
+            if han_floor(s, s * e, e) > 0:
+                break
+            for total in range(s * e, e + n * m_max + 1):
+                if han_floor(s, total, e) > 0:
+                    break
+                q, rho = divmod(total - e, n)
+                least = e * e + n * q * q + rho * (2 * q + 1)
+                # han_applies reads sum(m_i^2) only to exclude (s, sum,
+                # sum_sq) = (2, 4, 8); the group (s, m_s, sum) = (2, 2, 4)
+                # is the singleton {(2, 2)}, so testing the least sum of
+                # squares is exact for every vector of the group.
+                if han_margin(s, total, least, e) > 0 or not han_applies(s, total, least):
+                    continue
+                vectors = _han_group(s, e, total, m_max)
+                count = _partitions(total - s * e, n, m_max - e)
+                if len(vectors) != count:
+                    raise RuntimeError(
+                        f"group s={s}, m_s={e}, sum={total} "
+                        f"lists {len(vectors)} vectors, its count is {count}"
+                    )
+                squares = [sum(x * x for x in m) for m in vectors]
+                if min(squares) != least:
+                    raise RuntimeError(
+                        f"group s={s}, m_s={e}, sum={total} lists a least sum of "
+                        f"squares {min(squares)}, its least is {least}"
+                    )
+                for m, sum_sq in zip(vectors, squares):
+                    margin = han_margin(s, total, sum_sq, e)
+                    if margin < 0:
+                        counterexamples.append(m)
+                    elif margin == 0:
+                        equalities.append(m)
     checked = math.comb(m_max + s_max, s_max) - m_max - s_max - 1
     return HanScan(checked, _in_scan_order(counterexamples), _in_scan_order(equalities))
 

@@ -4,6 +4,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, total_ordering
+from math import comb
 
 from seshadri.bounds import SubmaximalCandidate, ThresholdScan, nagata_plane_value
 from seshadri.exact import isqrt, squarefree_decompose
@@ -524,6 +525,47 @@ def han_class_scan(s_max, m_max, margin=None):
     return HanScan(checked, in_scan_order(counterexamples), in_scan_order(equalities))
 
 
+def han_group_loop(s_max, m_max, margin=None):
+    """verify_han_exhaustive by one margin on every group (s, m_s, sum(m)),
+    indexed by its balanced vector: after m_s = e come n - rho entries q
+    and rho entries q + 1, n = s - 1, 0 <= rho < n (rho = 0 at q = m_max).
+
+    The scan's loop before the Cauchy-Schwarz floor, kept as the slow
+    predecessor: it visits every group, so a fake margin, which has no
+    floor, is asked on each of them.  Across rho the sum steps by 1 and
+    the least sum of squares by 2q + 1.  Groups whose least margin is
+    <= 0 are listed by _group_vectors, and each vector by its own margin.
+    margin is as in han_scan_walk.
+    """
+    margin = margin or han_margin
+    counterexamples, equalities = [], []
+    for s in range(2, s_max + 1):
+        n = s - 1
+        for e in range(1, m_max + 1):
+            for q in range(e, m_max + 1):
+                step = 2 * q + 1
+                total = e + n * q - 1
+                least = e * e + n * q * q - step
+                for _ in range(n if q < m_max else 1):
+                    total += 1  # one more entry raised from q to q + 1
+                    least += step
+                    if margin(s, total, least, e) > 0 or not han_applies(s, total, least):
+                        continue
+                    for rest in _group_vectors(n, e, total - e, m_max):
+                        m = rest[::-1] + (e,)
+                        value = margin(s, total, sum(x * x for x in m), e)
+                        if value < 0:
+                            counterexamples.append(m)
+                        elif value == 0:
+                            equalities.append(m)
+
+    def in_scan_order(vectors):
+        return tuple(sorted(vectors, key=lambda m: (len(m), m[::-1])))
+
+    checked = comb(m_max + s_max, s_max) - m_max - s_max - 1
+    return HanScan(checked, in_scan_order(counterexamples), in_scan_order(equalities))
+
+
 def han_group_table(s_max, m_max):
     """{(s, m_s, sum(m)): (count, least sum(m_i^2))} for every group of the
     nonincreasing vectors with 2 <= s <= s_max entries in [1, m_max].
@@ -550,6 +592,18 @@ def han_group_table(s_max, m_max):
             table.update(((s, e, total), group) for total, group in following[e].items())
         layer = following
     return table
+
+
+def _group_vectors(n, lo, t, cap):
+    """Every nondecreasing tuple of n entries in [lo, cap] summing to t,
+    in increasing order, by recursion on the first entry."""
+    if n == 0:
+        return [()] if t == 0 else []
+    return [
+        (e, *rest)
+        for e in range(lo, min(cap, t // n) + 1)
+        for rest in _group_vectors(n - 1, e, t - e, cap)
+    ]
 
 
 def _han_class(s, last, total, sum_sq, cap):

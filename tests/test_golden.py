@@ -52,6 +52,7 @@ CASES = {
     "verify-han": "verify --suite han --s-max 5 --m-max 6",
     "verify-han-wide": "verify --suite han --s-max 10 --m-max 14",
     "verify-han-widest": "verify --suite han --s-max 12 --m-max 20",
+    "verify-han-s40-m60": "verify --suite han --s-max 40 --m-max 60",
     "verify-k3": "verify --suite k3 --k-max 10 --r-max 6 --d-max 3",
     "threshold-global": "threshold --r 10 --k-cap 10000",
     "threshold-window": "threshold --r 10 --k-cap 6000",

@@ -14,6 +14,7 @@ from oracles import (
     el_xu_tally,
     el_xu_vectors,
     han_class_scan,
+    han_group_loop,
     han_group_table,
     han_inequality,
     han_scan_walk,
@@ -21,7 +22,8 @@ from oracles import (
     theorem_scan_floor_walk,
     theorem_scan_walk,
 )
-from seshadri.inequalities import han_applies, han_margin
+from seshadri.bounds import enumerate_exceptional_candidates
+from seshadri.inequalities import han_applies, han_floor, han_margin
 from seshadri.oracle import (
     CaseLabel,
     TheoremViolation,
@@ -41,6 +43,13 @@ def split_margin(s, total, sum_sq, last):
     """A fake Han margin, strictly increasing in sum_sq, that puts vectors
     of one group (s, m_s, sum) on both sides of 0."""
     return sum_sq - total * total // s - (total * 7 + last + s) % 5
+
+
+def no_floor(s, total, last):
+    """A Han floor that clears no group, patched in next to a fake margin:
+    a fake margin has no Cauchy-Schwarz floor, so the scan must visit
+    every group (s, m_s, sum), as the group loop does."""
+    return 0
 
 
 def naive_feasible(d, k, max_points, m_max):
@@ -290,6 +299,24 @@ class TestVerifyTheorem:
         assert naive == {(1, 6, 2, (2, 2))}
         assert raised == naive == set(scan.violations)
         assert scan.subgeneric_counts[CaseLabel.UNIT_MULTIPLICITY] == unit
+
+
+    @pytest.mark.parametrize(
+        "box,unit", [((20, 10, 5, 8), 13), ((100, 100, 5, 30), 144), ((60, 40, 3, 4), 53)]
+    )
+    def test_unit_count_equals_the_exceptional_candidates(self, box, unit):
+        # The unit-multiplicity hits of the theorem scan and the main
+        # bound's exceptional candidates (d, s) are one set, coded twice:
+        # s <= r, s - 1 <= d^2*k and d^2*k*r*(r+3) < (r+2)*s^2.
+        k_max, r_max, d_max, m_max = box
+        scan = verify_theorem(*box)
+        candidates = sum(
+            c.d <= d_max
+            for k in range(1, k_max + 1)
+            for r in range(2, r_max + 1)
+            for c in enumerate_exceptional_candidates(k, r)
+        )
+        assert scan.subgeneric_counts[CaseLabel.UNIT_MULTIPLICITY] == candidates == unit
 
 
 # (k_min, k_max, r_min, r_max, d_max, m_max); the first is the golden box
@@ -635,9 +662,11 @@ class TestVerifyHan:
     )
     def test_equals_the_vector_walk_under_a_split_margin(self, s_max, m_max, monkeypatch):
         monkeypatch.setattr(oracle, "han_margin", split_margin)
+        monkeypatch.setattr(oracle, "han_floor", no_floor)
         scan = verify_han_exhaustive(s_max, m_max)
         assert scan == han_class_scan(s_max, m_max, split_margin)
         assert scan == han_scan_walk(s_max, m_max, margin=split_margin)
+        assert scan == han_group_loop(s_max, m_max, margin=split_margin)
 
     @pytest.mark.parametrize("s_max,m_max", [(4, 5), (6, 4), (7, 7)])
     def test_lists_every_vector_of_a_failing_class_in_order(self, s_max, m_max, monkeypatch):
@@ -649,6 +678,7 @@ class TestVerifyHan:
             return (total * 7 + sum_sq * 3 + last + s) % 3 - 1
 
         monkeypatch.setattr(oracle, "han_margin", fake)
+        monkeypatch.setattr(oracle, "han_floor", no_floor)
         scan = verify_han_exhaustive(s_max, m_max)
         assert scan == han_scan_walk(s_max, m_max, margin=fake)
         classes = {(len(m), m[-1], sum(m), sum(e * e for e in m)) for m in scan.counterexamples}
@@ -668,13 +698,16 @@ class TestVerifyHan:
                     signs.setdefault((s, m[-1], sum(m)), set()).add((value > 0) - (value < 0))
         assert any({-1, 1} <= group for group in signs.values())
         monkeypatch.setattr(oracle, "han_margin", split_margin)
+        monkeypatch.setattr(oracle, "han_floor", no_floor)
         scan = verify_han_exhaustive(s_max, m_max)
         assert scan == han_scan_walk(s_max, m_max, margin=split_margin)
         assert scan.counterexamples and scan.equality_witnesses
 
     def test_margin_evaluations_grow_with_groups_not_classes(self, monkeypatch):
-        # 12,749 group margins at (12, 20); one margin per class (s, m_s,
-        # sum, sum_sq) takes 1,157,735.
+        # One margin per group at (12, 20) took 12,760 group margins plus
+        # one for the listed (2, 2, 2); one margin per class (s, m_s, sum,
+        # sum_sq) takes 1,157,735.  The floor leaves 24 groups plus 1
+        # (test_floor_leaves_two_groups_per_length).
         calls = 0
         true_margin = oracle.han_margin
 
@@ -686,6 +719,67 @@ class TestVerifyHan:
         monkeypatch.setattr(oracle, "han_margin", counted)
         verify_han_exhaustive(12, 20)
         assert calls <= 15_000
+
+    @pytest.mark.parametrize("s_max,m_max,groups", [(8, 12, 16), (12, 20, 24), (40, 60, 80)])
+    def test_floor_leaves_two_groups_per_length(self, s_max, m_max, groups, monkeypatch):
+        # The groups the floor cannot clear: e = 1 with sum s or s + 1 for
+        # every length, plus (2, 2) and (2, 2, 2).  Each visited group
+        # takes one true margin, and the listed (2, 2, 2) one more.
+        calls = []
+        true_margin = oracle.han_margin
+
+        def counted(*args):
+            calls.append(args)
+            return true_margin(*args)
+
+        monkeypatch.setattr(oracle, "han_margin", counted)
+        scan = verify_han_exhaustive(s_max, m_max)
+        assert scan.counterexamples == () and scan.equality_witnesses == ((2, 2, 2),)
+        assert len(calls) == groups + 1
+        visited = [(s, last, total) for s, total, _, last in calls]
+        survivors = {(s, 1, total) for s in range(2, s_max + 1) for total in (s, s + 1)}
+        assert set(visited) == survivors | {(2, 2, 4), (3, 2, 6)}
+        assert len(survivors) + 2 == groups
+        assert calls.count((3, 6, 12, 2)) == 2
+
+    def test_floor_bounds_every_margin(self):
+        # Cauchy-Schwarz: han_margin >= han_floor on every vector, with
+        # equality on the equal vectors whose margin is 0.
+        for s in range(1, 8):
+            for combo in itertools.combinations_with_replacement(range(1, 10), s):
+                m = combo[::-1]
+                total, sum_sq = sum(m), sum(e * e for e in m)
+                margin, floor = han_margin(s, total, sum_sq, m[-1]), han_floor(s, total, m[-1])
+                assert margin >= floor
+                assert (margin == floor) == (len(set(m)) == 1)
+        assert han_margin(3, 6, 12, 2) == han_floor(3, 6, 2) == 0
+
+    def test_floor_clears_only_groups_that_hold(self):
+        # Every group the floor clears has a positive true margin at its
+        # least sum of squares, so all of its vectors hold strictly.
+        table = han_group_table(20, 30)
+        cleared = 0
+        for (s, last, total), (_, least) in table.items():
+            if han_floor(s, total, last) > 0:
+                cleared += 1
+                assert han_margin(s, total, least, last) > 0
+        assert cleared == len(table) - 2 * 19 - 2 == 83_180
+
+    def test_too_strong_floor_loses_the_equality_witness(self, monkeypatch):
+        # A floor one above the true one clears the group (3, 2, 6), whose
+        # (2, 2, 2) is the Cauchy-Schwarz equality case: the scan no longer
+        # matches the vector walk.
+        monkeypatch.setattr(oracle, "han_floor", lambda *args: han_floor(*args) + 1)
+        scan = verify_han_exhaustive(8, 12)
+        assert scan.equality_witnesses == ()
+        assert scan != han_scan_walk(8, 12)
+
+    @pytest.mark.parametrize(
+        "s_max,m_max",
+        sorted(set(GROUP_TABLE_BOXES) | {(s, m) for s in range(2, 8) for m in range(2, 10)}),
+    )
+    def test_equals_the_group_loop(self, s_max, m_max):
+        assert verify_han_exhaustive(s_max, m_max) == han_group_loop(s_max, m_max)
 
     @pytest.mark.parametrize(
         "s_max,m_max", [(2, 2), (2, 20), (12, 2), (5, 7), (8, 12), (10, 16), (12, 20)]
@@ -705,6 +799,7 @@ class TestVerifyHan:
             return 1
 
         monkeypatch.setattr(oracle, "han_margin", recorded)
+        monkeypatch.setattr(oracle, "han_floor", no_floor)
         verify_han_exhaustive(s_max, m_max)
         table = han_group_table(s_max, m_max)
         assert len(calls) == len(table)
@@ -788,6 +883,7 @@ class TestVerifyHan:
             return [most if m == least else m for m in vectors]
 
         monkeypatch.setattr(oracle, "han_margin", lambda *args: -1)
+        monkeypatch.setattr(oracle, "han_floor", no_floor)
         monkeypatch.setattr(oracle, "_han_group", skewed)
         with pytest.raises(RuntimeError, match="its least is 9"):
             verify_han_exhaustive(3, 3)
