@@ -168,19 +168,26 @@ def _count_feasible(cap: int, length: int, budgets: Sequence[int]) -> list[int]:
     [1, cap], at most length of them and sum(m_i^2) - m_s <= budget:
     everything _walk(cap, length, budget) yields.
 
-    A vector is its last entry e = m_s after a multiset of entries in
-    [e, cap], and sum(m_i^2) - m_s is the multiset's sum of squares plus
-    e^2 - e.  The counts are exact polynomials in x, packed into ints
-    with one `width`-bit slot per degree (Kronecker substitution), so a
-    shift by width*j multiplies by x^j.  With e running from cap down,
-    polys[l] gains polys[l - 1] * x^(e^2) for l ascending, and then counts
-    the multisets of l entries in [e, cap] by sum of squares; their sum,
-    times x^(e^2 - e), counts the vectors that end in e.  The count for a
-    budget b is the sum of the slots at degrees 0..b, and one modulus
-    takes it: since 2^width = 1 mod 2^width - 1, the total cut to its low
-    b + 1 slots is congruent to the sum of those slots, which is less
-    than 2^width - 1 (see below), so the residue is that sum.  Memory:
-    min(length, top + 1) polys of (top + 1)*width bits.
+    A vector is its last entry e = m_s after a multiset of at most
+    length - 1 entries in [e, cap], and sum(m_i^2) - m_s is the
+    multiset's sum of squares plus e^2 - e.  The counts are exact
+    polynomials in x, packed into ints with one `width`-bit slot per
+    degree (Kronecker substitution), so a shift by width*j multiplies by
+    x^j.  polys[l] counts the multisets of at most l entries by sum of
+    squares, which are the multisets of exactly l entries once a zero
+    entry is allowed (0^2 = 0); so it starts as [1], and with e running
+    from cap down, polys[l] gains polys[l - 1] * x^(e^2) for l ascending.
+    Only l <= c_e = min(length - 1, top // e^2) is kept: a multiset of
+    more than c_e entries of at least e passes top when c_e < length - 1,
+    so polys[-1] stands for every longer l, polys[length - 1] included,
+    and polys[-1] * x^(e^2 - e) counts the vectors that end in e.  As e
+    falls top // e^2 grows, so c_e never falls, and before each e the
+    list is padded with copies of polys[-1] to c_e + 1 entries.  The count for a budget b is
+    the sum of the slots at degrees 0..b, and one modulus takes it:
+    since 2^width = 1 mod 2^width - 1, the total cut to its low b + 1
+    slots is congruent to the sum of those slots, which is less than
+    2^width - 1 (see below), so the residue is that sum.  Memory: at
+    most min(length, top + 1) polys of (top + 1)*width bits.
     """
     # Past length*cap^2 no budget admits more vectors, so no slot above top
     # is ever read, and every poly is truncated there.
@@ -191,16 +198,17 @@ def _count_feasible(cap: int, length: int, budgets: Sequence[int]) -> list[int]:
     # and the modulus 2^width - 1 exceeds every count it returns.
     width = math.comb(length + cap, cap).bit_length()
     mask = (1 << width * (top + 1)) - 1
-    # A vector of l + 1 entries has sum(m_i^2) - m_s >= l, so multisets of
-    # more than top entries never reach a slot that is read.
-    polys = [1] + [0] * (min(length, top + 1) - 1)
+    polys = [1]
     total = 0
     for e in range(cap, 0, -1):
-        shift = width * e * e
-        for l in range(1, min(len(polys), top // (e * e) + 1)):
+        square = e * e
+        kept = min(length, top // square + 1)
+        polys += [polys[-1]] * (kept - len(polys))
+        shift = width * square
+        for l in range(1, kept):
             polys[l] = (polys[l] + (polys[l - 1] << shift)) & mask
-        if e * e - e <= top:
-            total += sum(polys) << width * (e * e - e)
+        if square - e <= top:
+            total += polys[-1] << width * (square - e)
     slot = (1 << width) - 1
     return [(total & ((1 << width * (min(budget, top) + 1)) - 1)) % slot for budget in budgets]
 
@@ -214,18 +222,23 @@ def _walk(cap: int, length: int, room: int, need: int = 0) -> Iterator[tuple[Mul
     increasing order: Python's tuple order.  While a prefix is still
     short of need, the walk enters a subtree only when _best_sum's
     total below it reaches need, so with need set to the largest sum it
-    visits only prefixes of the vectors it yields.  Below an entry e
-    every entry is at most e, so _best_sum(e, n, room) <= n*e, and a
-    subtree that n more entries of e cannot lift to need is passed over
-    without calling it; that skips only calls that would fail.  It
-    keeps its own stack, one frame per entry, so a long vector cannot
-    exhaust the interpreter's recursion limit.
+    visits only prefixes of the vectors it yields.  A free bound comes
+    first: with n entries left after a total t, none above the last, an
+    entry e lifts the sum to at most t + n*e.  So each frame starts at
+    max(1, ceil((need - t)/n)): no vector through an entry below that
+    reaches need, so the walk neither yields it nor asks _best_sum about
+    the subtree below it.  It keeps its own stack, one frame per entry,
+    so a long vector cannot exhaust the interpreter's recursion limit.
     """
+
+    def choices(n: int, total: int, last: int) -> Iterator[int]:
+        return iter(range(max(1, -((total - need) // n)), last + 1))
+
     entries: list[int] = []
-    frames = [(iter(range(1, cap + 1)), length, room, 0)]  # (next entries, length, room, total)
+    frames = [(choices(length, 0, cap), length, room, 0)]  # (next entries, length, room, total)
     while frames:
-        choices, length, room, total = frames[-1]
-        for e in choices:
+        next_entries, length, room, total = frames[-1]
+        for e in next_entries:
             if e * e - e > room:
                 break  # increasing in e, so larger e fail too
             entries.append(e)
@@ -233,14 +246,12 @@ def _walk(cap: int, length: int, room: int, need: int = 0) -> Iterator[tuple[Mul
             if reached >= need:
                 yield tuple(entries), reached
             if length > 1 and e * e <= room and (
-                reached >= need
-                or reached + e * (length - 1) >= need
-                and reached + _best_sum(e, length - 1, room - e * e) >= need
+                reached >= need or reached + _best_sum(e, length - 1, room - e * e) >= need
             ):
-                frames.append((iter(range(1, e + 1)), length - 1, room - e * e, reached))
+                frames.append((choices(length - 1, reached, e), length - 1, room - e * e, reached))
                 break  # extend first; this frame resumes at e + 1
             entries.pop()
-        if frames[-1][0] is choices:  # the frame is done
+        if frames[-1][0] is next_entries:  # the frame is done
             frames.pop()
             if entries:
                 entries.pop()
@@ -275,17 +286,22 @@ def min_ratio_search(k: int, r: int, d_max: int, m_max: int) -> SearchResult:
             f"empty search box: k={k}, r={r}, d_max={d_max}, m_max={m_max}"
         )
     bests = [(d, _best_sum(m_max, r, d * d * k)) for d in range(1, d_max + 1)]
-    minimum = min(Fraction(d * k, best) for d, best in bests)
+    # d*k/best is least where d/best is: compare d/best across d by
+    # cross-multiplying, and build one Fraction
+    d0, best0 = bests[0]
+    for d, best in bests:
+        if d * best0 < d0 * best:
+            d0, best0 = d, best
     witnesses = [
         (d, m)
         for d, best in bests
-        if Fraction(d * k, best) == minimum
+        if d * best0 == d0 * best
         for m, _ in _walk(m_max, r, d * d * k, need=best)
     ]
     if not witnesses:
         raise RuntimeError(f"no vector reaches the minimum at k={k}, r={r}, yet one attains it")
     witnesses.sort(key=lambda w: (w[0], len(w[1]), w[1]))
-    return SearchResult(minimum, tuple(witnesses))
+    return SearchResult(Fraction(d0 * k, best0), tuple(witnesses))
 
 
 class Violation(NamedTuple):
@@ -358,6 +374,9 @@ def verify_theorem(
     starts its lengths at that floor, and since budgets rise with d it
     stops the d loop once d^2*k - 10 exceeds r_max; past
     k = r_max + 10 that holds at d = 1, so the k loop stops there.
+    Within the loop it tests each length by the lemma's exact form and
+    skips, before any unit step or _best_sum, every s with
+    s*d^2*k >= (s+2)*(s+3).
     The lemma covers every feasible vector, the all-ones one too, and
     does not use the trichotomy, so no unit hit is lost and a real
     violation is still found.  feasible_vectors counts the whole box
@@ -379,6 +398,8 @@ def verify_theorem(
             if budget - 10 > r_max:
                 break  # no length reaches the floor, nor at any larger d
             for s in range(max(1, budget - 10), min(r_max, budget + 1) + 1):
+                if s * budget >= (s + 2) * (s + 3):
+                    continue  # the lemma: no vector of this length is sub-generic
                 r0 = max(r_min, s)
                 r = r0
                 while r <= r_max and is_subgeneric(budget, s, r):  # (1,)*s

@@ -343,6 +343,39 @@ def el_xu_tally(cap, length, room, memo):
     return memo[key]
 
 
+def count_feasible_by_length(cap, length, budgets):
+    """The theorem scan's count as it was before it kept multisets of at
+    most l entries: for each budget, the number of nonincreasing vectors
+    with entries in [1, cap], at most length of them and
+    sum(m_i^2) - m_s <= budget.
+
+    polys[l] counts the multisets of exactly l entries in [e, cap] by sum
+    of squares, packed one slot per degree into an int; with e running
+    from cap down it gains polys[l - 1] * x^(e^2), and the sum of all
+    polys, times x^(e^2 - e), counts the vectors that end in e.  The slot
+    width is the bit length of comb(length + cap, cap), so no slot
+    carries, and the count for a budget b is the sum of its low b + 1
+    slots, read one slot at a time.
+    """
+    top = min(max(budgets), length * cap * cap)
+    width = comb(length + cap, cap).bit_length()
+    mask = (1 << width * (top + 1)) - 1
+    polys = [1] + [0] * (min(length, top + 1) - 1)
+    total = 0
+    for e in range(cap, 0, -1):
+        shift = width * e * e
+        for l in range(1, min(len(polys), top // (e * e) + 1)):
+            polys[l] = (polys[l] + (polys[l - 1] << shift)) & mask
+        if e * e - e <= top:
+            total += sum(polys) << width * (e * e - e)
+    slot = (1 << width) - 1
+    prefix, running = [], 0
+    for degree in range(top + 1):
+        running += (total >> width * degree) & slot
+        prefix.append(running)
+    return [prefix[min(budget, top)] for budget in budgets]
+
+
 def theorem_scan_walk(
     k_max, r_max, d_max, m_max, *, k_min=1, r_min=2,
     is_exception=lambda d, k, m: (d, k, m) == (1, 6, (2, 2)),
@@ -435,15 +468,19 @@ def _entry_floor_walk(cap, length, room, lo):
 
 
 def min_ratio_walk(k, r, d_max, m_max):
-    """min_ratio_search by the full walk over every feasible vector."""
+    """min_ratio_search by the full walk over every feasible vector: at
+    each d the least ratio d*k/sum(m) is at the largest sum."""
     best, witnesses = None, []
     for d in range(1, d_max + 1):
-        for m in el_xu_vectors(d * d * k, r, m_max):
-            ratio = Fraction(d * k, sum(m))
-            if best is None or ratio < best:
-                best, witnesses = ratio, [(d, m)]
-            elif ratio == best:
-                witnesses.append((d, m))
+        vectors = el_xu_vectors(d * d * k, r, m_max)
+        sums = [sum(m) for m in vectors]
+        top = max(sums)
+        ratio = Fraction(d * k, top)
+        reaching = [(d, m) for m, total in zip(vectors, sums) if total == top]
+        if best is None or ratio < best:
+            best, witnesses = ratio, reaching
+        elif ratio == best:
+            witnesses += reaching
     witnesses.sort(key=lambda w: (w[0], len(w[1]), w[1]))
     return SearchResult(best, tuple(witnesses))
 

@@ -2,7 +2,9 @@
 
 import itertools
 import math
+import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import given, strategies as st
 import seshadri.oracle as oracle
 from oracles import (
     _han_class,
+    count_feasible_by_length,
     el_xu_tally,
     el_xu_vectors,
     han_class_scan,
@@ -433,6 +436,28 @@ class TestAgainstFullWalk:
         assert expected
         assert list(oracle._walk(7, 6, 3 * 3 * 4, need=need)) == expected
 
+    @given(
+        st.integers(1, 7).flatmap(
+            lambda cap: st.integers(1, 6).flatmap(
+                lambda length: st.tuples(
+                    st.just(cap),
+                    st.just(length),
+                    st.integers(0, length * cap * cap + 2),
+                    st.integers(0, cap * length + 1),
+                )
+            )
+        )
+    )
+    def test_walk_against_the_naive_enumeration(self, box):
+        # Each frame starts at its free bound ceil((need - total)/n); the
+        # walk still yields every vector that reaches need, in tuple order,
+        # and nothing once need passes cap*length.
+        cap, length, room, need = box
+        expected = [(m, sum(m)) for m in sorted(naive_feasible(1, room, length, cap)) if sum(m) >= need]
+        assert list(oracle._walk(cap, length, room, need)) == expected
+        if need > cap * length:
+            assert expected == []
+
     @pytest.mark.parametrize("need", [2, 5, 6])
     def test_walk_descends_only_where_best_sum_reaches(self, need, monkeypatch):
         # Below a prefix still short of need, the walk descends only when
@@ -459,13 +484,13 @@ class TestTheoremCertificate:
         ) == theorem_scan_floor_walk(k_max, r_max, d_max, m_max, k_min=k_min)
 
     @pytest.mark.parametrize(
-        "box,found,walked", [((8, 6, 3, 6), 35, 68), ((12, 8, 4, 6), 64, 132), ((20, 10, 5, 8), 88, 216)]
+        "box,found,walked", [((8, 6, 3, 6), 32, 68), ((12, 8, 4, 6), 52, 132), ((20, 10, 5, 8), 63, 216)]
     )
     def test_reports_violations_under_a_looser_test(self, box, found, walked, monkeypatch):
         # A looser sub-generic test makes many configurations with m_1 >= 2
         # fail.  The scan reports exactly the full walk's failures at the
-        # lengths it decides, s >= d^2*k - 10 (a floor whose lemma holds
-        # for the true test only), in (k, d, m, r) order.
+        # lengths it decides, s*d^2*k < (s + 2)*(s + 3) (a test whose lemma
+        # holds for the true sub-generic test only), in (k, d, m, r) order.
         def loose(d2k, total, r):
             return d2k * r * (r + 3) < (r + 2) * (total + 1) ** 2
 
@@ -474,7 +499,7 @@ class TestTheoremCertificate:
         full = theorem_scan_walk(*box, is_subgeneric=loose).violations
         assert (len(scan.violations), len(full)) == (found, walked)
         assert set(scan.violations) <= set(full)
-        decided = [v for v in full if len(v.m) >= v.d * v.d * v.k - 10]
+        decided = [v for v in full if len(v.m) * v.d * v.d * v.k < (len(v.m) + 2) * (len(v.m) + 3)]
         assert scan.violations and list(scan.violations) == decided
         assert list(scan.violations) == sorted(scan.violations, key=lambda v: (v.k, v.d, v.m, v.r))
 
@@ -518,13 +543,33 @@ class TestPrunedWork:
         assert len(calls) == 21
 
     def test_theorem_decides_only_lengths_past_the_floor(self, monkeypatch):
+        # One call per cell (k, d, s) that passes the lemma's exact test
+        # s*d^2*k < (s + 2)*(s + 3), 107 of them, and one more from the walk
+        # of the (6, 1, 2) cell.
         calls = self.recorded_best_sum(monkeypatch)
         assert verify_theorem(20, 10, 5, 8) == theorem_scan_floor_walk(20, 10, 5, 8)
-        assert len(calls) == 167
+        assert len(calls) == 108
+        assert all(s * budget < (s + 2) * (s + 3) for _, s, budget in calls)
+        cells = [
+            (8, s, d * d * k)
+            for k in range(1, 21)
+            for d in range(1, 6)
+            for s in range(1, min(10, d * d * k + 1) + 1)
+            if s * d * d * k < (s + 2) * (s + 3)
+        ]
+        assert len(cells) == 107
+        assert Counter(calls) == Counter(cells + [(2, 1, 2)])
 
-    @pytest.mark.parametrize("k", range(20, 41))
+    @pytest.mark.parametrize("k", range(1, 61))
     def test_search_equals_the_full_walk(self, k):
-        assert min_ratio_search(k, 10, 4, 6) == min_ratio_walk(k, 10, 4, 6)
+        # The minimum's d are picked by cross-multiplying d/best; on this
+        # box k = 20, 33 and 40 (among others) have witnesses at two or
+        # three d.
+        for d_max in range(3, 6):
+            result = min_ratio_search(k, 10, d_max, 6)
+            assert result == min_ratio_walk(k, 10, d_max, 6), d_max
+            if k in (20, 33, 40):
+                assert len({d for d, _ in result.witnesses}) >= 2, d_max
 
 
 class TestBestSum:
@@ -554,6 +599,31 @@ class TestCountFeasible:
                 # alone, each room is the largest budget, so its slot is the top one
                 for room in rooms:
                     assert oracle._count_feasible(cap, length, [room]) == [expected[room]], (cap, length, room)
+
+    @pytest.mark.parametrize("k", range(1, 21))
+    def test_verify_box_sub_boxes_against_the_predecessor(self, k):
+        budgets = [d * d * k for d in range(1, 6)]
+        assert oracle._count_feasible(8, 10, budgets) == count_feasible_by_length(8, 10, budgets)
+
+    @pytest.mark.parametrize("cap,length,k_max,d_max", [(30, 100, 100, 5), (10, 300, 300, 3)])
+    def test_wide_boxes_against_the_predecessor(self, cap, length, k_max, d_max):
+        # the budgets of verify_theorem(k_max, length, d_max, cap)
+        budgets = [d * d * k for k in range(1, k_max + 1) for d in range(1, d_max + 1)]
+        assert oracle._count_feasible(cap, length, budgets) == count_feasible_by_length(cap, length, budgets)
+
+    def test_random_boxes_against_the_predecessor(self):
+        # Seeded boxes whose budgets repeat and pass top = length*cap^2;
+        # the predecessor is itself checked against the recursion.
+        rng, memo = random.Random(2205), {}
+        for _ in range(200):
+            cap, length = rng.randint(1, 12), rng.randint(1, 14)
+            top = length * cap * cap
+            budgets = [rng.randint(0, top) for _ in range(rng.randint(1, 6))]
+            budgets += rng.choices(budgets, k=2) + [top + rng.randint(0, 40)]
+            rng.shuffle(budgets)
+            expected = count_feasible_by_length(cap, length, budgets)
+            assert oracle._count_feasible(cap, length, budgets) == expected, (cap, length, budgets)
+            assert expected == [el_xu_tally(cap, length, b, memo)[0] for b in budgets]
 
     def test_the_recursion_counts_the_vectors(self):
         memo = {}
