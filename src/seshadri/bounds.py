@@ -27,10 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cmp_to_key
 from typing import NamedTuple, Optional
 
-from .exact import Surd, _surd, isqrt
+from .exact import Surd, _sqrt_ratio, _surd, isqrt
 from .inequalities import is_square, is_subgeneric
 from .pell import FsstWitness, PellSolution, fsst_applicable, pell_fundamental
 
@@ -98,8 +97,8 @@ class MainLowerBound(NamedTuple):
         value by construction)."""
         if not self.candidates:
             return self.bound.value
-        smallest = Surd(self.candidates[0].value)
-        return min(self.bound.value, smallest)
+        least = self.candidates[0].value
+        return min(self.bound.value, _surd(least.numerator, least.denominator, 1))
 
 
 class HarbourneElement(NamedTuple):
@@ -145,14 +144,14 @@ def upper_bound(k: int, r: int) -> BoundValue:
     optimal cases."""
     if k < 1 or r < 1:
         raise ValueError(f"need k, r >= 1, got k={k}, r={r}")
-    return BoundValue(Surd.sqrt(Fraction(k, r)), attained=False)
+    return BoundValue(_sqrt_ratio(k, r), attained=False)
 
 
 def generic_lower_value(k: int, r: int) -> Surd:
     """sqrt((r+2)/(r+3)) * sqrt(k/r) as a canonical Surd."""
     if k < 1 or r < 2:
         raise ValueError(f"need k >= 1 and r >= 2, got k={k}, r={r}")
-    return Surd.sqrt(Fraction((r + 2) * k, (r + 3) * r))
+    return _sqrt_ratio((r + 2) * k, (r + 3) * r)
 
 
 def enumerate_exceptional_candidates(k: int, r: int) -> tuple[SubmaximalCandidate, ...]:
@@ -257,9 +256,16 @@ def harbourne_bound(k: int, r: int) -> HarbourneBound:
     elements.append(HarbourneElement(Fraction(1, c), "unit-reciprocal", None, 1, c))
 
     if k <= r and is_square(r * k):
-        value = BoundValue(Surd.sqrt(Fraction(k, r)), attained=False)
+        value = BoundValue(_sqrt_ratio(k, r), attained=False)
     else:
-        value = BoundValue(Surd(max(e.value for e in elements)))
+        # The maximum by cross-multiplying the reduced fields, which are
+        # the canonical coefficient of the value.
+        n, m = 0, 1
+        for e in elements:
+            v = e.value
+            if v.numerator * m > n * v.denominator:
+                n, m = v.numerator, v.denominator
+        value = BoundValue(_surd(n, m, 1))
     return HarbourneBound(bound=value, elements=tuple(elements))
 
 
@@ -286,8 +292,9 @@ def nagata_plane_value(r: int) -> PlaneValue:
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
     if r <= 8:
-        return PlaneValue(BoundValue(Surd(_PLANE_SMALL[r])), PlaneValueStatus.KNOWN)
-    value = Surd.sqrt(Fraction(1, r))
+        known = _PLANE_SMALL[r]
+        return PlaneValue(BoundValue(_surd(known.numerator, known.denominator, 1)), PlaneValueStatus.KNOWN)
+    value = _sqrt_ratio(1, r)
     if is_square(r):
         return PlaneValue(BoundValue(value), PlaneValueStatus.PROVED_SQUARE)
     return PlaneValue(BoundValue(value), PlaneValueStatus.CONJECTURAL)
@@ -336,11 +343,6 @@ class BoundReport:
     ranks: tuple[int, ...]
 
 
-def _square(value: Surd) -> tuple[int, int]:
-    """value^2 as (numerator, denominator), not reduced."""
-    return value.num * value.num * value.radicand, value.den * value.den
-
-
 def compare_bounds(k: int, r: int, very_ample: bool = False) -> BoundReport:
     """Assemble and exactly order all applicable bounds at (k, r).
 
@@ -358,7 +360,7 @@ def compare_bounds(k: int, r: int, very_ample: bool = False) -> BoundReport:
     main = main_lower_bound(k, r)
     entries = [
         BoundEntry("main", main.bound, candidates=main.candidates, detail=main),
-        BoundEntry("szemberg-floor", BoundValue(Surd(szemberg_floor_bound(k, r)))),
+        BoundEntry("szemberg-floor", BoundValue(_surd(szemberg_floor_bound(k, r), 1, 1))),
     ]
 
     if very_ample:
@@ -382,30 +384,37 @@ def compare_bounds(k: int, r: int, very_ample: bool = False) -> BoundReport:
             )
         )
 
-    # Values are nonnegative, so squares order them.  Each is squared once,
-    # as an unreduced pair num^2 * radicand / den^2 of ints, and pairs are
-    # compared by cross-multiplying: the Pell coefficient can run to
-    # thousands of digits, and no gcd is taken on it here.
-    up_n, up_d = _square(upper.value)
-    square = {e.name: _square(e.value.value) for e in entries}
-    # Unconditional, non-supremum entries can never exceed the optimal value.
+    # Values are nonnegative, so squares order them.  One pass in the order
+    # the entries were built squares each value once, as an unreduced pair
+    # num^2 * radicand / den^2 of ints, checks it against the optimal value
+    # (an unconditional, non-supremum entry can never exceed it) and
+    # inserts the entry before the first one that is smaller, or equal
+    # with a later name: decreasing value, ties by ascending name.  Pairs
+    # are compared by cross-multiplying, since the Pell coefficient can
+    # run to thousands of digits and no gcd is taken on it here.
+    u = upper.value
+    up_n, up_d = u._num * u._num * u._rad, u._den * u._den
+    ordered: list[tuple[int, int, BoundEntry]] = []
     for e in entries:
-        n, d = square[e.name]
+        x = e.value.value
+        n, d = x._num * x._num * x._rad, x._den * x._den
         if not e.value.conditional and n * up_d > up_n * d:
             raise RuntimeError(f"unconditional {e.name} bound exceeds sqrt(k/r) at k={k}, r={r}")
-
-    def descending(x: BoundEntry, y: BoundEntry) -> int:
-        (xn, xd), (yn, yd) = square[x.name], square[y.name]
-        return yn * xd - xn * yd or (x.name > y.name) - (x.name < y.name)
-
-    entries.sort(key=cmp_to_key(descending))
+        i = 0
+        for on, od, o in ordered:
+            c = n * od - on * d
+            if c > 0 or (c == 0 and e.name < o.name):
+                break
+            i += 1
+        ordered.insert(i, (n, d, e))
     ranks: list[int] = []
-    for i, e in enumerate(entries):
-        if i > 0 and e.value.value == entries[i - 1].value.value:
-            ranks.append(ranks[-1])
-        else:
-            ranks.append(i + 1)
-    return BoundReport(k=k, r=r, upper=upper, entries=tuple(entries), ranks=tuple(ranks))
+    pn, pd = 0, 1
+    for i, (n, d, _) in enumerate(ordered, 1):
+        ranks.append(ranks[-1] if i > 1 and n * pd == pn * d else i)
+        pn, pd = n, d
+    return BoundReport(
+        k=k, r=r, upper=upper, entries=tuple(e for _, _, e in ordered), ranks=tuple(ranks)
+    )
 
 
 @dataclass(frozen=True)

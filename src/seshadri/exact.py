@@ -11,6 +11,11 @@ products cancel with gcds of the parts they bring together, and the
 order compares cross-multiplied squares.  No float is accepted as an
 input.  Decimal strings are produced only for display, by truncating the
 exact value at a requested number of digits.
+
+Square roots of rationals are taken in one place, _sqrt_ratio(p, q),
+which the bound layer calls with the ints its formulas produce, so no
+Fraction is built only to be taken apart again; Surd.sqrt checks its
+argument and calls it too.
 """
 
 from __future__ import annotations
@@ -75,6 +80,22 @@ def _ratio(x: Fraction | int, what: str) -> tuple[int, int]:
     raise TypeError(f"{what} must be an int or a Fraction, got {type(x).__name__} {x!r}")
 
 
+def _sqrt_ratio(p: int, q: int) -> Surd:
+    """sqrt(p/q) for ints p >= 0 and q >= 1, not necessarily coprime.
+
+    With g = gcd(p, q), p/g = a1^2*b1 and q/g = a2^2*b2 (b1, b2
+    squarefree), sqrt(p/q) = a1*sqrt(b1*b2)/(a2*b2).  p/g and q/g are
+    coprime, so a1 is coprime to a2*b2 and b1*b2 is squarefree: the
+    result is canonical as it stands.
+    """
+    if p == 0:
+        return _ZERO
+    g = gcd(p, q)
+    a1, b1 = squarefree_decompose(p // g)
+    a2, b2 = squarefree_decompose(q // g)
+    return _surd(a1, a2 * b2, b1 * b2)
+
+
 def _surd(num: int, den: int, rad: int) -> Surd:
     """A Surd from fields that are already canonical; nothing is checked."""
     s = _new(Surd)
@@ -95,9 +116,9 @@ class Surd:
 
     Every operation keeps the form without a general reduction.
     Surd(coeff, radicand) factors the radicand as a^2 * b and cancels a
-    against den with one gcd.  Surd.sqrt(p/q), p and q coprime, factors p
-    and q apart as a1^2*b1 and a2^2*b2: sqrt(p/q) = a1*sqrt(b1*b2)/(a2*b2)
-    is already in lowest terms, so it takes no gcd at all.  A product
+    against den with one gcd.  Surd.sqrt(p/q) factors the reduced p and q
+    apart (see _sqrt_ratio), and the result is already in lowest terms,
+    so nothing is cancelled afterwards.  A product
     cancels its coefficients with cross gcds, and with g = gcd(a, b) of
     two squarefree radicands, sqrt(a)*sqrt(b) = g*sqrt((a/g)*(b/g)), so
     nothing is factored; one more gcd cancels g against the denominator.
@@ -141,19 +162,13 @@ class Surd:
     def sqrt(cls, q: Fraction | int) -> Surd:
         """Exact square root of a nonnegative rational, as a canonical Surd.
 
-        With q = p/d in lowest terms, p = a1^2*b1 and d = a2^2*b2 (b1, b2
-        squarefree), sqrt(q) = a1*sqrt(b1*b2)/(a2*b2).  p and d are
-        coprime, so a1 is coprime to a2*b2 and b1*b2 is squarefree: the
-        result is canonical as it stands.
+        Only an int or a Fraction is accepted, and a negative one is a
+        ValueError; the root itself is _sqrt_ratio's.
         """
         p, d = _ratio(q, "sqrt argument")
         if p < 0:
             raise ValueError(f"sqrt of negative rational {Fraction(p, d)}")
-        if p == 0:
-            return _ZERO
-        a1, b1 = squarefree_decompose(p)
-        a2, b2 = squarefree_decompose(d)
-        return _surd(a1, a2 * b2, b1 * b2)
+        return _sqrt_ratio(p, d)
 
     @classmethod
     def from_string(cls, text: str) -> Surd:

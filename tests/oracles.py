@@ -3,14 +3,28 @@
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, total_ordering
+from functools import cmp_to_key, lru_cache, total_ordering
 from math import comb
 
-from seshadri.bounds import SubmaximalCandidate, ThresholdScan, nagata_plane_value
-from seshadri.exact import isqrt, squarefree_decompose
-from seshadri.inequalities import el_xu_feasible, han_applies, han_margin, is_subgeneric
+from seshadri.bounds import (
+    BoundEntry,
+    BoundReport,
+    BoundValue,
+    HarbourneBound,
+    MainLowerBound,
+    PlaneValue,
+    PlaneValueStatus,
+    ProductFactors,
+    SubmaximalCandidate,
+    ThresholdScan,
+    enumerate_exceptional_candidates,
+    harbourne_bound,
+    nagata_plane_value,
+)
+from seshadri.exact import Surd, isqrt, squarefree_decompose
+from seshadri.inequalities import el_xu_feasible, han_applies, han_margin, is_square, is_subgeneric
 from seshadri.oracle import CaseLabel, HanScan, SearchResult, TheoremScan, Violation
-from seshadri.pell import PellSolution, szemberg_single_point_bound
+from seshadri.pell import PellSolution, fsst_applicable, pell_fundamental, szemberg_single_point_bound
 
 
 @total_ordering
@@ -180,6 +194,87 @@ def biran_product_value(k: int, r: int):
     """The product bound at (k, r): the plane value times the single-point
     bound as a Fraction, reduced by its gcd."""
     return nagata_plane_value(r).bound.value * szemberg_single_point_bound(k)
+
+
+def _sqrt_by_fractions(q: Fraction) -> Surd:
+    """sqrt(q) as sqrt(p*d)/d for q = p/d, through Surd's checked
+    constructor, which factors p*d and cancels its square part."""
+    return Surd(Fraction(1, q.denominator), q.numerator * q.denominator)
+
+
+# The plane's known values for r <= 8, typed out again.
+_PLANE_BY_R = (None, Fraction(1), Fraction(1, 2), Fraction(1, 2), Fraction(1, 2),
+               Fraction(2, 5), Fraction(2, 5), Fraction(3, 8), Fraction(6, 17))
+
+
+def _plane_value_by_fractions(r: int) -> PlaneValue:
+    if r <= 8:
+        return PlaneValue(BoundValue(Surd(_PLANE_BY_R[r])), PlaneValueStatus.KNOWN)
+    status = PlaneValueStatus.PROVED_SQUARE if is_square(r) else PlaneValueStatus.CONJECTURAL
+    return PlaneValue(BoundValue(_sqrt_by_fractions(Fraction(1, r))), status)
+
+
+def compare_bounds_by_fractions(k: int, r: int, very_ample: bool = False) -> BoundReport:
+    """compare_bounds with every value built from a Fraction through Surd's
+    checked constructor, and the entries ordered by a comparator on their
+    squares, ties by ascending name.  The candidate list, Harbourne's
+    elements and the Pell solution come from the library."""
+    if r < 2:
+        raise ValueError(f"bound comparison needs r >= 2, got {r}")
+    if k < 1:
+        raise ValueError(f"need k >= 1, got {k}")
+    upper = BoundValue(_sqrt_by_fractions(Fraction(k, r)), attained=False)
+    if (r, k) == (2, 6):
+        main = MainLowerBound(BoundValue(Surd(Fraction(3, 2)), attained=True, conditional=False), ())
+    else:
+        generic = _sqrt_by_fractions(Fraction((r + 2) * k, (r + 3) * r))
+        main = MainLowerBound(
+            BoundValue(generic, attained=True, conditional=True), enumerate_exceptional_candidates(k, r)
+        )
+    entries = [
+        BoundEntry("main", main.bound, candidates=main.candidates, detail=main),
+        BoundEntry("szemberg-floor", BoundValue(Surd(Fraction(isqrt(k // r))))),
+    ]
+    if very_ample:
+        elements = harbourne_bound(k, r).elements
+        if k <= r and is_square(r * k):
+            value = BoundValue(_sqrt_by_fractions(Fraction(k, r)), attained=False)
+        else:
+            value = BoundValue(Surd(max(e.value for e in elements)))
+        harb = HarbourneBound(value, elements)
+        entries.append(BoundEntry("harbourne", harb.bound, detail=harb))
+    if k >= 2 and not is_square(k):
+        plane = _plane_value_by_fractions(r)
+        factors = ProductFactors(pell_fundamental(k), fsst_applicable(k), plane)
+        entries.append(
+            BoundEntry(
+                name="biran-product",
+                value=BoundValue(plane.bound.value * Surd(factors.single)),
+                conjectural=not factors.witness.applicable or plane.status is PlaneValueStatus.CONJECTURAL,
+                detail=factors,
+            )
+        )
+
+    def square(x: Surd) -> Fraction:
+        return x.coeff * x.coeff * x.radicand
+
+    upper_sq = square(upper.value)
+    for e in entries:
+        if not e.value.conditional and square(e.value.value) > upper_sq:
+            raise RuntimeError(f"unconditional {e.name} bound exceeds sqrt(k/r) at k={k}, r={r}")
+
+    def descending(x: BoundEntry, y: BoundEntry) -> int:
+        xs, ys = square(x.value.value), square(y.value.value)
+        return (ys > xs) - (ys < xs) or (x.name > y.name) - (x.name < y.name)
+
+    entries.sort(key=cmp_to_key(descending))
+    ranks: list[int] = []
+    for i, e in enumerate(entries):
+        if i > 0 and e.value.value == entries[i - 1].value.value:
+            ranks.append(ranks[-1])
+        else:
+            ranks.append(i + 1)
+    return BoundReport(k=k, r=r, upper=upper, entries=tuple(entries), ranks=tuple(ranks))
 
 
 @lru_cache(maxsize=None)

@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -9,16 +10,19 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 from oracles import (
     band_cutoff_by_steps,
     biran_product_value,
     candidates_double_loop,
+    compare_bounds_by_fractions,
     dominance_scan_bands,
     dominance_scan_walk,
 )
 
 import seshadri.bounds as bounds
 import seshadri.cli as cli
+import seshadri.exact as exact
 from seshadri.bounds import (
     BoundValue,
     PlaneValueStatus,
@@ -80,6 +84,20 @@ class TestMainLowerBound:
         res = main_lower_bound(1, 5)
         assert res.candidates
         assert res.guaranteed == Fraction(2, 5)
+
+    def test_guaranteed_matches_the_checked_constructor(self):
+        seen = 0
+        for k in range(1, 61):
+            for r in range(2, 61):
+                res = main_lower_bound(k, r)
+                ours = res.guaranteed
+                if res.candidates:
+                    seen += 1
+                    least = Surd(res.candidates[0].value)
+                    assert (ours.num, ours.den, ours.radicand) == (least.num, least.den, least.radicand), (k, r)
+                else:
+                    assert ours is res.bound.value
+        assert seen > 0
 
 
 class TestExceptionalCandidates:
@@ -341,8 +359,102 @@ class TestCompareBounds:
         assert factors.plane == nagata_plane_value(101)
 
 
+def _log_uniform(rng, lo, hi):
+    return round(lo * (hi / lo) ** rng.random())
+
+
+class TestAgainstFractionAssembly:
+    """compare_bounds against its predecessor, which built every value
+    through a Fraction and ordered the entries with a comparator."""
+
+    @staticmethod
+    def assert_same_report(k, r, very_ample):
+        # The overflowing Pell solutions print past the interpreter's
+        # default int-to-str limit.
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            ours = repr(compare_bounds(k, r, very_ample=very_ample))
+            assert ours == repr(compare_bounds_by_fractions(k, r, very_ample=very_ample)), (k, r, very_ample)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    def test_wide_shaped_inputs(self):
+        rng = random.Random(23)
+        queries = [(_log_uniform(rng, 10**3, 10**6), _log_uniform(rng, 10, 10**4)) for _ in range(60)]
+        queries += [(rng.randint(50, 60), rng.randint(2400, 2600)) for _ in range(4)]
+        queries += [(1, rng.randint(9800, 10**4)) for _ in range(2)]
+        for k, r in queries:
+            for very_ample in (False, True):
+                self.assert_same_report(k, r, very_ample)
+
+    def test_long_pell_solutions(self):
+        rng = random.Random(5)
+        for k in TestBiranProduct.PELL_K + TestBiranProduct.OVERFLOW_K:
+            self.assert_same_report(k, rng.randint(100, 200), rng.random() < 0.5)
+
+    @given(st.integers(1, 10**6), st.integers(2, 10**3), st.booleans())
+    def test_random_draws(self, k, r, very_ample):
+        self.assert_same_report(k, r, very_ample)
+
+
+class TestWorkPerReport:
+    """Each report takes its square roots from ints and builds no Surd
+    through Surd.sqrt or the checked constructor: a Fraction round-trip
+    that comes back shows up in these counts."""
+
+    GRID = [(k, r) for k in range(1, 201, 3) for r in range(2, 51)] + [(6, 2), (2, 8), (35, 9)]
+
+    @staticmethod
+    def roots_taken(k, r, very_ample):
+        """upper, the generic value, the plane value for r >= 9 and
+        Harbourne's exceptional case."""
+        return (
+            1
+            + ((r, k) != (2, 6))
+            + (k >= 2 and not is_square(k) and r >= 9)
+            + (very_ample and k <= r and is_square(r * k))
+        )
+
+    def test_counts_over_the_desk_grid(self, monkeypatch):
+        counts = {"init": 0, "sqrt": 0, "squarefree": 0}
+        post_init, sqrt, decompose = Surd.__post_init__, Surd.sqrt, exact.squarefree_decompose
+
+        def counted_post_init(self, *args):
+            counts["init"] += 1
+            post_init(self, *args)
+
+        def counted_sqrt(cls, q):
+            counts["sqrt"] += 1
+            return sqrt(q)
+
+        def counted_decompose(n):
+            counts["squarefree"] += 1
+            return decompose(n)
+
+        monkeypatch.setattr(Surd, "__post_init__", counted_post_init)
+        monkeypatch.setattr(Surd, "sqrt", classmethod(counted_sqrt))
+        monkeypatch.setattr(exact, "squarefree_decompose", counted_decompose)
+        seen = set()
+        for k, r in self.GRID:
+            for very_ample in (False, True):
+                counts.update(init=0, sqrt=0, squarefree=0)
+                compare_bounds(k, r, very_ample=very_ample)
+                assert counts["init"] == ((r, k) == (2, 6)), (k, r, very_ample)
+                assert counts["sqrt"] == 0, (k, r, very_ample)
+                roots = self.roots_taken(k, r, very_ample)
+                assert counts["squarefree"] == 2 * roots, (k, r, very_ample)
+                seen.add(roots)
+        assert seen == {1, 2, 3, 4}
+
+
 def _low_upper_bound(k, r):
     return BoundValue(Surd(Fraction(1)), attained=False)  # below floor(sqrt(150/10)) = 3
+
+
+def _upper_three_halves(k, r):
+    # At (35, 9) the floor 1 stays below it and the product 35/18 does not.
+    return BoundValue(Surd(Fraction(3, 2)), attained=False)
 
 
 class TestInvariantChecks:
@@ -351,16 +463,34 @@ class TestInvariantChecks:
         with pytest.raises(RuntimeError, match="szemberg-floor"):
             compare_bounds(150, 10)
 
+    def test_product_alone_above_optimal_raises(self, monkeypatch):
+        rep = compare_bounds(35, 9)
+        by_name = {e.name: e.value for e in rep.entries}
+        assert by_name["szemberg-floor"].value == 1 and not by_name["biran-product"].conditional
+        assert by_name["biran-product"].value == Fraction(35, 18)
+        monkeypatch.setattr(bounds, "upper_bound", _upper_three_halves)
+        with pytest.raises(RuntimeError, match="unconditional biran-product bound"):
+            compare_bounds(35, 9)
+
     def test_check_survives_optimized_mode(self):
-        script = textwrap.dedent("""
+        self.assert_check_raises_under_O("Fraction(1)", 150, 10, "szemberg-floor")
+
+    def test_product_check_survives_optimized_mode(self):
+        self.assert_check_raises_under_O("Fraction(3, 2)", 35, 9, "biran-product")
+
+    @staticmethod
+    def assert_check_raises_under_O(upper, k, r, name):
+        """Under python -O, compare_bounds(k, r) with upper patched to
+        Surd(upper) raises the RuntimeError that names entry name."""
+        script = textwrap.dedent(f"""
             import seshadri.bounds as bounds
             from fractions import Fraction
             from seshadri.exact import Surd
-            bounds.upper_bound = lambda k, r: bounds.BoundValue(Surd(Fraction(1)), attained=False)
+            bounds.upper_bound = lambda k, r: bounds.BoundValue(Surd({upper}), attained=False)
             try:
-                bounds.compare_bounds(150, 10)
-            except RuntimeError:
-                raise SystemExit(0)
+                bounds.compare_bounds({k}, {r})
+            except RuntimeError as exc:
+                raise SystemExit(0 if "unconditional {name} bound" in str(exc) else 2)
             raise SystemExit(1)
         """)
         src = str(Path(__file__).resolve().parents[1] / "src")

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 from oracles import FractionSurd, fraction_render_decimal, squarefree_trial_division
 
-from seshadri.exact import Surd, isqrt, render_decimal, squarefree_decompose
+from seshadri.exact import Surd, _sqrt_ratio, isqrt, render_decimal, squarefree_decompose
 
 
 class TestIsqrt:
@@ -246,6 +246,49 @@ class TestAgainstFractionSurd:
             with pytest.raises(ValueError):
                 cls(1, 2) * -1
             assert fields(cls(0) * -1) == (0, 1)
+
+
+def raw(x):
+    return x.num, x.den, x.radicand
+
+
+class TestSqrtRatio:
+    """The int-ratio root behind Surd.sqrt and the bound formulas, on
+    pairs that need not be coprime."""
+
+    def test_every_pair_to_300(self):
+        for p in range(301):
+            for q in range(1, 301):
+                ours = _sqrt_ratio(p, q)
+                assert raw(ours) == raw(Surd.sqrt(Fraction(p, q))), (p, q)
+                assert fields(ours) == fields(FractionSurd.sqrt(Fraction(p, q))), (p, q)
+
+    # Primes near 10^8: a product of two of them is left over after trial
+    # division stops at the cube root.
+    BIG = (99999971, 99999989, 100000007, 100000037)
+
+    def test_two_large_primes(self):
+        a, b, c, d = self.BIG
+        # At most two large primes on each side, so each factorization
+        # stops at its cube root; the reference factors p*q, so it is only
+        # asked where that product has two.
+        for p, q in [(a * b, 1), (1, a * b), (a, b), (4 * a, 9 * b), (a * b, c * d), (12 * a * b, 18 * c),
+                     (a * b * c, c), (8 * a * a * b, 2 * a * c)]:
+            ours = _sqrt_ratio(p, q)
+            assert raw(ours) == raw(Surd.sqrt(Fraction(p, q))), (p, q)
+            if p * q in (a * b, 36 * a * b):
+                assert fields(ours) == fields(FractionSurd.sqrt(Fraction(p, q))), (p, q)
+        assert raw(_sqrt_ratio(a * b, 1)) == (1, 1, a * b)
+        assert raw(_sqrt_ratio(a * b, c * d)) == (1, c * d, a * b * c * d)
+        assert raw(_sqrt_ratio(8 * a * a * b, 2 * a * c)) == (2, c, a * b * c)
+
+    def test_sqrt_rejects_a_float_and_a_negative(self):
+        with pytest.raises(TypeError, match="sqrt argument must be an int or a Fraction, got float"):
+            Surd.sqrt(0.25)
+        with pytest.raises(ValueError, match="sqrt of negative rational -1/4"):
+            Surd.sqrt(Fraction(-2, 8))
+        with pytest.raises(ValueError, match="sqrt of negative rational -3"):
+            Surd.sqrt(-3)
 
 
 class TestOptimizedMode:
