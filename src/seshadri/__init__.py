@@ -7,13 +7,15 @@ bounds are surds q*sqrt(n), and every comparison is decided by integer
 cross-multiplication.
 
 Importing the package loads none of its modules: each name below loads
-the module that defines it on first access (PEP 562), so a command-line
-run pays only for the modules its subcommand uses.
+the module that exports it on first access (PEP 562), so a command-line
+run pays only for the modules its subcommand uses.  The plane values
+are defined in .plane and the walk and search in .walk; they are
+exported through .bounds and .oracle.
 """
 
 __version__ = "0.1.0"
 
-# Every public name, with the module that defines it.
+# Every public name, with the module that exports it.
 _EXPORTS = {
     **dict.fromkeys(("Surd", "isqrt", "render_decimal", "squarefree_decompose"), "exact"),
     **dict.fromkeys(

@@ -20,18 +20,24 @@ here:
 All values are exact Surds; every comparison is exact.  The results are
 data (values, flags, candidates, set elements, factors and their tags);
 the CLI writes every sentence about them.
+
+BoundValue and the plane values (PlaneValue, PlaneValueStatus,
+nagata_plane_value) are defined in .plane, so that the p2-table command
+loads neither this module nor the Pell solver; they are re-exported
+here as part of the bound layer's public surface.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
+from math import gcd
 from typing import NamedTuple, Optional
 
 from .exact import Surd, _sqrt_ratio, _surd, isqrt
 from .inequalities import is_square, is_subgeneric
 from .pell import FsstWitness, PellSolution, fsst_applicable, pell_fundamental
+from .plane import BoundValue, PlaneValue, PlaneValueStatus, nagata_plane_value
 
 __all__ = [
     "BoundValue",
@@ -55,19 +61,6 @@ __all__ = [
     "compare_bounds",
     "dominance_scan",
 ]
-
-
-class BoundValue(NamedTuple):
-    """An exact bound value with its qualifications.
-
-    attained is False when the value is only a supremum (approached but
-    not known to be a valid bound itself); conditional is True when the
-    bound holds only modulo an enumerated list of exceptional cases.
-    """
-
-    value: Surd
-    attained: bool = True
-    conditional: bool = False
 
 
 class SubmaximalCandidate(NamedTuple):
@@ -124,19 +117,6 @@ class HarbourneBound(NamedTuple):
 
     bound: BoundValue
     elements: tuple[HarbourneElement, ...]
-
-
-class PlaneValueStatus(Enum):
-    KNOWN = "known"
-    PROVED_SQUARE = "proved-square"
-    CONJECTURAL = "conjectural"
-
-
-class PlaneValue(NamedTuple):
-    """Multi-point constant of the plane with its epistemic status."""
-
-    bound: BoundValue
-    status: PlaneValueStatus
 
 
 def upper_bound(k: int, r: int) -> BoundValue:
@@ -255,8 +235,12 @@ def harbourne_bound(k: int, r: int) -> HarbourneBound:
     c = d - 1 if (d - 1) ** 2 * k == r else d
     elements.append(HarbourneElement(Fraction(1, c), "unit-reciprocal", None, 1, c))
 
-    if k <= r and is_square(r * k):
-        value = BoundValue(_sqrt_ratio(k, r), attained=False)
+    root = isqrt(r * k)
+    if k <= r and root * root == r * k:
+        # sqrt(k/r) = sqrt(r*k)/r, a rational: one gcd puts it in lowest
+        # terms, and nothing is factored.
+        g = gcd(root, r)
+        value = BoundValue(_surd(root // g, r // g, 1), attained=False)
     else:
         # The maximum by cross-multiplying the reduced fields, which are
         # the canonical coefficient of the value.
@@ -267,37 +251,6 @@ def harbourne_bound(k: int, r: int) -> HarbourneBound:
                 n, m = v.numerator, v.denominator
         value = BoundValue(_surd(n, m, 1))
     return HarbourneBound(bound=value, elements=tuple(elements))
-
-
-# Exact plane values for few points; 1/sqrt(r) takes over from r = 9 on
-# (proved on perfect squares, conjectural otherwise).
-_PLANE_SMALL: dict[int, Fraction] = {
-    1: Fraction(1),
-    2: Fraction(1, 2),
-    3: Fraction(1, 2),
-    4: Fraction(1, 2),
-    5: Fraction(2, 5),
-    6: Fraction(2, 5),
-    7: Fraction(3, 8),
-    8: Fraction(6, 17),
-}
-
-
-def nagata_plane_value(r: int) -> PlaneValue:
-    """Multi-point constant of the plane with unit line class.
-
-    r <= 8: known exact values.  r >= 9: 1/sqrt(r), proved when r is a
-    perfect square and conjectural otherwise.
-    """
-    if r < 1:
-        raise ValueError(f"need r >= 1, got {r}")
-    if r <= 8:
-        known = _PLANE_SMALL[r]
-        return PlaneValue(BoundValue(_surd(known.numerator, known.denominator, 1)), PlaneValueStatus.KNOWN)
-    value = _sqrt_ratio(1, r)
-    if is_square(r):
-        return PlaneValue(BoundValue(value), PlaneValueStatus.PROVED_SQUARE)
-    return PlaneValue(BoundValue(value), PlaneValueStatus.CONJECTURAL)
 
 
 class ProductFactors(NamedTuple):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import NamedTuple, Optional
 
-from .bounds import PlaneValue, nagata_plane_value
+from .plane import PlaneValue, nagata_plane_value
 
 __all__ = [
     "SurfaceKind",

@@ -30,8 +30,9 @@ from typing import TYPE_CHECKING, NamedTuple, Optional
 # Every subcommand renders through .exact, and every other module of the
 # package loads it.  The rest is imported inside the function that runs
 # it, so a process loads only its own subcommand's modules: `pell` never
-# loads the bounds or the oracle, the catalog loads only for --surface,
-# and json and csv only for their own format.
+# loads the bounds or the oracle, `p2-table` loads only the plane values
+# and `search` only the walk, the catalog loads only for --surface, and
+# json and csv only for their own format.
 from .exact import Surd, isqrt, render_decimal
 
 if TYPE_CHECKING:
@@ -362,7 +363,7 @@ def cmd_pell(args: argparse.Namespace) -> tuple[list[Record], int]:
 
 
 def cmd_search(args: argparse.Namespace) -> tuple[list[Record], int]:
-    from .oracle import classify_case, min_ratio_search
+    from .walk import classify_case, min_ratio_search
 
     k, r, d_max = args.k, args.r, args.d_max
     m_max = args.m_max if args.m_max is not None else isqrt(d_max * d_max * k) + 1
@@ -475,7 +476,7 @@ def cmd_threshold(args: argparse.Namespace) -> tuple[list[Record], int]:
 
 
 def cmd_p2_table(args: argparse.Namespace) -> tuple[list[Record], int]:
-    from .bounds import nagata_plane_value
+    from .plane import nagata_plane_value
 
     achievers = {
         2: "achieved by a line through two of the points",

@@ -36,7 +36,7 @@ from seshadri.bounds import (
     szemberg_floor_bound,
     upper_bound,
 )
-from seshadri.exact import Surd, isqrt, render_decimal
+from seshadri.exact import Surd, _sqrt_ratio, isqrt, render_decimal
 from seshadri.inequalities import is_square
 from seshadri.pell import fsst_applicable, szemberg_single_point_bound
 
@@ -189,6 +189,17 @@ class TestHarbourne:
         res = harbourne_bound(1, 4)
         assert not res.bound.attained
         assert res.bound.value == Surd.sqrt(Fraction(1, 4))
+
+    def test_exceptional_value_against_the_factored_root(self):
+        # The exceptional value is built as isqrt(r*k)/r over one gcd; it
+        # must be the canonical Surd that factoring k and r apart gives.
+        pairs = [(k, r) for r in range(1, 501) for k in range(1, r + 1) if is_square(r * k)]
+        assert len(pairs) > 500
+        for k, r in pairs:
+            res = harbourne_bound(k, r)
+            got, want = res.bound.value, _sqrt_ratio(k, r)
+            assert not res.bound.attained, (k, r)
+            assert (got._num, got._den, got._rad) == (want._num, want._den, want._rad), (k, r)
 
     def test_k_above_r_only_singleton(self):
         res = harbourne_bound(35, 10)
@@ -407,14 +418,10 @@ class TestWorkPerReport:
 
     @staticmethod
     def roots_taken(k, r, very_ample):
-        """upper, the generic value, the plane value for r >= 9 and
-        Harbourne's exceptional case."""
-        return (
-            1
-            + ((r, k) != (2, 6))
-            + (k >= 2 and not is_square(k) and r >= 9)
-            + (very_ample and k <= r and is_square(r * k))
-        )
+        """upper, the generic value and the plane value for r >= 9.
+        Harbourne's exceptional value sqrt(k/r) is rational and is built
+        from isqrt(r*k) and one gcd, so it factors nothing."""
+        return 1 + ((r, k) != (2, 6)) + (k >= 2 and not is_square(k) and r >= 9)
 
     def test_counts_over_the_desk_grid(self, monkeypatch):
         counts = {"init": 0, "sqrt": 0, "squarefree": 0}
@@ -445,7 +452,7 @@ class TestWorkPerReport:
                 roots = self.roots_taken(k, r, very_ample)
                 assert counts["squarefree"] == 2 * roots, (k, r, very_ample)
                 seen.add(roots)
-        assert seen == {1, 2, 3, 4}
+        assert seen == {1, 2, 3}
 
 
 def _low_upper_bound(k, r):

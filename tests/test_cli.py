@@ -14,6 +14,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import seshadri.cli as cli
 import seshadri.oracle as oracle
+import seshadri.walk as walk
 from seshadri.exact import Surd
 from seshadri.inequalities import is_square
 from seshadri.oracle import HanScan
@@ -214,7 +215,7 @@ class TestSearchCommand:
 
     def test_empty_box_is_usage_error(self, capsys, monkeypatch):
         # rejected while parsing, before any search runs
-        monkeypatch.setattr(oracle, "min_ratio_search", lambda *a: pytest.fail("searched"))
+        monkeypatch.setattr(walk, "min_ratio_search", lambda *a: pytest.fail("searched"))
         code, out, err = run_cli(capsys, "search", "--k", "1", "--r", "2", "--d-max", "0")
         assert (code, out) == (1, "")
         assert "argument --d-max: must be >= 1, got 0" in err
@@ -222,10 +223,17 @@ class TestSearchCommand:
     @pytest.mark.parametrize("r", ["1", "0", "-3"])
     def test_r_below_two_is_usage_error(self, capsys, monkeypatch, r):
         # rejected while parsing, before any search runs
-        monkeypatch.setattr(oracle, "min_ratio_search", lambda *a: pytest.fail("searched"))
+        monkeypatch.setattr(walk, "min_ratio_search", lambda *a: pytest.fail("searched"))
         code, out, err = run_cli(capsys, "search", "--k", "1", "--r", r, "--d-max", "1")
         assert (code, out) == (1, "")
         assert f"argument --r: must be >= 2, got {r}" in err
+
+    def test_search_guard_fires_on_a_valid_box(self, capsys, monkeypatch):
+        # The guard of the two tests above, on a box that parses: the
+        # command searches through the patched name, so the guard fires.
+        monkeypatch.setattr(walk, "min_ratio_search", lambda *a: pytest.fail("searched"))
+        with pytest.raises(pytest.fail.Exception, match="searched"):
+            run_cli(capsys, "search", "--k", "1", "--r", "2", "--d-max", "1")
 
     def test_long_vectors_do_not_exhaust_the_stack(self, capsys):
         # the witness has 1200 entries, past the default recursion limit

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import seshadri.oracle as oracle
+import seshadri.walk as walk
 from oracles import (
     _han_class,
     count_feasible_by_length,
@@ -235,7 +236,7 @@ class TestMinRatioSearch:
             assert set(res.witnesses) == wits
 
     def test_empty_walk_raises(self, monkeypatch):
-        monkeypatch.setattr(oracle, "_walk", lambda *args, **kwargs: iter(()))
+        monkeypatch.setattr(walk, "_walk", lambda *args, **kwargs: iter(()))
         with pytest.raises(RuntimeError):
             min_ratio_search(1, 5, 3, 5)
 
@@ -282,6 +283,9 @@ class TestVerifyTheorem:
         # configurations with m_1 >= 2 are exactly the ones classify_case
         # raises on and the ones verify_theorem reports, and both agree
         # with a Fraction comparison against the generic value.
+        # classify_case reads the walk module's name, verify_theorem the
+        # oracle's.
+        monkeypatch.setattr(walk, "_is_two_six", lambda d, k, m: False)
         monkeypatch.setattr(oracle, "_is_two_six", lambda d, k, m: False)
         k_max, r_max, d_max, m_max = 8, 6, 3, 6
         raised, naive, unit = set(), set(), 0
@@ -434,7 +438,7 @@ class TestAgainstFullWalk:
         # the vectors with sum >= need, with their sums, in tuple order
         expected = [(m, sum(m)) for m in sorted(naive_feasible(3, 4, 6, 7)) if sum(m) >= need]
         assert expected
-        assert list(oracle._walk(7, 6, 3 * 3 * 4, need=need)) == expected
+        assert list(walk._walk(7, 6, 3 * 3 * 4, need=need)) == expected
 
     @given(
         st.integers(1, 7).flatmap(
@@ -454,7 +458,7 @@ class TestAgainstFullWalk:
         # and nothing once need passes cap*length.
         cap, length, room, need = box
         expected = [(m, sum(m)) for m in sorted(naive_feasible(1, room, length, cap)) if sum(m) >= need]
-        assert list(oracle._walk(cap, length, room, need)) == expected
+        assert list(walk._walk(cap, length, room, need)) == expected
         if need > cap * length:
             assert expected == []
 
@@ -463,8 +467,8 @@ class TestAgainstFullWalk:
         # Below a prefix still short of need, the walk descends only when
         # _best_sum's total reaches need.  Told that no subtree does, it
         # keeps exactly the vectors whose first entry alone reaches need.
-        monkeypatch.setattr(oracle, "_best_sum", lambda cap, length, room: 0)
-        walked = [m for m, _ in oracle._walk(7, 6, 3 * 3 * 4, need=need)]
+        monkeypatch.setattr(walk, "_best_sum", lambda cap, length, room: 0)
+        walked = [m for m, _ in walk._walk(7, 6, 3 * 3 * 4, need=need)]
         assert walked == sorted(m for m in naive_feasible(3, 4, 6, 7) if m[0] >= need)
 
 
@@ -508,11 +512,11 @@ class TestTheoremCertificate:
         # On the acceptance box and the wide golden box, the only cell whose
         # largest sum is sub-generic is (k, d, s) = (6, 1, 2): budget 6,
         # length 2.
-        walk, calls = oracle._walk, []
+        real_walk, calls = oracle._walk, []
 
         def recording_walk(cap, length, room, need=0):
             calls.append((length, room))
-            return walk(cap, length, room, need=need)
+            return real_walk(cap, length, room, need=need)
 
         monkeypatch.setattr(oracle, "_walk", recording_walk)
         scan = verify_theorem(*box)
@@ -525,20 +529,24 @@ class TestPrunedWork:
     with their results checked against the full walks."""
 
     @staticmethod
-    def recorded_best_sum(monkeypatch):
-        best_sum, calls = oracle._best_sum, []
+    def recorded_best_sum(monkeypatch, *modules):
+        """Record every _best_sum call made through the given modules'
+        globals: the search and the walk read the walk module's name,
+        verify_theorem the oracle's."""
+        best_sum, calls = walk._best_sum, []
 
         def recording(cap, length, room):
             calls.append((cap, length, room))
             return best_sum(cap, length, room)
 
-        monkeypatch.setattr(oracle, "_best_sum", recording)
+        for module in modules:
+            monkeypatch.setattr(module, "_best_sum", recording)
         return calls
 
     def test_search_skips_subtrees_the_cap_cannot_fill(self, monkeypatch):
         # 4 calls pick the minimum's d; the walks below it make the rest,
         # each past the free bound reached + e*(length - 1) >= need.
-        calls = self.recorded_best_sum(monkeypatch)
+        calls = self.recorded_best_sum(monkeypatch, walk)
         assert min_ratio_search(30, 10, 4, 6) == min_ratio_walk(30, 10, 4, 6)
         assert len(calls) == 21
 
@@ -546,7 +554,7 @@ class TestPrunedWork:
         # One call per cell (k, d, s) that passes the lemma's exact test
         # s*d^2*k < (s + 2)*(s + 3), 107 of them, and one more from the walk
         # of the (6, 1, 2) cell.
-        calls = self.recorded_best_sum(monkeypatch)
+        calls = self.recorded_best_sum(monkeypatch, oracle, walk)
         assert verify_theorem(20, 10, 5, 8) == theorem_scan_floor_walk(20, 10, 5, 8)
         assert len(calls) == 108
         assert all(s * budget < (s + 2) * (s + 3) for _, s, budget in calls)
@@ -582,7 +590,7 @@ class TestBestSum:
             for length in range(1, 14):
                 for room in range(length * cap * cap + 6):
                     expected = el_xu_tally(cap, length, room, memo)[1]
-                    assert oracle._best_sum(cap, length, room) == expected, (cap, length, room)
+                    assert walk._best_sum(cap, length, room) == expected, (cap, length, room)
 
 
 class TestCountFeasible:

@@ -17,7 +17,7 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def reexports() -> dict[str, list[str]]:
-    """Names the package exports, by the module that defines them."""
+    """Names the package exports, grouped by the module it takes them from."""
     found: dict[str, list[str]] = {}
     for name, module in seshadri._EXPORTS.items():
         found.setdefault(module, []).append(name)
@@ -136,3 +136,16 @@ def test_every_public_record_has_its_pinned_fields():
             if fields is not None:
                 found[attr] = fields
     assert found == RECORD_FIELDS
+
+
+# perfbench/test_checks.py corrupts these records with dataclasses.replace
+# to show that the benchmark records a wrong result as a failure.  A record
+# turned into a NamedTuple or a __slots__ class would break that self-test,
+# which is not part of this suite; such a change has to move the
+# self-test to the record's new copy method with it.
+BENCHMARK_REPLACES = ("BoundEntry", "BoundReport", "ThresholdScan", "TheoremScan", "HanScan")
+
+
+@pytest.mark.parametrize("name", BENCHMARK_REPLACES)
+def test_records_the_benchmark_replaces_stay_dataclasses(name):
+    assert dataclasses.is_dataclass(getattr(seshadri, name))

@@ -35,19 +35,21 @@ def run(*args: str) -> subprocess.CompletedProcess:
 
 
 BASE = {"seshadri", "seshadri.cli", "seshadri.exact"}
-BOUND_LAYER = BASE | {"seshadri.bounds", "seshadri.inequalities", "seshadri.pell"}
-ORACLE = BASE | {"seshadri.inequalities", "seshadri.oracle"}
+PLANE = BASE | {"seshadri.inequalities", "seshadri.plane"}
+WALK = BASE | {"seshadri.inequalities", "seshadri.walk"}
+BOUND_LAYER = PLANE | {"seshadri.bounds", "seshadri.pell"}
+ORACLE = WALK | {"seshadri.oracle"}
 
 LOADS = {
     "bounds --k 35 --r 101 --very-ample": BOUND_LAYER,
     "bounds --surface custom:35,va --r 101": BOUND_LAYER | {"seshadri.catalog"},
     "pell --k 35": BASE | {"seshadri.pell"},
-    "search --k 1 --r 5 --d-max 3": ORACLE,
+    "search --k 1 --r 5 --d-max 3": WALK,
     "verify --suite theorem --k-max 4 --r-max 4 --d-max 2 --m-max 4": ORACLE,
     "verify --suite han --s-max 4 --m-max 4": ORACLE,
     "verify --suite k3 --k-max 4 --r-max 4 --d-max 2": ORACLE,
     "threshold --r 10 --k-cap 10000": BOUND_LAYER,
-    "p2-table --r-max 9": BOUND_LAYER,
+    "p2-table --r-max 9": PLANE,
 }
 
 
@@ -70,6 +72,13 @@ def test_pell_loads_no_dataclasses():
     # PellSolution is a __slots__ class; the pell command's other modules
     # define no dataclass either.
     assert "dataclasses" not in loaded_modules(["pell", "--k", "35", "--format", "text"])
+
+
+@pytest.mark.parametrize("command", ["p2-table --r-max 9", "search --k 1 --r 5 --d-max 3"])
+def test_plane_and_walk_commands_load_no_dataclasses(command):
+    # The plane values and the search are defined apart from the bound
+    # layer's and the suites' dataclass records.
+    assert "dataclasses" not in loaded_modules(command.split() + ["--format", "text"])
 
 
 @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
