@@ -9,7 +9,7 @@ here:
               sqrt((r+2)/(r+3)) * sqrt(k/r), which holds unless some
               curve in |dL| through s <= r of the points with
               multiplicity one each computes the constant as d*k/s.
-              Those exceptional candidates form an explicit finite list.
+              There is at most one such exceptional candidate.
   szemberg    floor(sqrt(k/r)), valid for the ample generator.
   harbourne   the maximum of three explicit finite sets of rationals,
               valid for very ample L, with a supremum-only exceptional
@@ -35,7 +35,7 @@ from math import gcd
 from typing import NamedTuple, Optional
 
 from .exact import Surd, _sqrt_ratio, _surd, isqrt
-from .inequalities import is_square, is_subgeneric
+from .inequalities import is_square, is_subgeneric, subgeneric_unit_length
 from .pell import FsstWitness, PellSolution, fsst_applicable, pell_fundamental
 from .plane import BoundValue, PlaneValue, PlaneValueStatus, nagata_plane_value
 
@@ -135,39 +135,21 @@ def generic_lower_value(k: int, r: int) -> Surd:
 
 
 def enumerate_exceptional_candidates(k: int, r: int) -> tuple[SubmaximalCandidate, ...]:
-    """All (d, s) whose curve value d*k/s lies below the generic bound.
-
-    Membership: d >= 1, 1 <= s <= r, s - 1 <= d^2*k (EL-Xu for s unit
-    multiplicities), and d*k/s strictly below sqrt((r+2)k/((r+3)r)), that
-    is d^2*k*r*(r+3) < (r+2)*s^2.  The list is finite: d*k/s >= d*k/r
-    grows with d, so the loop stops at the first d for which even s = r
-    cannot go below the bound.
-
-    For fixed d the sub-generic test holds for every s from its least
-    solution on, and EL-Xu for every s up to d^2*k + 1, so the admissible s
-    form the interval from that least s to min(r, d^2*k + 1).  The least s
-    is t + 1 for t = isqrt(d^2*k*r*(r+3) // (r+2)): (r+2)*t^2 is at most
-    d^2*k*r*(r+3), and an integer s^2 above the integer part of a bound is
-    above the bound.  The loop starts at t and steps up until the test
-    itself holds, so the cost is O(d_max) plus the size of the output.
-    Sorted ascending by value, ties by (d, s).
+    """All (d, s) whose curve value d*k/s lies below the generic bound:
+    d >= 1, s <= r, s - 1 <= d^2*k (EL-Xu for s unit multiplicities) and
+    d^2*k*r*(r+3) < (r+2)*s^2.  By subgeneric_unit_length, d has such an
+    s only if d^2*k < r <= d^2*k + 2, and then one, s = min(r, d^2*k + 1).
+    Consecutive d^2*k differ by (2d + 1)*k >= 3, so only the largest d
+    with d^2*k <= r - 1, isqrt((r - 1) // k), can have one: the list holds
+    at most one candidate.
     """
     if r < 2:
         raise ValueError(f"multi-point candidates need r >= 2, got {r}")
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
-    out = []
-    d = 1
-    while is_subgeneric(d * d * k, r, r):
-        d2k = d * d * k
-        lo = isqrt(d2k * r * (r + 3) // (r + 2))
-        while not is_subgeneric(d2k, lo, r):
-            lo += 1
-        hi = min(r, d2k + 1)  # el_xu_feasible(d2k, s, 1) is s <= d2k + 1
-        out.extend(SubmaximalCandidate(d, s, Fraction(d * k, s)) for s in range(lo, hi + 1))
-        d += 1
-    out.sort(key=lambda c: (c.value, c.d, c.s))
-    return tuple(out)
+    d = isqrt((r - 1) // k)
+    s = subgeneric_unit_length(d * d * k, r) if d else 0
+    return (SubmaximalCandidate(d, s, Fraction(d * k, s)),) if s else ()
 
 
 def main_lower_bound(k: int, r: int) -> MainLowerBound:
@@ -185,7 +167,7 @@ def main_lower_bound(k: int, r: int) -> MainLowerBound:
         raise ValueError(f"need k >= 1, got {k}")
     if (r, k) == (2, 6):
         return MainLowerBound(
-            bound=BoundValue(Surd(Fraction(3, 2)), attained=True, conditional=False),
+            bound=BoundValue(_surd(3, 2, 1), attained=True, conditional=False),
             candidates=(),
         )
     candidates = enumerate_exceptional_candidates(k, r)
@@ -404,7 +386,7 @@ def dominance_scan(r: int, k_cap: int) -> ThresholdScan:
         raise ValueError(f"need k_cap >= 1, got {k_cap}")
     band_cutoff = r * (2 * r + 5) ** 2
     # The floor bound j at k_cap is the ratio d*k/sum(m) at d = j, sum(m) = k.
-    j = isqrt(k_cap // r)
+    j = szemberg_floor_bound(k_cap, r)
     if k_cap >= band_cutoff:
         last_failure = band_cutoff - 1
     elif not is_subgeneric(j * j * k_cap, k_cap, r):

@@ -8,7 +8,10 @@ from __future__ import annotations
 
 from .exact import isqrt
 
-__all__ = ["el_xu_feasible", "is_subgeneric", "han_applies", "han_margin", "han_floor", "is_square"]
+__all__ = [
+    "el_xu_feasible", "is_subgeneric", "subgeneric_unit_length",
+    "han_applies", "han_margin", "han_floor", "is_square",
+]
 
 
 def el_xu_feasible(d2k: int, sum_sq: int, last: int) -> bool:
@@ -21,6 +24,23 @@ def is_subgeneric(d2k: int, total: int, r: int) -> bool:
     """d*k/total below the generic value sqrt((r+2)/(r+3)) * sqrt(k/r),
     cleared of denominators: d^2*k * r*(r+3) < (r+2) * total^2."""
     return d2k * r * (r + 3) < (r + 2) * total * total
+
+
+def subgeneric_unit_length(d2k: int, r: int) -> int:
+    """The one length s <= r whose all-ones vector is EL-Xu feasible
+    (s <= d2k + 1) and sub-generic at r, or 0 if none is; d2k >= 1.  It is
+    s = min(r, d2k + 1), and only for d2k < r <= d2k + 2.
+
+    Proof: a sub-generic s <= r needs d2k*r*(r+3) < (r+2)*r^2, so d2k < r,
+    and a feasible one needs f(r) = d2k*r*(r+3) - (r+2)*(d2k+1)^2 < 0, f
+    convex in r.  For d2k >= 2, f and f' are d2k^2 + d2k - 4 and
+    d2k^2 + 5*d2k - 1 at r = d2k + 2, both > 0; for d2k = 1, f(r) is
+    r^2 - r - 8 > 0 from r = 4 on.  The test rises with s and fails below
+    the top length: at s = d2k for r = d2k + 1, as
+    (d2k+1)*(d2k+4) > (d2k+3)*d2k, and at s = 1 for (d2k, r) = (1, 3).
+    """
+    s = min(r, d2k + 1)
+    return s if is_subgeneric(d2k, s, r) else 0
 
 
 def han_margin(s: int, total: int, sum_sq: int, last: int) -> int:

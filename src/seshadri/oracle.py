@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
-from .inequalities import han_applies, han_floor, han_margin, is_subgeneric
+from .inequalities import han_applies, han_floor, han_margin, is_subgeneric, subgeneric_unit_length
 from .walk import (
     CaseLabel,
     Multiplicities,
@@ -163,15 +163,16 @@ def verify_theorem(
     scan stops at the first r that clears the bound.  The test reads a
     vector only through its sum, and it rises with the sum.
 
-    So the scan decides each cell (k, d, s), s the length, on its own.  A
-    vector of length s is tested from r0 = max(r_min, s).  Its all-ones
-    vector gives the unit-multiplicity hits, counted by stepping r up
-    from r0.  Every other vector has m_1 >= 2 and a sum above s, and the
-    largest sum in the cell, _best_sum(m_max, s, d^2*k), decides them
-    all: if it is at most s, or not sub-generic at r0, the cell holds no
-    violation.  Otherwise the scan walks the cell's vectors whose sum is
-    above s, which are those with m_1 >= 2, and classifies each of them.
-    The only such cell on a correct trichotomy is (k, d, s) = (6, 1, 2).
+    The all-ones vectors give the unit-multiplicity hits: by
+    subgeneric_unit_length, (k, d) has them only at r = d^2*k + 1 and
+    d^2*k + 2, where the scan asks it.  Every other vector has m_1 >= 2
+    and a sum above its length s; they are tested from r0 = max(r_min, s)
+    on, cell (k, d, s) by cell.  The cell's largest sum,
+    _best_sum(m_max, s, d^2*k), decides them all: if it is at most s, or
+    not sub-generic at r0, the cell holds no violation.  Otherwise the
+    scan walks the cell's vectors whose sum is above s, which are those
+    with m_1 >= 2, and classifies each of them.  The only such cell on a
+    correct trichotomy is (k, d, s) = (6, 1, 2).
     Violations come in the order (k, d), then m as tuples, then r.
 
     A cell holds vectors iff s <= d^2*k + 1, the all-ones vector's bound,
@@ -189,21 +190,18 @@ def verify_theorem(
     stops the d loop once d^2*k - 10 exceeds r_max; past
     k = r_max + 10 that holds at d = 1, so the k loop stops there.
     Within the loop it tests each length by the lemma's exact form and
-    skips, before any unit step or _best_sum, every s with
-    s*d^2*k >= (s+2)*(s+3).
-    The lemma covers every feasible vector, the all-ones one too, and
-    does not use the trichotomy, so no unit hit is lost and a real
-    violation is still found.  feasible_vectors counts the whole box
-    with one exact generating function over every budget d^2*k of the scan
-    (_count_feasible), which enumerates nothing.
+    skips, before its _best_sum, every s with s*d^2*k >= (s+2)*(s+3).
+    The lemma covers every feasible vector and does not use the
+    trichotomy, so a real violation is still found; a unit hit needs
+    d^2*k < r <= r_max, so neither cut of the loops loses one.
+    feasible_vectors counts the whole box with one exact generating
+    function over every budget d^2*k of the scan (_count_feasible), which
+    enumerates nothing.
     """
     if not (1 <= k_min <= k_max and 2 <= r_min <= r_max and d_max >= 1 and m_max >= 1):
         raise ValueError("bad scan box")
     violations: list[Violation] = []
-    counts: dict[CaseLabel, int] = {
-        CaseLabel.UNIT_MULTIPLICITY: 0,
-        CaseLabel.TWO_SIX: 0,
-    }
+    counts: dict[CaseLabel, int] = {CaseLabel.UNIT_MULTIPLICITY: 0, CaseLabel.TWO_SIX: 0}
     budgets = [d * d * k for k in range(k_min, k_max + 1) for d in range(1, d_max + 1)]
     feasible = sum(_count_feasible(m_max, r_max, budgets))
     for k in range(k_min, min(k_max, r_max + 10) + 1):
@@ -211,14 +209,13 @@ def verify_theorem(
             budget = d * d * k
             if budget - 10 > r_max:
                 break  # no length reaches the floor, nor at any larger d
+            for r in range(max(r_min, budget + 1), min(r_max, budget + 2) + 1):
+                if subgeneric_unit_length(budget, r):  # (1,)*s, s = min(r, budget + 1)
+                    counts[CaseLabel.UNIT_MULTIPLICITY] += 1
             for s in range(max(1, budget - 10), min(r_max, budget + 1) + 1):
                 if s * budget >= (s + 2) * (s + 3):
                     continue  # the lemma: no vector of this length is sub-generic
                 r0 = max(r_min, s)
-                r = r0
-                while r <= r_max and is_subgeneric(budget, s, r):  # (1,)*s
-                    counts[CaseLabel.UNIT_MULTIPLICITY] += 1
-                    r += 1
                 best = _best_sum(m_max, s, budget)
                 if best <= s or not is_subgeneric(budget, best, r0):
                     continue

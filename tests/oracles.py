@@ -339,6 +339,31 @@ def candidates_double_loop(k: int, r: int) -> tuple[SubmaximalCandidate, ...]:
     return tuple(out)
 
 
+def candidates_by_interval(k: int, r: int) -> tuple[SubmaximalCandidate, ...]:
+    """enumerate_exceptional_candidates by one interval of s for each d.
+
+    For fixed d the sub-generic test holds for every s from its least
+    solution on, and EL-Xu for every s up to d^2*k + 1, so the admissible s
+    form the interval from that least s to min(r, d^2*k + 1).  The least s
+    is t + 1 for t = isqrt(d^2*k*r*(r+3) // (r+2)), and the loop steps up
+    from t until the test holds.  The d loop stops at the first d for
+    which even s = r is not sub-generic.  Sorted ascending by value, ties
+    by (d, s).
+    """
+    out = []
+    d = 1
+    while is_subgeneric(d * d * k, r, r):
+        d2k = d * d * k
+        lo = isqrt(d2k * r * (r + 3) // (r + 2))
+        while not is_subgeneric(d2k, lo, r):
+            lo += 1
+        hi = min(r, d2k + 1)  # el_xu_feasible(d2k, s, 1) is s <= d2k + 1
+        out.extend(SubmaximalCandidate(d, s, Fraction(d * k, s)) for s in range(lo, hi + 1))
+        d += 1
+    out.sort(key=lambda c: (c.value, c.d, c.s))
+    return tuple(out)
+
+
 def pow_unit(a: int, b: int, k: int, j: int) -> tuple[int, int]:
     """(a + b*sqrt(k))^j in Z[sqrt(k)], by binary exponentiation."""
     ra, rb = 1, 0

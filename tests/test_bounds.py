@@ -14,6 +14,7 @@ from hypothesis import given, strategies as st
 from oracles import (
     band_cutoff_by_steps,
     biran_product_value,
+    candidates_by_interval,
     candidates_double_loop,
     compare_bounds_by_fractions,
     dominance_scan_bands,
@@ -37,7 +38,7 @@ from seshadri.bounds import (
     upper_bound,
 )
 from seshadri.exact import Surd, _sqrt_ratio, isqrt, render_decimal
-from seshadri.inequalities import is_square
+from seshadri.inequalities import el_xu_feasible, is_square, is_subgeneric, subgeneric_unit_length
 from seshadri.pell import fsst_applicable, szemberg_single_point_bound
 
 
@@ -146,8 +147,53 @@ class TestCandidatesAgainstDoubleLoop:
             for r in range(2, 301):
                 expected = candidates_double_loop(k, r)
                 assert enumerate_exceptional_candidates(k, r) == expected, (k, r)
+                assert candidates_by_interval(k, r) == expected, (k, r)
                 found += len(expected)
         assert found > 0
+
+
+class TestCandidatesAgainstIntervals:
+    """The one-point candidate list against its predecessor, which built
+    an interval of s for each d from an isqrt estimate and sorted them."""
+
+    @staticmethod
+    def assert_same(pairs):
+        found = 0
+        for k, r in pairs:
+            expected = candidates_by_interval(k, r)
+            assert enumerate_exceptional_candidates(k, r) == expected, (k, r)
+            found += len(expected)
+        return found
+
+    def test_wide_shaped_queries(self):
+        rng = random.Random(25)
+        pairs = [(_log_uniform(rng, 1, 10**9), _log_uniform(rng, 2, 10**4)) for _ in range(3000)]
+        pairs += [(1, r) for r in range(9800, 10**4 + 1)]
+        pairs += [(k, r) for k in range(50, 61) for r in range(2400, 2601)]
+        assert self.assert_same(pairs) > 0
+
+    def test_one_and_two_points_past_each_budget(self):
+        # r = d^2*k + 1 and d^2*k + 2 are the only r at which d can hit.
+        pairs = [(k, d * d * k + j) for k in range(1, 61) for d in range(1, 201) for j in (1, 2)]
+        assert self.assert_same(pairs) > 0
+
+
+class TestSubgenericUnitLength:
+    def test_against_the_definition(self):
+        # Every s <= r whose all-ones vector is EL-Xu feasible and
+        # sub-generic at r: at most one, the top length min(r, d2k + 1),
+        # and only for d2k < r <= d2k + 2.
+        hits = 0
+        for d2k in range(1, 201):
+            for r in range(2, 401):
+                lengths = [
+                    s for s in range(1, r + 1) if el_xu_feasible(d2k, s, 1) and is_subgeneric(d2k, s, r)
+                ]
+                assert lengths in ([], [min(r, d2k + 1)]), (d2k, r)
+                assert not lengths or d2k < r <= d2k + 2, (d2k, r)
+                assert subgeneric_unit_length(d2k, r) == sum(lengths), (d2k, r)
+                hits += len(lengths)
+        assert hits > 0
 
 
 class TestSzembergFloor:
@@ -447,7 +493,7 @@ class TestWorkPerReport:
             for very_ample in (False, True):
                 counts.update(init=0, sqrt=0, squarefree=0)
                 compare_bounds(k, r, very_ample=very_ample)
-                assert counts["init"] == ((r, k) == (2, 6)), (k, r, very_ample)
+                assert counts["init"] == 0, (k, r, very_ample)
                 assert counts["sqrt"] == 0, (k, r, very_ample)
                 roots = self.roots_taken(k, r, very_ample)
                 assert counts["squarefree"] == 2 * roots, (k, r, very_ample)

@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+import seshadri.inequalities as inequalities
 import seshadri.oracle as oracle
 import seshadri.walk as walk
 from oracles import (
@@ -26,7 +27,7 @@ from oracles import (
     theorem_scan_floor_walk,
     theorem_scan_walk,
 )
-from seshadri.bounds import enumerate_exceptional_candidates
+from seshadri.bounds import compare_bounds, enumerate_exceptional_candidates, main_lower_bound
 from seshadri.inequalities import han_applies, han_floor, han_margin
 from seshadri.oracle import (
     CaseLabel,
@@ -309,11 +310,13 @@ class TestVerifyTheorem:
 
 
     @pytest.mark.parametrize(
-        "box,unit", [((20, 10, 5, 8), 13), ((100, 100, 5, 30), 144), ((60, 40, 3, 4), 53)]
+        "box,unit",
+        [((20, 10, 5, 8), 13), ((100, 100, 5, 30), 144), ((60, 40, 3, 4), 53), ((300, 300, 3, 10), 407)],
     )
     def test_unit_count_equals_the_exceptional_candidates(self, box, unit):
         # The unit-multiplicity hits of the theorem scan and the main
-        # bound's exceptional candidates (d, s) are one set, coded twice:
+        # bound's exceptional candidates (d, s) are one set, which both
+        # layers take from inequalities.subgeneric_unit_length:
         # s <= r, s - 1 <= d^2*k and d^2*k*r*(r+3) < (r+2)*s^2.
         k_max, r_max, d_max, m_max = box
         scan = verify_theorem(*box)
@@ -324,6 +327,24 @@ class TestVerifyTheorem:
             for c in enumerate_exceptional_candidates(k, r)
         )
         assert scan.subgeneric_counts[CaseLabel.UNIT_MULTIPLICITY] == candidates == unit
+
+    def test_patched_unit_decision_empties_both_layers(self, monkeypatch):
+        # Both layers take the all-ones decision from
+        # inequalities.subgeneric_unit_length, which reads the
+        # inequalities module's is_subgeneric: with that name turned off,
+        # the unit count and every candidate list are empty.
+        grid = [(k, r) for k in range(1, 61) for r in range(2, 41)]
+
+        def found():
+            unit = verify_theorem(60, 40, 3, 4).subgeneric_counts[CaseLabel.UNIT_MULTIPLICITY]
+            lists = [enumerate_exceptional_candidates(k, r) for k, r in grid]
+            lists += [main_lower_bound(k, r).candidates for k, r in grid]
+            lists += [e.candidates for k, r in grid for e in compare_bounds(k, r).entries]
+            return unit, sum(map(len, lists))
+
+        assert found() == (53, 3 * 57)
+        monkeypatch.setattr(inequalities, "is_subgeneric", lambda d2k, total, r: False)
+        assert found() == (0, 0)
 
 
 # (k_min, k_max, r_min, r_max, d_max, m_max); the first is the golden box
