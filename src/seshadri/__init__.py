@@ -7,15 +7,13 @@ bounds are surds q*sqrt(n), and every comparison is decided by integer
 cross-multiplication.
 
 Importing the package loads none of its modules: each name below loads
-the module that exports it on first access (PEP 562), so a command-line
-run pays only for the modules its subcommand uses.  The plane values
-are defined in .plane and the walk and search in .walk; they are
-exported through .bounds and .oracle.
+the module that defines it on first access (PEP 562), so a command-line
+run pays only for the modules its subcommand uses.
 """
 
 __version__ = "0.1.0"
 
-# Every public name, with the module that exports it.
+# Every public name, with the module that defines it.
 _EXPORTS = {
     **dict.fromkeys(("Surd", "isqrt", "render_decimal", "squarefree_decompose"), "exact"),
     **dict.fromkeys(
@@ -28,16 +26,14 @@ _EXPORTS = {
         ),
         "pell",
     ),
+    **dict.fromkeys(("BoundValue", "PlaneValue", "PlaneValueStatus", "nagata_plane_value"), "plane"),
     **dict.fromkeys(
         (
             "BoundEntry",
             "BoundReport",
-            "BoundValue",
             "HarbourneBound",
             "HarbourneElement",
             "MainLowerBound",
-            "PlaneValue",
-            "PlaneValueStatus",
             "ProductFactors",
             "SubmaximalCandidate",
             "ThresholdScan",
@@ -47,7 +43,6 @@ _EXPORTS = {
             "generic_lower_value",
             "harbourne_bound",
             "main_lower_bound",
-            "nagata_plane_value",
             "szemberg_floor_bound",
             "upper_bound",
         ),
@@ -56,21 +51,26 @@ _EXPORTS = {
     **dict.fromkeys(
         (
             "CaseLabel",
-            "HanScan",
-            "K3Exclusion",
-            "K3TraceRow",
             "Multiplicities",
             "SearchResult",
-            "TheoremScan",
             "TheoremViolation",
-            "Violation",
             "check_el_xu",
             "classify_case",
             "feasible_multiplicities",
-            "k3_case2_excluded",
-            "k3_h0",
             "min_ratio_search",
             "validate_multiplicities",
+        ),
+        "walk",
+    ),
+    **dict.fromkeys(
+        (
+            "HanScan",
+            "K3Exclusion",
+            "K3TraceRow",
+            "TheoremScan",
+            "Violation",
+            "k3_case2_excluded",
+            "k3_h0",
             "verify_han_exhaustive",
             "verify_theorem",
         ),

@@ -20,18 +20,12 @@ here:
 All values are exact Surds; every comparison is exact.  The results are
 data (values, flags, candidates, set elements, factors and their tags);
 the CLI writes every sentence about them.
-
-BoundValue and the plane values (PlaneValue, PlaneValueStatus,
-nagata_plane_value) are defined in .plane, so that the p2-table command
-loads neither this module nor the Pell solver; they are re-exported
-here as part of the bound layer's public surface.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import NamedTuple, Optional
 
 from .exact import Surd, _sqrt_ratio, _surd, isqrt
@@ -40,13 +34,10 @@ from .pell import FsstWitness, PellSolution, fsst_applicable, pell_fundamental
 from .plane import BoundValue, PlaneValue, PlaneValueStatus, nagata_plane_value
 
 __all__ = [
-    "BoundValue",
     "SubmaximalCandidate",
     "MainLowerBound",
     "HarbourneElement",
     "HarbourneBound",
-    "PlaneValueStatus",
-    "PlaneValue",
     "ProductFactors",
     "BoundEntry",
     "BoundReport",
@@ -57,7 +48,6 @@ __all__ = [
     "enumerate_exceptional_candidates",
     "szemberg_floor_bound",
     "harbourne_bound",
-    "nagata_plane_value",
     "compare_bounds",
     "dominance_scan",
 ]
@@ -217,22 +207,16 @@ def harbourne_bound(k: int, r: int) -> HarbourneBound:
     c = d - 1 if (d - 1) ** 2 * k == r else d
     elements.append(HarbourneElement(Fraction(1, c), "unit-reciprocal", None, 1, c))
 
-    root = isqrt(r * k)
-    if k <= r and root * root == r * k:
-        # sqrt(k/r) = sqrt(r*k)/r, a rational: one gcd puts it in lowest
-        # terms, and nothing is factored.
-        g = gcd(root, r)
-        value = BoundValue(_surd(root // g, r // g, 1), attained=False)
-    else:
-        # The maximum by cross-multiplying the reduced fields, which are
-        # the canonical coefficient of the value.
-        n, m = 0, 1
-        for e in elements:
-            v = e.value
-            if v.numerator * m > n * v.denominator:
-                n, m = v.numerator, v.denominator
-        value = BoundValue(_surd(n, m, 1))
-    return HarbourneBound(bound=value, elements=tuple(elements))
+    # The maximum by cross-multiplying the reduced fields, which are the
+    # canonical coefficient of the value.  No element exceeds sqrt(k/r),
+    # and the maximum reaches it exactly in the exceptional case: then the
+    # d = 1 floor-multiple element is sqrt(r*k)/r.
+    n, m = 0, 1
+    for e in elements:
+        v = e.value
+        if v.numerator * m > n * v.denominator:
+            n, m = v.numerator, v.denominator
+    return HarbourneBound(BoundValue(_surd(n, m, 1), attained=n * n * r != m * m * k), tuple(elements))
 
 
 class ProductFactors(NamedTuple):

@@ -2,13 +2,12 @@
 
 The setting, the EL-Xu inequality and the trichotomy behind the main
 bound are in .walk, together with the walk over feasible vectors and
-the minimum-ratio search; every public name there is re-exported here.
-This module holds the suites that cover every feasible configuration in
-a finite box: the theorem scan classifies each one against the
-trichotomy, the Han scan checks Han's inequality on every applicable
-vector, and the K3 suite replays the dimension-count argument that
-excludes the unit-multiplicity alternative (referred to as "case 2"
-throughout) on K3 surfaces.
+the minimum-ratio search.  This module holds the suites that cover
+every feasible configuration in a finite box: the theorem scan
+classifies each one against the trichotomy, the Han scan checks Han's
+inequality on every applicable vector, and the K3 suite replays the
+dimension-count argument that excludes the unit-multiplicity
+alternative (referred to as "case 2" throughout) on K3 surfaces.
 
 Enumeration is deterministic.  The theorem scan decides each cell
 (k, d, length) from the cell's largest feasible sum in closed form, and
@@ -30,36 +29,15 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
 from .inequalities import han_applies, han_floor, han_margin, is_subgeneric, subgeneric_unit_length
-from .walk import (
-    CaseLabel,
-    Multiplicities,
-    SearchResult,
-    TheoremViolation,
-    _best_sum,
-    _is_two_six,
-    _walk,
-    check_el_xu,
-    classify_case,
-    feasible_multiplicities,
-    min_ratio_search,
-    validate_multiplicities,
-)
+from .walk import CaseLabel, Multiplicities, _best_sum, _is_two_six, _walk
+from .walk import min_ratio_search  # noqa: F401  perfbench calls and traces oracle.min_ratio_search
 
 __all__ = [
-    "Multiplicities",
-    "CaseLabel",
-    "TheoremViolation",
-    "SearchResult",
     "Violation",
     "TheoremScan",
     "HanScan",
     "K3TraceRow",
     "K3Exclusion",
-    "validate_multiplicities",
-    "check_el_xu",
-    "classify_case",
-    "feasible_multiplicities",
-    "min_ratio_search",
     "verify_theorem",
     "verify_han_exhaustive",
     "k3_h0",

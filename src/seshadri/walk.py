@@ -15,10 +15,9 @@ search, which walks only towards the vectors that reach the largest
 feasible sum for the d that attain the minimum, and enumerates nothing
 else.
 
-The verification suites (theorem, Han, K3) live in .oracle, which
-re-exports every public name of this module.  This module defines no
-dataclass, so the search command loads neither the suites nor
-dataclasses.
+The verification suites (theorem, Han, K3) live in .oracle.  This
+module defines no dataclass, so the search command loads neither the
+suites nor dataclasses.
 
 The minima computed here are candidate-level quantities over enumerated
 configurations, not the true constants: whether a configuration is

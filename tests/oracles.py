@@ -9,22 +9,20 @@ from math import comb
 from seshadri.bounds import (
     BoundEntry,
     BoundReport,
-    BoundValue,
     HarbourneBound,
     MainLowerBound,
-    PlaneValue,
-    PlaneValueStatus,
     ProductFactors,
     SubmaximalCandidate,
     ThresholdScan,
     enumerate_exceptional_candidates,
     harbourne_bound,
-    nagata_plane_value,
 )
 from seshadri.exact import Surd, isqrt, squarefree_decompose
 from seshadri.inequalities import el_xu_feasible, han_applies, han_margin, is_square, is_subgeneric
-from seshadri.oracle import CaseLabel, HanScan, SearchResult, TheoremScan, Violation
+from seshadri.oracle import HanScan, TheoremScan, Violation
 from seshadri.pell import PellSolution, fsst_applicable, pell_fundamental, szemberg_single_point_bound
+from seshadri.plane import BoundValue, PlaneValue, PlaneValueStatus, nagata_plane_value
+from seshadri.walk import CaseLabel, SearchResult
 
 
 @total_ordering

@@ -22,19 +22,14 @@ from seshadri.bounds import (
     generic_lower_value,
     harbourne_bound,
     main_lower_bound,
-    nagata_plane_value,
     szemberg_floor_bound,
     upper_bound,
 )
 from seshadri.exact import Surd, isqrt, render_decimal
-from seshadri.oracle import (
-    CaseLabel,
-    k3_case2_excluded,
-    k3_h0,
-    verify_han_exhaustive,
-    verify_theorem,
-)
+from seshadri.oracle import k3_case2_excluded, k3_h0, verify_han_exhaustive, verify_theorem
 from seshadri.pell import pell_fundamental, szemberg_single_point_bound
+from seshadri.plane import nagata_plane_value
+from seshadri.walk import CaseLabel
 
 
 def cli_notes(*argv):

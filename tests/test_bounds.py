@@ -25,21 +25,19 @@ import seshadri.bounds as bounds
 import seshadri.cli as cli
 import seshadri.exact as exact
 from seshadri.bounds import (
-    BoundValue,
-    PlaneValueStatus,
     compare_bounds,
     dominance_scan,
     enumerate_exceptional_candidates,
     generic_lower_value,
     harbourne_bound,
     main_lower_bound,
-    nagata_plane_value,
     szemberg_floor_bound,
     upper_bound,
 )
 from seshadri.exact import Surd, _sqrt_ratio, isqrt, render_decimal
 from seshadri.inequalities import el_xu_feasible, is_square, is_subgeneric, subgeneric_unit_length
 from seshadri.pell import fsst_applicable, szemberg_single_point_bound
+from seshadri.plane import BoundValue, PlaneValueStatus, nagata_plane_value
 
 
 class TestUpperBound:
@@ -539,7 +537,8 @@ class TestInvariantChecks:
             import seshadri.bounds as bounds
             from fractions import Fraction
             from seshadri.exact import Surd
-            bounds.upper_bound = lambda k, r: bounds.BoundValue(Surd({upper}), attained=False)
+            from seshadri.plane import BoundValue
+            bounds.upper_bound = lambda k, r: BoundValue(Surd({upper}), attained=False)
             try:
                 bounds.compare_bounds({k}, {r})
             except RuntimeError as exc:

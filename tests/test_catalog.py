@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 import seshadri.cli as cli
-from seshadri.bounds import PlaneValueStatus, upper_bound
+from seshadri.bounds import upper_bound
 from seshadri.catalog import SurfaceKind, SurfaceSyntaxError, make_surface, known_value, parse_surface
+from seshadri.plane import PlaneValueStatus
 
 
 class TestMakeSurface:

@@ -319,6 +319,23 @@ class TestVerifyCommand:
         failed = [e["applicability"] for e in rec["entries"] if e["name"] == "not-excluded"]
         assert "k=4, r=10" in failed
 
+    @pytest.mark.parametrize(
+        "d_max,code,failed", [("2", 3, [f"k=4, r={r}" for r in range(17, 21)]), ("1", 0, [])]
+    )
+    def test_k3_suite_reads_the_section_count_at_every_d(self, capsys, monkeypatch, d_max, code, failed):
+        # h0 wrong at (d, k) = (2, 4) alone: d^2*k + 2 = 18 sections put a
+        # curve through 17 points where d^2*k = 16 < 17, so exactly the
+        # pairs (4, r) with r >= 17 fail, and only when d = 2 is read.
+        true_h0 = oracle.k3_h0
+        monkeypatch.setattr(oracle, "k3_h0", lambda d, k: 18 if (d, k) == (2, 4) else true_h0(d, k))
+        got, out, _ = run_cli(
+            capsys, "verify", "--suite", "k3", "--k-max", "6", "--r-max", "20",
+            "--d-max", d_max, "--format", "json",
+        )
+        assert got == code
+        (rec,) = json_records(out)
+        assert [e["applicability"] for e in rec["entries"] if e["name"] == "not-excluded"] == failed
+
     def test_counterexample_exits_3(self, capsys, monkeypatch):
         fake = HanScan(1, ((3, 1),), ())
         monkeypatch.setattr(oracle, "verify_han_exhaustive", lambda s, m: fake)

@@ -29,18 +29,15 @@ from oracles import (
 )
 from seshadri.bounds import compare_bounds, enumerate_exceptional_candidates, main_lower_bound
 from seshadri.inequalities import han_applies, han_floor, han_margin
-from seshadri.oracle import (
+from seshadri.oracle import k3_case2_excluded, k3_h0, verify_han_exhaustive, verify_theorem
+from seshadri.walk import (
     CaseLabel,
     TheoremViolation,
     check_el_xu,
     classify_case,
     feasible_multiplicities,
-    k3_case2_excluded,
-    k3_h0,
     min_ratio_search,
     validate_multiplicities,
-    verify_han_exhaustive,
-    verify_theorem,
 )
 
 

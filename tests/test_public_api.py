@@ -1,19 +1,23 @@
-"""The public surface: each module's __all__ is what the package re-exports,
+"""The public surface: each module's __all__ is what the package exports,
 and each public result record holds the fields pinned here."""
 
+import ast
 import dataclasses
 import importlib
+import inspect
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import seshadri
 
-MODULES = ("exact", "pell", "bounds", "oracle", "catalog")
+MODULES = ("exact", "pell", "plane", "bounds", "walk", "oracle", "catalog")
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def reexports() -> dict[str, list[str]]:
@@ -75,12 +79,22 @@ def test_bare_import_loads_no_submodule():
 
 
 def test_first_access_loads_only_the_defining_module():
-    loaded = fresh_python(
-        "import sys, seshadri\n"
-        "seshadri.pell_fundamental\n"
-        "print(' '.join(sorted(m for m in sys.modules if m.startswith('seshadri'))))"
-    )
-    assert loaded.split() == ["seshadri", "seshadri.exact", "seshadri.pell"]
+    walk = ["seshadri", "seshadri.exact", "seshadri.inequalities", "seshadri.walk"]
+    plane = ["seshadri", "seshadri.exact", "seshadri.inequalities", "seshadri.plane"]
+    expected = {
+        "pell_fundamental": ["seshadri", "seshadri.exact", "seshadri.pell"],
+        "min_ratio_search": walk,
+        "classify_case": walk,
+        "nagata_plane_value": plane,
+        "BoundValue": plane,
+    }
+    for name, modules in expected.items():
+        loaded = fresh_python(
+            "import sys, seshadri\n"
+            f"seshadri.{name}\n"
+            "print(' '.join(sorted(m for m in sys.modules if m.startswith('seshadri') or m == 'dataclasses')))"
+        )
+        assert (name, loaded.split()) == (name, modules)  # a loaded dataclasses fails too
 
 
 # Records hold data only; the sentences the CLI prints about them live in
@@ -149,3 +163,68 @@ BENCHMARK_REPLACES = ("BoundEntry", "BoundReport", "ThresholdScan", "TheoremScan
 @pytest.mark.parametrize("name", BENCHMARK_REPLACES)
 def test_records_the_benchmark_replaces_stay_dataclasses(name):
     assert dataclasses.is_dataclass(getattr(seshadri, name))
+
+
+# The benchmark under perfbench/ calls library attributes by module path
+# (lib.<module>.<name> in workloads.py) and wraps the entry points that
+# tracing.py lists.  A name moved or dropped here would fail the benchmark,
+# not this suite, so the targets are read from those two files.
+
+
+def benchmark_targets() -> list[tuple[str, str]]:
+    """(module, dotted attribute) for every library attribute the
+    benchmark reads: each lib.<module>.<name>... chain in workloads.py and
+    each entry of tracing.py's ENTRY_POINTS."""
+    targets = set()
+    for node in ast.walk(ast.parse((PERFBENCH / "workloads.py").read_text())):
+        chain = []
+        while isinstance(node, ast.Attribute):
+            chain.append(node.attr)
+            node = node.value
+        if isinstance(node, ast.Name) and node.id == "lib" and len(chain) >= 2:
+            module, *attrs = reversed(chain)
+            targets.add((f"seshadri.{module}", ".".join(attrs)))
+    for node in ast.parse((PERFBENCH / "tracing.py").read_text()).body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["ENTRY_POINTS"]:
+            targets.update((module, attr) for _, module, attr in ast.literal_eval(node.value))
+    return sorted(targets)
+
+
+def unresolved(targets, modules):
+    """The (module, dotted attribute) targets that do not resolve, given
+    modules, a mapping from module name to module."""
+    missing = []
+    for module, dotted in targets:
+        owner = modules[module]
+        for attr in dotted.split("."):
+            if not hasattr(owner, attr):
+                missing.append((module, dotted))
+                break
+            owner = getattr(owner, attr)
+    return missing
+
+
+def test_benchmark_targets_are_read_from_both_files():
+    targets = benchmark_targets()
+    assert ("seshadri.oracle", "min_ratio_search") in targets  # workloads.py and tracing.py
+    assert ("seshadri.exact", "Surd.from_string") in targets  # workloads.py only
+    assert ("seshadri.exact", "Surd.__post_init__") in targets  # tracing.py only
+
+
+def test_every_name_the_benchmark_reads_resolves_in_a_fresh_import():
+    targets = benchmark_targets()
+    script = (
+        "import importlib\n"
+        + inspect.getsource(unresolved)
+        + f"targets = {targets!r}\n"
+        + "print(unresolved(targets, {m: importlib.import_module(m) for m, _ in targets}))"
+    )
+    assert ast.literal_eval(fresh_python(script)) == []
+
+
+def test_a_name_the_benchmark_reads_going_missing_is_caught():
+    targets = benchmark_targets()
+    modules = {m: importlib.import_module(m) for m, _ in targets}
+    oracle = vars(modules["seshadri.oracle"])
+    modules["seshadri.oracle"] = SimpleNamespace(**{k: v for k, v in oracle.items() if k != "min_ratio_search"})
+    assert unresolved(targets, modules) == [("seshadri.oracle", "min_ratio_search")]
