@@ -75,13 +75,13 @@ class MainLowerBound(NamedTuple):
 
     @property
     def guaranteed(self) -> Surd:
-        """The unconditional lower bound: min of the generic value and the
-        smallest exceptional candidate (candidates are below the generic
-        value by construction)."""
+        """The unconditional lower bound: the exceptional candidate's value
+        if there is one (there is at most one, and being sub-generic puts
+        it below the generic value, so no min is taken), else the bound's."""
         if not self.candidates:
             return self.bound.value
         least = self.candidates[0].value
-        return min(self.bound.value, _surd(least.numerator, least.denominator, 1))
+        return _surd(least.numerator, least.denominator, 1)
 
 
 class HarbourneElement(NamedTuple):

@@ -6,16 +6,14 @@ Comparisons between such values decide the published inequalities, and
 some of those are far too tight for floating point (0.5842 vs 0.5833
 territory), so everything here is integer arithmetic.  A Surd holds three
 ints, num/den*sqrt(radicand), in canonical form, and its operations work
-on those ints directly: sqrt factors numerator and denominator apart,
-products cancel with gcds of the parts they bring together, and the
-order compares cross-multiplied squares.  No float is accepted as an
-input.  Decimal strings are produced only for display, by truncating the
-exact value at a requested number of digits.
+on those ints directly; the order compares cross-multiplied squares.  No
+float is accepted as an input.  Decimal strings are produced only for
+display, by truncating the exact value at a requested number of digits.
 
-Square roots of rationals are taken in one place, _sqrt_ratio(p, q),
-which the bound layer calls with the ints its formulas produce, so no
-Fraction is built only to be taken apart again; Surd.sqrt checks its
-argument and calls it too.
+A value reaches canonical form by one of two routes: a root, taken by
+_sqrt_ratio(p, q) on the ints the bound layer's formulas produce, or a
+product, taken by Surd.__mul__.  Surd.sqrt and the checked constructor
+Surd(coeff, radicand) check their arguments and take those routes.
 """
 
 from __future__ import annotations
@@ -114,14 +112,14 @@ class Surd:
     squares num^2 * radicand / den^2, cross-multiplied (both operands
     being >= 0).
 
-    Every operation keeps the form without a general reduction.
-    Surd(coeff, radicand) factors the radicand as a^2 * b and cancels a
-    against den with one gcd.  Surd.sqrt(p/q) factors the reduced p and q
-    apart (see _sqrt_ratio), and the result is already in lowest terms,
-    so nothing is cancelled afterwards.  A product
-    cancels its coefficients with cross gcds, and with g = gcd(a, b) of
-    two squarefree radicands, sqrt(a)*sqrt(b) = g*sqrt((a/g)*(b/g)), so
+    A value reaches the form by one of two routes, with no general
+    reduction.  A root sqrt(p/q) factors the reduced p and q apart (see
+    _sqrt_ratio) and is in lowest terms as it stands.  A product cancels
+    its coefficients with cross gcds, and with g = gcd(a, b) of two
+    squarefree radicands, sqrt(a)*sqrt(b) = g*sqrt((a/g)*(b/g)), so
     nothing is factored; one more gcd cancels g against the denominator.
+    Surd(coeff, radicand) checks its arguments, then takes the root of
+    the radicand and multiplies it by coeff.
 
     coeff is the rational num/den as a Fraction.  A Surd with radicand 1
     hashes like that Fraction, as it compares equal to it.  Only ints
@@ -137,8 +135,7 @@ class Surd:
 
     def __post_init__(self, coeff: Fraction | int, radicand: int) -> None:
         # The checks live here rather than in __init__ because
-        # perfbench/tracing.py counts constructions by wrapping
-        # Surd.__post_init__.
+        # perfbench/tracing.py counts constructions by wrapping this method.
         num, den = _ratio(coeff, "surd coefficient")
         if not isinstance(radicand, int):
             raise TypeError(f"radicand must be an int, got {type(radicand).__name__} {radicand!r}")
@@ -147,14 +144,8 @@ class Surd:
             raise ValueError(f"radicand must be nonnegative, got {n}")
         if num < 0:
             raise ValueError(f"surd values are nonnegative, got coefficient {Fraction(num, den)}")
-        if num == 0 or n == 0:
-            num, den, n = 0, 1, 1
-        elif n > 1:
-            a, n = squarefree_decompose(n)
-            if a > 1:
-                g = gcd(a, den)
-                num, den = num * (a // g), den // g
-        self._num, self._den, self._rad = num, den, n
+        value = _sqrt_ratio(n, 1) * coeff
+        self._num, self._den, self._rad = value._num, value._den, value._rad
 
     # -- constructors ---------------------------------------------------
 

@@ -7,7 +7,8 @@ every feasible configuration in a finite box: the theorem scan
 classifies each one against the trichotomy, the Han scan checks Han's
 inequality on every applicable vector, and the K3 suite replays the
 dimension-count argument that excludes the unit-multiplicity
-alternative (referred to as "case 2" throughout) on K3 surfaces.
+alternative (referred to as "case 2" throughout) on K3 surfaces.  Its
+loop is in cli.cmd_verify, which replays a k that passes at r_max once.
 
 Enumeration is deterministic.  The theorem scan decides each cell
 (k, d, length) from the cell's largest feasible sum in closed form, and

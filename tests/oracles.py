@@ -4,7 +4,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache, total_ordering
-from math import comb
+from math import comb, gcd
 
 from seshadri.bounds import (
     BoundEntry,
@@ -19,7 +19,7 @@ from seshadri.bounds import (
 )
 from seshadri.exact import Surd, isqrt, squarefree_decompose
 from seshadri.inequalities import el_xu_feasible, han_applies, han_margin, is_square, is_subgeneric
-from seshadri.oracle import HanScan, TheoremScan, Violation
+from seshadri.oracle import HanScan, TheoremScan, Violation, k3_case2_excluded
 from seshadri.pell import PellSolution, fsst_applicable, pell_fundamental, szemberg_single_point_bound
 from seshadri.plane import BoundValue, PlaneValue, PlaneValueStatus, nagata_plane_value
 from seshadri.walk import CaseLabel, SearchResult
@@ -120,6 +120,22 @@ def fraction_render_decimal(x: FractionSurd, digits: int) -> str:
     scaled = isqrt(p * p * x.radicand * scale * scale) // q
     whole, frac = divmod(scaled, scale)
     return f"{whole}.{frac:0{digits}d}"
+
+
+def surd_fields_by_factoring(coeff, radicand: int) -> tuple[int, int, int]:
+    """(num, den, radicand) of Surd(coeff, radicand), as the checked
+    constructor built them before it took the root and the product: the
+    radicand factored as a^2*b, and a cancelled against the coefficient's
+    denominator with one gcd."""
+    num, den, n = coeff.numerator, coeff.denominator, radicand
+    if num == 0 or n == 0:
+        num, den, n = 0, 1, 1
+    elif n > 1:
+        a, n = squarefree_decompose(n)
+        if a > 1:
+            g = gcd(a, den)
+            num, den = num * (a // g), den // g
+    return num, den, n
 
 
 def pell_brute_force(k: int, q_cap: int) -> tuple[int, int] | None:
@@ -797,3 +813,10 @@ def _han_class(s, last, total, sum_sq, cap):
             frames.pop()
             entries.pop()
     return found
+
+
+def k3_failures_by_pair(k_max: int, r_max: int, d_max: int) -> list[tuple[int, int]]:
+    """The K3 suite's failing pairs (k, r) in (k, r) order, with one
+    k3_case2_excluded call for every pair of the box."""
+    pairs = [(k, r) for k in range(2, k_max + 1, 2) for r in range(3, r_max + 1)]
+    return [(k, r) for k, r in pairs if not k3_case2_excluded(k, r, d_max).excluded]

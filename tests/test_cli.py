@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from oracles import k3_failures_by_pair
 
 import seshadri.cli as cli
 import seshadri.oracle as oracle
@@ -336,6 +337,60 @@ class TestVerifyCommand:
         (rec,) = json_records(out)
         assert [e["applicability"] for e in rec["entries"] if e["name"] == "not-excluded"] == failed
 
+    K3_PATCHES = {
+        "d2k+100": lambda d, k: d * d * k + 100,
+        "18-at-(2,4)": lambda d, k, h0=oracle.k3_h0: 18 if (d, k) == (2, 4) else h0(d, k),
+        "d2k+2": lambda d, k: d * d * k + 2,
+        "d2k+1": lambda d, k: d * d * k + 1,
+    }
+
+    @pytest.mark.parametrize(
+        "patch,box,failing",
+        [
+            (patch, box, failing)
+            for patch, counts in [
+                ("d2k+100", (20, 380, 660)),
+                ("18-at-(2,4)", (0, 24, 44)),
+                ("d2k+2", (20, 380, 660)),
+                ("d2k+1", (0, 0, 0)),
+            ]
+            for box, failing in zip([(20, 10, 5), (60, 40, 4), (30, 60, 3)], counts)
+        ],
+    )
+    def test_k3_suite_matches_the_pair_by_pair_replay(self, capsys, monkeypatch, patch, box, failing):
+        # The suite replays a k pair by pair only when (k, r_max) fails;
+        # the reference replays every pair.  Under each wrong section count
+        # both list the same failing pairs in the same order.
+        monkeypatch.setattr(oracle, "k3_h0", self.K3_PATCHES[patch])
+        k_max, r_max, d_max = box
+        expected = k3_failures_by_pair(k_max, r_max, d_max)
+        code, out, _ = run_cli(
+            capsys, "verify", "--suite", "k3", "--k-max", str(k_max), "--r-max", str(r_max),
+            "--d-max", str(d_max), "--format", "json",
+        )
+        (rec,) = json_records(out)
+        by_name = {e["name"]: e["exact"] for e in rec["entries"]}
+        listed = [e["applicability"] for e in rec["entries"] if e["name"] == "not-excluded"]
+        assert listed == [f"k={k}, r={r}" for k, r in expected]
+        assert len(expected) == failing and by_name["exclusion-failures"] == str(failing)
+        assert by_name["pairs-checked"] == str((k_max // 2) * (r_max - 2))
+        assert code == (3 if failing else 0)
+
+    def test_k3_suite_replays_each_passing_k_once(self, capsys, monkeypatch):
+        calls = []
+        replay = oracle.k3_case2_excluded
+
+        def counted(k, r, d_max):
+            calls.append((k, r))
+            return replay(k, r, d_max)
+
+        monkeypatch.setattr(oracle, "k3_case2_excluded", counted)
+        code, _, _ = run_cli(
+            capsys, "verify", "--suite", "k3", "--k-max", "20", "--r-max", "10", "--d-max", "5",
+        )
+        assert code == 0
+        assert calls == [(k, 10) for k in range(2, 21, 2)]
+
     def test_counterexample_exits_3(self, capsys, monkeypatch):
         fake = HanScan(1, ((3, 1),), ())
         monkeypatch.setattr(oracle, "verify_han_exhaustive", lambda s, m: fake)
@@ -389,6 +444,11 @@ class TestUsageFloors:
         code, out, err = run_cli(capsys, *command.split())
         assert (code, out) == (1, "")
         assert f"argument {flag}: must be >= {floor}, got {value}" in err
+
+    def test_non_integer_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "bounds", "--k", "abc", "--r", "2")
+        assert (code, out) == (1, "")
+        assert "argument --k: expected an integer, got 'abc'" in err
 
     def test_han_m_max_floor(self, capsys, monkeypatch):
         monkeypatch.setattr(oracle, "verify_han_exhaustive", lambda *a: pytest.fail("scanned"))

@@ -1,6 +1,8 @@
 """Exact kernel tests: isqrt, squarefree decomposition, surd order, rendering."""
 
+import copy
 import os
+import pickle
 import subprocess
 import sys
 import textwrap
@@ -9,7 +11,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
-from oracles import FractionSurd, fraction_render_decimal, squarefree_trial_division
+from oracles import FractionSurd, fraction_render_decimal, squarefree_trial_division, surd_fields_by_factoring
 
 from seshadri.exact import Surd, _sqrt_ratio, isqrt, render_decimal, squarefree_decompose
 
@@ -364,3 +366,34 @@ class TestRenderDecimal:
         scaled = q * 10**digits
         if scaled.denominator == 1:
             assert Fraction(render_decimal(Surd(q), digits)) == q
+
+
+class TestCheckedConstructorRoutes:
+    """Surd(coeff, radicand) takes the root of the radicand and the product
+    with coeff; the fields match the factor-and-cancel block it replaced."""
+
+    COEFFS = sorted({Fraction(a, b) for a in range(40) for b in range(1, 40)})
+
+    def test_every_small_coefficient_and_radicand(self):
+        for coeff in [*self.COEFFS, *range(40)]:
+            for n in range(200):
+                assert raw(Surd(coeff, n)) == surd_fields_by_factoring(coeff, n), (coeff, n)
+
+    @given(st.integers(0, 10**30), st.integers(1, 10**30), st.integers(0, 10**12))
+    def test_large_coefficients_and_radicands(self, a, b, n):
+        coeff = Fraction(a, b)
+        assert raw(Surd(coeff, n)) == surd_fields_by_factoring(coeff, n)
+
+
+class TestSurdProtocols:
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    @pytest.mark.parametrize("value", [Surd(0), Surd(Fraction(3, 4), 8), Surd.sqrt(Fraction(3 << 201, 7))])
+    def test_pickle_and_deepcopy_keep_the_fields(self, value, protocol):
+        again = pickle.loads(pickle.dumps(value, protocol))
+        assert type(again) is Surd and raw(again) == raw(value)
+        assert raw(copy.deepcopy(value)) == raw(value)
+
+    def test_foreign_operand_is_unequal(self):
+        # Surd(1) * "x" is a row of test_preconditions' table.
+        assert (Surd(1) == "x") is False
+        assert Surd(1) != "x"

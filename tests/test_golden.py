@@ -54,6 +54,8 @@ CASES = {
     "verify-han-widest": "verify --suite han --s-max 12 --m-max 20",
     "verify-han-s40-m60": "verify --suite han --s-max 40 --m-max 60",
     "verify-k3": "verify --suite k3 --k-max 10 --r-max 6 --d-max 3",
+    "verify-k3-readme": "verify --suite k3 --k-max 20 --r-max 10 --d-max 5",
+    "verify-k3-k100-r100": "verify --suite k3 --k-max 100 --r-max 100 --d-max 5",
     "threshold-global": "threshold --r 10 --k-cap 10000",
     "threshold-window": "threshold --r 10 --k-cap 6000",
     "threshold-none": "threshold --r 10 --k-cap 100",
