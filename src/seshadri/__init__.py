@@ -66,12 +66,14 @@ _EXPORTS = {
         (
             "HanScan",
             "K3Exclusion",
+            "K3Scan",
             "K3TraceRow",
             "TheoremScan",
             "Violation",
             "k3_case2_excluded",
             "k3_h0",
             "verify_han_exhaustive",
+            "verify_k3",
             "verify_theorem",
         ),
         "oracle",

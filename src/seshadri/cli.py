@@ -391,7 +391,7 @@ def cmd_search(args: argparse.Namespace) -> tuple[list[Record], int]:
 def cmd_verify(args: argparse.Namespace) -> tuple[list[Record], int]:
     """Each suite's record lists what it checked, the number of failures,
     each failure, then anything else it found; any failure exits 3."""
-    from .oracle import k3_case2_excluded, verify_han_exhaustive, verify_theorem
+    from .oracle import verify_han_exhaustive, verify_k3, verify_theorem
 
     if args.suite == "theorem":
         scan = verify_theorem(args.k_max, args.r_max, args.d_max, args.m_max)
@@ -430,20 +430,15 @@ def cmd_verify(args: argparse.Namespace) -> tuple[list[Record], int]:
             for m in scan.equality_witnesses
         ]
     else:
-        ks, rs, d_max = range(2, args.k_max + 1, 2), range(3, args.r_max + 1), args.d_max
-        if not ks or not rs:
+        if args.k_max < 2 or args.r_max < 3:
             raise UsageError("the k3 suite checks even k >= 2 and r >= 3: raise --k-max or --r-max")
-        rec = Record("verify", suite="k3", k_max=args.k_max, r_max=args.r_max, d_max=d_max)
-        rec.entries.append(Entry(name="pairs-checked", exact=str(len(ks) * len(rs))))
+        scan = verify_k3(args.k_max, args.r_max, args.d_max)
+        rec = Record("verify", suite="k3", k_max=args.k_max, r_max=args.r_max, d_max=args.d_max)
+        rec.entries.append(Entry(name="pairs-checked", exact=str(scan.pairs_checked)))
         counted = "exclusion-failures"
-        # A row depends only on (d, s, k): the rows of (k, r) are those of
-        # (k, r_max) with s <= r, so only a k that (k, r_max) fails is replayed.
         failures = [
             Entry(name="not-excluded", exact="0", applicability=f"k={k}, r={r}")
-            for k in ks
-            if not k3_case2_excluded(k, args.r_max, d_max).excluded
-            for r in rs
-            if not k3_case2_excluded(k, r, d_max).excluded
+            for k, r in scan.failures
         ]
         found = []
     rec.entries += [Entry(name=counted, exact=str(len(failures))), *failures, *found]

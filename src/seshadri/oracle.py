@@ -5,10 +5,11 @@ bound are in .walk, together with the walk over feasible vectors and
 the minimum-ratio search.  This module holds the suites that cover
 every feasible configuration in a finite box: the theorem scan
 classifies each one against the trichotomy, the Han scan checks Han's
-inequality on every applicable vector, and the K3 suite replays the
+inequality on every applicable vector, and the K3 suite decides the
 dimension-count argument that excludes the unit-multiplicity
-alternative (referred to as "case 2" throughout) on K3 surfaces.  Its
-loop is in cli.cmd_verify, which replays a k that passes at r_max once.
+alternative (referred to as "case 2" throughout) on K3 surfaces in
+closed form, each k by its least degree d with h0(dL) >= d^2*k + 2;
+k3_case2_excluded replays the argument for one pair row by row.
 
 Enumeration is deterministic.  The theorem scan decides each cell
 (k, d, length) from the cell's largest feasible sum in closed form, and
@@ -41,6 +42,8 @@ __all__ = [
     "K3Exclusion",
     "verify_theorem",
     "verify_han_exhaustive",
+    "K3Scan",
+    "verify_k3",
     "k3_h0",
     "k3_case2_excluded",
 ]
@@ -412,3 +415,39 @@ def k3_case2_excluded(k: int, r: int, d_max: int) -> K3Exclusion:
             rows.append(K3TraceRow(d, s, branch))
     excluded = all(row.branch in ("direct", "no-curve") for row in rows)
     return K3Exclusion(excluded=excluded, trace=tuple(rows))
+
+
+class K3Scan(NamedTuple):
+    pairs_checked: int
+    failures: tuple[tuple[int, int], ...]
+
+
+def verify_k3(k_max: int, r_max: int, d_max: int) -> K3Scan:
+    """Decide k3_case2_excluded(k, r, d_max) for every even k in
+    [2, k_max] and r in [3, r_max], without building its rows.
+
+    A row (d, s) is neither direct nor no-curve iff d^2*k < s <= h0 - 1,
+    so a pair (k, r) fails iff some d <= d_max has a row with
+    d^2*k < s <= min(r, h0(d, k) - 1), that is iff h0(d, k) >= d^2*k + 2
+    and d^2*k < r.  For each k let d* be the least d <= d_max with
+    h0(d, k) >= d^2*k + 2.  Since d^2*k rises with d, the pair (k, r)
+    fails iff d* exists and d*^2*k < r: exactly the r with
+    d*^2*k < r <= r_max fail.  No d with d^2*k >= r_max fails any r of
+    the box, so the search for d* stops there, and it reads k3_h0 at most
+    once per (k, d).  The true h0 = d^2*k/2 + 2 reaches d^2*k + 2 only at
+    d^2*k <= 0, so no pair fails.  Failures come in (k, r) order.
+    """
+    if k_max < 2 or r_max < 3 or d_max < 1:
+        raise ValueError(
+            f"empty K3 box: need k_max >= 2, r_max >= 3, d_max >= 1, got {k_max}, {r_max}, {d_max}"
+        )
+    failures: list[tuple[int, int]] = []
+    for k in range(2, k_max + 1, 2):
+        for d in range(1, d_max + 1):
+            d2k = d * d * k
+            if d2k >= r_max:
+                break
+            if k3_h0(d, k) >= d2k + 2:
+                failures += ((k, r) for r in range(d2k + 1, r_max + 1))
+                break
+    return K3Scan((k_max // 2) * (r_max - 2), tuple(failures))

@@ -19,7 +19,7 @@ from seshadri.bounds import (
 )
 from seshadri.exact import Surd, isqrt, squarefree_decompose
 from seshadri.inequalities import el_xu_feasible, han_applies, han_margin, is_square, is_subgeneric
-from seshadri.oracle import HanScan, TheoremScan, Violation, k3_case2_excluded
+from seshadri.oracle import HanScan, TheoremScan, Violation, k3_case2_excluded, k3_h0
 from seshadri.pell import PellSolution, fsst_applicable, pell_fundamental, szemberg_single_point_bound
 from seshadri.plane import BoundValue, PlaneValue, PlaneValueStatus, nagata_plane_value
 from seshadri.walk import CaseLabel, SearchResult
@@ -820,3 +820,16 @@ def k3_failures_by_pair(k_max: int, r_max: int, d_max: int) -> list[tuple[int, i
     k3_case2_excluded call for every pair of the box."""
     pairs = [(k, r) for k in range(2, k_max + 1, 2) for r in range(3, r_max + 1)]
     return [(k, r) for k, r in pairs if not k3_case2_excluded(k, r, d_max).excluded]
+
+
+# Wrong section counts, each a stand-in for oracle.k3_h0 that makes some
+# pairs fail the K3 suite or, below d^2*k + 2, none.  They read the true
+# count through this module's own binding, so patching oracle.k3_h0 with
+# one of them does not recurse.
+K3_SECTION_COUNTS = {
+    "d2k+100": lambda d, k: d * d * k + 100,
+    "18-at-(2,4)": lambda d, k: 18 if (d, k) == (2, 4) else k3_h0(d, k),
+    "d2k+2": lambda d, k: d * d * k + 2,
+    "d2k+1": lambda d, k: d * d * k + 1,
+    "d2k+5-from-d3": lambda d, k: d * d * k + 5 if d >= 3 else k3_h0(d, k),
+}

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
-from oracles import k3_failures_by_pair
+from oracles import K3_SECTION_COUNTS, k3_failures_by_pair
 
 import seshadri.cli as cli
 import seshadri.oracle as oracle
@@ -337,12 +337,7 @@ class TestVerifyCommand:
         (rec,) = json_records(out)
         assert [e["applicability"] for e in rec["entries"] if e["name"] == "not-excluded"] == failed
 
-    K3_PATCHES = {
-        "d2k+100": lambda d, k: d * d * k + 100,
-        "18-at-(2,4)": lambda d, k, h0=oracle.k3_h0: 18 if (d, k) == (2, 4) else h0(d, k),
-        "d2k+2": lambda d, k: d * d * k + 2,
-        "d2k+1": lambda d, k: d * d * k + 1,
-    }
+    K3_PATCHES = K3_SECTION_COUNTS
 
     @pytest.mark.parametrize(
         "patch,box,failing",
@@ -358,9 +353,9 @@ class TestVerifyCommand:
         ],
     )
     def test_k3_suite_matches_the_pair_by_pair_replay(self, capsys, monkeypatch, patch, box, failing):
-        # The suite replays a k pair by pair only when (k, r_max) fails;
-        # the reference replays every pair.  Under each wrong section count
-        # both list the same failing pairs in the same order.
+        # The suite decides each k in closed form; the reference replays
+        # every pair.  Under each wrong section count both list the same
+        # failing pairs in the same order.
         monkeypatch.setattr(oracle, "k3_h0", self.K3_PATCHES[patch])
         k_max, r_max, d_max = box
         expected = k3_failures_by_pair(k_max, r_max, d_max)
@@ -376,20 +371,31 @@ class TestVerifyCommand:
         assert by_name["pairs-checked"] == str((k_max // 2) * (r_max - 2))
         assert code == (3 if failing else 0)
 
-    def test_k3_suite_replays_each_passing_k_once(self, capsys, monkeypatch):
-        calls = []
-        replay = oracle.k3_case2_excluded
+    @pytest.mark.parametrize(
+        "patch,code,reads",
+        [
+            (None, 0, [(1, 2), (2, 2), (1, 4), (1, 6), (1, 8)]),
+            ("d2k+100", 3, [(1, 2), (1, 4), (1, 6), (1, 8)]),
+        ],
+    )
+    def test_k3_suite_reads_each_section_count_once_and_replays_no_pair(
+        self, capsys, monkeypatch, patch, code, reads
+    ):
+        # At r_max = 10 a k reads d = 1, 2, ... while d^2*k < 10 and stops
+        # at its first failing d, so k = 10 reads nothing; no pair is replayed.
+        h0 = K3_SECTION_COUNTS.get(patch, oracle.k3_h0)
+        read, replayed = [], []
 
-        def counted(k, r, d_max):
-            calls.append((k, r))
-            return replay(k, r, d_max)
+        def counted(d, k):
+            read.append((d, k))
+            return h0(d, k)
 
-        monkeypatch.setattr(oracle, "k3_case2_excluded", counted)
-        code, _, _ = run_cli(
+        monkeypatch.setattr(oracle, "k3_h0", counted)
+        monkeypatch.setattr(oracle, "k3_case2_excluded", lambda *args: replayed.append(args))
+        got, _, _ = run_cli(
             capsys, "verify", "--suite", "k3", "--k-max", "20", "--r-max", "10", "--d-max", "5",
         )
-        assert code == 0
-        assert calls == [(k, 10) for k in range(2, 21, 2)]
+        assert (got, read, replayed) == (code, reads, [])
 
     def test_counterexample_exits_3(self, capsys, monkeypatch):
         fake = HanScan(1, ((3, 1),), ())

@@ -56,6 +56,7 @@ CASES = {
     "verify-k3": "verify --suite k3 --k-max 10 --r-max 6 --d-max 3",
     "verify-k3-readme": "verify --suite k3 --k-max 20 --r-max 10 --d-max 5",
     "verify-k3-k100-r100": "verify --suite k3 --k-max 100 --r-max 100 --d-max 5",
+    "verify-k3-k1000-r1000": "verify --suite k3 --k-max 1000 --r-max 1000 --d-max 10",
     "threshold-global": "threshold --r 10 --k-cap 10000",
     "threshold-window": "threshold --r 10 --k-cap 6000",
     "threshold-none": "threshold --r 10 --k-cap 100",

@@ -6,6 +6,7 @@ import random
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,6 +15,7 @@ import seshadri.inequalities as inequalities
 import seshadri.oracle as oracle
 import seshadri.walk as walk
 from oracles import (
+    K3_SECTION_COUNTS,
     _han_class,
     count_feasible_by_length,
     el_xu_tally,
@@ -23,13 +25,14 @@ from oracles import (
     han_group_table,
     han_inequality,
     han_scan_walk,
+    k3_failures_by_pair,
     min_ratio_walk,
     theorem_scan_floor_walk,
     theorem_scan_walk,
 )
 from seshadri.bounds import compare_bounds, enumerate_exceptional_candidates, main_lower_bound
 from seshadri.inequalities import han_applies, han_floor, han_margin
-from seshadri.oracle import k3_case2_excluded, k3_h0, verify_han_exhaustive, verify_theorem
+from seshadri.oracle import k3_case2_excluded, k3_h0, verify_han_exhaustive, verify_k3, verify_theorem
 from seshadri.walk import (
     CaseLabel,
     TheoremViolation,
@@ -1021,3 +1024,42 @@ class TestK3:
                 assert d2k < row.s and h0 == row.s + 1
             else:
                 assert d2k < row.s and h0 > row.s + 1
+
+
+class TestVerifyK3:
+    BOXES = [(6, 20, 1), (6, 20, 2), (6, 20, 3), (60, 40, 4), (40, 150, 3), (50, 50, 7)]
+    # failing pairs per box, under the true count and each wrong one
+    FAILING = {
+        "true": (0, 0, 0, 0, 0, 0),
+        "d2k+100": (48, 48, 48, 380, 2580, 600),
+        "18-at-(2,4)": (0, 4, 4, 24, 134, 34),
+        "d2k+2": (48, 48, 48, 380, 2580, 600),
+        "d2k+1": (0, 0, 0, 0, 0, 0),
+        "d2k+5-from-d3": (0, 0, 2, 26, 552, 46),
+    }
+
+    @pytest.mark.parametrize("patch", FAILING)
+    @pytest.mark.parametrize("box", BOXES)
+    def test_matches_the_pair_by_pair_reference(self, monkeypatch, patch, box):
+        if patch != "true":
+            monkeypatch.setattr(oracle, "k3_h0", K3_SECTION_COUNTS[patch])
+        k_max, r_max, _ = box
+        expected = tuple(k3_failures_by_pair(*box))
+        assert verify_k3(*box) == ((k_max // 2) * (r_max - 2), expected)
+        assert len(expected) == self.FAILING[patch][self.BOXES.index(box)]
+
+    @given(
+        box=st.tuples(st.integers(2, 20), st.integers(3, 30), st.integers(1, 4)),
+        deltas=st.dictionaries(
+            st.tuples(st.integers(1, 4), st.integers(1, 10).map(lambda half: 2 * half)),
+            st.integers(0, 4),
+        ),
+    )
+    def test_matches_the_reference_under_drawn_section_counts(self, box, deltas):
+        # Each (d, k) has the true count, or d^2*k + delta where drawn.
+        def h0(d, k):
+            delta = deltas.get((d, k))
+            return k3_h0(d, k) if delta is None else d * d * k + delta
+
+        with mock.patch.object(oracle, "k3_h0", h0):
+            assert verify_k3(*box).failures == tuple(k3_failures_by_pair(*box))

@@ -118,6 +118,7 @@ RECORD_FIELDS = {
     "HanScan": ("applicable_checked", "counterexamples", "equality_witnesses"),
     "K3TraceRow": ("d", "s", "branch"),
     "K3Exclusion": ("excluded", "trace"),
+    "K3Scan": ("pairs_checked", "failures"),
     "SurfaceSpec": ("kind", "k", "very_ample"),
 }
 
