@@ -65,12 +65,9 @@ _EXPORTS = {
     **dict.fromkeys(
         (
             "HanScan",
-            "K3Exclusion",
             "K3Scan",
-            "K3TraceRow",
             "TheoremScan",
             "Violation",
-            "k3_case2_excluded",
             "k3_h0",
             "verify_han_exhaustive",
             "verify_k3",

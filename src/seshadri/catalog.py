@@ -101,13 +101,13 @@ def known_value(spec: SurfaceSpec, r: int) -> Optional[PlaneValue]:
 
 def parse_surface(text: str) -> SurfaceSpec:
     """Parse the CLI syntax: p2 | k3:<k> | hyp:<deg> | ab:<d> | custom:<k>[,va]."""
-    head, _, rest = text.partition(":")
+    head, sep, rest = text.partition(":")
     try:
         kind = SurfaceKind(head)
     except ValueError:
         raise SurfaceSyntaxError(f"unknown surface {text!r}") from None
     if kind is SurfaceKind.PROJECTIVE_PLANE:
-        if rest:
+        if sep:
             raise SurfaceSyntaxError("p2 takes no parameter")
         return make_surface(kind)
     very_ample = False

@@ -8,8 +8,7 @@ classifies each one against the trichotomy, the Han scan checks Han's
 inequality on every applicable vector, and the K3 suite decides the
 dimension-count argument that excludes the unit-multiplicity
 alternative (referred to as "case 2" throughout) on K3 surfaces in
-closed form, each k by its least degree d with h0(dL) >= d^2*k + 2;
-k3_case2_excluded replays the argument for one pair row by row.
+closed form, each k by its least degree d with h0(dL) >= d^2*k + 2.
 
 Enumeration is deterministic.  The theorem scan decides each cell
 (k, d, length) from the cell's largest feasible sum in closed form, and
@@ -38,14 +37,11 @@ __all__ = [
     "Violation",
     "TheoremScan",
     "HanScan",
-    "K3TraceRow",
-    "K3Exclusion",
     "verify_theorem",
     "verify_han_exhaustive",
     "K3Scan",
     "verify_k3",
     "k3_h0",
-    "k3_case2_excluded",
 ]
 
 
@@ -128,16 +124,10 @@ class TheoremScan:
 
 
 def verify_theorem(
-    k_max: int,
-    r_max: int,
-    d_max: int,
-    m_max: int,
-    *,
-    k_min: int = 1,
-    r_min: int = 2,
+    k_max: int, r_max: int, d_max: int, m_max: int, *, k_min: int = 1
 ) -> TheoremScan:
     """Classify every feasible configuration with k_min <= k <= k_max,
-    r_min <= r <= r_max, d <= d_max, entries <= m_max.
+    2 <= r <= r_max, d <= d_max, entries <= m_max.
 
     In the sub-generic test d^2*k*r*(r+3) < (r+2)*(sum m)^2 the left side
     grows faster in r than the right, because r*(r+3)/(r+2) increases in
@@ -148,7 +138,7 @@ def verify_theorem(
     The all-ones vectors give the unit-multiplicity hits: by
     subgeneric_unit_length, (k, d) has them only at r = d^2*k + 1 and
     d^2*k + 2, where the scan asks it.  Every other vector has m_1 >= 2
-    and a sum above its length s; they are tested from r0 = max(r_min, s)
+    and a sum above its length s; they are tested from r0 = max(2, s)
     on, cell (k, d, s) by cell.  The cell's largest sum,
     _best_sum(m_max, s, d^2*k), decides them all: if it is at most s, or
     not sub-generic at r0, the cell holds no violation.  Otherwise the
@@ -180,7 +170,7 @@ def verify_theorem(
     function over every budget d^2*k of the scan (_count_feasible), which
     enumerates nothing.
     """
-    if not (1 <= k_min <= k_max and 2 <= r_min <= r_max and d_max >= 1 and m_max >= 1):
+    if not (1 <= k_min <= k_max and r_max >= 2 and d_max >= 1 and m_max >= 1):
         raise ValueError("bad scan box")
     violations: list[Violation] = []
     counts: dict[CaseLabel, int] = {CaseLabel.UNIT_MULTIPLICITY: 0, CaseLabel.TWO_SIX: 0}
@@ -191,13 +181,13 @@ def verify_theorem(
             budget = d * d * k
             if budget - 10 > r_max:
                 break  # no length reaches the floor, nor at any larger d
-            for r in range(max(r_min, budget + 1), min(r_max, budget + 2) + 1):
+            for r in range(budget + 1, min(r_max, budget + 2) + 1):
                 if subgeneric_unit_length(budget, r):  # (1,)*s, s = min(r, budget + 1)
                     counts[CaseLabel.UNIT_MULTIPLICITY] += 1
             for s in range(max(1, budget - 10), min(r_max, budget + 1) + 1):
                 if s * budget >= (s + 2) * (s + 3):
                     continue  # the lemma: no vector of this length is sub-generic
-                r0 = max(r_min, s)
+                r0 = max(2, s)
                 best = _best_sum(m_max, s, budget)
                 if best <= s or not is_subgeneric(budget, best, r0):
                     continue
@@ -367,67 +357,22 @@ def k3_h0(d: int, k: int) -> int:
     return d * d * k // 2 + 2
 
 
-class K3TraceRow(NamedTuple):
-    d: int
-    s: int
-    branch: str  # direct | no-curve | dimension-exact | dimension-excess
-
-
-class K3Exclusion(NamedTuple):
-    excluded: bool
-    trace: tuple[K3TraceRow, ...]
-
-
-def k3_case2_excluded(k: int, r: int, d_max: int) -> K3Exclusion:
-    """Replay the section-count argument that rules out case 2 on a K3.
-
-    For each d <= d_max and s <= r the goal is C^2 = d^2*k >= s, which
-    forces the ratio d*k/s up to the optimal value:
-      direct             d^2*k >= s outright;
-      no-curve           h0(dL) <= s, the system cannot pass through s
-                         general points at all;
-      dimension-exact    h0(dL) = s + 1 forces d^2*k = 2s - 2 >= s;
-      dimension-excess   h0(dL) > s + 1 yields a curve through s + 1
-                         points, and EL-Xu with unit multiplicities gives
-                         d^2*k >= s.
-    Only the first two settle a row by its own arithmetic, so the pair is
-    excluded only when every row is direct or no-curve.  With the true
-    h0 = d^2*k/2 + 2 the other two never occur (d^2*k < s forces s >= 3,
-    hence h0 <= s); a wrong section count makes the pair fail.
-    """
-    if r < 3:
-        raise ValueError(f"K3 exclusion argument assumes r >= 3, got {r}")
-    if d_max < 1:
-        raise ValueError(f"need d_max >= 1, got {d_max}")
-    rows: list[K3TraceRow] = []
-    for d in range(1, d_max + 1):
-        d2k = d * d * k
-        h0 = k3_h0(d, k)
-        for s in range(1, r + 1):
-            if d2k >= s:
-                branch = "direct"
-            elif h0 < s + 1:
-                branch = "no-curve"
-            elif h0 == s + 1:
-                branch = "dimension-exact"
-            else:
-                branch = "dimension-excess"
-            rows.append(K3TraceRow(d, s, branch))
-    excluded = all(row.branch in ("direct", "no-curve") for row in rows)
-    return K3Exclusion(excluded=excluded, trace=tuple(rows))
-
-
 class K3Scan(NamedTuple):
     pairs_checked: int
     failures: tuple[tuple[int, int], ...]
 
 
 def verify_k3(k_max: int, r_max: int, d_max: int) -> K3Scan:
-    """Decide k3_case2_excluded(k, r, d_max) for every even k in
-    [2, k_max] and r in [3, r_max], without building its rows.
+    """Decide, for every even k in [2, k_max] and r in [3, r_max], whether
+    the section-count argument excludes case 2.  It does iff every row
+    (d, s) with d <= d_max and s <= r is direct, d^2*k >= s, or no-curve,
+    h0(d, k) < s + 1, so that dL cannot pass through s general points.
+    The argument's other rows, h0 = s + 1 and h0 > s + 1, reach d^2*k >= s
+    only through a curve they construct, not by their own arithmetic, so
+    one of them fails the pair.
 
-    A row (d, s) is neither direct nor no-curve iff d^2*k < s <= h0 - 1,
-    so a pair (k, r) fails iff some d <= d_max has a row with
+    A row is neither direct nor no-curve iff d^2*k < s <= h0 - 1, so a
+    pair (k, r) fails iff some d <= d_max has a row with
     d^2*k < s <= min(r, h0(d, k) - 1), that is iff h0(d, k) >= d^2*k + 2
     and d^2*k < r.  For each k let d* be the least d <= d_max with
     h0(d, k) >= d^2*k + 2.  Since d^2*k rises with d, the pair (k, r)

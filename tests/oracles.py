@@ -19,7 +19,8 @@ from seshadri.bounds import (
 )
 from seshadri.exact import Surd, isqrt, squarefree_decompose
 from seshadri.inequalities import el_xu_feasible, han_applies, han_margin, is_square, is_subgeneric
-from seshadri.oracle import HanScan, TheoremScan, Violation, k3_case2_excluded, k3_h0
+from seshadri import oracle
+from seshadri.oracle import HanScan, TheoremScan, Violation, k3_h0
 from seshadri.pell import PellSolution, fsst_applicable, pell_fundamental, szemberg_single_point_bound
 from seshadri.plane import BoundValue, PlaneValue, PlaneValueStatus, nagata_plane_value
 from seshadri.walk import CaseLabel, SearchResult
@@ -511,7 +512,7 @@ def count_feasible_by_length(cap, length, budgets):
 
 
 def theorem_scan_walk(
-    k_max, r_max, d_max, m_max, *, k_min=1, r_min=2,
+    k_max, r_max, d_max, m_max, *, k_min=1,
     is_exception=lambda d, k, m: (d, k, m) == (1, 6, (2, 2)),
     is_subgeneric=lambda d2k, total, r: d2k * r * (r + 3) < (r + 2) * total * total,
 ):
@@ -532,7 +533,7 @@ def theorem_scan_walk(
             for m in el_xu_vectors(budget, r_max, m_max):
                 feasible += 1
                 total = sum(m)
-                for r in range(max(r_min, len(m)), r_max + 1):
+                for r in range(max(2, len(m)), r_max + 1):
                     if not is_subgeneric(budget, total, r):
                         break
                     if m[0] == 1:
@@ -544,7 +545,7 @@ def theorem_scan_walk(
     return TheoremScan(feasible, counts, tuple(violations))
 
 
-def theorem_scan_floor_walk(k_max, r_max, d_max, m_max, *, k_min=1, r_min=2):
+def theorem_scan_floor_walk(k_max, r_max, d_max, m_max, *, k_min=1):
     """verify_theorem by walking every vector whose entries all exceed
     d^2*k // (r_max + 2): the scan's fast path before it decided each
     length in closed form, kept as a second reference for the whole scan.
@@ -561,7 +562,7 @@ def theorem_scan_floor_walk(k_max, r_max, d_max, m_max, *, k_min=1, r_min=2):
             budget = d * d * k
             feasible += el_xu_tally(m_max, r_max, budget, memo)[0]
             for m, total in _entry_floor_walk(m_max, r_max, budget, budget // (r_max + 2) + 1):
-                for r in range(max(r_min, len(m)), r_max + 1):
+                for r in range(max(2, len(m)), r_max + 1):
                     if not is_subgeneric(budget, total, r):
                         break
                     if m[0] == 1:
@@ -815,11 +816,23 @@ def _han_class(s, last, total, sum_sq, cap):
     return found
 
 
+def k3_excluded_by_rows(k: int, r: int, d_max: int) -> bool:
+    """The section-count argument for one pair, row by row: case 2 is
+    excluded at (k, r) iff every row (d, s) with d <= d_max and s <= r is
+    direct (d^2*k >= s) or no-curve (h0(dL) < s + 1).  It reads the count
+    as oracle.k3_h0, so a patch of that attribute reaches it too."""
+    return all(
+        d * d * k >= s or oracle.k3_h0(d, k) < s + 1
+        for d in range(1, d_max + 1)
+        for s in range(1, r + 1)
+    )
+
+
 def k3_failures_by_pair(k_max: int, r_max: int, d_max: int) -> list[tuple[int, int]]:
     """The K3 suite's failing pairs (k, r) in (k, r) order, with one
-    k3_case2_excluded call for every pair of the box."""
+    row-by-row replay for every pair of the box."""
     pairs = [(k, r) for k in range(2, k_max + 1, 2) for r in range(3, r_max + 1)]
-    return [(k, r) for k, r in pairs if not k3_case2_excluded(k, r, d_max).excluded]
+    return [(k, r) for k, r in pairs if not k3_excluded_by_rows(k, r, d_max)]
 
 
 # Wrong section counts, each a stand-in for oracle.k3_h0 that makes some

@@ -26,7 +26,7 @@ from seshadri.bounds import (
     upper_bound,
 )
 from seshadri.exact import Surd, isqrt, render_decimal
-from seshadri.oracle import k3_case2_excluded, k3_h0, verify_han_exhaustive, verify_theorem
+from seshadri.oracle import k3_h0, verify_han_exhaustive, verify_k3, verify_theorem
 from seshadri.pell import pell_fundamental, szemberg_single_point_bound
 from seshadri.plane import nagata_plane_value
 from seshadri.walk import CaseLabel
@@ -162,9 +162,7 @@ def test_criterion_8_k3_suite():
     assert k3_h0(1, 2) == 3
     assert k3_h0(1, 4) == 4
     assert k3_h0(3, 2) == 11
-    for k in range(2, 21, 2):
-        for r in range(3, 11):
-            assert k3_case2_excluded(k, r, 5).excluded, (k, r)
+    assert verify_k3(20, 10, 5).failures == ()
 
 
 @criterion(9, "dominance threshold at r=10 equals 6250, vs naive scan oracle")

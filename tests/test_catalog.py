@@ -93,7 +93,7 @@ class TestParseSurface:
         assert (s.kind, s.k, s.very_ample) == (kind, k, va)
         assert parse_surface(s.label()) == s
 
-    @pytest.mark.parametrize("bad", ["", "p2:1", "k3:", "k3:x", "weird:3", "hyp:3"])
+    @pytest.mark.parametrize("bad", ["", "p2:1", "p2:", "k3:", "k3:x", "weird:3", "hyp:3"])
     def test_rejects_malformed(self, bad):
         with pytest.raises(ValueError):
             parse_surface(bad)

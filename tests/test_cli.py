@@ -94,6 +94,10 @@ class TestBoundsCommand:
         code, _, _ = run_cli(capsys, "bounds", "--r", "2", "--surface", "weird:3")
         assert code == 1
 
+    def test_plane_with_an_empty_parameter_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "bounds", "--k", "1", "--r", "2", "--surface", "p2:")
+        assert (code, out) == (1, "") and "p2 takes no parameter" in err
+
     def test_invalid_surface_parameter_is_domain_error(self, capsys):
         # syntactically fine, mathematically invalid (degree must be >= 4)
         code, _, _ = run_cli(capsys, "bounds", "--r", "2", "--surface", "hyp:3")
@@ -382,20 +386,19 @@ class TestVerifyCommand:
         self, capsys, monkeypatch, patch, code, reads
     ):
         # At r_max = 10 a k reads d = 1, 2, ... while d^2*k < 10 and stops
-        # at its first failing d, so k = 10 reads nothing; no pair is replayed.
+        # at its first failing d, so k = 10 reads nothing.
         h0 = K3_SECTION_COUNTS.get(patch, oracle.k3_h0)
-        read, replayed = [], []
+        read = []
 
         def counted(d, k):
             read.append((d, k))
             return h0(d, k)
 
         monkeypatch.setattr(oracle, "k3_h0", counted)
-        monkeypatch.setattr(oracle, "k3_case2_excluded", lambda *args: replayed.append(args))
         got, _, _ = run_cli(
             capsys, "verify", "--suite", "k3", "--k-max", "20", "--r-max", "10", "--d-max", "5",
         )
-        assert (got, read, replayed) == (code, reads, [])
+        assert (got, read) == (code, reads)
 
     def test_counterexample_exits_3(self, capsys, monkeypatch):
         fake = HanScan(1, ((3, 1),), ())

@@ -1,8 +1,11 @@
-"""The CLI runs each verification suite through one oracle call.
+"""The CLI runs each verification suite through one oracle call, and the
+library stands apart from its tests and its benchmark.
 
 A suite's loop, and the rule that decides which of its cases fail, live
 in .oracle; the CLI only renders the record a suite returns.  So the
 only names cli.py may import from .oracle are the three suite functions.
+The slow references the suites are compared with live in tests/oracles.py,
+so no module of src/seshadri may import from tests, oracles or perfbench.
 """
 
 import ast
@@ -12,6 +15,8 @@ import pytest
 
 CLI = Path(__file__).resolve().parents[1] / "src" / "seshadri" / "cli.py"
 SUITES = ["verify_han_exhaustive", "verify_k3", "verify_theorem"]
+LIBRARY = sorted(CLI.parent.glob("*.py"))
+OUTSIDE = ("tests", "oracles", "perfbench")
 
 
 def oracle_imports(source: str) -> list[str]:
@@ -47,3 +52,41 @@ def test_the_cli_imports_only_the_suites_from_the_oracle():
 def test_a_planted_import_is_reported(planted, stray):
     source = CLI.read_text().replace("import argparse\n", f"import argparse\n{planted}\n", 1)
     assert oracle_imports(source) == sorted([*SUITES, stray])
+
+
+def outside_imports(source: str) -> list[str]:
+    """The top-level packages among tests, oracles and perfbench that
+    source imports, sorted, one entry per import; relative imports stay
+    inside the package and are skipped."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            modules = [node.module] if node.level == 0 and node.module else []
+        elif isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        else:
+            continue
+        found += [top for top in (m.partition(".")[0] for m in modules) if top in OUTSIDE]
+    return sorted(found)
+
+
+def test_no_library_module_imports_the_tests_or_the_benchmark():
+    assert {p.stem for p in LIBRARY} >= {"cli", "oracle", "walk"}
+    assert {p.stem: outside_imports(p.read_text()) for p in LIBRARY} == {p.stem: [] for p in LIBRARY}
+
+
+@pytest.mark.parametrize(
+    "planted,stray",
+    [
+        ("from oracles import k3_excluded_by_rows", "oracles"),
+        ("from tests.oracles import k3_failures_by_pair", "tests"),
+        ("import tests.oracles", "tests"),
+        ("from perfbench import workloads", "perfbench"),
+        ("import os, perfbench.tracing", "perfbench"),
+    ],
+)
+def test_a_planted_outside_import_is_reported(planted, stray):
+    source = (CLI.parent / "oracle.py").read_text()
+    assert "import math\n" in source
+    planted_source = source.replace("import math\n", f"import math\n{planted}\n", 1)
+    assert (outside_imports(source), outside_imports(planted_source)) == ([], [stray])

@@ -25,6 +25,7 @@ from oracles import (
     han_group_table,
     han_inequality,
     han_scan_walk,
+    k3_excluded_by_rows,
     k3_failures_by_pair,
     min_ratio_walk,
     theorem_scan_floor_walk,
@@ -32,7 +33,7 @@ from oracles import (
 )
 from seshadri.bounds import compare_bounds, enumerate_exceptional_candidates, main_lower_bound
 from seshadri.inequalities import han_applies, han_floor, han_margin
-from seshadri.oracle import k3_case2_excluded, k3_h0, verify_han_exhaustive, verify_k3, verify_theorem
+from seshadri.oracle import k3_h0, verify_han_exhaustive, verify_k3, verify_theorem
 from seshadri.walk import (
     CaseLabel,
     TheoremViolation,
@@ -249,13 +250,13 @@ class TestMinRatioSearch:
 
 class TestVerifyTheorem:
     def test_two_six_is_the_only_subgeneric_at_6_2(self):
-        scan = verify_theorem(6, 2, d_max=5, m_max=8, k_min=6, r_min=2)
+        scan = verify_theorem(6, 2, d_max=5, m_max=8, k_min=6)
         assert scan.ok
         assert scan.subgeneric_counts[CaseLabel.TWO_SIX] == 1
         assert scan.subgeneric_counts[CaseLabel.UNIT_MULTIPLICITY] == 0
 
     def test_k1_r5_subgeneric_all_unit(self):
-        scan = verify_theorem(1, 5, d_max=3, m_max=5, k_min=1, r_min=2)
+        scan = verify_theorem(1, 5, d_max=3, m_max=5, k_min=1)
         assert scan.ok
         assert scan.subgeneric_counts[CaseLabel.UNIT_MULTIPLICITY] > 0
         assert scan.subgeneric_counts[CaseLabel.TWO_SIX] == 0
@@ -347,21 +348,21 @@ class TestVerifyTheorem:
         assert found() == (0, 0)
 
 
-# (k_min, k_max, r_min, r_max, d_max, m_max); the first is the golden box
+# (k_min, k_max, r_max, d_max, m_max); the first is the golden box
 DIFFERENTIAL_BOXES = [
-    (1, 8, 2, 6, 3, 6),
-    (3, 9, 4, 7, 2, 7),
-    (6, 6, 2, 2, 5, 8),
-    (1, 4, 3, 9, 4, 5),
-    (5, 12, 2, 5, 3, 8),
-    (2, 10, 5, 10, 3, 6),
-    (1, 1, 2, 12, 6, 12),
-    (1, 3, 2, 14, 3, 10),
-    (10, 14, 2, 4, 4, 12),
-    (1, 8, 2, 6, 3, 2),  # m_max 2 walks the (2, 2) cell with every entry at the cap
-    (1, 30, 2, 6, 3, 6),  # k past r_max + 10, where the length floor leaves no cell
-    (1, 12, 2, 14, 2, 1),  # m_max 1 and 3: lengths below d^2*k // m_max - 1 are scanned
-    (1, 12, 2, 14, 2, 3),
+    (1, 8, 6, 3, 6),
+    (3, 9, 7, 2, 7),
+    (6, 6, 2, 5, 8),
+    (1, 4, 9, 4, 5),
+    (5, 12, 5, 3, 8),
+    (2, 10, 10, 3, 6),
+    (1, 1, 12, 6, 12),
+    (1, 3, 14, 3, 10),
+    (10, 14, 4, 4, 12),
+    (1, 8, 6, 3, 2),  # m_max 2 walks the (2, 2) cell with every entry at the cap
+    (1, 30, 6, 3, 6),  # k past r_max + 10, where the length floor leaves no cell
+    (1, 12, 14, 2, 1),  # m_max 1 and 3: lengths below d^2*k // m_max - 1 are scanned
+    (1, 12, 14, 2, 3),
 ]
 
 
@@ -370,10 +371,10 @@ class TestAgainstFullWalk:
 
     @pytest.mark.parametrize("box", DIFFERENTIAL_BOXES)
     def test_verify_theorem(self, box):
-        k_min, k_max, r_min, r_max, d_max, m_max = box
+        k_min, k_max, r_max, d_max, m_max = box
         assert verify_theorem(
-            k_max, r_max, d_max, m_max, k_min=k_min, r_min=r_min
-        ) == theorem_scan_walk(k_max, r_max, d_max, m_max, k_min=k_min, r_min=r_min)
+            k_max, r_max, d_max, m_max, k_min=k_min
+        ) == theorem_scan_walk(k_max, r_max, d_max, m_max, k_min=k_min)
 
     @pytest.mark.parametrize("box", DIFFERENTIAL_BOXES)
     def test_verify_theorem_finds_violations(self, box, monkeypatch):
@@ -381,13 +382,12 @@ class TestAgainstFullWalk:
         # a violation wherever the box holds it (it is sub-generic at r = 2
         # only), in the same order.
         monkeypatch.setattr(oracle, "_is_two_six", lambda d, k, m: False)
-        k_min, k_max, r_min, r_max, d_max, m_max = box
-        scan = verify_theorem(k_max, r_max, d_max, m_max, k_min=k_min, r_min=r_min)
+        k_min, k_max, r_max, d_max, m_max = box
+        scan = verify_theorem(k_max, r_max, d_max, m_max, k_min=k_min)
         assert scan == theorem_scan_walk(
-            k_max, r_max, d_max, m_max, k_min=k_min, r_min=r_min,
-            is_exception=lambda d, k, m: False,
+            k_max, r_max, d_max, m_max, k_min=k_min, is_exception=lambda d, k, m: False,
         )
-        assert scan.ok == (not (k_min <= 6 <= k_max and r_min == 2 and m_max >= 2))
+        assert scan.ok == (not (k_min <= 6 <= k_max and m_max >= 2))
 
     def test_min_ratio_search(self):
         for k, r, d_max, m_max in itertools.product(
@@ -411,7 +411,7 @@ class TestAgainstFullWalk:
     def test_subgeneric_entries_clear_the_cut(self):
         # The lemma behind theorem_scan_floor_walk: a feasible vector that
         # is sub-generic at some admissible r has every entry above
-        # d^2*k // (r_max + 2), whatever r_min is.
+        # d^2*k // (r_max + 2).
         hits = 0
         for k in range(1, 13):
             for d in range(1, 4):
@@ -998,32 +998,18 @@ class TestK3:
             k3_h0(1, 3)
 
     def test_exclusion_examples(self):
-        assert k3_case2_excluded(4, 3, 5).excluded
-        assert k3_case2_excluded(2, 10, 5).excluded
+        assert k3_excluded_by_rows(4, 3, 5)
+        assert k3_excluded_by_rows(2, 10, 5)
 
     def test_wrong_section_count_is_not_excluded(self, monkeypatch):
+        # With h0 = d^2*k + 100, the rows (1, s) of k = 4 with 4 < s <= r
+        # are neither direct nor no-curve, so (4, r) fails from r = 5 on.
         monkeypatch.setattr(oracle, "k3_h0", lambda d, k: d * d * k + 100)
-        ex = k3_case2_excluded(4, 10, 3)
-        assert not ex.excluded
-        assert sum(row.branch == "dimension-excess" for row in ex.trace) == 6
-
-    def test_exclusion_requires_r_at_least_3(self):
-        with pytest.raises(ValueError):
-            k3_case2_excluded(2, 2, 5)
-
-    def test_trace_branches_are_sound(self):
-        ex = k3_case2_excluded(2, 10, 5)
-        for row in ex.trace:
-            d2k = row.d * row.d * 2
-            h0 = k3_h0(row.d, 2)
-            if row.branch == "direct":
-                assert d2k >= row.s
-            elif row.branch == "no-curve":
-                assert d2k < row.s and h0 < row.s + 1
-            elif row.branch == "dimension-exact":
-                assert d2k < row.s and h0 == row.s + 1
-            else:
-                assert d2k < row.s and h0 > row.s + 1
+        assert k3_excluded_by_rows(4, 4, 3)
+        assert not k3_excluded_by_rows(4, 5, 3)
+        assert verify_k3(4, 10, 3).failures == (
+            *((2, r) for r in range(3, 11)), *((4, r) for r in range(5, 11))
+        )
 
 
 class TestVerifyK3:

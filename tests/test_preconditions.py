@@ -29,7 +29,7 @@ from seshadri.bounds import (
 )
 from seshadri.catalog import SurfaceKind, SurfaceSyntaxError, make_surface, parse_surface
 from seshadri.exact import Surd, render_decimal, squarefree_decompose
-from seshadri.oracle import k3_case2_excluded, k3_h0, verify_han_exhaustive, verify_k3, verify_theorem
+from seshadri.oracle import k3_h0, verify_han_exhaustive, verify_k3, verify_theorem
 from seshadri.pell import PellSolution, fsst_applicable, pell_fundamental
 from seshadri.plane import nagata_plane_value
 from seshadri.walk import (
@@ -84,13 +84,12 @@ PRECONDITIONS = [
     (operator.mul, (Surd(2), Fraction(-1, 3)), ValueError, "got coefficient -2/3"),
     (operator.mul, (Surd(1), "x"), TypeError, "multiply"),
     (render_decimal, (Surd(1), 0), ValueError, "digits must be >= 1, got 0"),
+    (render_decimal, (0.5, 2), TypeError, "rendered value must be a Surd, got float 0.5"),
     # oracle
     (verify_theorem, (1, 1, 1, 1), ValueError, "bad scan box"),
     (verify_han_exhaustive, (1, 2), ValueError, "need s_max, m_max >= 2, got 1, 2"),
     (k3_h0, (0, 2), ValueError, "need d >= 1, got 0"),
     (k3_h0, (1, 3), ValueError, "even self-intersection >= 2, got 3"),
-    (k3_case2_excluded, (2, 2, 1), ValueError, "assumes r >= 3, got 2"),
-    (k3_case2_excluded, (2, 3, 0), ValueError, "need d_max >= 1, got 0"),
     (verify_k3, (1, 3, 1), ValueError, "empty K3 box: need k_max >= 2, r_max >= 3, d_max >= 1, got 1, 3, 1"),
     (verify_k3, (2, 2, 1), ValueError, "got 2, 2, 1"),
     (verify_k3, (2, 3, 0), ValueError, "got 2, 3, 0"),
@@ -190,7 +189,7 @@ def test_the_table_reaches_every_guarded_raise():
     found = [line for p in GUARDED_MODULES for line in shortfalls(p.stem, p.read_text(), reached)]
     assert found == []
     total = sum(len(spans) for p in GUARDED_MODULES for spans in raise_sites(p.read_text()).values())
-    assert total == len(reached)  # 51 at the time of writing, one row each
+    assert total == len(reached)  # 50 at the time of writing, one row each
 
 
 def test_a_planted_raise_is_reported():
@@ -201,7 +200,7 @@ def test_a_planted_raise_is_reported():
     assert source.endswith(tail)
     planted = source[: -len(tail)] + '    if whole < 0:\n        raise ValueError("planted")\n' + tail
     assert shortfalls("exact", source, reached_lines()) == []
-    assert shortfalls("exact", planted, reached_lines()) == ["exact.render_decimal: 2 raises, 1 reached"]
+    assert shortfalls("exact", planted, reached_lines()) == ["exact.render_decimal: 3 raises, 2 reached"]
 
 
 def test_nested_functions_and_methods_get_their_qualified_names():

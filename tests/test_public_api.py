@@ -116,8 +116,6 @@ RECORD_FIELDS = {
     "Violation": ("d", "k", "r", "m"),
     "TheoremScan": ("feasible_vectors", "subgeneric_counts", "violations"),
     "HanScan": ("applicable_checked", "counterexamples", "equality_witnesses"),
-    "K3TraceRow": ("d", "s", "branch"),
-    "K3Exclusion": ("excluded", "trace"),
     "K3Scan": ("pairs_checked", "failures"),
     "SurfaceSpec": ("kind", "k", "very_ample"),
 }
