@@ -13,7 +13,8 @@ run pays only for the modules its subcommand uses.
 
 __version__ = "0.1.0"
 
-# Every public name, with the module that defines it.
+# Every public name, with the module that defines it.  This is the only list
+# of them: each of those modules takes its __all__ from here (_public below).
 _EXPORTS = {
     **dict.fromkeys(("Surd", "isqrt", "render_decimal", "squarefree_decompose"), "exact"),
     **dict.fromkeys(
@@ -89,6 +90,12 @@ _EXPORTS = {
 }
 
 __all__ = list(_EXPORTS)
+
+
+def _public(module_name: str) -> list[str]:
+    """The __all__ of the module module_name: the names above that it defines."""
+    module = module_name.rpartition(".")[2]
+    return [name for name, home in _EXPORTS.items() if home == module]
 
 
 def __getattr__(name: str):

@@ -28,29 +28,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
+from . import _public
 from .exact import Surd, _sqrt_ratio, _surd, isqrt
 from .inequalities import is_square, is_subgeneric, subgeneric_unit_length
 from .pell import FsstWitness, PellSolution, fsst_applicable, pell_fundamental
 from .plane import BoundValue, PlaneValue, PlaneValueStatus, nagata_plane_value
 
-__all__ = [
-    "SubmaximalCandidate",
-    "MainLowerBound",
-    "HarbourneElement",
-    "HarbourneBound",
-    "ProductFactors",
-    "BoundEntry",
-    "BoundReport",
-    "ThresholdScan",
-    "upper_bound",
-    "generic_lower_value",
-    "main_lower_bound",
-    "enumerate_exceptional_candidates",
-    "szemberg_floor_bound",
-    "harbourne_bound",
-    "compare_bounds",
-    "dominance_scan",
-]
+__all__ = _public(__name__)
 
 
 class SubmaximalCandidate(NamedTuple):

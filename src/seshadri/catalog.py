@@ -12,16 +12,10 @@ from __future__ import annotations
 from enum import Enum
 from typing import NamedTuple, Optional
 
+from . import _public
 from .plane import PlaneValue, nagata_plane_value
 
-__all__ = [
-    "SurfaceKind",
-    "SurfaceSpec",
-    "SurfaceSyntaxError",
-    "make_surface",
-    "known_value",
-    "parse_surface",
-]
+__all__ = _public(__name__)
 
 
 class SurfaceSyntaxError(ValueError):

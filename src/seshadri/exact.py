@@ -23,12 +23,9 @@ from fractions import Fraction
 from functools import total_ordering
 from math import gcd, isqrt
 
-__all__ = [
-    "Surd",
-    "isqrt",
-    "squarefree_decompose",
-    "render_decimal",
-]
+from . import _public
+
+__all__ = _public(__name__)
 
 
 def squarefree_decompose(n: int) -> tuple[int, int]:

@@ -29,20 +29,12 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
+from . import _public
 from .inequalities import han_applies, han_floor, han_margin, is_subgeneric, subgeneric_unit_length
 from .walk import CaseLabel, Multiplicities, _best_sum, _is_two_six, _walk
 from .walk import min_ratio_search  # noqa: F401  perfbench calls and traces oracle.min_ratio_search
 
-__all__ = [
-    "Violation",
-    "TheoremScan",
-    "HanScan",
-    "verify_theorem",
-    "verify_han_exhaustive",
-    "K3Scan",
-    "verify_k3",
-    "k3_h0",
-]
+__all__ = _public(__name__)
 
 
 def _count_feasible(cap: int, length: int, budgets: Sequence[int]) -> list[int]:
@@ -83,15 +75,17 @@ def _count_feasible(cap: int, length: int, budgets: Sequence[int]) -> list[int]:
     mask = (1 << width * (top + 1)) - 1
     polys = [1]
     total = 0
-    for e in range(cap, 0, -1):
+    # An entry e with e^2 - e > top has e^2 > top, so it adds nothing to any
+    # poly, and no vector ends in it: e starts at the largest e with
+    # e^2 - e <= top, which is (1 + isqrt(1 + 4*top)) // 2.
+    for e in range(min(cap, (1 + math.isqrt(1 + 4 * top)) // 2), 0, -1):
         square = e * e
         kept = min(length, top // square + 1)
         polys += [polys[-1]] * (kept - len(polys))
         shift = width * square
         for l in range(1, kept):
             polys[l] = (polys[l] + (polys[l - 1] << shift)) & mask
-        if square - e <= top:
-            total += polys[-1] << width * (square - e)
+        total += polys[-1] << width * (square - e)
     slot = (1 << width) - 1
     return [(total & ((1 << width * (min(budget, top) + 1)) - 1)) % slot for budget in budgets]
 
@@ -103,7 +97,7 @@ class Violation(NamedTuple):
     m: Multiplicities
 
 
-@dataclass
+@dataclass(frozen=True)
 class TheoremScan:
     """Exhaustive classification over a finite box.
 
@@ -166,16 +160,28 @@ def verify_theorem(
     The lemma covers every feasible vector and does not use the
     trichotomy, so a real violation is still found; a unit hit needs
     d^2*k < r <= r_max, so neither cut of the loops loses one.
-    feasible_vectors counts the whole box with one exact generating
-    function over every budget d^2*k of the scan (_count_feasible), which
-    enumerates nothing.
+    feasible_vectors counts the whole box without enumerating it: a budget
+    d^2*k >= r_max*m_max^2 admits all comb(r_max + m_max, m_max) - 1
+    vectors of the box, and one exact generating function counts every
+    smaller budget (_count_feasible), so no k >= r_max*m_max^2 adds work.
     """
     if not (1 <= k_min <= k_max and r_max >= 2 and d_max >= 1 and m_max >= 1):
         raise ValueError("bad scan box")
     violations: list[Violation] = []
     counts: dict[CaseLabel, int] = {CaseLabel.UNIT_MULTIPLICITY: 0, CaseLabel.TWO_SIX: 0}
-    budgets = [d * d * k for k in range(k_min, k_max + 1) for d in range(1, d_max + 1)]
-    feasible = sum(_count_feasible(m_max, r_max, budgets))
+    # From k = cut on every d reaches the cut, so at most cut*d_max (k, d)
+    # are tested, and fewer than 2*cut of them fall below it.
+    cut = r_max * m_max * m_max
+    budgets = [
+        budget
+        for k in range(k_min, min(k_max, cut - 1) + 1)
+        for d in range(1, d_max + 1)
+        if (budget := d * d * k) < cut
+    ]
+    whole = (k_max + 1 - k_min) * d_max - len(budgets)
+    feasible = whole * (math.comb(r_max + m_max, m_max) - 1)
+    if budgets:
+        feasible += sum(_count_feasible(m_max, r_max, budgets))
     for k in range(k_min, min(k_max, r_max + 10) + 1):
         for d in range(1, d_max + 1):
             budget = d * d * k
@@ -205,7 +211,7 @@ def verify_theorem(
     return TheoremScan(feasible, counts, tuple(violations))
 
 
-@dataclass
+@dataclass(frozen=True)
 class HanScan:
     applicable_checked: int
     counterexamples: tuple[Multiplicities, ...]
@@ -379,15 +385,17 @@ def verify_k3(k_max: int, r_max: int, d_max: int) -> K3Scan:
     fails iff d* exists and d*^2*k < r: exactly the r with
     d*^2*k < r <= r_max fail.  No d with d^2*k >= r_max fails any r of
     the box, so the search for d* stops there, and it reads k3_h0 at most
-    once per (k, d).  The true h0 = d^2*k/2 + 2 reaches d^2*k + 2 only at
-    d^2*k <= 0, so no pair fails.  Failures come in (k, r) order.
+    once per (k, d); a k >= r_max has d^2*k >= r_max from d = 1 on, so
+    the k loop stops at r_max - 1.  The true h0 = d^2*k/2 + 2 reaches
+    d^2*k + 2 only at d^2*k <= 0, so no pair fails.  Failures come in
+    (k, r) order.
     """
     if k_max < 2 or r_max < 3 or d_max < 1:
         raise ValueError(
             f"empty K3 box: need k_max >= 2, r_max >= 3, d_max >= 1, got {k_max}, {r_max}, {d_max}"
         )
     failures: list[tuple[int, int]] = []
-    for k in range(2, k_max + 1, 2):
+    for k in range(2, min(k_max, r_max - 1) + 1, 2):
         for d in range(1, d_max + 1):
             d2k = d * d * k
             if d2k >= r_max:

@@ -61,15 +61,10 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
+from . import _public
 from .exact import isqrt
 
-__all__ = [
-    "PellSolution",
-    "FsstWitness",
-    "pell_fundamental",
-    "szemberg_single_point_bound",
-    "fsst_applicable",
-]
+__all__ = _public(__name__)
 
 
 class PellSolution:

@@ -14,10 +14,11 @@ from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple
 
+from . import _public
 from .exact import Surd, _sqrt_ratio, _surd
 from .inequalities import is_square
 
-__all__ = ["BoundValue", "PlaneValueStatus", "PlaneValue", "nagata_plane_value"]
+__all__ = _public(__name__)
 
 
 class BoundValue(NamedTuple):

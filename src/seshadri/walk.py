@@ -31,19 +31,10 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence
 
+from . import _public
 from .inequalities import el_xu_feasible, is_subgeneric
 
-__all__ = [
-    "Multiplicities",
-    "CaseLabel",
-    "TheoremViolation",
-    "SearchResult",
-    "validate_multiplicities",
-    "check_el_xu",
-    "classify_case",
-    "feasible_multiplicities",
-    "min_ratio_search",
-]
+__all__ = _public(__name__)
 
 Multiplicities = tuple[int, ...]
 

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import time
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -363,6 +364,7 @@ DIFFERENTIAL_BOXES = [
     (1, 30, 6, 3, 6),  # k past r_max + 10, where the length floor leaves no cell
     (1, 12, 14, 2, 1),  # m_max 1 and 3: lengths below d^2*k // m_max - 1 are scanned
     (1, 12, 14, 2, 3),
+    (1, 60, 4, 3, 3),  # k crosses r_max*m_max^2 / d^2 at each d: counted in closed form past it
 ]
 
 
@@ -682,6 +684,33 @@ class TestCountFeasible:
         scan = verify_theorem(k_min + 4, r_max, 3, m_max, k_min=k_min)
         assert scan.feasible_vectors == 5 * 3 * whole
         assert scan.subgeneric_counts == {CaseLabel.UNIT_MULTIPLICITY: 0, CaseLabel.TWO_SIX: 0}
+
+    def test_a_long_k_range_counts_only_the_budgets_below_the_cut(self, monkeypatch):
+        # The budgets go to _count_feasible only below the cut 10*8^2 = 640,
+        # ceil(640/d^2) - 1 per d, however many k the box has.  The count is
+        # the one _count_feasible gives over all 5*10^6 budgets of the box.
+        count = oracle._count_feasible
+        passed = []
+
+        def recording(cap, length, budgets):
+            passed.append(len(budgets))
+            return count(cap, length, budgets)
+
+        monkeypatch.setattr(oracle, "_count_feasible", recording)
+        start = time.perf_counter()
+        scan = verify_theorem(10**6, 10, 5, 8)
+        assert time.perf_counter() - start < 0.5
+        assert scan.feasible_vectors == 218_770_735_369
+        assert passed == [639 + 159 + 71 + 39 + 25]
+
+    def test_a_huge_cap_skips_the_entries_past_the_top(self):
+        # The count starts at the largest entry that fits under the top
+        # budget, not at cap, so its cost does not grow with cap.
+        budgets, memo = [0, 5, 20, 30], {}
+        start = time.perf_counter()
+        counts = oracle._count_feasible(10**7, 3, budgets)
+        assert time.perf_counter() - start < 0.25
+        assert counts == [el_xu_tally(10**7, 3, budget, memo)[0] for budget in budgets]
 
     @pytest.mark.parametrize("j", range(2, 7))
     def test_modulus_at_its_largest_residue(self, j):
@@ -1013,15 +1042,16 @@ class TestK3:
 
 
 class TestVerifyK3:
-    BOXES = [(6, 20, 1), (6, 20, 2), (6, 20, 3), (60, 40, 4), (40, 150, 3), (50, 50, 7)]
+    # (100, 30, 3) has k past r_max, where the scan stops its k loop
+    BOXES = [(6, 20, 1), (6, 20, 2), (6, 20, 3), (60, 40, 4), (40, 150, 3), (50, 50, 7), (100, 30, 3)]
     # failing pairs per box, under the true count and each wrong one
     FAILING = {
-        "true": (0, 0, 0, 0, 0, 0),
-        "d2k+100": (48, 48, 48, 380, 2580, 600),
-        "18-at-(2,4)": (0, 4, 4, 24, 134, 34),
-        "d2k+2": (48, 48, 48, 380, 2580, 600),
-        "d2k+1": (0, 0, 0, 0, 0, 0),
-        "d2k+5-from-d3": (0, 0, 2, 26, 552, 46),
+        "true": (0, 0, 0, 0, 0, 0, 0),
+        "d2k+100": (48, 48, 48, 380, 2580, 600, 210),
+        "18-at-(2,4)": (0, 4, 4, 24, 134, 34, 14),
+        "d2k+2": (48, 48, 48, 380, 2580, 600, 210),
+        "d2k+1": (0, 0, 0, 0, 0, 0, 0),
+        "d2k+5-from-d3": (0, 0, 2, 26, 552, 46, 12),
     }
 
     @pytest.mark.parametrize("patch", FAILING)
@@ -1033,6 +1063,14 @@ class TestVerifyK3:
         expected = tuple(k3_failures_by_pair(*box))
         assert verify_k3(*box) == ((k_max // 2) * (r_max - 2), expected)
         assert len(expected) == self.FAILING[patch][self.BOXES.index(box)]
+
+    def test_a_huge_k_range_stops_at_r_max(self, monkeypatch):
+        # No k >= r_max fails, so the cost does not grow with k_max.
+        monkeypatch.setattr(oracle, "k3_h0", K3_SECTION_COUNTS["d2k+100"])
+        start = time.perf_counter()
+        scan = verify_k3(10**9, 30, 5)
+        assert time.perf_counter() - start < 0.25
+        assert scan == ((10**9 // 2) * 28, tuple(k3_failures_by_pair(30, 30, 5)))
 
     @given(
         box=st.tuples(st.integers(2, 20), st.integers(3, 30), st.integers(1, 4)),

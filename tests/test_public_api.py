@@ -1,5 +1,6 @@
 """The public surface: each module's __all__ is what the package exports,
-and each public result record holds the fields pinned here."""
+read from the package's one export table, and each public result record
+holds the fields pinned here."""
 
 import ast
 import dataclasses
@@ -17,6 +18,7 @@ import seshadri
 
 MODULES = ("exact", "pell", "plane", "bounds", "walk", "oracle", "catalog")
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+PACKAGE = Path(SRC) / "seshadri"
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
@@ -51,6 +53,41 @@ def test_all_matches_the_package_reexports(name):
     assert sorted(module.__all__) == sorted(imported)
     for attr in module.__all__:
         assert getattr(seshadri, attr) is getattr(module, attr)
+
+
+def all_assignments(source: str) -> list[str]:
+    """The value of each top-level assignment to __all__ in source (plain,
+    augmented or annotated), as source text, in order."""
+    found = []
+    for node in ast.parse(source).body:
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+            found.append(ast.unparse(node.value))
+    return found
+
+
+# The modules outside the export table, which list their names themselves.
+LITERAL_ALL = ("cli", "inequalities")
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.stem)
+def test_only_the_modules_outside_the_table_list_their_names(path):
+    # A module in the export table takes its __all__ from the table; a
+    # literal list there would declare the same names a second time.
+    found = all_assignments(path.read_text())
+    if path.stem in MODULES:
+        assert found == ["_public(__name__)"]
+    else:
+        assert any(value.startswith("[") for value in found) == (path.stem in LITERAL_ALL), found
+
+
+def test_a_planted_literal_all_is_reported():
+    source = (PACKAGE / "plane.py").read_text()
+    assert all_assignments(source) == ["_public(__name__)"]
+    planted = source.replace("__all__ = _public(__name__)", "__all__ = ['BoundValue']")
+    assert all_assignments(planted) == ["['BoundValue']"]
+    assert all_assignments(source + "__all__ += ['extra']\n") == ["_public(__name__)", "['extra']"]
+    assert all_assignments(source + "__all__: list = []\n") == ["_public(__name__)", "[]"]
 
 
 def test_star_import_binds_every_export_and_dir_lists_them():
