@@ -41,8 +41,12 @@ CASES = {
     "bounds-digits-2": "bounds --k 150 --r 10 --digits 2",
     "bounds-digits-6": "bounds --k 35 --r 101 --very-ample --digits 6",
     "bounds-two-prime-radicand": "bounds --k 1008017 --r 1007999",
+    # a Pell solution of about 4,500 digits, past the int-to-str digit limit
+    "bounds-product-past-digit-limit": "bounds --k 129813574 --r 150",
     "pell-proven": "pell --k 35",
     "pell-conjectural": "pell --k 61",
+    # odd period; q0 has about 2,585 digits
+    "pell-odd-period-large": "pell --k 319009066",
     "search": "search --k 1 --r 5 --d-max 3",
     "search-wide": "search --k 200 --r 20 --d-max 4",
     "search-verify-box": "search --k 20 --r 10 --d-max 4 --m-max 6",
