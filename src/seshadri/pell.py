@@ -46,13 +46,27 @@ the fundamental solution.  An odd period gives x + y*sqrt(k) of norm -1,
 whose odd powers have norm -1 and even powers norm +1, so the fundamental
 solution is its square, q0 + p0*sqrt(k) = x^2 + k*y^2 + 2xy*sqrt(k).
 
-The half walk is small-integer work.  A_0 W is then built as a product
-tree (Bernstein, "Fast multiplication and its applications", MSRI Publ.
-44, 2008): the leaves run the two-term recurrence of the convergents over
-a few dozen quotients each, and the tree multiplies neighbouring 2x2
-products in balanced pairs.  The convergents grow by a few bits per
-quotient, so a chain of big-times-small multiply-adds gives way to a few
-products of equal size, which CPython multiplies by Karatsuba.
+The half walk is small-integer work, and so is most of the product.  The
+walk goes in blocks of a few dozen quotients a_i, ..., a_j, and each block
+steps only the bottom row of its product
+
+    A_(a_i) ... A_(a_j) = [[H, H'], [Q, Q']],
+
+with the two-term recurrence of the convergents' denominators.  The top
+row follows from the bottom row and the block's two ends.  Write m', d'
+for m_(j+1), d_(j+1).  Since x_n = a_n + 1/x_(n+1), the product maps
+x_(j+1) to x_i, so x_i (Q x_(j+1) + Q') = H x_(j+1) + H'.  Multiply by
+d_i d' and compare the sqrt(k) parts and the rational parts:
+
+    d_i H       = Q (m_i + m') + Q' d',
+    d_i d' H'   = Q (k + m_i m') + Q' d' m_i - d_i m' H,
+
+two exact divisions by small integers.  The blocks are then merged in
+balanced pairs, a product tree (Bernstein, "Fast multiplication and its
+applications", MSRI Publ. 44, 2008): the bottom row of L R needs L's
+bottom row and R's top row, four products of equal size, which CPython
+multiplies by Karatsuba.  At the root, x_0 = sqrt(k) gives m_0 = 0 and
+d_0 = 1, and the same identities give (h_n, h_(n-1)).
 """
 
 from __future__ import annotations
@@ -129,19 +143,43 @@ def pell_fundamental(k: int) -> PellSolution:
         raise ValueError(
             f"Pell equation q^2 - {k}p^2 = 1 has only trivial solutions (k is a square)"
         )
-    # Step n holds x_n = (sqrt(k) + m)/d and a = a_n, and quotients holds
-    # a_0..a_n; the walk ends at the centre of the period.
+    # Step n holds x_n = (sqrt(k) + m)/d and a = a_n.  A block of _LEAF
+    # quotients a_i .. a_j steps only the bottom row (q, q_prev) of its
+    # product, and is stored with its ends (m_i, d_i) and (m_(j+1), d_(j+1)).
+    # The last block ends at the centre, n = j, where the walk stops.
+    blocks = []
     m, d, a = 0, 1, a0
-    quotients = [a0]
-    while True:
-        m_next = d * a - m
-        d_next = (k - m_next * m_next) // d
-        if d_next == d or m_next == m:
-            break
-        m, d = m_next, d_next
-        a = (a0 + m) // d
-        quotients.append(a)
-    h, h_prev, q, q_prev = _convergents(quotients)
+    centre = False
+    while not centre:
+        start = m, d
+        q, q_prev = 0, 1
+        for _ in range(_LEAF):
+            q, q_prev = a * q + q_prev, q
+            m_next = d * a - m
+            d_next = (k - m_next * m_next) // d
+            if d_next == d or m_next == m:
+                centre = True
+                break
+            m, d = m_next, d_next
+            a = (a0 + m) // d
+        blocks.append((q, q_prev, *start, m_next, d_next))
+    # Merge neighbours in balanced pairs.  The bottom row of L R takes the
+    # top row (e, f) of R, which R's bottom row and ends fix.
+    while len(blocks) > 1:
+        merged = []
+        for left, right in zip(blocks[::2], blocks[1::2]):
+            c, c_prev, m_start, d_start, _, _ = left
+            g, g_prev, m_mid, d_mid, m_end, d_end = right
+            e = (g * (m_mid + m_end) + g_prev * d_end) // d_mid
+            f = g * (k + m_mid * m_end) + g_prev * (d_end * m_mid) - (d_mid * m_end) * e
+            f //= d_mid * d_end
+            bottom = c * e + c_prev * g, c * f + c_prev * g_prev
+            merged.append((*bottom, m_start, d_start, m_end, d_end))
+        blocks = merged + blocks[2 * len(merged) :]
+    # The root starts at x_0 = sqrt(k), where m_0 = 0 and d_0 = 1.
+    q, q_prev, _, _, m_end, d_end = blocks[0]
+    h = q * m_end + q_prev * d_end
+    h_prev = (q * k - m_end * h) // d_end
     if d_next == d:  # odd period
         x, y = h * q + h_prev * q_prev, q * q + q_prev * q_prev
         return PellSolution(p0=2 * x * y, q0=x * x + k * y * y, k=k)
@@ -151,26 +189,7 @@ def pell_fundamental(k: int) -> PellSolution:
     )
 
 
-_LEAF = 32  # quotients per leaf of the product tree
-
-
-def _convergents(quotients: list[int]) -> tuple[int, int, int, int]:
-    """(h_n, h_(n-1), q_n, q_(n-1)) of [a_0; a_1, ..., a_n], the entries of
-    the product A_(a_0) ... A_(a_n), built as a product tree."""
-    nodes = []
-    for i in range(0, len(quotients), _LEAF):
-        h, h_prev, q, q_prev = 1, 0, 0, 1
-        for a in quotients[i : i + _LEAF]:
-            h, h_prev = a * h + h_prev, h
-            q, q_prev = a * q + q_prev, q
-        nodes.append((h, h_prev, q, q_prev))
-    while len(nodes) > 1:
-        merged = [
-            (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
-            for (a, b, c, d), (e, f, g, h) in zip(nodes[::2], nodes[1::2])
-        ]
-        nodes = merged + nodes[2 * len(merged) :]
-    return nodes[0]
+_LEAF = 32  # quotients per block of the product tree
 
 
 def szemberg_single_point_bound(k: int) -> Fraction:

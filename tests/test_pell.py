@@ -13,6 +13,7 @@ from oracles import (
     pell_period_walk,
 )
 
+from seshadri import pell
 from seshadri.exact import Surd, isqrt
 from seshadri.pell import FsstWitness, PellSolution, fsst_applicable, pell_fundamental, szemberg_single_point_bound
 
@@ -107,6 +108,18 @@ def period_length(k):
     return n
 
 
+# k from the benchmark tables, with solutions of about 2,600 and 4,500
+# decimal digits; the last two have odd periods.
+BENCHMARK_K = [
+    (106887466, 8500),
+    (120258273, 8500),
+    (129813574, 15000),
+    (140269637, 15000),
+    (319009066, 8500),
+    (651854429, 15000),
+]
+
+
 class TestAgainstConvergentWalk:
     def test_every_non_square_to_20000(self):
         # The solver walks half the period; the walk squares every
@@ -120,17 +133,27 @@ class TestAgainstConvergentWalk:
             periods.add(period_length(k))
         assert {1, 2} <= periods
         assert {p % 2 for p in periods} == {0, 1}
+        # The half walk holds a_0 .. a_n, P // 2 + 1 quotients.  Walks of
+        # _LEAF - 1, _LEAF, _LEAF + 1 and 2 _LEAF quotients stop one short
+        # of a block's end, at it, one past it (a last block of one
+        # quotient), and at the end of a second block; the last two ends
+        # are reached by both closings.
+        leaf = pell._LEAF
+        halves = {(p // 2 + 1, p % 2) for p in periods}
+        assert {leaf - 1, leaf, leaf + 1, 2 * leaf} <= {n for n, _ in halves}
+        assert {(leaf, 0), (leaf, 1), (2 * leaf, 0), (2 * leaf, 1)} <= halves
 
-    @pytest.mark.parametrize(
-        "k,bits",
-        # about 2,600 and 4,500 decimal digits
-        [(106887466, 8500), (120258273, 8500), (129813574, 15000), (140269637, 15000)],
-    )
+    @pytest.mark.parametrize("k,bits", BENCHMARK_K)
     def test_benchmark_k_against_period_walk(self, k, bits):
         # k from the benchmark tables, with periods of thousands of terms
         sol = pell_fundamental(k)
         assert (sol.p0, sol.q0) == pell_period_walk(k)
         assert sol.q0.bit_length() > bits
+
+    def test_benchmark_k_take_both_closings(self):
+        # An odd period closes through W W^T and squares a norm -1 unit.
+        odd = {k for k, _ in BENCHMARK_K if period_length(k) % 2}
+        assert odd == {319009066, 651854429}
 
 
 class TestClosedFormFamilies:
