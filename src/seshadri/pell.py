@@ -44,7 +44,8 @@ column of (A_0 V A_n) V^T gives, with q_(n-2) = q_n - a_n q_(n-1),
 every solution is a power of it.  An even period gives norm +1, so it is
 the fundamental solution.  An odd period gives x + y*sqrt(k) of norm -1,
 whose odd powers have norm -1 and even powers norm +1, so the fundamental
-solution is its square, q0 + p0*sqrt(k) = x^2 + k*y^2 + 2xy*sqrt(k).
+solution is its square, q0 + p0*sqrt(k) = 2x^2 + 1 + 2xy*sqrt(k), as
+k*y^2 = x^2 + 1.
 
 The half walk is small-integer work, and so is most of the product.  The
 walk goes in blocks of a few dozen quotients a_i, ..., a_j, and each block
@@ -182,7 +183,7 @@ def pell_fundamental(k: int) -> PellSolution:
     h_prev = (q * k - m_end * h) // d_end
     if d_next == d:  # odd period
         x, y = h * q + h_prev * q_prev, q * q + q_prev * q_prev
-        return PellSolution(p0=2 * x * y, q0=x * x + k * y * y, k=k)
+        return PellSolution(p0=2 * x * y, q0=2 * x * x + 1, k=k)
     q_prev2 = q - a * q_prev
     return PellSolution(
         p0=q * q_prev + q_prev * q_prev2, q0=h * q_prev + h_prev * q_prev2, k=k

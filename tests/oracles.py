@@ -4,7 +4,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache, total_ordering
-from math import comb, gcd
+from math import comb
 
 from seshadri.bounds import (
     BoundEntry,
@@ -18,7 +18,7 @@ from seshadri.bounds import (
     harbourne_bound,
 )
 from seshadri.exact import Surd, isqrt, squarefree_decompose
-from seshadri.inequalities import el_xu_feasible, han_applies, han_margin, is_square, is_subgeneric
+from seshadri.inequalities import han_applies, han_margin, is_square, is_subgeneric
 from seshadri import oracle
 from seshadri.oracle import HanScan, TheoremScan, Violation, k3_h0
 from seshadri.pell import PellSolution, fsst_applicable, pell_fundamental, szemberg_single_point_bound
@@ -123,22 +123,6 @@ def fraction_render_decimal(x: FractionSurd, digits: int) -> str:
     return f"{whole}.{frac:0{digits}d}"
 
 
-def surd_fields_by_factoring(coeff, radicand: int) -> tuple[int, int, int]:
-    """(num, den, radicand) of Surd(coeff, radicand), as the checked
-    constructor built them before it took the root and the product: the
-    radicand factored as a^2*b, and a cancelled against the coefficient's
-    denominator with one gcd."""
-    num, den, n = coeff.numerator, coeff.denominator, radicand
-    if num == 0 or n == 0:
-        num, den, n = 0, 1, 1
-    elif n > 1:
-        a, n = squarefree_decompose(n)
-        if a > 1:
-            g = gcd(a, den)
-            num, den = num * (a // g), den // g
-    return num, den, n
-
-
 def pell_brute_force(k: int, q_cap: int) -> tuple[int, int] | None:
     """Scan q = 2..q_cap for the smallest solution of q^2 - k p^2 = 1."""
     for q in range(2, q_cap + 1):
@@ -148,22 +132,6 @@ def pell_brute_force(k: int, q_cap: int) -> tuple[int, int] | None:
             if p >= 1 and p * p * k == t:
                 return p, q
     return None
-
-
-def pell_convergent_walk(k: int) -> tuple[int, int]:
-    """(p0, q0) by walking the convergents h/q of sqrt(k) and squaring each
-    one until h^2 - k*q^2 = 1; k must be a non-square >= 2."""
-    a0 = isqrt(k)
-    m, d, a = 0, 1, a0
-    h_prev, h = 1, a0
-    q_prev, q = 0, 1
-    while h * h - k * q * q != 1:
-        m = d * a - m
-        d = (k - m * m) // d
-        a = (a0 + m) // d
-        h_prev, h = h, a * h + h_prev
-        q_prev, q = q, a * q + q_prev
-    return q, h
 
 
 def pell_period_walk(k: int) -> tuple[int, int]:
@@ -321,37 +289,6 @@ def dominance_scan_bands(r: int, k_cap: int) -> ThresholdScan:
     return ThresholdScan(
         r, k_cap, _threshold(last_failure, k_cap), last_failure, band_cutoff, k_cap + 1 >= band_cutoff
     )
-
-
-def dominance_scan_walk(r: int, k_caps) -> dict[int, ThresholdScan]:
-    """dominance_scan at each cap in k_caps, by testing every k from 1 to
-    the largest cap in one walk."""
-    band_cutoff = band_cutoff_by_steps(r)
-    wanted, scans, last_failure = set(k_caps), {}, None
-    for k in range(1, max(wanted) + 1):
-        floor = isqrt(k // r)
-        if floor * floor * (r + 3) * r < (r + 2) * k:
-            last_failure = k
-        if k in wanted:
-            scans[k] = ThresholdScan(
-                r, k, _threshold(last_failure, k), last_failure, band_cutoff, k + 1 >= band_cutoff
-            )
-    return scans
-
-
-def candidates_double_loop(k: int, r: int) -> tuple[SubmaximalCandidate, ...]:
-    """enumerate_exceptional_candidates by testing every (d, s), d up to the
-    first d where even s = r is not sub-generic."""
-    out = []
-    d = 1
-    while is_subgeneric(d * d * k, r, r):
-        d2k = d * d * k
-        for s in range(1, r + 1):
-            if el_xu_feasible(d2k, s, 1) and is_subgeneric(d2k, s, r):
-                out.append(SubmaximalCandidate(d, s, Fraction(d * k, s)))
-        d += 1
-    out.sort(key=lambda c: (c.value, c.d, c.s))
-    return tuple(out)
 
 
 def candidates_by_interval(k: int, r: int) -> tuple[SubmaximalCandidate, ...]:
@@ -652,51 +589,6 @@ def han_scan_walk(s_max, m_max, margin=None):
     return HanScan(checked, tuple(counterexamples), tuple(equalities))
 
 
-def han_class_scan(s_max, m_max, margin=None):
-    """verify_han_exhaustive by one layered DP state per class (s, m_s,
-    sum(m), sum(m_i^2)): the margin is evaluated once per class, and only
-    the classes with margin <= 0 are listed, by _han_class.
-
-    An earlier fast path of the scan, kept as a second reference for the
-    whole scan next to han_scan_walk.  Layer s holds, for each last entry
-    e, the vector counts of the classes of length s ending in e, keyed by
-    sum(m)*Q + sum(m_i^2) with Q above every sum of squares.  With e
-    running from m_max down, the classes of layer s - 1 that end in e
-    join one running union, whose keys shifted by (e, e^2) are the
-    classes of layer s that end in e.  margin is as in han_scan_walk.
-    """
-    margin = margin or han_margin
-    q_base = s_max * m_max * m_max + 1
-    counterexamples, equalities, checked = [], [], 0
-    layer = {e: {e * q_base + e * e: 1} for e in range(1, m_max + 1)}  # s = 1
-    for s in range(2, s_max + 1):
-        running, following = {}, {}
-        for e in range(m_max, 0, -1):
-            for key, count in layer.pop(e).items():
-                running[key] = running.get(key, 0) + count
-            classes = following[e] = {}
-            for key, count in running.items():
-                key += e * q_base + e * e  # appending e
-                classes[key] = count
-                total, sum_sq = divmod(key, q_base)
-                if not han_applies(s, total, sum_sq):
-                    continue
-                checked += count
-                value = margin(s, total, sum_sq, e)
-                if value > 0:
-                    continue
-                vectors = _han_class(s, e, total, sum_sq, m_max)
-                if len(vectors) != count:
-                    raise AssertionError(f"class {s, e, total, sum_sq} lists {len(vectors)}, not {count}")
-                (counterexamples if value < 0 else equalities).extend(vectors)
-        layer = following
-
-    def in_scan_order(vectors):
-        return tuple(sorted(vectors, key=lambda m: (len(m), m[::-1])))
-
-    return HanScan(checked, in_scan_order(counterexamples), in_scan_order(equalities))
-
-
 def han_group_loop(s_max, m_max, margin=None):
     """verify_han_exhaustive by one margin on every group (s, m_s, sum(m)),
     indexed by its balanced vector: after m_s = e come n - rho entries q
@@ -776,44 +668,6 @@ def _group_vectors(n, lo, t, cap):
         for e in range(lo, min(cap, t // n) + 1)
         for rest in _group_vectors(n - 1, e, t - e, cap)
     ]
-
-
-def _han_class(s, last, total, sum_sq, cap):
-    """Every nonincreasing vector with s entries in [last, cap], m_s = last,
-    sum(m) = total and sum(m_i^2) = sum_sq, in increasing order of m[::-1].
-
-    s >= 2.  Entries are picked from the last one up, on an explicit
-    stack.  An entry e is taken only if the n entries still to pick, each
-    in [e, cap], can have the remaining sum t and sum of squares q:
-    n*e <= t <= n*cap, n*e^2 <= q, t^2 <= n*q (Cauchy-Schwarz) and
-    q <= (e + cap)*t - n*e*cap (from sum (m_i - e)*(cap - m_i) >= 0).
-    """
-
-    def reachable(n, e, t, q):
-        return (
-            n * e <= t <= n * cap
-            and n * e * e <= q <= (e + cap) * t - n * e * cap
-            and t * t <= n * q
-        )
-
-    found = []
-    entries = [last]
-    frames = [(iter(range(last, cap + 1)), s - 1, total - last, sum_sq - last * last)]
-    while frames:
-        choices, n, t, q = frames[-1]
-        for e in choices:
-            if not reachable(n - 1, e, t - e, q - e * e):
-                continue
-            if n == 1:
-                found.append((e, *reversed(entries)))
-            else:
-                entries.append(e)
-                frames.append((iter(range(e, cap + 1)), n - 1, t - e, q - e * e))
-                break  # extend first; this frame resumes at e + 1
-        else:
-            frames.pop()
-            entries.pop()
-    return found
 
 
 def k3_excluded_by_rows(k: int, r: int, d_max: int) -> bool:

@@ -21,10 +21,6 @@ class TestMakeSurface:
         s = make_surface(SurfaceKind.HYPERSURFACE_P3, 5)
         assert s.k == 5 and s.very_ample
 
-    def test_hypersurface_degree_too_small(self):
-        with pytest.raises(ValueError):
-            make_surface(SurfaceKind.HYPERSURFACE_P3, 3)
-
     def test_k3_parity(self):
         assert make_surface(SurfaceKind.GENERAL_K3, 4).k == 4
         with pytest.raises(ValueError):

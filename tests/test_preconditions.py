@@ -109,6 +109,7 @@ PRECONDITIONS = [
     (classify_case, (1, 1, 1, (1,)), ValueError, "classification needs r >= 2, got 1"),
     (classify_case, (1, 1, 2, (1, 1, 1)), ValueError, "s = 3 exceeds r = 2"),
     (first_feasible, (1, 0, 2, 2), ValueError, "need d, k >= 1, got d=1, k=0"),
+    (min_ratio_search, (1, 0, 3, 5), ValueError, "empty search box: k=1, r=0"),
     (min_ratio_search, (1, 2, 0, 1), ValueError, "empty search box"),
 ]
 
