@@ -633,14 +633,29 @@ class TestDominanceThreshold:
             j = isqrt(k // 10)
             assert j * j * 13 * 10 >= 12 * k
 
+    def test_against_walk_at_band_edges(self):
+        # Caps at and next to every band edge j^2 r - 1, j^2 r, (j+1)^2 r - 1,
+        # up to the band past the cutoff, so stable_beyond_cap flips too.
+        for r in range(2, 41):
+            cutoff = dominance_scan(r, 1).band_cutoff
+            top = isqrt(cutoff // r) + 1
+            caps = {
+                cap
+                for j in range(top + 1)
+                for cap in (j * j * r - 1, j * j * r, (j + 1) ** 2 * r - 1)
+                if cap >= 1
+            }
+            for cap in caps:
+                assert dominance_scan(r, cap) == dominance_scan_bands(r, cap), (r, cap)
+
     def test_against_band_loop(self):
         # Every r below 300 on caps 1..399 and a cap far past every cutoff;
-        # every r up to 41 and a few past it also at every band edge j^2 r
-        # and (j+1)^2 r - 1 and its neighbours, up to the band past the
-        # cutoff, so stable_beyond_cap flips too.
+        # a few r past the band-edge test's range also at every band edge
+        # j^2 r and (j+1)^2 r - 1 and its neighbours, up to the band past
+        # the cutoff.
         for r in range(2, 300):
             caps = set(range(1, 400)) | {10**12}
-            if r <= 41 or r in (97, 151):
+            if r in (41, 97, 151):
                 top = isqrt(band_cutoff_by_steps(r) // r) + 1
                 caps |= {
                     edge + step
