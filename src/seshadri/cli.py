@@ -9,10 +9,9 @@ Subcommands:
   p2-table    known plane values with statuses
 
 Output formats: text (default), json (one object per record, JSON lines),
-csv.  The default format can be set with the SESHADRI_FORMAT environment
-variable.  Exact values accompany every decimal so nothing downstream
-ever needs to re-parse a truncated decimal.  Identical invocations
-produce byte-identical output.
+csv, chosen by --format alone.  Exact values accompany every decimal so
+nothing downstream ever needs to re-parse a truncated decimal.  Identical
+invocations produce byte-identical output.
 
 Exit codes: 0 success, 1 usage error, 2 domain error, 3 verification
 found a counterexample.
@@ -331,17 +330,17 @@ def cmd_bounds(args: argparse.Namespace) -> tuple[list[Record], int]:
 
 
 def cmd_pell(args: argparse.Namespace) -> tuple[list[Record], int]:
-    from .pell import fsst_applicable, pell_fundamental, szemberg_single_point_bound
+    from .pell import fsst_applicable, pell_fundamental
 
     k = args.k
     sol = pell_fundamental(k)
-    bound = szemberg_single_point_bound(k)
+    bound = Fraction(sol.p0 * k, sol.q0)
     witness = fsst_applicable(k)
     rec = Record("pell", k=k)
     rec.entries.append(
         Entry(
             name="single-point-bound",
-            exact=str(Fraction(bound)),
+            exact=str(bound),
             decimal=render_decimal(Surd(bound), args.digits),
             applicability="single very general point",
             attribution="Pell-based bound p0*k/q0",
@@ -509,8 +508,8 @@ def _build_parser() -> _Parser:
     common.add_argument(
         "--format",
         choices=sorted(_EMITTERS),
-        default=None,
-        help="output format (default: SESHADRI_FORMAT or text)",
+        default="text",
+        help="output format (default: text)",
     )
     display = argparse.ArgumentParser(add_help=False)
     display.add_argument(
@@ -577,15 +576,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         args = _build_parser().parse_args(argv)
-        fmt = args.format or os.environ.get("SESHADRI_FORMAT", "text")
-        if fmt not in _EMITTERS:
-            raise UsageError(f"unknown format {fmt!r}")
         records, code = args.func(args)
     except (UsageError, ValueError) as e:  # a bad call, or mathematics undefined there
         print(f"seshadri: error: {e}", file=sys.stderr)
         return 1 if isinstance(e, UsageError) else 2
     else:
-        _EMITTERS[fmt](records, sys.stdout)
+        _EMITTERS[args.format](records, sys.stdout)
         return code
     finally:
         if limit:

@@ -106,8 +106,7 @@ def golden_runs():
 @pytest.mark.parametrize(
     "name,fmt,argv", list(golden_runs()), ids=[f"{n}.{f}" for n, f, _ in golden_runs()]
 )
-def test_golden(name, fmt, argv, monkeypatch):
-    monkeypatch.delenv("SESHADRI_FORMAT", raising=False)
+def test_golden(name, fmt, argv):
     expected = (GOLDEN / f"{name}.{fmt}").read_bytes()
     assert transcript(argv).encode() == expected
 

@@ -722,11 +722,6 @@ GROUP_TABLE_BOXES = [(2, 2), (3, 2), (5, 7), (8, 12), (12, 20), (40, 3)]
 
 
 class TestVerifyHan:
-    def test_no_counterexamples_8_12(self):
-        scan = verify_han_exhaustive(8, 12)
-        assert scan.counterexamples == ()
-        assert (2, 2, 2) in scan.equality_witnesses
-
     def test_agrees_with_han_inequality(self):
         scan = verify_han_exhaustive(6, 8)
         applicable, counterexamples, equalities = 0, [], []
@@ -980,10 +975,6 @@ class TestVerifyHan:
 
 
 class TestK3:
-    @pytest.mark.parametrize("d,k,expected", [(1, 2, 3), (1, 4, 4), (3, 2, 11)])
-    def test_h0(self, d, k, expected):
-        assert k3_h0(d, k) == expected
-
     def test_exclusion_examples(self):
         assert k3_excluded_by_rows(4, 3, 5)
         assert k3_excluded_by_rows(2, 10, 5)
@@ -1001,15 +992,18 @@ class TestK3:
 
 class TestVerifyK3:
     # (100, 30, 3) has k past r_max, where the scan stops its k loop
-    BOXES = [(6, 20, 1), (6, 20, 2), (6, 20, 3), (60, 40, 4), (40, 150, 3), (50, 50, 7), (100, 30, 3)]
+    BOXES = [
+        (6, 20, 1), (6, 20, 2), (6, 20, 3), (60, 40, 4), (40, 150, 3), (50, 50, 7), (100, 30, 3),
+        (20, 10, 5), (30, 60, 3),
+    ]
     # failing pairs per box, under the true count and each wrong one
     FAILING = {
-        "true": (0, 0, 0, 0, 0, 0, 0),
-        "d2k+100": (48, 48, 48, 380, 2580, 600, 210),
-        "18-at-(2,4)": (0, 4, 4, 24, 134, 34, 14),
-        "d2k+2": (48, 48, 48, 380, 2580, 600, 210),
-        "d2k+1": (0, 0, 0, 0, 0, 0, 0),
-        "d2k+5-from-d3": (0, 0, 2, 26, 552, 46, 12),
+        "true": (0, 0, 0, 0, 0, 0, 0, 0, 0),
+        "d2k+100": (48, 48, 48, 380, 2580, 600, 210, 20, 660),
+        "18-at-(2,4)": (0, 4, 4, 24, 134, 34, 14, 0, 44),
+        "d2k+2": (48, 48, 48, 380, 2580, 600, 210, 20, 660),
+        "d2k+1": (0, 0, 0, 0, 0, 0, 0, 0, 0),
+        "d2k+5-from-d3": (0, 0, 2, 26, 552, 46, 12, 0, 72),
     }
 
     @pytest.mark.parametrize("patch", FAILING)
@@ -1021,6 +1015,26 @@ class TestVerifyK3:
         expected = tuple(k3_failures_by_pair(*box))
         assert verify_k3(*box) == ((k_max // 2) * (r_max - 2), expected)
         assert len(expected) == self.FAILING[patch][self.BOXES.index(box)]
+
+    @pytest.mark.parametrize(
+        "patch,failing,reads",
+        [
+            (None, 0, [(1, 2), (2, 2), (1, 4), (1, 6), (1, 8)]),
+            ("d2k+100", 20, [(1, 2), (1, 4), (1, 6), (1, 8)]),
+        ],
+    )
+    def test_reads_each_section_count_once(self, monkeypatch, patch, failing, reads):
+        # At r_max = 10 a k reads d = 1, 2, ... while d^2*k < 10 and stops
+        # at its first failing d, so k = 10 reads nothing.
+        h0 = K3_SECTION_COUNTS.get(patch, oracle.k3_h0)
+        read = []
+
+        def counted(d, k):
+            read.append((d, k))
+            return h0(d, k)
+
+        monkeypatch.setattr(oracle, "k3_h0", counted)
+        assert (len(verify_k3(20, 10, 5).failures), read) == (failing, reads)
 
     def test_a_huge_k_range_stops_at_r_max(self, monkeypatch):
         # No k >= r_max fails, so the cost does not grow with k_max.

@@ -13,11 +13,8 @@ from oracles import (
 )
 
 from seshadri import pell
-from seshadri.exact import Surd, isqrt
+from seshadri.exact import isqrt
 from seshadri.pell import FsstWitness, PellSolution, fsst_applicable, pell_fundamental, szemberg_single_point_bound
-
-
-NON_SQUARES_TO_200 = [k for k in range(2, 201) if isqrt(k) ** 2 != k]
 
 
 class TestPellFundamental:
@@ -32,25 +29,10 @@ class TestPellFundamental:
 
     def test_hard_case_k61(self):
         # Classic large fundamental solution; identity is checked by the
-        # PellSolution constructor, minimality by the power certificate.
+        # PellSolution constructor, minimality by the power certificate of
+        # the acceptance suite's criterion 10.
         sol = pell_fundamental(61)
         assert (sol.p0, sol.q0) == (226153980, 1766319049)
-
-    def test_identity_holds_to_200(self):
-        for k in NON_SQUARES_TO_200:
-            sol = pell_fundamental(k)
-            assert sol.q0**2 - k * sol.p0**2 == 1
-
-    def test_minimality_against_scan_oracle(self):
-        for k in NON_SQUARES_TO_200:
-            sol = pell_fundamental(k)
-            if sol.q0 <= 10**5:
-                assert pell_brute_force(k, sol.q0) == (sol.p0, sol.q0)
-                assert pell_brute_force(k, sol.q0 - 1) is None
-
-    def test_minimality_via_power_certificate(self):
-        for k in NON_SQUARES_TO_200:
-            assert not is_proper_power_of_smaller_solution(pell_fundamental(k))
 
     def test_power_certificate_detects_non_fundamental(self):
         # (q, p) = (17, 12) solves q^2 - 2p^2 = 1 but is (3 + 2*sqrt(2))^2.
@@ -113,7 +95,7 @@ BENCHMARK_K = [
 ]
 
 
-class TestAgainstConvergentWalk:
+class TestAgainstPeriodWalk:
     def test_every_non_square_to_20000(self):
         # The solver walks half the period, the reference every convergent
         # up to the solution: odd periods solve at the end of the second
@@ -184,12 +166,6 @@ class TestSinglePointBound:
     )
     def test_examples(self, k, expected):
         assert szemberg_single_point_bound(k) == expected
-
-    def test_strictly_below_sqrt_k_to_200(self):
-        # p0*k/q0 < sqrt(k), the single-point optimal value.
-        for k in NON_SQUARES_TO_200:
-            bound = Surd(szemberg_single_point_bound(k))
-            assert bound < Surd.sqrt(k)
 
 
 class TestFsst:

@@ -15,7 +15,7 @@ import pytest
 from test_golden import CASES, GOLDEN
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
-ENV = {k: v for k, v in os.environ.items() if k != "SESHADRI_FORMAT"}
+ENV = dict(os.environ)
 ENV["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
 
 # Runs the package as `python -m` does (its __main__ runs as "__main__",
