@@ -204,18 +204,13 @@ def harbourne_bound(k: int, r: int) -> HarbourneBound:
 
 
 class ProductFactors(NamedTuple):
-    """The product bound's factors: the Pell solution behind the
-    single-point value p0*k/q0, its n^2 +- 1 witness, and the plane value
-    at r."""
+    """The product bound's factors: the Pell solution, whose
+    single_point_bound is the single-point value p0*k/q0, its n^2 +- 1
+    witness, and the plane value at r."""
 
     pell: PellSolution
     witness: FsstWitness
     plane: PlaneValue
-
-    @property
-    def single(self) -> Fraction:
-        """The single-point value p0*k/q0."""
-        return Fraction(self.pell.p0 * self.pell.k, self.pell.q0)
 
 
 @dataclass(frozen=True)
@@ -273,14 +268,10 @@ def compare_bounds(k: int, r: int, very_ample: bool = False) -> BoundReport:
     if k >= 2 and not is_square(k):
         sol = pell_fundamental(k)
         factors = ProductFactors(sol, fsst_applicable(k), nagata_plane_value(r))
-        # q0^2 - k*p0^2 = 1 makes q0 coprime to p0*k, so p0*k/q0 is in
-        # lowest terms as it stands, and each gcd the product takes has a
-        # small operand: none is taken on two Pell-sized numbers.
-        single = _surd(sol.p0 * k, sol.q0, 1)
         entries.append(
             BoundEntry(
                 name="biran-product",
-                value=BoundValue(factors.plane.bound.value * single),
+                value=BoundValue(factors.plane.bound.value * sol.single_point_bound),
                 conjectural=not factors.witness.applicable
                 or factors.plane.status is PlaneValueStatus.CONJECTURAL,
                 detail=factors,

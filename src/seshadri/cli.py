@@ -255,7 +255,9 @@ def _entry_notes(entry: BoundEntry, r: int) -> list[str]:
             )
     elif isinstance(detail, ProductFactors):
         sol, witness, plane = detail.pell, detail.witness, detail.plane
-        notes.append(f"single-point factor {detail.single} from Pell solution (p0, q0) = ({sol.p0}, {sol.q0})")
+        notes.append(
+            f"single-point factor {sol.single_point_bound} from Pell solution (p0, q0) = ({sol.p0}, {sol.q0})"
+        )
         notes.append(f"plane factor {plane.bound.value} at r = {r} ({plane.status.value})")
         if witness.applicable:
             notes.append(f"single-point bound proven: k = {sol.k} = {_n2_pm_1(sol.k, witness.n)}")
@@ -334,14 +336,14 @@ def cmd_pell(args: argparse.Namespace) -> tuple[list[Record], int]:
 
     k = args.k
     sol = pell_fundamental(k)
-    bound = Fraction(sol.p0 * k, sol.q0)
+    bound = sol.single_point_bound
     witness = fsst_applicable(k)
     rec = Record("pell", k=k)
     rec.entries.append(
         Entry(
             name="single-point-bound",
             exact=str(bound),
-            decimal=render_decimal(Surd(bound), args.digits),
+            decimal=render_decimal(bound, args.digits),
             applicability="single very general point",
             attribution="Pell-based bound p0*k/q0",
         )
@@ -569,11 +571,9 @@ def _build_parser() -> _Parser:
 def main(argv: Optional[list[str]] = None) -> int:
     # Exact Pell solutions pass the interpreter's int-to-str digit limit
     # (4300 by default) long before they are slow to compute, so the limit
-    # is lifted while main runs, emission included.  Interpreters without
-    # it have no limit.
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit:
-        sys.set_int_max_str_digits(0)
+    # is lifted while main runs, emission included.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         args = _build_parser().parse_args(argv)
         records, code = args.func(args)
@@ -584,8 +584,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         _EMITTERS[args.format](records, sys.stdout)
         return code
     finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
+        sys.set_int_max_str_digits(limit)
 
 
 def entrypoint() -> None:

@@ -77,7 +77,7 @@ from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from . import _public
-from .exact import isqrt
+from .exact import Surd, _surd, isqrt
 
 __all__ = _public(__name__)
 
@@ -120,6 +120,16 @@ class PellSolution:
 
     def __reduce__(self) -> tuple:
         return PellSolution, (self.p0, self.q0, self.k)
+
+    @property
+    def single_point_bound(self) -> Surd:
+        """The single-point lower bound p0*k/q0, a rational Surd.
+
+        No gcd is taken: q0^2 - k*p0^2 = 1, checked when the solution is
+        built, makes any common prime of q0 and p0*k divide 1, so p0*k/q0
+        is in lowest terms as it stands.
+        """
+        return _surd(self.p0 * self.k, self.q0, 1)
 
 
 class FsstWitness(NamedTuple):
@@ -195,8 +205,7 @@ _LEAF = 32  # quotients per block of the product tree
 
 def szemberg_single_point_bound(k: int) -> Fraction:
     """Exact lower bound p0*k/q0 for the single-point constant at L^2 = k."""
-    sol = pell_fundamental(k)
-    return Fraction(sol.p0 * k, sol.q0)
+    return pell_fundamental(k).single_point_bound.coeff
 
 
 def fsst_applicable(k: int) -> FsstWitness:

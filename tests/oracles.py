@@ -21,7 +21,7 @@ from seshadri.exact import Surd, isqrt, squarefree_decompose
 from seshadri.inequalities import han_applies, han_margin, is_square, is_subgeneric
 from seshadri import oracle
 from seshadri.oracle import HanScan, TheoremScan, Violation, k3_h0
-from seshadri.pell import PellSolution, fsst_applicable, pell_fundamental, szemberg_single_point_bound
+from seshadri.pell import PellSolution, fsst_applicable, pell_fundamental
 from seshadri.plane import BoundValue, PlaneValue, PlaneValueStatus, nagata_plane_value
 from seshadri.walk import CaseLabel, SearchResult
 
@@ -175,8 +175,9 @@ def squarefree_trial_division(n: int) -> tuple[int, int]:
 
 def biran_product_value(k: int, r: int):
     """The product bound at (k, r): the plane value times the single-point
-    bound as a Fraction, reduced by its gcd."""
-    return nagata_plane_value(r).bound.value * szemberg_single_point_bound(k)
+    bound p0*k/q0 as a Fraction, reduced by its gcd."""
+    sol = pell_fundamental(k)
+    return nagata_plane_value(r).bound.value * Fraction(sol.p0 * k, sol.q0)
 
 
 def _sqrt_by_fractions(q: Fraction) -> Surd:
@@ -228,11 +229,12 @@ def compare_bounds_by_fractions(k: int, r: int, very_ample: bool = False) -> Bou
         entries.append(BoundEntry("harbourne", harb.bound, detail=harb))
     if k >= 2 and not is_square(k):
         plane = _plane_value_by_fractions(r)
-        factors = ProductFactors(pell_fundamental(k), fsst_applicable(k), plane)
+        sol = pell_fundamental(k)
+        factors = ProductFactors(sol, fsst_applicable(k), plane)
         entries.append(
             BoundEntry(
                 name="biran-product",
-                value=BoundValue(plane.bound.value * Surd(factors.single)),
+                value=BoundValue(plane.bound.value * Surd(Fraction(sol.p0 * k, sol.q0))),
                 conjectural=not factors.witness.applicable or plane.status is PlaneValueStatus.CONJECTURAL,
                 detail=factors,
             )

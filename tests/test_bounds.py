@@ -1,15 +1,13 @@
 """Bounds module tests: published comparison values and global invariants."""
 
 import hashlib
-import os
 import random
-import subprocess
 import sys
 import textwrap
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
+from conftest import run_python
 from hypothesis import given, strategies as st
 from oracles import (
     band_cutoff_by_steps,
@@ -252,7 +250,7 @@ class TestBiranProduct:
             for r in (2, 8, 9, 150, 10**4):
                 entry = next(e for e in compare_bounds(k, r).entries if e.name == "biran-product")
                 assert entry.value.value == biran_product_value(k, r), (k, r)
-                assert entry.detail.single == szemberg_single_point_bound(k)
+                assert entry.detail.pell.single_point_bound == szemberg_single_point_bound(k)
 
     def test_matches_the_fraction_product_to_k_200(self):
         for k in range(2, 201):
@@ -339,9 +337,9 @@ class TestCompareBounds:
         # and details.  It was taken from the Fraction-based Surd kernel, and
         # retaken when the records lost their prose fields (applicability,
         # attribution, annotation, winner, exceptional, note, form), and again
-        # when ProductFactors.single became a property read from the Pell
-        # solution: each time the old reprs with exactly those fields cut
-        # out hash to the new value.
+        # when the product's factor record stopped storing the single-point
+        # value p0*k/q0, which its Pell solution gives: each time the old
+        # reprs with exactly those fields cut out hash to the new value.
         digest = hashlib.sha256()
         for very_ample in (False, True):
             for k in range(1, 201):
@@ -387,7 +385,7 @@ class TestCompareBounds:
         assert by_name["harbourne"].detail == harbourne_bound(35, 101)
         assert by_name["szemberg-floor"].detail is None
         factors = by_name["biran-product"].detail
-        assert (factors.single, factors.pell.q0, factors.witness.n) == (Fraction(35, 6), 6, 6)
+        assert (factors.pell.single_point_bound, factors.pell.q0, factors.witness.n) == (Fraction(35, 6), 6, 6)
         assert factors.plane == nagata_plane_value(101)
 
 
@@ -522,9 +520,7 @@ class TestInvariantChecks:
                 raise SystemExit(0 if "unconditional {name} bound" in str(exc) else 2)
             raise SystemExit(1)
         """)
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True)
+        proc = run_python("-O", "-c", script)
         assert proc.returncode == 0, proc.stderr
 
 

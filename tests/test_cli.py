@@ -120,10 +120,10 @@ class TestPellCommand:
         # q0 has about 4500 digits: more than the interpreter converts to
         # str by default.  The limit is lifted only while main runs (and
         # Decimal parses past it).
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        limit = sys.get_int_max_str_digits()
         code, out, err = run_cli(capsys, "pell", "--k", "129813574", "--format", "json")
         assert (code, err) == (0, "")
-        assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+        assert sys.get_int_max_str_digits() == limit
         (rec,) = json_records(out)
         by_name = {e["name"]: e["exact"] for e in rec["entries"]}
         p0, q0 = (int(Decimal(by_name[n])) for n in ("fundamental-p0", "fundamental-q0"))
@@ -150,9 +150,9 @@ class TestExitCodes:
         if wrong_margin:
             han_margin = oracle.han_margin
             monkeypatch.setattr(oracle, "han_margin", lambda *args: han_margin(*args) - 1)
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        limit = sys.get_int_max_str_digits()
         assert run_cli(capsys, *argv.split())[0] == expected
-        assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+        assert sys.get_int_max_str_digits() == limit
 
 
 class TestSearchCommand:

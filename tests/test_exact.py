@@ -1,40 +1,21 @@
 """Exact kernel tests: isqrt, squarefree decomposition, surd order, rendering."""
 
 import copy
-import os
+import math
 import pickle
-import subprocess
-import sys
 import textwrap
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
+from conftest import run_python
 from hypothesis import given, strategies as st
 from oracles import FractionSurd, fraction_render_decimal, squarefree_trial_division
 
 from seshadri.exact import Surd, _sqrt_ratio, isqrt, render_decimal, squarefree_decompose
 
 
-class TestIsqrt:
-    def test_zero(self):
-        assert isqrt(0) == 0
-
-    def test_perfect_square(self):
-        assert isqrt(49) == 7
-
-    def test_3535(self):
-        # 59^2 = 3481 <= 3535 < 3600 = 60^2
-        assert isqrt(3535) == 59
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            isqrt(-1)
-
-    def test_exhaustive_to_a_million(self):
-        for n in range(10**6 + 1):
-            t = isqrt(n)
-            assert t * t <= n < (t + 1) * (t + 1)
+def test_isqrt_is_the_standard_library_one():
+    assert isqrt is math.isqrt
 
 
 class TestSquarefreeDecompose:
@@ -302,9 +283,7 @@ class TestOptimizedMode:
                     continue
                 raise SystemExit(f"case {i} did not raise {error.__name__}")
         """)
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True)
+        proc = run_python("-O", "-c", script)
         assert proc.returncode == 0, proc.stderr
 
 

@@ -95,17 +95,32 @@ BENCHMARK_K = [
 ]
 
 
+def single_point_fields(sol):
+    """(num, den, radicand) of sol's single-point bound."""
+    bound = sol.single_point_bound
+    return bound.num, bound.den, bound.radicand
+
+
+def fraction_fields(num, den):
+    """The reduced num/den as single_point_fields reads a rational Surd."""
+    reduced = Fraction(num, den)
+    return reduced.numerator, reduced.denominator, 1
+
+
 class TestAgainstPeriodWalk:
     def test_every_non_square_to_20000(self):
         # The solver walks half the period, the reference every convergent
         # up to the solution: odd periods solve at the end of the second
-        # period.
+        # period.  The single-point bound, built with no gcd, is the
+        # reduced Fraction of the reference's p0*k/q0.
         periods = set()
         for k in range(2, 20001):
             if isqrt(k) ** 2 == k:
                 continue
             sol = pell_fundamental(k)
-            assert (sol.p0, sol.q0) == pell_period_walk(k), k
+            p0, q0 = pell_period_walk(k)
+            assert (sol.p0, sol.q0) == (p0, q0), k
+            assert single_point_fields(sol) == fraction_fields(p0 * k, q0), k
             periods.add(period_length(k))
         assert {1, 2} <= periods
         assert {p % 2 for p in periods} == {0, 1}
@@ -123,8 +138,10 @@ class TestAgainstPeriodWalk:
     def test_benchmark_k_against_period_walk(self, k, bits):
         # k from the benchmark tables, with periods of thousands of terms
         sol = pell_fundamental(k)
-        assert (sol.p0, sol.q0) == pell_period_walk(k)
+        p0, q0 = pell_period_walk(k)
+        assert (sol.p0, sol.q0) == (p0, q0)
         assert sol.q0.bit_length() > bits
+        assert single_point_fields(sol) == fraction_fields(p0 * k, q0)
 
     def test_benchmark_k_take_both_closings(self):
         # An odd period closes through W W^T and squares a norm -1 unit.

@@ -6,20 +6,18 @@ import ast
 import dataclasses
 import importlib
 import inspect
-import os
-import subprocess
-import sys
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from conftest import run_python
 
 import seshadri
 
 MODULES = ("exact", "pell", "plane", "bounds", "walk", "oracle", "catalog")
-SRC = str(Path(__file__).resolve().parents[1] / "src")
-PACKAGE = Path(SRC) / "seshadri"
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "seshadri"
+PERFBENCH = ROOT / "perfbench"
 
 
 def reexports() -> dict[str, list[str]]:
@@ -33,10 +31,7 @@ def reexports() -> dict[str, list[str]]:
 def fresh_python(script: str) -> str:
     """stdout of `script` in a new interpreter without site, importing
     seshadri from this checkout."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-S", "-B", "-c", script], env=env, capture_output=True, text=True, timeout=60
-    )
+    proc = run_python("-S", "-B", "-c", script)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 

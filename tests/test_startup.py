@@ -6,17 +6,9 @@ cannot see either property: by the time they run, pytest has loaded
 every module of the package.
 """
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
+from conftest import run_python
 from test_golden import CASES, GOLDEN
-
-SRC = str(Path(__file__).resolve().parents[1] / "src")
-ENV = dict(os.environ)
-ENV["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
 
 # Runs the package as `python -m` does (its __main__ runs as "__main__",
 # not as seshadri.__main__), then reports every loaded module
@@ -26,12 +18,6 @@ REPORT_MODULES = (
     "atexit.register(lambda: print('modules', *sorted(sys.modules), file=sys.stderr))\n"
     "runpy.run_module('seshadri', run_name='__main__', alter_sys=True)\n"
 )
-
-
-def run(*args: str) -> subprocess.CompletedProcess:
-    return subprocess.run(
-        [sys.executable, "-S", "-B", *args], env=ENV, capture_output=True, text=True, timeout=60
-    )
 
 
 BASE = {"seshadri", "seshadri.cli", "seshadri.exact"}
@@ -54,7 +40,7 @@ LOADS = {
 
 
 def loaded_modules(argv: list[str]) -> set[str]:
-    proc = run("-c", REPORT_MODULES, *argv)
+    proc = run_python("-S", "-B", "-c", REPORT_MODULES, *argv)
     assert proc.returncode == 0, proc.stderr
     last = proc.stderr.splitlines()[-1].split()
     assert last[0] == "modules"
@@ -116,6 +102,6 @@ COLD_CASES = [
 
 @pytest.mark.parametrize("name,fmt", COLD_CASES, ids=[f"{n}.{f}" for n, f in COLD_CASES])
 def test_cold_process_matches_its_golden_file(name, fmt):
-    proc = run("-m", "seshadri", *CASES[name].split(), "--format", fmt)
+    proc = run_python("-S", "-B", "-m", "seshadri", *CASES[name].split(), "--format", fmt)
     got = f"exit {proc.returncode}\n-- stderr\n{proc.stderr}-- stdout\n{proc.stdout}"
     assert got.encode() == (GOLDEN / f"{name}.{fmt}").read_bytes()
