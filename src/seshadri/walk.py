@@ -7,13 +7,15 @@ the Ein-Lazarsfeld-Xu inequality
     d^2 * k  >=  m_1^2 + ... + m_s^2 - m_s        (k = L^2)
 
 and contributes the ratio d*k/(m_1 + ... + m_s) to the infimum defining
-the constant.  This module holds what every scan over such vectors
-shares: their validation, the EL-Xu test, the trichotomy that labels
-each configuration, the walk over the EL-Xu tree, and the closed form
-for its largest feasible sum.  On them it builds the minimum-ratio
-search, which walks only towards the vectors that reach the largest
-feasible sum for the d that attain the minimum, and enumerates nothing
-else.
+the constant.  The infimum may be taken over irreducible curves alone:
+since (a + b)/(c + d) >= min(a/c, b/d), a sum of curves never does
+better than its best component.  This module holds what every scan over
+such vectors shares: their validation, the EL-Xu test, the trichotomy
+that labels each configuration, the walk over the EL-Xu tree, and the
+closed form for its largest feasible sum.  On them it builds the
+minimum-ratio search, which walks only towards the vectors that reach
+the largest feasible sum for the d that attain the minimum, and
+enumerates nothing else.
 
 The verification suites (theorem, Han, K3) live in .oracle.  This
 module defines no dataclass, so the search command loads neither the

@@ -6,15 +6,13 @@ decimals, integer/rational comparison otherwise); there are no float
 tolerances anywhere.
 """
 
-import contextlib
 import functools
-import io
 import json
 from fractions import Fraction
 
+from conftest import run_cli
 from oracles import is_proper_power_of_smaller_solution, pell_brute_force
 
-import seshadri.cli as cli
 from seshadri.bounds import (
     compare_bounds,
     dominance_scan,
@@ -30,14 +28,6 @@ from seshadri.oracle import k3_h0, verify_han_exhaustive, verify_k3, verify_theo
 from seshadri.pell import pell_fundamental, szemberg_single_point_bound
 from seshadri.plane import nagata_plane_value
 from seshadri.walk import CaseLabel
-
-
-def cli_notes(*argv):
-    """The notes of the one JSON record the CLI prints for argv."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        assert cli.main([*argv, "--format", "json"]) == 0
-    return json.loads(out.getvalue())["notes"]
 
 
 def criterion(number, summary):
@@ -95,10 +85,11 @@ def test_criterion_3_k35_r101():
     report = compare_bounds(35, 101, very_ample=True)
     harb_entry = next(e for e in report.entries if e.name == "harbourne")
     assert {(59, 101), (35, 60)} <= {(e.num, e.den) for e in harb_entry.detail.elements}
-    notes = cli_notes("bounds", "--k", "35", "--r", "101", "--very-ample")
+    code, out, _ = run_cli("bounds", "--k", "35", "--r", "101", "--very-ample", "--format", "json")
+    assert code == 0
     assert any(
         note.startswith("harbourne: ") and "35/60" in note and "59/101" in note and "smaller" in note
-        for note in notes
+        for note in json.loads(out)["notes"]
     )
 
 
@@ -108,7 +99,9 @@ def test_criterion_4_two_six_edge_case():
     assert res.bound.value == Surd(Fraction(3, 2))
     assert res.bound.value < generic_lower_value(6, 2)
     assert not res.bound.conditional
-    assert any("multiplicity two" in note for note in cli_notes("bounds", "--k", "6", "--r", "2"))
+    code, out, _ = run_cli("bounds", "--k", "6", "--r", "2", "--format", "json")
+    assert code == 0
+    assert any("multiplicity two" in note for note in json.loads(out)["notes"])
 
 
 @criterion(5, "plane values for r <= 9 and the two exceptional candidates")
@@ -128,9 +121,9 @@ def test_criterion_5_plane_conformance():
         assert res.bound.value == value, (r, value)
     nine = nagata_plane_value(9)
     assert nine.status.value == "proved-square"
-    assert any(  # misprint recorded
-        note.startswith("r=9: ") and "3" in note for note in cli_notes("p2-table", "--r-max", "9")
-    )
+    code, out, _ = run_cli("p2-table", "--r-max", "9", "--format", "json")
+    assert code == 0
+    assert any(note.startswith("r=9: ") and "3" in note for note in json.loads(out)["notes"])  # misprint
 
     assert [(c.d, c.s, c.value) for c in enumerate_exceptional_candidates(1, 2)] == [
         (1, 2, Fraction(1, 2))

@@ -1,12 +1,10 @@
 """Surface catalog tests."""
 
-import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-import seshadri.cli as cli
 from seshadri.bounds import upper_bound
 from seshadri.catalog import SurfaceKind, SurfaceSyntaxError, make_surface, known_value, parse_surface
 from seshadri.plane import PlaneValueStatus
@@ -34,12 +32,10 @@ class TestMakeSurface:
         s = make_surface(SurfaceKind.ABELIAN_TYPE_1D, 3)
         assert s.k == 6 and not s.very_ample
 
-    def test_custom_flags_assumption(self, capsys):
+    def test_custom_flags_assumption(self):
+        # the CLI's caveat note is pinned by the golden case bounds-surface-custom
         s = make_surface(SurfaceKind.CUSTOM, 35, very_ample=True)
         assert s.k == 35 and s.very_ample
-        assert cli.main(["bounds", "--surface", s.label(), "--r", "101", "--format", "json"]) == 0
-        notes = json.loads(capsys.readouterr().out)["notes"]
-        assert any("assumption" in n for n in notes)
 
     @given(st.integers(min_value=1, max_value=500))
     def test_kind_invariants_hold_for_any_parameter(self, p):

@@ -1,7 +1,5 @@
 """CLI contract tests: values, formats, exit codes, determinism."""
 
-import contextlib
-import io
 import json
 import subprocess
 import sys
@@ -9,9 +7,9 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from conftest import run_cli
 from hypothesis import assume, given, settings, strategies as st
 
-import seshadri.cli as cli
 import seshadri.oracle as oracle
 import seshadri.walk as walk
 from oracles import K3_SECTION_COUNTS, k3_failures_by_pair
@@ -20,20 +18,14 @@ from seshadri.inequalities import is_square
 from seshadri.oracle import HanScan
 
 
-def run_cli(capsys, *argv):
-    code = cli.main(list(argv))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
-
-
 def json_records(out):
     return [json.loads(line) for line in out.splitlines()]
 
 
 class TestBoundsCommand:
-    def test_floor_comparison_values(self, capsys):
+    def test_floor_comparison_values(self):
         code, out, _ = run_cli(
-            capsys, "bounds", "--k", "150", "--r", "10", "--surface", "hyp:150",
+            "bounds", "--k", "150", "--r", "10", "--surface", "hyp:150",
             "--digits", "2", "--format", "json",
         )
         assert code == 0
@@ -42,9 +34,9 @@ class TestBoundsCommand:
         assert by_name["main"]["decimal"] == "3.72"
         assert by_name["szemberg-floor"]["exact"] == "3"
 
-    def test_k35_r101_record(self, capsys):
+    def test_k35_r101_record(self):
         code, out, _ = run_cli(
-            capsys, "bounds", "--k", "35", "--r", "101",
+            "bounds", "--k", "35", "--r", "101",
             "--surface", "custom:35,va", "--format", "json",
         )
         assert code == 0
@@ -57,78 +49,76 @@ class TestBoundsCommand:
         joined = " ".join(rec["notes"])
         assert "35/60" in joined and "59/101" in joined
 
-    def test_surface_k_conflict_is_usage_error(self, capsys):
-        code, _, err = run_cli(capsys, "bounds", "--k", "5", "--r", "2", "--surface", "p2")
+    def test_surface_k_conflict_is_usage_error(self):
+        code, _, err = run_cli("bounds", "--k", "5", "--r", "2", "--surface", "p2")
         assert code == 1 and "conflicts" in err
 
     @pytest.mark.parametrize("surface", ["custom:35", "k3:2", "ab:3"])
-    def test_very_ample_flag_on_a_surface_that_is_not_is_usage_error(self, capsys, surface):
-        code, out, err = run_cli(capsys, "bounds", "--r", "101", "--surface", surface, "--very-ample")
+    def test_very_ample_flag_on_a_surface_that_is_not_is_usage_error(self, surface):
+        code, out, err = run_cli("bounds", "--r", "101", "--surface", surface, "--very-ample")
         assert (code, out) == (1, "")
         assert f"--very-ample conflicts with surface {surface}" in err and ",va" in err
 
     @pytest.mark.parametrize("surface", ["custom:35,va", "p2", "k3:4", "hyp:5"])
-    def test_very_ample_flag_agrees_with_a_very_ample_surface(self, capsys, surface):
-        code, with_flag, _ = run_cli(capsys, "bounds", "--r", "10", "--surface", surface, "--very-ample")
+    def test_very_ample_flag_agrees_with_a_very_ample_surface(self, surface):
+        code, with_flag, _ = run_cli("bounds", "--r", "10", "--surface", surface, "--very-ample")
         assert code == 0
-        assert run_cli(capsys, "bounds", "--r", "10", "--surface", surface) == (0, with_flag, "")
+        assert run_cli("bounds", "--r", "10", "--surface", surface) == (0, with_flag, "")
 
-    def test_malformed_surface_is_usage_error(self, capsys):
-        code, _, _ = run_cli(capsys, "bounds", "--r", "2", "--surface", "weird:3")
+    def test_malformed_surface_is_usage_error(self):
+        code, _, _ = run_cli("bounds", "--r", "2", "--surface", "weird:3")
         assert code == 1
 
-    def test_plane_with_an_empty_parameter_is_usage_error(self, capsys):
-        code, out, err = run_cli(capsys, "bounds", "--k", "1", "--r", "2", "--surface", "p2:")
+    def test_plane_with_an_empty_parameter_is_usage_error(self):
+        code, out, err = run_cli("bounds", "--k", "1", "--r", "2", "--surface", "p2:")
         assert (code, out) == (1, "") and "p2 takes no parameter" in err
 
-    def test_invalid_surface_parameter_is_domain_error(self, capsys):
+    def test_invalid_surface_parameter_is_domain_error(self):
         # syntactically fine, mathematically invalid (degree must be >= 4)
-        code, _, _ = run_cli(capsys, "bounds", "--r", "2", "--surface", "hyp:3")
+        code, _, _ = run_cli("bounds", "--r", "2", "--surface", "hyp:3")
         assert code == 2
 
-    def test_exact_strings_round_trip(self, capsys):
-        _, out, _ = run_cli(
-            capsys, "bounds", "--k", "35", "--r", "101", "--format", "json"
-        )
+    def test_exact_strings_round_trip(self):
+        _, out, _ = run_cli("bounds", "--k", "35", "--r", "101", "--format", "json")
         (rec,) = json_records(out)
         for e in rec["entries"]:
             s = Surd.from_string(e["exact"])
             assert str(s) == e["exact"]
 
     @pytest.mark.parametrize("digits", ["0", "-2"])
-    def test_digits_below_one_is_usage_error(self, capsys, digits):
+    def test_digits_below_one_is_usage_error(self, digits):
         for argv in (
             ("bounds", "--k", "5", "--r", "4"),
             ("pell", "--k", "7"),
             ("search", "--k", "1", "--r", "5", "--d-max", "1"),
             ("p2-table",),
         ):
-            code, out, err = run_cli(capsys, *argv, "--digits", digits)
+            code, out, err = run_cli(*argv, "--digits", digits)
             assert (code, out) == (1, "")
             assert f"--digits: must be >= 1, got {digits}" in err
 
 
 class TestPellCommand:
-    def test_k2(self, capsys):
-        code, out, _ = run_cli(capsys, "pell", "--k", "2", "--format", "json")
+    def test_k2(self):
+        code, out, _ = run_cli("pell", "--k", "2", "--format", "json")
         (rec,) = json_records(out)
         by_name = {e["name"]: e for e in rec["entries"]}
         assert (by_name["fundamental-p0"]["exact"], by_name["fundamental-q0"]["exact"]) == ("2", "3")
         assert by_name["single-point-bound"]["exact"] == "4/3"
 
-    def test_solution_past_int_str_limit(self, capsys):
+    def test_solution_past_int_str_limit(self):
         # q0 has about 4500 digits: more than the interpreter converts to
         # str by default.  The limit is lifted only while main runs (and
         # Decimal parses past it).
         limit = sys.get_int_max_str_digits()
-        code, out, err = run_cli(capsys, "pell", "--k", "129813574", "--format", "json")
+        code, out, err = run_cli("pell", "--k", "129813574", "--format", "json")
         assert (code, err) == (0, "")
         assert sys.get_int_max_str_digits() == limit
         (rec,) = json_records(out)
         by_name = {e["name"]: e["exact"] for e in rec["entries"]}
         p0, q0 = (int(Decimal(by_name[n])) for n in ("fundamental-p0", "fundamental-q0"))
         assert q0 * q0 - 129813574 * p0 * p0 == 1
-        code, out, err = run_cli(capsys, "bounds", "--k", "129813574", "--r", "150")
+        code, out, err = run_cli("bounds", "--k", "129813574", "--r", "150")
         assert (code, err) == (0, "")
         assert "note: biran-product: single-point factor" in out
 
@@ -146,55 +136,53 @@ class TestExitCodes:
             ("verify --suite han --s-max 3 --m-max 2", 3, True),
         ],
     )
-    def test_every_exit_restores_the_digit_limit(self, capsys, monkeypatch, argv, expected, wrong_margin):
+    def test_every_exit_restores_the_digit_limit(self, monkeypatch, argv, expected, wrong_margin):
         if wrong_margin:
             han_margin = oracle.han_margin
             monkeypatch.setattr(oracle, "han_margin", lambda *args: han_margin(*args) - 1)
         limit = sys.get_int_max_str_digits()
-        assert run_cli(capsys, *argv.split())[0] == expected
+        assert run_cli(*argv.split())[0] == expected
         assert sys.get_int_max_str_digits() == limit
 
 
 class TestSearchCommand:
-    def test_two_six_witness(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "search", "--k", "6", "--r", "2", "--d-max", "2", "--format", "json"
-        )
+    def test_two_six_witness(self):
+        code, out, _ = run_cli("search", "--k", "6", "--r", "2", "--d-max", "2", "--format", "json")
         (rec,) = json_records(out)
         by_name = {e["name"]: e for e in rec["entries"]}
         assert by_name["minimum"]["exact"] == "3/2"
         assert by_name["witness-1"]["flags"] == ["two-six"]
 
-    def test_d_max_required(self, capsys):
-        code, _, _ = run_cli(capsys, "search", "--k", "1", "--r", "5")
+    def test_d_max_required(self):
+        code, _, _ = run_cli("search", "--k", "1", "--r", "5")
         assert code == 1
 
-    def test_empty_box_is_usage_error(self, capsys, monkeypatch):
+    def test_empty_box_is_usage_error(self, monkeypatch):
         # rejected while parsing, before any search runs
         monkeypatch.setattr(walk, "min_ratio_search", lambda *a: pytest.fail("searched"))
-        code, out, err = run_cli(capsys, "search", "--k", "1", "--r", "2", "--d-max", "0")
+        code, out, err = run_cli("search", "--k", "1", "--r", "2", "--d-max", "0")
         assert (code, out) == (1, "")
         assert "argument --d-max: must be >= 1, got 0" in err
 
     @pytest.mark.parametrize("r", ["1", "0", "-3"])
-    def test_r_below_two_is_usage_error(self, capsys, monkeypatch, r):
+    def test_r_below_two_is_usage_error(self, monkeypatch, r):
         # rejected while parsing, before any search runs
         monkeypatch.setattr(walk, "min_ratio_search", lambda *a: pytest.fail("searched"))
-        code, out, err = run_cli(capsys, "search", "--k", "1", "--r", r, "--d-max", "1")
+        code, out, err = run_cli("search", "--k", "1", "--r", r, "--d-max", "1")
         assert (code, out) == (1, "")
         assert f"argument --r: must be >= 2, got {r}" in err
 
-    def test_search_guard_fires_on_a_valid_box(self, capsys, monkeypatch):
+    def test_search_guard_fires_on_a_valid_box(self, monkeypatch):
         # The guard of the two tests above, on a box that parses: the
         # command searches through the patched name, so the guard fires.
         monkeypatch.setattr(walk, "min_ratio_search", lambda *a: pytest.fail("searched"))
         with pytest.raises(pytest.fail.Exception, match="searched"):
-            run_cli(capsys, "search", "--k", "1", "--r", "2", "--d-max", "1")
+            run_cli("search", "--k", "1", "--r", "2", "--d-max", "1")
 
-    def test_long_vectors_do_not_exhaust_the_stack(self, capsys):
+    def test_long_vectors_do_not_exhaust_the_stack(self):
         # the witness has 1200 entries, past the default recursion limit
         code, out, _ = run_cli(
-            capsys, "search", "--k", "2000", "--r", "1200", "--d-max", "1", "--m-max", "1",
+            "search", "--k", "2000", "--r", "1200", "--d-max", "1", "--m-max", "1",
             "--format", "json",
         )
         assert code == 0
@@ -203,18 +191,16 @@ class TestSearchCommand:
         assert by_name["minimum"]["exact"] == "5/3"
         assert by_name["witness-1"]["applicability"] == "d=1, m=(" + ",".join(["1"] * 1200) + ")"
 
-    def test_caveat_note_present(self, capsys):
-        _, out, _ = run_cli(
-            capsys, "search", "--k", "1", "--r", "2", "--d-max", "1", "--format", "json"
-        )
+    def test_caveat_note_present(self):
+        _, out, _ = run_cli("search", "--k", "1", "--r", "2", "--d-max", "1", "--format", "json")
         (rec,) = json_records(out)
         assert any("candidate-level" in n for n in rec["notes"])
 
 
 class TestVerifyCommand:
-    def test_theorem_suite_passes(self, capsys):
+    def test_theorem_suite_passes(self):
         code, out, _ = run_cli(
-            capsys, "verify", "--suite", "theorem", "--k-max", "10", "--r-max", "6",
+            "verify", "--suite", "theorem", "--k-max", "10", "--r-max", "6",
             "--d-max", "3", "--m-max", "6", "--format", "json",
         )
         assert code == 0
@@ -222,10 +208,10 @@ class TestVerifyCommand:
         by_name = {e["name"]: e for e in rec["entries"]}
         assert by_name["violations"]["exact"] == "0"
 
-    def test_theorem_suite_fails_without_the_two_six_exception(self, capsys, monkeypatch):
+    def test_theorem_suite_fails_without_the_two_six_exception(self, monkeypatch):
         monkeypatch.setattr(oracle, "_is_two_six", lambda d, k, m: False)
         code, out, _ = run_cli(
-            capsys, "verify", "--suite", "theorem", "--k-max", "6", "--r-max", "2",
+            "verify", "--suite", "theorem", "--k-max", "6", "--r-max", "2",
             "--d-max", "1", "--m-max", "2", "--format", "json",
         )
         assert code == 3
@@ -236,9 +222,9 @@ class TestVerifyCommand:
             ("violation", "3/2", "d=1, k=6, r=2, m=(2, 2)"),
         ]
 
-    def test_han_suite_passes(self, capsys):
+    def test_han_suite_passes(self):
         code, out, _ = run_cli(
-            capsys, "verify", "--suite", "han", "--s-max", "4", "--m-max", "6",
+            "verify", "--suite", "han", "--s-max", "4", "--m-max", "6",
             "--format", "json",
         )
         assert code == 0
@@ -247,18 +233,18 @@ class TestVerifyCommand:
         assert "equality-witness" in names
 
     @pytest.mark.parametrize("k_max,r_max", [(1, 2), (1, 6), (10, 2)])
-    def test_k3_suite_without_pairs_is_usage_error(self, capsys, k_max, r_max):
+    def test_k3_suite_without_pairs_is_usage_error(self, k_max, r_max):
         code, out, err = run_cli(
-            capsys, "verify", "--suite", "k3", "--k-max", str(k_max), "--r-max", str(r_max),
+            "verify", "--suite", "k3", "--k-max", str(k_max), "--r-max", str(r_max),
         )
         assert (code, out) == (1, "")
         assert "k3 suite" in err
 
-    def test_k3_suite_fails_on_wrong_section_count(self, capsys, monkeypatch):
+    def test_k3_suite_fails_on_wrong_section_count(self, monkeypatch):
         monkeypatch.setattr(oracle, "k3_h0", lambda d, k: d * d * k + 100)
         scan = oracle.verify_k3(4, 10, 3)
         code, out, _ = run_cli(
-            capsys, "verify", "--suite", "k3", "--k-max", "4", "--r-max", "10",
+            "verify", "--suite", "k3", "--k-max", "4", "--r-max", "10",
             "--d-max", "3", "--format", "json",
         )
         assert code == 3
@@ -275,11 +261,11 @@ class TestVerifyCommand:
         pytest.param("d2k+2", 380, id="d2k+2-box7-380"),
         pytest.param("d2k+1", 0, id="d2k+1-box10-0"),
     ])
-    def test_k3_suite_matches_the_pair_by_pair_replay(self, capsys, monkeypatch, patch, failing):
+    def test_k3_suite_matches_the_pair_by_pair_replay(self, monkeypatch, patch, failing):
         # Under each wrong section count the rows list the reference's failing pairs in order.
         monkeypatch.setattr(oracle, "k3_h0", K3_SECTION_COUNTS[patch])
         expected = k3_failures_by_pair(60, 40, 4)
-        code, out, _ = run_cli(capsys, "verify", "--suite", "k3", "--k-max", "60", "--r-max",
+        code, out, _ = run_cli("verify", "--suite", "k3", "--k-max", "60", "--r-max",
                                "40", "--d-max", "4", "--format", "json")
         (rec,) = json_records(out)
         by_name = {e["name"]: e["exact"] for e in rec["entries"]}
@@ -288,25 +274,25 @@ class TestVerifyCommand:
         assert len(expected) == failing and by_name["exclusion-failures"] == str(failing)
         assert (by_name["pairs-checked"], code) == (str(30 * 38), 3 if failing else 0)
 
-    def test_counterexample_exits_3(self, capsys, monkeypatch):
+    def test_counterexample_exits_3(self, monkeypatch):
         fake = HanScan(1, ((3, 1),), ())
         monkeypatch.setattr(oracle, "verify_han_exhaustive", lambda s, m: fake)
         code, out, _ = run_cli(
-            capsys, "verify", "--suite", "han", "--s-max", "2", "--m-max", "2",
+            "verify", "--suite", "han", "--s-max", "2", "--m-max", "2",
             "--format", "json",
         )
         assert code == 3
         (rec,) = json_records(out)
         assert any(e["name"] == "counterexample" for e in rec["entries"])
 
-    def test_han_suite_fails_on_a_wrong_margin(self, capsys, monkeypatch):
+    def test_han_suite_fails_on_a_wrong_margin(self, monkeypatch):
         # One less margin turns the equality case (2, 2, 2) into a
         # counterexample; every other applicable vector of the box keeps a
         # positive margin.
         han_margin = oracle.han_margin
         monkeypatch.setattr(oracle, "han_margin", lambda *args: han_margin(*args) - 1)
         code, out, _ = run_cli(
-            capsys, "verify", "--suite", "han", "--s-max", "3", "--m-max", "2",
+            "verify", "--suite", "han", "--s-max", "3", "--m-max", "2",
             "--format", "json",
         )
         assert code == 3
@@ -332,32 +318,32 @@ class TestUsageFloors:
             ("pell --k -3", "--k", 2),
         ],
     )
-    def test_below_floor(self, capsys, command, flag, floor):
+    def test_below_floor(self, command, flag, floor):
         value = command.split()[-1]
-        code, out, err = run_cli(capsys, *command.split())
+        code, out, err = run_cli(*command.split())
         assert (code, out) == (1, "")
         assert f"argument {flag}: must be >= {floor}, got {value}" in err
 
-    def test_non_integer_is_usage_error(self, capsys):
-        code, out, err = run_cli(capsys, "bounds", "--k", "abc", "--r", "2")
+    def test_non_integer_is_usage_error(self):
+        code, out, err = run_cli("bounds", "--k", "abc", "--r", "2")
         assert (code, out) == (1, "")
         assert "argument --k: expected an integer, got 'abc'" in err
 
-    def test_han_m_max_floor(self, capsys, monkeypatch):
+    def test_han_m_max_floor(self, monkeypatch):
         monkeypatch.setattr(oracle, "verify_han_exhaustive", lambda *a: pytest.fail("scanned"))
-        code, out, err = run_cli(capsys, "verify", "--suite", "han", "--m-max", "1")
+        code, out, err = run_cli("verify", "--suite", "han", "--m-max", "1")
         assert (code, out) == (1, "")
         assert "the han suite needs --m-max >= 2, got 1" in err
 
     @pytest.mark.parametrize("surface", ["hyp:3", "k3:3"])
-    def test_surface_outside_its_domain_stays_a_domain_error(self, capsys, surface):
-        code, out, _ = run_cli(capsys, "bounds", "--surface", surface, "--r", "3")
+    def test_surface_outside_its_domain_stays_a_domain_error(self, surface):
+        code, out, _ = run_cli("bounds", "--surface", surface, "--r", "3")
         assert (code, out) == (2, "")
 
 
 class TestP2Table:
-    def test_values_and_statuses(self, capsys):
-        code, out, _ = run_cli(capsys, "p2-table", "--format", "json")
+    def test_values_and_statuses(self):
+        code, out, _ = run_cli("p2-table", "--format", "json")
         assert code == 0
         (rec,) = json_records(out)
         by_name = {e["name"]: e for e in rec["entries"]}
@@ -368,33 +354,33 @@ class TestP2Table:
         assert any("misprint" in n for n in rec["notes"])
 
     @pytest.mark.parametrize("r_max", ["-1"])
-    def test_empty_table_is_usage_error(self, capsys, r_max):
-        code, out, err = run_cli(capsys, "p2-table", "--r-max", r_max)
+    def test_empty_table_is_usage_error(self, r_max):
+        code, out, err = run_cli("p2-table", "--r-max", r_max)
         assert (code, out) == (1, "")
         assert "--r-max: must be >= 1" in err
 
 
 class TestFormatsAndDeterminism:
-    def test_output_ignores_the_environment(self, capsys, monkeypatch):
+    def test_output_ignores_the_environment(self, monkeypatch):
         # argv alone decides the format
         monkeypatch.delenv("SESHADRI_FORMAT", raising=False)
-        expected = run_cli(capsys, "pell", "--k", "2")
+        expected = run_cli("pell", "--k", "2")
         assert expected[1].startswith("pell k=2\n")
         monkeypatch.setenv("SESHADRI_FORMAT", "json")
-        assert run_cli(capsys, "pell", "--k", "2") == expected
+        assert run_cli("pell", "--k", "2") == expected
 
     @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
-    def test_byte_identical_reruns(self, capsys, fmt):
+    def test_byte_identical_reruns(self, fmt):
         args = ("bounds", "--k", "35", "--r", "101", "--surface", "custom:35,va",
                 "--format", fmt)
-        _, out1, _ = run_cli(capsys, *args)
-        _, out2, _ = run_cli(capsys, *args)
+        _, out1, _ = run_cli(*args)
+        _, out2, _ = run_cli(*args)
         assert out1 == out2
 
-    def test_text_is_same_record_as_json(self, capsys):
+    def test_text_is_same_record_as_json(self):
         # every exact value in the JSON record appears in the text rendering
-        _, text_out, _ = run_cli(capsys, "bounds", "--k", "35", "--r", "101")
-        _, json_out, _ = run_cli(capsys, "bounds", "--k", "35", "--r", "101", "--format", "json")
+        _, text_out, _ = run_cli("bounds", "--k", "35", "--r", "101")
+        _, json_out, _ = run_cli("bounds", "--k", "35", "--r", "101", "--format", "json")
         (rec,) = json_records(json_out)
         for e in rec["entries"]:
             assert e["exact"] in text_out
@@ -436,11 +422,9 @@ class TestProperties:
     @settings(max_examples=60)
     @given(value_commands, digits_args)
     def test_exact_parses_and_decimal_brackets_it(self, argv, digits):
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            code = cli.main(argv + digits + ["--format", "json"])
+        code, out, _ = run_cli(*argv, *digits, "--format", "json")
         assert code == 0
-        entries = [e for rec in json_records(out.getvalue()) for e in rec["entries"]]
+        entries = [e for rec in json_records(out) for e in rec["entries"]]
         assert entries
         for e in entries:
             value = Surd.from_string(e["exact"])
@@ -460,10 +444,9 @@ class TestProperties:
         form = f"{n}^2{'+' if sign > 0 else '-'}1"
         notes = {}
         for argv in (["pell", "--k", str(k)], ["bounds", "--k", str(k), "--r", str(r)]):
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out):
-                assert cli.main(argv + ["--format", "json"]) == 0
-            (rec,) = json_records(out.getvalue())
+            code, out, _ = run_cli(*argv, "--format", "json")
+            (rec,) = json_records(out)
+            assert code == 0
             notes[argv[0]] = rec["notes"]
         assert f"k = {k} = {form}: bound is a proven case" in notes["pell"]
         assert f"biran-product: single-point bound proven: k = {k} = {form}" in notes["bounds"]

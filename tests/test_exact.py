@@ -287,22 +287,6 @@ class TestOptimizedMode:
         assert proc.returncode == 0, proc.stderr
 
 
-class TestMediantProperty:
-    """(a+b)/(c+d) >= min(a/c, b/d) justifies restricting the defining
-    infimum to irreducible curves: a sum of curves never does better than
-    its best component."""
-
-    @given(
-        st.integers(1, 10**6),
-        st.integers(1, 10**6),
-        st.integers(1, 10**6),
-        st.integers(1, 10**6),
-    )
-    def test_mediant_at_least_min(self, a, c, b, d):
-        mediant = Fraction(a + b, c + d)
-        assert mediant >= min(Fraction(a, c), Fraction(b, d))
-
-
 class TestRenderDecimal:
     def test_main_bound_at_150_10(self):
         assert render_decimal(Surd.sqrt(Fraction(180, 13)), 2) == "3.72"

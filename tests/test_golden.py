@@ -9,13 +9,10 @@ intended output change, rewrite the files with
 and review the diff.
 """
 
-import contextlib
-import io
 from pathlib import Path
 
 import pytest
-
-import seshadri.cli as cli
+from conftest import run_cli
 
 GOLDEN = Path(__file__).parent / "golden"
 FORMATS = ("text", "json", "csv")
@@ -90,11 +87,9 @@ CASES = {
 }
 
 
-def transcript(argv: list[str]) -> str:
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
-    return f"exit {code}\n-- stderr\n{err.getvalue()}-- stdout\n{out.getvalue()}"
+def transcript(code: int, out: str, err: str) -> str:
+    """The golden file's layout: the exit code, then stderr, then stdout."""
+    return f"exit {code}\n-- stderr\n{err}-- stdout\n{out}"
 
 
 def golden_runs():
@@ -108,10 +103,10 @@ def golden_runs():
 )
 def test_golden(name, fmt, argv):
     expected = (GOLDEN / f"{name}.{fmt}").read_bytes()
-    assert transcript(argv).encode() == expected
+    assert transcript(*run_cli(*argv)).encode() == expected
 
 
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, fmt, argv in golden_runs():
-        (GOLDEN / f"{name}.{fmt}").write_bytes(transcript(argv).encode())
+        (GOLDEN / f"{name}.{fmt}").write_bytes(transcript(*run_cli(*argv)).encode())

@@ -4,6 +4,7 @@ holds the fields pinned here."""
 
 import ast
 import dataclasses
+import doctest
 import importlib
 import inspect
 from pathlib import Path
@@ -100,6 +101,15 @@ def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="'seshadri' has no attribute 'nope'"):
         seshadri.nope
     assert not hasattr(seshadri, "nope")
+
+
+def test_readme_library_example_runs():
+    # each line of the README's library example prints what it shows
+    failed, tried = doctest.testfile(
+        str(ROOT / "README.md"), module_relative=False, encoding="utf-8",
+        optionflags=doctest.NORMALIZE_WHITESPACE,
+    )
+    assert tried > 0 and failed == 0
 
 
 def test_bare_import_loads_no_submodule():

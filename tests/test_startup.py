@@ -1,18 +1,18 @@
-"""Cold start: what a `python -m seshadri` process loads, and what it prints.
+"""Cold start: what a `python -m seshadri` process prints, and what it loads.
 
-Each test runs fresh interpreters with -S, so that no site hook preloads
+Each case runs one fresh interpreter with -S, so that no site hook preloads
 modules, and -B, so that no bytecode is written.  The in-process tests
-cannot see either property: by the time they run, pytest has loaded
+cannot see what a process loads: by the time they run, pytest has loaded
 every module of the package.
 """
 
 import pytest
 from conftest import run_python
-from test_golden import CASES, GOLDEN
+from test_golden import CASES, GOLDEN, transcript
 
 # Runs the package as `python -m` does (its __main__ runs as "__main__",
-# not as seshadri.__main__), then reports every loaded module
-# on stderr after the command has exited.
+# not as seshadri.__main__), then reports every loaded module on the last
+# line of stderr after the command has exited.
 REPORT_MODULES = (
     "import atexit, runpy, sys\n"
     "atexit.register(lambda: print('modules', *sorted(sys.modules), file=sys.stderr))\n"
@@ -24,53 +24,18 @@ BASE = {"seshadri", "seshadri.cli", "seshadri.exact"}
 PLANE = BASE | {"seshadri.inequalities", "seshadri.plane"}
 WALK = BASE | {"seshadri.inequalities", "seshadri.walk"}
 BOUND_LAYER = PLANE | {"seshadri.bounds", "seshadri.pell"}
-ORACLE = WALK | {"seshadri.oracle"}
 
+# The package modules of each subcommand; --surface adds catalog.
 LOADS = {
-    "bounds --k 35 --r 101 --very-ample": BOUND_LAYER,
-    "bounds --surface custom:35,va --r 101": BOUND_LAYER | {"seshadri.catalog"},
-    "pell --k 35": BASE | {"seshadri.pell"},
-    "search --k 1 --r 5 --d-max 3": WALK,
-    "verify --suite theorem --k-max 4 --r-max 4 --d-max 2 --m-max 4": ORACLE,
-    "verify --suite han --s-max 4 --m-max 4": ORACLE,
-    "verify --suite k3 --k-max 4 --r-max 4 --d-max 2": ORACLE,
-    "threshold --r 10 --k-cap 10000": BOUND_LAYER,
-    "p2-table --r-max 9": PLANE,
+    "bounds": BOUND_LAYER,
+    "threshold": BOUND_LAYER,
+    "pell": BASE | {"seshadri.pell"},
+    "search": WALK,
+    "verify": WALK | {"seshadri.oracle"},
+    "p2-table": PLANE,
 }
-
-
-def loaded_modules(argv: list[str]) -> set[str]:
-    proc = run_python("-S", "-B", "-c", REPORT_MODULES, *argv)
-    assert proc.returncode == 0, proc.stderr
-    last = proc.stderr.splitlines()[-1].split()
-    assert last[0] == "modules"
-    return set(last[1:])
-
-
-@pytest.mark.parametrize("command", sorted(LOADS))
-def test_each_subcommand_loads_only_its_own_modules(command):
-    loaded = loaded_modules(command.split() + ["--format", "text"])
-    assert {m for m in loaded if m.startswith("seshadri")} == LOADS[command]
-    assert not {"json", "csv"} & loaded  # text output needs neither
-
-
-def test_pell_loads_no_dataclasses():
-    # PellSolution is a __slots__ class; the pell command's other modules
-    # define no dataclass either.
-    assert "dataclasses" not in loaded_modules(["pell", "--k", "35", "--format", "text"])
-
-
-@pytest.mark.parametrize("command", ["p2-table --r-max 9", "search --k 1 --r 5 --d-max 3"])
-def test_plane_and_walk_commands_load_no_dataclasses(command):
-    # The plane values and the search are defined apart from the bound
-    # layer's and the suites' dataclass records.
-    assert "dataclasses" not in loaded_modules(command.split() + ["--format", "text"])
-
-
-@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
-def test_json_and_csv_load_only_for_their_own_format(fmt):
-    loaded = loaded_modules(["pell", "--k", "35", "--format", fmt])
-    assert {"json", "csv"} & loaded == ({fmt} - {"text"})
+# The subcommands whose result records are dataclasses.
+LOADS_DATACLASSES = {"bounds", "threshold", "verify"}
 
 
 # Each subcommand in each format, with --surface and --all-digits, every
@@ -102,6 +67,18 @@ COLD_CASES = [
 
 @pytest.mark.parametrize("name,fmt", COLD_CASES, ids=[f"{n}.{f}" for n, f in COLD_CASES])
 def test_cold_process_matches_its_golden_file(name, fmt):
-    proc = run_python("-S", "-B", "-m", "seshadri", *CASES[name].split(), "--format", fmt)
-    got = f"exit {proc.returncode}\n-- stderr\n{proc.stderr}-- stdout\n{proc.stdout}"
+    argv = CASES[name].split() + ["--format", fmt]
+    proc = run_python("-S", "-B", "-c", REPORT_MODULES, *argv)
+    *stderr, report = proc.stderr.splitlines(keepends=True)
+    got = transcript(proc.returncode, proc.stdout, "".join(stderr))
     assert got.encode() == (GOLDEN / f"{name}.{fmt}").read_bytes()
+
+    tag, *modules = report.split()
+    loaded, command = set(modules), argv[0]
+    assert tag == "modules"
+    assert {m for m in loaded if m.startswith("seshadri")} == LOADS[command] | (
+        {"seshadri.catalog"} if "--surface" in argv else set()
+    )
+    assert ("dataclasses" in loaded) == (command in LOADS_DATACLASSES)
+    # text output needs neither, and a run that prints no record loads neither
+    assert {"json", "csv"} & loaded == ({fmt} - {"text"} if proc.stdout else set())
