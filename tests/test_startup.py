@@ -1,10 +1,12 @@
 """Cold start: what a `python -m seshadri` process prints, and what it loads.
 
-Each case runs one fresh interpreter with -S, so that no site hook preloads
-modules, and -B, so that no bytecode is written.  The in-process tests
-cannot see what a process loads: by the time they run, pytest has loaded
-every module of the package.
+Each argv runs one fresh interpreter with -S, so that no site hook preloads
+modules, and -B, so that no bytecode is written; tests that read the same
+argv share its run.  The in-process tests cannot see what a process loads:
+by the time they run, pytest has loaded every module of the package.
 """
+
+import functools
 
 import pytest
 from conftest import run_python
@@ -38,6 +40,70 @@ LOADS = {
 LOADS_DATACLASSES = {"bounds", "threshold", "verify"}
 
 
+@functools.cache
+def cold_run(*argv: str) -> tuple[int, str, str, frozenset[str]]:
+    """The exit code, stdout and stderr of `python -m seshadri *argv` in a
+    fresh interpreter, and the modules it had loaded when it exited."""
+    proc = run_python("-S", "-B", "-c", REPORT_MODULES, *argv)
+    *stderr, report = proc.stderr.splitlines(keepends=True)
+    tag, *modules = report.split()
+    assert tag == "modules"
+    return proc.returncode, proc.stdout, "".join(stderr), frozenset(modules)
+
+
+def package_modules(argv: list[str]) -> set[str]:
+    """The seshadri modules that argv's subcommand loads."""
+    return LOADS[argv[0]] | ({"seshadri.catalog"} if "--surface" in argv else set())
+
+
+# The rules again, on text runs of each subcommand; an argv that is also a
+# cold case below shares its run.
+COMMANDS = [
+    "bounds --k 35 --r 101 --very-ample",
+    "bounds --surface custom:35,va --r 101",
+    "pell --k 35",
+    "search --k 1 --r 5 --d-max 3",
+    "verify --suite theorem --k-max 4 --r-max 4 --d-max 2 --m-max 4",
+    "verify --suite han --s-max 4 --m-max 4",
+    "verify --suite k3 --k-max 4 --r-max 4 --d-max 2",
+    "threshold --r 10 --k-cap 10000",
+    "p2-table --r-max 9",
+]
+
+
+def text_run_modules(command: str) -> frozenset[str]:
+    code, _, err, loaded = cold_run(*command.split(), "--format", "text")
+    assert code == 0, err
+    return loaded
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_each_subcommand_loads_only_its_own_modules(command):
+    loaded = text_run_modules(command)
+    assert {m for m in loaded if m.startswith("seshadri")} == package_modules(command.split())
+    assert not {"json", "csv"} & loaded  # text output needs neither
+
+
+def test_pell_loads_no_dataclasses():
+    # PellSolution is a __slots__ class; the pell command's other modules
+    # define no dataclass either.
+    assert "dataclasses" not in text_run_modules("pell --k 35")
+
+
+@pytest.mark.parametrize("command", ["p2-table --r-max 9", "search --k 1 --r 5 --d-max 3"])
+def test_plane_and_walk_commands_load_no_dataclasses(command):
+    # The plane values and the search are defined apart from the bound
+    # layer's and the suites' dataclass records.
+    assert "dataclasses" not in text_run_modules(command)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_json_and_csv_load_only_for_their_own_format(fmt):
+    code, _, err, loaded = cold_run("pell", "--k", "35", "--format", fmt)
+    assert code == 0, err
+    assert {"json", "csv"} & loaded == ({fmt} - {"text"})
+
+
 # Each subcommand in each format, with --surface and --all-digits, every
 # verify suite, one usage error and one domain error.
 COLD_CASES = [
@@ -68,17 +134,10 @@ COLD_CASES = [
 @pytest.mark.parametrize("name,fmt", COLD_CASES, ids=[f"{n}.{f}" for n, f in COLD_CASES])
 def test_cold_process_matches_its_golden_file(name, fmt):
     argv = CASES[name].split() + ["--format", fmt]
-    proc = run_python("-S", "-B", "-c", REPORT_MODULES, *argv)
-    *stderr, report = proc.stderr.splitlines(keepends=True)
-    got = transcript(proc.returncode, proc.stdout, "".join(stderr))
-    assert got.encode() == (GOLDEN / f"{name}.{fmt}").read_bytes()
+    code, out, err, loaded = cold_run(*argv)
+    assert transcript(code, out, err).encode() == (GOLDEN / f"{name}.{fmt}").read_bytes()
 
-    tag, *modules = report.split()
-    loaded, command = set(modules), argv[0]
-    assert tag == "modules"
-    assert {m for m in loaded if m.startswith("seshadri")} == LOADS[command] | (
-        {"seshadri.catalog"} if "--surface" in argv else set()
-    )
-    assert ("dataclasses" in loaded) == (command in LOADS_DATACLASSES)
+    assert {m for m in loaded if m.startswith("seshadri")} == package_modules(argv)
+    assert ("dataclasses" in loaded) == (argv[0] in LOADS_DATACLASSES)
     # text output needs neither, and a run that prints no record loads neither
-    assert {"json", "csv"} & loaded == ({fmt} - {"text"} if proc.stdout else set())
+    assert {"json", "csv"} & loaded == ({fmt} - {"text"} if out else set())
