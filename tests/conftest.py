@@ -23,10 +23,14 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 def run_cli(*argv: str) -> tuple[int, str, str]:
     """(exit code, stdout, stderr) of cli.main(argv), run in this process.
-    Unlike pytest's capturing fixtures, it also works inside hypothesis tests."""
+    Unlike pytest's capturing fixtures, it also works inside hypothesis tests.
+    --help leaves main as argparse's SystemExit, whose code is the exit code."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(list(argv))
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as e:
+            code = e.code
     return code, out.getvalue(), err.getvalue()
 
 

@@ -9,6 +9,7 @@ intended output change, rewrite the files with
 and review the diff.
 """
 
+import os
 from pathlib import Path
 
 import pytest
@@ -87,6 +88,19 @@ CASES = {
 }
 
 
+# Argv that argparse answers before any subcommand runs: the help of the
+# program and of each subcommand, and a missing or unknown subcommand.
+# Help is wrapped at the terminal width, so the width is fixed; at 100
+# columns Python 3.11, 3.12 and 3.13 wrap it alike.
+PARSER_CASES = {
+    "help": "--help",
+    **{f"help-{sub}": f"{sub} --help" for sub in ("bounds", "pell", "search", "verify", "threshold", "p2-table")},
+    "usage-no-subcommand": "",
+    "usage-unknown-subcommand": "nope",
+}
+PARSER_COLUMNS = "100"
+
+
 def transcript(code: int, out: str, err: str) -> str:
     """The golden file's layout: the exit code, then stderr, then stdout."""
     return f"exit {code}\n-- stderr\n{err}-- stdout\n{out}"
@@ -106,7 +120,17 @@ def test_golden(name, fmt, argv):
     assert transcript(*run_cli(*argv)).encode() == expected
 
 
+@pytest.mark.parametrize("name", PARSER_CASES)
+def test_parser_golden(name, monkeypatch):
+    monkeypatch.setenv("COLUMNS", PARSER_COLUMNS)
+    expected = (GOLDEN / f"{name}.txt").read_bytes()
+    assert transcript(*run_cli(*PARSER_CASES[name].split())).encode() == expected
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, fmt, argv in golden_runs():
         (GOLDEN / f"{name}.{fmt}").write_bytes(transcript(*run_cli(*argv)).encode())
+    os.environ["COLUMNS"] = PARSER_COLUMNS
+    for name, command in PARSER_CASES.items():
+        (GOLDEN / f"{name}.txt").write_bytes(transcript(*run_cli(*command.split())).encode())
