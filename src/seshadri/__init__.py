@@ -37,18 +37,16 @@ _EXPORTS = {
             "MainLowerBound",
             "ProductFactors",
             "SubmaximalCandidate",
-            "ThresholdScan",
             "compare_bounds",
-            "dominance_scan",
             "enumerate_exceptional_candidates",
             "generic_lower_value",
             "harbourne_bound",
             "main_lower_bound",
-            "szemberg_floor_bound",
             "upper_bound",
         ),
         "bounds",
     ),
+    **dict.fromkeys(("ThresholdScan", "dominance_scan", "szemberg_floor_bound"), "threshold"),
     **dict.fromkeys(
         (
             "CaseLabel",

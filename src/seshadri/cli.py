@@ -13,8 +13,11 @@ csv, chosen by --format alone.  Exact values accompany every decimal so
 nothing downstream ever needs to re-parse a truncated decimal.  Identical
 invocations produce byte-identical output.
 
-Exit codes: 0 success, 1 usage error, 2 domain error, 3 verification
-found a counterexample.
+Exit codes: 0 success, 1 usage error, 2 domain error, 3 a verification
+suite or a search found a counterexample.
+
+A run builds the parser of its own subcommand only, and `bounds` keeps
+its table and notes in .cli_bounds, which no other subcommand imports.
 """
 
 from __future__ import annotations
@@ -24,19 +27,16 @@ import io
 import os
 import sys
 from fractions import Fraction
-from typing import TYPE_CHECKING, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 # Every subcommand renders through .exact, and every other module of the
 # package loads it.  The rest is imported inside the function that runs
 # it, so a process loads only its own subcommand's modules: `pell` never
-# loads the bounds or the oracle, `p2-table` loads only the plane values
-# and `search` only the walk, the catalog loads only for --surface, and
-# json and csv only for their own format.
+# loads the bounds or the oracle, `p2-table` loads only the plane values,
+# `search` only the walk and `threshold` only the floor-bound scan, the
+# catalog loads only for --surface, and json and csv only for their own
+# format.
 from .exact import Surd, isqrt, render_decimal
-
-if TYPE_CHECKING:
-    from .bounds import BoundEntry
-    from .catalog import SurfaceSpec
 
 __all__ = ["main", "entrypoint"]
 
@@ -46,30 +46,15 @@ SEARCH_CAVEAT = (
 )
 BOX_CAVEAT = "conclusions hold within the searched box only"
 NOTE_DIGITS = 4  # notes quote values at a fixed precision, whatever --digits says
-
-# (applicability, attribution) of each row of the bounds table, by name
-BOUND_WORDS = {
-    "upper": ("any nef line bundle", "optimal value sqrt(k/r)"),
-    "main": (
-        "ample generator, Picard number 1, r >= 2",
-        "generic value sqrt((r+2)/(r+3))*sqrt(k/r), or 3/2 at (r,k)=(2,6)",
-    ),
-    "szemberg-floor": ("ample generator, Picard number 1", "Szemberg's floor bound floor(sqrt(k/r))"),
-    "harbourne": (
-        "very ample L (asserted by caller)",
-        "Harbourne's three-set maximum for very ample line bundles",
-    ),
-    "biran-product": ("product of single-point and plane multi-point bounds", "Biran-type product bound"),
-}
-TWO_SIX_NOTE = (
-    "equality case: a curve in the ample class through the two points "
-    "with multiplicity two at each"
-)
 NINE_POINT_NOTE = "value is 1/3 = 1/sqrt(9); comparison tables occasionally misprint it as 3"
 
 
 class UsageError(Exception):
     pass
+
+
+class Counterexample(Exception):
+    """A run met a case that breaks a theorem the package checks (exit 3)."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -180,155 +165,12 @@ def _int_list(lo: int):
     return lambda text: [item(part) for part in text.split(",")]
 
 
-def _all_digit_note(name: str, value: Surd) -> str:
-    return (
-        f"{name} at 2/3/4 digits: "
-        + " / ".join(render_decimal(value, d) for d in (2, 3, 4))
-    )
-
-
 def _n2_pm_1(k: int, n: int) -> str:
     """k, known to be n^2 + 1 or n^2 - 1, written as one of the two."""
     return f"{n}^2{'+' if k > n * n else '-'}1"
 
 
-def _surface_notes(surface: SurfaceSpec, r: int) -> list[str]:
-    """The caveat that goes with a surface, if any, and its known value at
-    r, if one is on record."""
-    from .catalog import SurfaceKind, known_value
-
-    notes = []
-    if surface.kind is SurfaceKind.GENERAL_K3 and not surface.very_ample:
-        notes.append(f"surface: k = {surface.k}: ample generator is not very ample")
-    elif surface.kind is SurfaceKind.ABELIAN_TYPE_1D:
-        notes.append("surface: very-ampleness not asserted for abelian polarizations")
-    elif surface.kind is SurfaceKind.CUSTOM:
-        notes.append("surface: custom surface: Picard number 1 is an unverified assumption")
-    known = known_value(surface, r)
-    if known is not None:
-        notes.append(
-            f"known exact value: {known.bound.value} "
-            f"({known.status.value})"
-            + (f"; {NINE_POINT_NOTE}" if r == 9 else "")
-        )
-    return notes
-
-
-def _entry_notes(entry: BoundEntry, r: int) -> list[str]:
-    """Notes on one bound, written from the object it was built from."""
-    from .bounds import HarbourneBound, MainLowerBound, ProductFactors
-
-    detail, notes = entry.detail, []
-    if isinstance(detail, MainLowerBound):
-        if not detail.bound.conditional:
-            notes.append(TWO_SIX_NOTE)
-        if detail.candidates:
-            listed = ", ".join(
-                f"d={c.d}, s={c.s}: {c.value} ({render_decimal(Surd(c.value), NOTE_DIGITS)})"
-                for c in detail.candidates
-            )
-            notes.append(f"exceptional candidates: {listed}")
-            least = detail.guaranteed
-            notes.append(f"unconditional guarantee: {least} ({render_decimal(least, NOTE_DIGITS)})")
-    elif isinstance(detail, HarbourneBound):
-        listed = ", ".join(
-            f"{e.num}/{e.den} ({render_decimal(Surd(e.value), NOTE_DIGITS)}, {e.source}"
-            + (f", d={e.d})" if e.d is not None else ")")
-            for e in detail.elements
-        )
-        notes.append(f"set elements: {listed}")
-        a, b = (
-            max((e for e in detail.elements if e.source == source), key=lambda e: e.value, default=None)
-            for source in ("floor-multiple", "ceil-multiple")
-        )
-        if not detail.bound.attained:
-            notes.append(
-                "exceptional case (k <= r and r*k a perfect square): sqrt(k/r) is a "
-                "supremum only; every value strictly below it is a valid bound"
-            )
-        elif a and b and a.value != b.value:
-            hi, lo = (a, b) if a.value > b.value else (b, a)
-            notes.append(
-                f"set maximum {hi.num}/{hi.den} ({render_decimal(Surd(hi.value), NOTE_DIGITS)}) "
-                f"comes from the {hi.source} element; the {lo.source} element "
-                f"{lo.num}/{lo.den} ({render_decimal(Surd(lo.value), NOTE_DIGITS)}) is strictly smaller"
-            )
-    elif isinstance(detail, ProductFactors):
-        sol, witness, plane = detail.pell, detail.witness, detail.plane
-        notes.append(
-            f"single-point factor {sol.single_point_bound} from Pell solution (p0, q0) = ({sol.p0}, {sol.q0})"
-        )
-        notes.append(f"plane factor {plane.bound.value} at r = {r} ({plane.status.value})")
-        if witness.applicable:
-            notes.append(f"single-point bound proven: k = {sol.k} = {_n2_pm_1(sol.k, witness.n)}")
-        else:
-            notes.append(f"single-point bound conjectural: k = {sol.k} is not of the form n^2 +- 1")
-        if r == 9:
-            notes.append(NINE_POINT_NOTE)
-    return notes
-
-
 # -- subcommands ---------------------------------------------------------
-
-
-def cmd_bounds(args: argparse.Namespace) -> tuple[list[Record], int]:
-    from .bounds import compare_bounds
-    from .inequalities import is_square
-
-    surface: Optional[SurfaceSpec] = None
-    if args.surface is not None:
-        from .catalog import SurfaceSyntaxError, parse_surface
-
-        try:
-            surface = parse_surface(args.surface)
-        except SurfaceSyntaxError as e:  # malformed string: usage, not domain
-            raise UsageError(str(e))
-    if args.k is None and surface is None:
-        raise UsageError("bounds needs --k or --surface")
-    k_values = args.k if args.k is not None else [surface.k]
-    if surface is not None:
-        for k in k_values:
-            if k != surface.k:
-                raise UsageError(
-                    f"--k {k} conflicts with surface {surface.label()} (k = {surface.k})"
-                )
-        if args.very_ample and not surface.very_ample:
-            raise UsageError(
-                f"--very-ample conflicts with surface {surface.label()}, which is not "
-                "very ample; a custom surface asserts it as custom:<k>,va"
-            )
-    very_ample = surface.very_ample if surface is not None else args.very_ample
-    digits = args.digits
-
-    records = []
-    for k in k_values:
-        for r in args.r:
-            report = compare_bounds(k, r, very_ample=very_ample)
-            rec = Record("bounds", k=k, r=r, surface=surface.label() if surface else "-")
-            rows = [("upper", report.upper.value, ("upper-bound", "supremum"))]
-            for entry, rank in zip(report.entries, report.ranks):
-                flags = []
-                if entry.value.conditional:
-                    flags.append("conditional")
-                if not entry.value.attained:
-                    flags.append("supremum")
-                if entry.conjectural:
-                    flags.append("conjectural")
-                flags.append(f"rank={rank}")
-                rows.append((entry.name, entry.value.value, tuple(flags)))
-                rec.notes.extend(f"{entry.name}: {n}" for n in _entry_notes(entry, r))
-            rec.entries.extend(
-                Entry(name, str(value), render_decimal(value, digits), flags, *BOUND_WORDS[name])
-                for name, value, flags in rows
-            )
-            if k >= 2 and is_square(k):
-                rec.notes.append(f"no Pell single-point bound: k = {k} is a perfect square")
-            if surface is not None:
-                rec.notes.extend(_surface_notes(surface, r))
-            if args.all_digits:
-                rec.notes.extend(_all_digit_note(name, value) for name, value, _ in rows)
-            records.append(rec)
-    return records, 0
 
 
 def cmd_pell(args: argparse.Namespace) -> tuple[list[Record], int]:
@@ -364,23 +206,27 @@ def cmd_pell(args: argparse.Namespace) -> tuple[list[Record], int]:
 
 
 def cmd_search(args: argparse.Namespace) -> tuple[list[Record], int]:
-    from .walk import classify_case, min_ratio_search
+    from .walk import TheoremViolation, classify_case, min_ratio_search
 
     k, r, d_max = args.k, args.r, args.d_max
     m_max = args.m_max if args.m_max is not None else isqrt(d_max * d_max * k) + 1
     result = min_ratio_search(k, r, d_max, m_max)
+    try:
+        labels = [classify_case(d, k, r, m).value for d, m in result.witnesses]
+    except TheoremViolation as e:  # a counterexample, as verify reports one
+        raise Counterexample(str(e))
     rec = Record("search", k=k, r=r, d_max=d_max, m_max=m_max)
     # every witness attains the minimum, so each row repeats its value
     value = (str(result.minimum), render_decimal(Surd(result.minimum), args.digits))
     rec.entries.append(
         Entry("minimum", *value, attribution="min of d*k/sum(m) over the searched box")
     )
-    for i, (d, m) in enumerate(result.witnesses, start=1):
+    for i, ((d, m), label) in enumerate(zip(result.witnesses, labels), start=1):
         rec.entries.append(
             Entry(
                 f"witness-{i}",
                 *value,
-                flags=(classify_case(d, k, r, m).value,),
+                flags=(label,),
                 applicability=f"d={d}, m={'(' + ','.join(map(str, m)) + ')'}",
             )
         )
@@ -448,7 +294,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[list[Record], int]:
 
 
 def cmd_threshold(args: argparse.Namespace) -> tuple[list[Record], int]:
-    from .bounds import dominance_scan
+    from .threshold import dominance_scan
 
     scan = dominance_scan(args.r, args.k_cap)
     rec = Record("threshold", r=args.r, k_cap=args.k_cap)
@@ -501,85 +347,101 @@ def cmd_p2_table(args: argparse.Namespace) -> tuple[list[Record], int]:
     return [rec], 0
 
 
+def _cmd_bounds(args: argparse.Namespace) -> tuple[list[Record], int]:
+    from .cli_bounds import cmd_bounds  # the bounds prose loads for bounds alone
+
+    return cmd_bounds(args)
+
+
 # -- parser --------------------------------------------------------------
 
+_DIGITS = (
+    "--digits", dict(type=_int_at_least(1), default=4, help="fractional digits, truncated (default 4)")
+)
+_R = ("--r", dict(type=_int_at_least(2), required=True, help="point count, at least 2"))
 
-def _build_parser() -> _Parser:
+# Each subcommand's help, command and options after --format, in the order
+# the help lists them.
+SUBCOMMANDS = {
+    "bounds": ("bound comparison table", _cmd_bounds, [
+        _DIGITS,
+        ("--k", dict(type=_int_list(1), default=None, help="L^2 value(s), comma-separated")),
+        ("--r", dict(type=_int_list(2), required=True, help="point count(s) >= 2, comma-separated")),
+        ("--surface", dict(default=None, help="p2 | k3:<k> | hyp:<deg> | ab:<d> | custom:<k>[,va]")),
+        ("--very-ample", dict(action="store_true", help="assert very-ampleness without a surface")),
+        ("--all-digits", dict(
+            action="store_true",
+            help="note each value at 2, 3 and 4 digits (the published table conventions)",
+        )),
+    ]),
+    "pell": ("fundamental Pell solution", cmd_pell, [
+        _DIGITS,
+        ("--k", dict(type=_int_at_least(2), required=True, help="L^2 value, at least 2")),
+    ]),
+    "search": ("minimum-ratio search", cmd_search, [
+        _DIGITS,
+        ("--k", dict(type=_int_at_least(1), required=True)),
+        _R,
+        ("--d-max", dict(type=_int_at_least(1), required=True, help="explicit degree cap (required)")),
+        ("--m-max", dict(
+            type=_int_at_least(1), default=None, help="per-point cap (default: EL-feasible max)"
+        )),
+    ]),
+    "verify": ("exhaustive verification suites", cmd_verify, [
+        ("--suite", dict(choices=["theorem", "han", "k3"], required=True)),
+        ("--k-max", dict(type=_int_at_least(1), default=20)),
+        ("--r-max", dict(type=_int_at_least(2), default=10)),
+        ("--d-max", dict(type=_int_at_least(1), default=5)),
+        ("--m-max", dict(
+            type=_int_at_least(1), default=8, help="entry cap (theorem) / m_1 cap, at least 2 (han)"
+        )),
+        ("--s-max", dict(type=_int_at_least(2), default=8, help="length cap for the han suite")),
+    ]),
+    "threshold": ("floor-bound dominance threshold", cmd_threshold, [
+        _R,
+        ("--k-cap", dict(type=_int_at_least(1), required=True)),
+    ]),
+    "p2-table": ("known plane values", cmd_p2_table, [
+        _DIGITS,
+        ("--r-max", dict(type=_int_at_least(1), default=9)),
+    ]),
+}
+
+
+def _build_parser(argv: list[str]) -> _Parser:
+    """The parser for argv, with the subparser of argv[0] alone when it
+    names a subcommand.  Otherwise (--help, or a missing or unknown
+    subcommand) it holds all of them, so argparse lists them all."""
     parser = _Parser(prog="seshadri", description=__doc__.split("\n\n")[0])
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format",
-        choices=sorted(_EMITTERS),
-        default="text",
-        help="output format (default: text)",
-    )
-    display = argparse.ArgumentParser(add_help=False)
-    display.add_argument(
-        "--digits", type=_int_at_least(1), default=4, help="fractional digits, truncated (default 4)"
-    )
-
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
-
-    p = sub.add_parser("bounds", parents=[common, display], help="bound comparison table")
-    p.add_argument("--k", type=_int_list(1), default=None, help="L^2 value(s), comma-separated")
-    p.add_argument("--r", type=_int_list(2), required=True, help="point count(s) >= 2, comma-separated")
-    p.add_argument("--surface", default=None, help="p2 | k3:<k> | hyp:<deg> | ab:<d> | custom:<k>[,va]")
-    p.add_argument("--very-ample", action="store_true", help="assert very-ampleness without a surface")
-    p.add_argument(
-        "--all-digits",
-        action="store_true",
-        help="note each value at 2, 3 and 4 digits (the published table conventions)",
-    )
-    p.set_defaults(func=cmd_bounds)
-
-    p = sub.add_parser("pell", parents=[common, display], help="fundamental Pell solution")
-    p.add_argument("--k", type=_int_at_least(2), required=True, help="L^2 value, at least 2")
-    p.set_defaults(func=cmd_pell)
-
-    p = sub.add_parser("search", parents=[common, display], help="minimum-ratio search")
-    p.add_argument("--k", type=_int_at_least(1), required=True)
-    p.add_argument("--r", type=_int_at_least(2), required=True, help="point count, at least 2")
-    p.add_argument("--d-max", type=_int_at_least(1), required=True, help="explicit degree cap (required)")
-    p.add_argument(
-        "--m-max", type=_int_at_least(1), default=None, help="per-point cap (default: EL-feasible max)"
-    )
-    p.set_defaults(func=cmd_search)
-
-    p = sub.add_parser("verify", parents=[common], help="exhaustive verification suites")
-    p.add_argument("--suite", choices=["theorem", "han", "k3"], required=True)
-    p.add_argument("--k-max", type=_int_at_least(1), default=20)
-    p.add_argument("--r-max", type=_int_at_least(2), default=10)
-    p.add_argument("--d-max", type=_int_at_least(1), default=5)
-    p.add_argument(
-        "--m-max", type=_int_at_least(1), default=8, help="entry cap (theorem) / m_1 cap, at least 2 (han)"
-    )
-    p.add_argument("--s-max", type=_int_at_least(2), default=8, help="length cap for the han suite")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("threshold", parents=[common], help="floor-bound dominance threshold")
-    p.add_argument("--r", type=_int_at_least(2), required=True, help="point count, at least 2")
-    p.add_argument("--k-cap", type=_int_at_least(1), required=True)
-    p.set_defaults(func=cmd_threshold)
-
-    p = sub.add_parser("p2-table", parents=[common, display], help="known plane values")
-    p.add_argument("--r-max", type=_int_at_least(1), default=9)
-    p.set_defaults(func=cmd_p2_table)
-
+    for name in argv[:1] if argv[:1] and argv[0] in SUBCOMMANDS else SUBCOMMANDS:
+        summary, command, options = SUBCOMMANDS[name]
+        p = sub.add_parser(name, help=summary)
+        p.add_argument(
+            "--format", choices=sorted(_EMITTERS), default="text", help="output format (default: text)"
+        )
+        for flag, settings in options:
+            p.add_argument(flag, **settings)
+        p.set_defaults(func=command)
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     # Exact Pell solutions pass the interpreter's int-to-str digit limit
     # (4300 by default) long before they are slow to compute, so the limit
     # is lifted while main runs, emission included.
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(argv).parse_args(argv)
         records, code = args.func(args)
     except (UsageError, ValueError) as e:  # a bad call, or mathematics undefined there
         print(f"seshadri: error: {e}", file=sys.stderr)
         return 1 if isinstance(e, UsageError) else 2
+    except Counterexample as e:
+        print(f"seshadri: counterexample: {e}", file=sys.stderr)
+        return 3
     else:
         _EMITTERS[args.format](records, sys.stdout)
         return code

@@ -13,7 +13,6 @@ from seshadri.bounds import (
     MainLowerBound,
     ProductFactors,
     SubmaximalCandidate,
-    ThresholdScan,
     enumerate_exceptional_candidates,
     harbourne_bound,
 )
@@ -23,6 +22,7 @@ from seshadri import oracle
 from seshadri.oracle import HanScan, TheoremScan, Violation, k3_h0
 from seshadri.pell import PellSolution, fsst_applicable, pell_fundamental
 from seshadri.plane import BoundValue, PlaneValue, PlaneValueStatus, nagata_plane_value
+from seshadri.threshold import ThresholdScan
 from seshadri.walk import CaseLabel, SearchResult
 
 

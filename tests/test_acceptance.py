@@ -15,18 +15,17 @@ from oracles import is_proper_power_of_smaller_solution, pell_brute_force
 
 from seshadri.bounds import (
     compare_bounds,
-    dominance_scan,
     enumerate_exceptional_candidates,
     generic_lower_value,
     harbourne_bound,
     main_lower_bound,
-    szemberg_floor_bound,
     upper_bound,
 )
 from seshadri.exact import Surd, isqrt, render_decimal
 from seshadri.oracle import k3_h0, verify_han_exhaustive, verify_k3, verify_theorem
 from seshadri.pell import pell_fundamental, szemberg_single_point_bound
 from seshadri.plane import nagata_plane_value
+from seshadri.threshold import dominance_scan, szemberg_floor_bound
 from seshadri.walk import CaseLabel
 
 

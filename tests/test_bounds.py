@@ -20,18 +20,17 @@ import seshadri.bounds as bounds
 import seshadri.exact as exact
 from seshadri.bounds import (
     compare_bounds,
-    dominance_scan,
     enumerate_exceptional_candidates,
     generic_lower_value,
     harbourne_bound,
     main_lower_bound,
-    szemberg_floor_bound,
     upper_bound,
 )
 from seshadri.exact import Surd, _sqrt_ratio, isqrt, render_decimal
 from seshadri.inequalities import el_xu_feasible, is_square, is_subgeneric, subgeneric_unit_length
 from seshadri.pell import fsst_applicable, szemberg_single_point_bound
 from seshadri.plane import BoundValue, PlaneValueStatus, nagata_plane_value
+from seshadri.threshold import dominance_scan, szemberg_floor_bound
 
 
 class TestUpperBound:

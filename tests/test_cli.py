@@ -10,6 +10,7 @@ import pytest
 from conftest import run_cli
 from hypothesis import assume, given, settings, strategies as st
 
+import seshadri.cli as cli
 import seshadri.oracle as oracle
 import seshadri.walk as walk
 from oracles import K3_SECTION_COUNTS, k3_failures_by_pair
@@ -178,6 +179,14 @@ class TestSearchCommand:
         monkeypatch.setattr(walk, "min_ratio_search", lambda *a: pytest.fail("searched"))
         with pytest.raises(pytest.fail.Exception, match="searched"):
             run_cli("search", "--k", "1", "--r", "2", "--d-max", "1")
+
+    def test_broken_trichotomy_is_a_counterexample(self, monkeypatch):
+        # Without the (2, 6) exception the witness (2, 2) at k = 6 breaks the
+        # trichotomy, and the search reports it as verify reports one: exit 3.
+        monkeypatch.setattr(walk, "_is_two_six", lambda d, k, m: False)
+        code, out, err = run_cli("search", "--k", "6", "--r", "2", "--d-max", "1", "--m-max", "2")
+        assert (code, out) == (3, "")
+        assert err == "seshadri: counterexample: trichotomy violated at d=1, k=6, r=2, m=(2, 2)\n"
 
     def test_long_vectors_do_not_exhaust_the_stack(self):
         # the witness has 1200 entries, past the default recursion limit
@@ -358,6 +367,28 @@ class TestP2Table:
         code, out, err = run_cli("p2-table", "--r-max", r_max)
         assert (code, out) == (1, "")
         assert "--r-max: must be >= 1" in err
+
+
+class TestParser:
+    """A run builds the subparser its argv names, and no other; without
+    one (--help, none, or an unknown name) it builds all six."""
+
+    ALL = "{bounds,pell,search,verify,threshold,p2-table}"
+
+    @pytest.mark.parametrize(
+        "argv,built",
+        [
+            *[([sub, "--help"], "{" + sub + "}") for sub in ALL.strip("{}").split(",")],
+            (["pell", "--k", "35", "--format", "json"], "{pell}"),
+            (["--help"], ALL),
+            ([], ALL),
+            (["nope"], ALL),
+            (["--format", "json", "pell"], ALL),
+        ],
+    )
+    def test_only_the_named_subparser_is_built(self, monkeypatch, argv, built):
+        monkeypatch.setenv("COLUMNS", "100")
+        assert cli._build_parser(argv).format_usage() == f"usage: seshadri [-h] {built} ...\n"
 
 
 class TestFormatsAndDeterminism:

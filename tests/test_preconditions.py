@@ -19,12 +19,10 @@ import pytest
 
 from seshadri.bounds import (
     compare_bounds,
-    dominance_scan,
     enumerate_exceptional_candidates,
     generic_lower_value,
     harbourne_bound,
     main_lower_bound,
-    szemberg_floor_bound,
     upper_bound,
 )
 from seshadri.catalog import SurfaceKind, SurfaceSyntaxError, make_surface, parse_surface
@@ -32,6 +30,7 @@ from seshadri.exact import Surd, render_decimal, squarefree_decompose
 from seshadri.oracle import k3_h0, verify_han_exhaustive, verify_k3, verify_theorem
 from seshadri.pell import PellSolution, fsst_applicable, pell_fundamental
 from seshadri.plane import nagata_plane_value
+from seshadri.threshold import dominance_scan, szemberg_floor_bound
 from seshadri.walk import (
     check_el_xu,
     classify_case,
@@ -57,12 +56,9 @@ PRECONDITIONS = [
     (enumerate_exceptional_candidates, (0, 2), ValueError, "need k >= 1, got 0"),
     (main_lower_bound, (1, 1), ValueError, "multi-point bound needs r >= 2"),
     (main_lower_bound, (0, 2), ValueError, "need k >= 1, got 0"),
-    (szemberg_floor_bound, (1, 0), ValueError, "need k, r >= 1, got k=1, r=0"),
     (harbourne_bound, (0, 1), ValueError, "need k, r >= 1, got k=0, r=1"),
     (compare_bounds, (1, 1), ValueError, "bound comparison needs r >= 2, got 1"),
     (compare_bounds, (0, 2), ValueError, "need k >= 1, got 0"),
-    (dominance_scan, (1, 10), ValueError, "dominance scan needs r >= 2, got 1"),
-    (dominance_scan, (2, 0), ValueError, "need k_cap >= 1, got 0"),
     # catalog
     (make_surface, (SurfaceKind.GENERAL_K3,), ValueError, "k3 surface needs a parameter"),
     (make_surface, (SurfaceKind.GENERAL_K3, 3), ValueError, "even self-intersection >= 2, got 3"),
@@ -101,6 +97,10 @@ PRECONDITIONS = [
     (fsst_applicable, (1,), ValueError, "fsst_applicable needs k >= 2, got 1"),
     # plane
     (nagata_plane_value, (0,), ValueError, "need r >= 1, got 0"),
+    # threshold
+    (szemberg_floor_bound, (1, 0), ValueError, "need k, r >= 1, got k=1, r=0"),
+    (dominance_scan, (1, 10), ValueError, "dominance scan needs r >= 2, got 1"),
+    (dominance_scan, (2, 0), ValueError, "need k_cap >= 1, got 0"),
     # walk
     (validate_multiplicities, ((),), ValueError, "multiplicity vector must be nonempty"),
     (validate_multiplicities, ((1, 0),), ValueError, "must be >= 1, got (1, 0)"),
@@ -182,7 +182,9 @@ GUARDED_MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.stem != "cli")
 
 
 def test_every_library_module_is_guarded():
-    assert {p.stem for p in GUARDED_MODULES} >= {"bounds", "catalog", "exact", "oracle", "pell", "plane", "walk"}
+    assert {p.stem for p in GUARDED_MODULES} >= {
+        "bounds", "catalog", "exact", "oracle", "pell", "plane", "threshold", "walk"
+    }
 
 
 def test_the_table_reaches_every_guarded_raise():

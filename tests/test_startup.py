@@ -25,12 +25,14 @@ REPORT_MODULES = (
 BASE = {"seshadri", "seshadri.cli", "seshadri.exact"}
 PLANE = BASE | {"seshadri.inequalities", "seshadri.plane"}
 WALK = BASE | {"seshadri.inequalities", "seshadri.walk"}
-BOUND_LAYER = PLANE | {"seshadri.bounds", "seshadri.pell"}
+THRESHOLD = BASE | {"seshadri.inequalities", "seshadri.threshold"}
+BOUND_LAYER = PLANE | THRESHOLD | {"seshadri.bounds", "seshadri.pell"}
+BOUNDS_PROSE = "seshadri.cli_bounds"
 
 # The package modules of each subcommand; --surface adds catalog.
 LOADS = {
-    "bounds": BOUND_LAYER,
-    "threshold": BOUND_LAYER,
+    "bounds": BOUND_LAYER | {BOUNDS_PROSE},
+    "threshold": THRESHOLD,
     "pell": BASE | {"seshadri.pell"},
     "search": WALK,
     "verify": WALK | {"seshadri.oracle"},
@@ -82,6 +84,17 @@ def test_each_subcommand_loads_only_its_own_modules(command):
     loaded = text_run_modules(command)
     assert {m for m in loaded if m.startswith("seshadri")} == package_modules(command.split())
     assert not {"json", "csv"} & loaded  # text output needs neither
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_only_bounds_loads_its_prose_and_threshold_skips_the_bound_layer(command):
+    # Implied by the module sets above, and stated here on its own: the
+    # bounds table's words compile for bounds alone, and the threshold scan
+    # needs neither the bound layer nor the Pell solver nor the plane values.
+    loaded = text_run_modules(command)
+    assert (BOUNDS_PROSE in loaded) == command.startswith("bounds ")
+    if command.startswith("threshold "):
+        assert not {"seshadri.bounds", "seshadri.pell", "seshadri.plane"} & loaded
 
 
 def test_pell_loads_no_dataclasses():
