@@ -216,6 +216,10 @@ def verify_theorem(
 
 @dataclass(frozen=True)
 class HanScan:
+    """Result of the Han suite over a box: the number of vectors the
+    inequality applies to, every applicable vector that fails it, and
+    every one that meets it with equality."""
+
     applicable_checked: int
     counterexamples: tuple[Multiplicities, ...]
     equality_witnesses: tuple[Multiplicities, ...]

@@ -374,18 +374,16 @@ class TestParser:
     one (--help, none, or an unknown name) it builds all six."""
 
     ALL = "{bounds,pell,search,verify,threshold,p2-table}"
+    BUILT = [
+        *[([sub, "--help"], "{" + sub + "}") for sub in ALL.strip("{}").split(",")],
+        (["pell", "--k", "35", "--format", "json"], "{pell}"),
+        (["--help"], ALL),
+        ([], ALL),
+        (["nope"], ALL),
+        (["--format", "json", "pell"], ALL),
+    ]
 
-    @pytest.mark.parametrize(
-        "argv,built",
-        [
-            *[([sub, "--help"], "{" + sub + "}") for sub in ALL.strip("{}").split(",")],
-            (["pell", "--k", "35", "--format", "json"], "{pell}"),
-            (["--help"], ALL),
-            ([], ALL),
-            (["nope"], ALL),
-            (["--format", "json", "pell"], ALL),
-        ],
-    )
+    @pytest.mark.parametrize("argv,built", BUILT, ids=[" ".join(argv) or "no-args" for argv, _ in BUILT])
     def test_only_the_named_subparser_is_built(self, monkeypatch, argv, built):
         monkeypatch.setenv("COLUMNS", "100")
         assert cli._build_parser(argv).format_usage() == f"usage: seshadri [-h] {built} ...\n"

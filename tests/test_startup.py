@@ -27,11 +27,12 @@ PLANE = BASE | {"seshadri.inequalities", "seshadri.plane"}
 WALK = BASE | {"seshadri.inequalities", "seshadri.walk"}
 THRESHOLD = BASE | {"seshadri.inequalities", "seshadri.threshold"}
 BOUND_LAYER = PLANE | THRESHOLD | {"seshadri.bounds", "seshadri.pell"}
-BOUNDS_PROSE = "seshadri.cli_bounds"
 
-# The package modules of each subcommand; --surface adds catalog.
+# The package modules of each subcommand; --surface adds catalog.  Only
+# bounds loads its prose, cli_bounds, and threshold loads no part of the
+# bound layer but its own scan.
 LOADS = {
-    "bounds": BOUND_LAYER | {BOUNDS_PROSE},
+    "bounds": BOUND_LAYER | {"seshadri.cli_bounds"},
     "threshold": THRESHOLD,
     "pell": BASE | {"seshadri.pell"},
     "search": WALK,
@@ -84,17 +85,6 @@ def test_each_subcommand_loads_only_its_own_modules(command):
     loaded = text_run_modules(command)
     assert {m for m in loaded if m.startswith("seshadri")} == package_modules(command.split())
     assert not {"json", "csv"} & loaded  # text output needs neither
-
-
-@pytest.mark.parametrize("command", sorted(COMMANDS))
-def test_only_bounds_loads_its_prose_and_threshold_skips_the_bound_layer(command):
-    # Implied by the module sets above, and stated here on its own: the
-    # bounds table's words compile for bounds alone, and the threshold scan
-    # needs neither the bound layer nor the Pell solver nor the plane values.
-    loaded = text_run_modules(command)
-    assert (BOUNDS_PROSE in loaded) == command.startswith("bounds ")
-    if command.startswith("threshold "):
-        assert not {"seshadri.bounds", "seshadri.pell", "seshadri.plane"} & loaded
 
 
 def test_pell_loads_no_dataclasses():
