@@ -358,7 +358,7 @@ def _cmd_bounds(args: argparse.Namespace) -> tuple[list[Record], int]:
 _DIGITS = (
     "--digits", dict(type=_int_at_least(1), default=4, help="fractional digits, truncated (default 4)")
 )
-_R = ("--r", dict(type=_int_at_least(2), required=True, help="point count, at least 2"))
+_POINT_COUNT = ("--r", dict(type=_int_at_least(2), required=True, help="point count, at least 2"))
 
 # Each subcommand's help, command and options after --format, in the order
 # the help lists them.
@@ -381,7 +381,7 @@ SUBCOMMANDS = {
     "search": ("minimum-ratio search", cmd_search, [
         _DIGITS,
         ("--k", dict(type=_int_at_least(1), required=True)),
-        _R,
+        _POINT_COUNT,
         ("--d-max", dict(type=_int_at_least(1), required=True, help="explicit degree cap (required)")),
         ("--m-max", dict(
             type=_int_at_least(1), default=None, help="per-point cap (default: EL-feasible max)"
@@ -398,7 +398,7 @@ SUBCOMMANDS = {
         ("--s-max", dict(type=_int_at_least(2), default=8, help="length cap for the han suite")),
     ]),
     "threshold": ("floor-bound dominance threshold", cmd_threshold, [
-        _R,
+        _POINT_COUNT,
         ("--k-cap", dict(type=_int_at_least(1), required=True)),
     ]),
     "p2-table": ("known plane values", cmd_p2_table, [
@@ -414,7 +414,7 @@ def _build_parser(argv: list[str]) -> _Parser:
     subcommand) it holds all of them, so argparse lists them all."""
     parser = _Parser(prog="seshadri", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
-    for name in argv[:1] if argv[:1] and argv[0] in SUBCOMMANDS else SUBCOMMANDS:
+    for name in argv[:1] if argv and argv[0] in SUBCOMMANDS else SUBCOMMANDS:
         summary, command, options = SUBCOMMANDS[name]
         p = sub.add_parser(name, help=summary)
         p.add_argument(
@@ -427,7 +427,7 @@ def _build_parser(argv: list[str]) -> _Parser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
+    argv = sys.argv[1:] if argv is None else argv
     # Exact Pell solutions pass the interpreter's int-to-str digit limit
     # (4300 by default) long before they are slow to compute, so the limit
     # is lifted while main runs, emission included.
