@@ -1,12 +1,14 @@
 """Golden CLI tests: stdout, stderr and exit code, byte for byte.
 
 Each case runs `cli.main` in-process once per output format and compares
-the captured transcript with `tests/golden/<case>.<format>`.  After an
-intended output change, rewrite the files with
+the captured transcript with its `golden_file`: `tests/golden/<case>.txt`
+if the case prints the same in all three formats, else `<case>.<format>`.
+After an intended output change, rewrite the files with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and review the diff.
+and review the diff.  It writes a case's `.txt` exactly when its three
+transcripts agree, and deletes the form it did not write.
 """
 
 import os
@@ -106,18 +108,22 @@ def transcript(code: int, out: str, err: str) -> str:
     return f"exit {code}\n-- stderr\n{err}-- stdout\n{out}"
 
 
-def golden_runs():
-    for name, command in CASES.items():
-        for fmt in FORMATS:
-            yield name, fmt, command.split() + ["--format", fmt]
+def golden_file(name: str, fmt: str) -> Path:
+    """The file that pins case `name` in format `fmt`: its `.txt` if it has one."""
+    shared = GOLDEN / f"{name}.txt"
+    return shared if shared.exists() else GOLDEN / f"{name}.{fmt}"
 
 
-@pytest.mark.parametrize(
-    "name,fmt,argv", list(golden_runs()), ids=[f"{n}.{f}" for n, f, _ in golden_runs()]
-)
-def test_golden(name, fmt, argv):
-    expected = (GOLDEN / f"{name}.{fmt}").read_bytes()
-    assert transcript(*run_cli(*argv)).encode() == expected
+def case_argv(name: str, fmt: str) -> list[str]:
+    return CASES[name].split() + ["--format", fmt]
+
+
+RUNS = [(name, fmt) for name in CASES for fmt in FORMATS]
+
+
+@pytest.mark.parametrize("name,fmt", RUNS, ids=[f"{n}.{f}" for n, f in RUNS])
+def test_golden(name, fmt):
+    assert transcript(*run_cli(*case_argv(name, fmt))).encode() == golden_file(name, fmt).read_bytes()
 
 
 @pytest.mark.parametrize("name", PARSER_CASES)
@@ -127,10 +133,49 @@ def test_parser_golden(name, monkeypatch):
     assert transcript(*run_cli(*PARSER_CASES[name].split())).encode() == expected
 
 
+def misfiled(files, cases, parser_cases) -> list[str]:
+    """The names in a golden directory of `files` that break the layout,
+    sorted: a case that is also a parser case, and a name whose files are
+    not one form of its case (a parser case has only .txt; a stray none)."""
+    suffixes: dict[str, set[str]] = {}
+    for file in files:
+        stem, _, suffix = file.rpartition(".")
+        suffixes.setdefault(stem, set()).add(suffix)
+    problems = [f"{name}: case and parser case" for name in cases.keys() & parser_cases.keys()]
+    for name in suffixes.keys() | cases.keys() | parser_cases.keys():
+        found = suffixes.get(name, set())
+        forms = [{"txt"}] if name in parser_cases else [{"txt"}, set(FORMATS)] if name in cases else []
+        if found not in forms:
+            problems.append(f"{name}: {' '.join(sorted(found)) or 'no file'}")
+    return sorted(problems)
+
+
+def test_each_golden_file_is_read_by_one_case_in_one_form():
+    assert misfiled([p.name for p in GOLDEN.iterdir()], CASES, PARSER_CASES) == []
+
+
+def test_a_planted_misfiled_golden_file_is_reported():
+    cases = {"one": "", "three": "", "missing": "", "twice": ""}
+    parser_cases = {"help": "", "twice": ""}
+    # a stale format file beside a .txt, and a file that no case reads
+    files = ["one.txt", "one.json", "three.text", "three.json", "three.csv", "help.txt", "twice.txt", "stray.text"]
+    assert misfiled(files, cases, parser_cases) == [
+        "missing: no file",
+        "one: json txt",
+        "stray: text",
+        "twice: case and parser case",
+    ]
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
-    for name, fmt, argv in golden_runs():
-        (GOLDEN / f"{name}.{fmt}").write_bytes(transcript(*run_cli(*argv)).encode())
+    for name in CASES:
+        runs = {fmt: transcript(*run_cli(*case_argv(name, fmt))).encode() for fmt in FORMATS}
+        written = {"txt": runs["text"]} if len(set(runs.values())) == 1 else runs
+        for suffix in ("txt", *FORMATS):
+            (GOLDEN / f"{name}.{suffix}").unlink(missing_ok=True)
+        for suffix, data in written.items():
+            (GOLDEN / f"{name}.{suffix}").write_bytes(data)
     os.environ["COLUMNS"] = PARSER_COLUMNS
     for name, command in PARSER_CASES.items():
         (GOLDEN / f"{name}.txt").write_bytes(transcript(*run_cli(*command.split())).encode())
