@@ -122,8 +122,6 @@ def _entry_notes(entry: BoundEntry, r: int) -> list[str]:
     return notes
 
 
-
-
 def cmd_bounds(args: argparse.Namespace) -> tuple[list[Record], int]:
     from .bounds import compare_bounds
     from .inequalities import is_square
