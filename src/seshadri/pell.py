@@ -38,7 +38,7 @@ A_1 ... A_(P-1) = V A_n V^T with V = A_1 ... A_(n-1), and the first
 column of (A_0 V A_n) V^T gives, with q_(n-2) = q_n - a_n q_(n-1),
 
     h_(P-1) = h_n q_(n-1) + h_(n-1) q_(n-2),
-    q_(P-1) = q_n q_(n-1) + q_(n-1) q_(n-2).
+    q_(P-1) = q_n q_(n-1) + q_(n-1) q_(n-2) = q_(n-1) (q_n + q_(n-2)).
 
 (h_(P-1), q_(P-1)) is the smallest solution of h^2 - k*q^2 = +-1, and
 every solution is a power of it.  An even period gives norm +1, so it is
@@ -48,7 +48,7 @@ solution is its square, q0 + p0*sqrt(k) = 2x^2 + 1 + 2xy*sqrt(k), as
 k*y^2 = x^2 + 1.
 
 The half walk is small-integer work, and so is most of the product.  The
-walk goes in blocks of a few dozen quotients a_i, ..., a_j, and each block
+walk goes in blocks of up to 256 quotients a_i, ..., a_j, and each block
 steps only the bottom row of its product
 
     A_(a_i) ... A_(a_j) = [[H, H'], [Q, Q']],
@@ -68,6 +68,22 @@ applications", MSRI Publ. 44, 2008): the bottom row of L R needs L's
 bottom row and R's top row, four products of equal size, which CPython
 multiplies by Karatsuba.  At the root, x_0 = sqrt(k) gives m_0 = 0 and
 d_0 = 1, and the same identities give (h_n, h_(n-1)).
+
+The block size was measured.  A longer block steps a longer growing q
+in the interpreter, a shorter one pays for more merges, each a few
+exact divisions and small products besides its four big ones.  Over
+the 96 k of the benchmark's PELL_K and OVERFLOW_K tables (solutions of
+about 2,600 and 4,500 digits), the mean of each k's best of 9 solves,
+on one core of a 2-core Intel Xeon with Python 3.11.7, read: blocks of
+32 quotients 1.002 ms, 64 0.959, 128 0.935, 192 0.936, 256 0.930,
+320 0.943, 384 0.959, 512 0.970, and one block for the whole half walk
+1.39 ms.  Hence 256.
+
+CPython squares an int faster than it multiplies two ints of its size,
+so the closings and the identity check of PellSolution square where
+they can: k*(p0*p0) in place of (k*p0)*p0 (75 against 107
+microseconds at 15,048 bits), 2*(x*x) in place of (2*x)*x, and one
+product q_(n-1) (q_n + q_(n-2)) in place of two.
 """
 
 from __future__ import annotations
@@ -80,6 +96,12 @@ from . import _public
 from .exact import Surd, _surd, isqrt
 
 __all__ = _public(__name__)
+
+
+def _sizes(p0: int, q0: int, k: int) -> str:
+    """k and the bit lengths of p0 and q0, for an error message: a solution
+    can have more digits than str(int) writes under the default limit."""
+    return f"k={k}, p0 of {p0.bit_length()} bits, q0 of {q0.bit_length()} bits"
 
 
 class PellSolution:
@@ -97,9 +119,9 @@ class PellSolution:
         for name, value in (("p0", p0), ("q0", q0), ("k", k)):
             object.__setattr__(self, name, value)
         if p0 < 1 or q0 < 2:
-            raise ValueError(f"not a nontrivial Pell solution: {self}")
-        if q0 * q0 - k * p0 * p0 != 1:
-            raise ValueError(f"Pell identity fails: {self}")
+            raise ValueError(f"not a nontrivial Pell solution: {_sizes(p0, q0, k)}")
+        if q0 * q0 - k * (p0 * p0) != 1:
+            raise ValueError(f"Pell identity fails: {_sizes(p0, q0, k)}")
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -193,14 +215,14 @@ def pell_fundamental(k: int) -> PellSolution:
     h_prev = (q * k - m_end * h) // d_end
     if d_next == d:  # odd period
         x, y = h * q + h_prev * q_prev, q * q + q_prev * q_prev
-        return PellSolution(p0=2 * x * y, q0=2 * x * x + 1, k=k)
+        return PellSolution(p0=2 * x * y, q0=2 * (x * x) + 1, k=k)
     q_prev2 = q - a * q_prev
     return PellSolution(
-        p0=q * q_prev + q_prev * q_prev2, q0=h * q_prev + h_prev * q_prev2, k=k
+        p0=q_prev * (q + q_prev2), q0=h * q_prev + h_prev * q_prev2, k=k
     )
 
 
-_LEAF = 32  # quotients per block of the product tree
+_LEAF = 256  # quotients per block of the product tree
 
 
 def szemberg_single_point_bound(k: int) -> Fraction:

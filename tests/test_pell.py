@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import sys
 from fractions import Fraction
 
 import pytest
@@ -43,6 +44,18 @@ class TestPellFundamental:
     def test_constructor_rejects_non_solutions(self):
         with pytest.raises(ValueError):
             PellSolution(p0=1, q0=5, k=35)
+
+    @pytest.mark.parametrize(
+        "sign,shift,message",
+        [(-1, 0, "not a nontrivial Pell solution"), (1, 1, "Pell identity fails")],
+    )
+    def test_constructor_errors_at_any_size(self, sign, shift, message):
+        # q0 has more digits than str(int) writes under the default limit,
+        # so the message gives k and bit lengths in place of the ints.
+        sol = pell_fundamental(129813574)
+        assert 0 < sys.get_int_max_str_digits() <= (sol.q0.bit_length() - 1) * 3 // 10
+        with pytest.raises(ValueError, match=f"^{message}: k=129813574, p0 of 15048 bits, q0 of 15062 bits$"):
+            PellSolution(sign * sol.p0, sol.q0 + shift, 129813574)
 
 
 class TestPellSolutionRecord:
@@ -96,6 +109,30 @@ BENCHMARK_K = [
 ]
 
 
+# k whose half walks hold _LEAF - 1, _LEAF, _LEAF + 1, 2 _LEAF and
+# 2 _LEAF + 1 quotients at _LEAF = 256, each with an even and an odd
+# period: (k, P // 2 + 1, P % 2).  The longest ends in a third block of
+# one quotient, so the merge carries an odd node up the tree.
+BLOCK_BOUNDARY_K = [
+    (51991, 255, 0),
+    (65629, 255, 1),
+    (64171, 256, 0),
+    (93529, 256, 1),
+    (54679, 257, 0),
+    (78121, 257, 1),
+    (185299, 512, 0),
+    (306049, 512, 1),
+    (183166, 513, 0),
+    (283369, 513, 1),
+]
+
+
+def half_walk(k):
+    """(quotients in the half walk, parity of the period) of sqrt(k)."""
+    p = period_length(k)
+    return p // 2 + 1, p % 2
+
+
 def single_point_fields(sol):
     """(num, den, radicand) of sol's single-point bound."""
     bound = sol.single_point_bound
@@ -126,14 +163,22 @@ class TestAgainstPeriodWalk:
         assert {1, 2} <= periods
         assert {p % 2 for p in periods} == {0, 1}
         # The half walk holds a_0 .. a_n, P // 2 + 1 quotients.  Walks of
-        # _LEAF - 1, _LEAF, _LEAF + 1 and 2 _LEAF quotients stop one short
-        # of a block's end, at it, one past it (a last block of one
-        # quotient), and at the end of a second block; the last two ends
-        # are reached by both closings.
+        # _LEAF - 1, _LEAF, _LEAF + 1, 2 _LEAF and 2 _LEAF + 1 quotients
+        # stop one short of a block's end, at it, one past it (a last block
+        # of one quotient), at the end of a second block and one past that;
+        # each is reached by both closings, in this sweep or in
+        # BLOCK_BOUNDARY_K.
         leaf = pell._LEAF
         halves = {(p // 2 + 1, p % 2) for p in periods}
-        assert {leaf - 1, leaf, leaf + 1, 2 * leaf} <= {n for n, _ in halves}
-        assert {(leaf, 0), (leaf, 1), (2 * leaf, 0), (2 * leaf, 1)} <= halves
+        halves |= {half_walk(k) for k, _, _ in BLOCK_BOUNDARY_K}
+        lengths = leaf - 1, leaf, leaf + 1, 2 * leaf, 2 * leaf + 1
+        assert {(n, parity) for n in lengths for parity in (0, 1)} <= halves
+
+    @pytest.mark.parametrize("k,half,parity", BLOCK_BOUNDARY_K)
+    def test_block_boundary_k_against_period_walk(self, k, half, parity):
+        assert half_walk(k) == (half, parity)
+        sol = pell_fundamental(k)
+        assert (sol.p0, sol.q0) == pell_period_walk(k)
 
     @pytest.mark.parametrize("k,bits", BENCHMARK_K)
     def test_benchmark_k_against_period_walk(self, k, bits):
