@@ -69,8 +69,8 @@ bottom row and R's top row, four products of equal size, which CPython
 multiplies by Karatsuba.  At the root, x_0 = sqrt(k) gives m_0 = 0 and
 d_0 = 1, and the same identities give (h_n, h_(n-1)).
 
-The block size was measured.  A longer block steps a longer growing q
-in the interpreter, a shorter one pays for more merges, each a few
+The block size was measured.  q grows along a block, so each step of a
+long block costs more; short blocks pay for more merges, each a few
 exact divisions and small products besides its four big ones.  Over
 the 96 k of the benchmark's PELL_K and OVERFLOW_K tables (solutions of
 about 2,600 and 4,500 digits), the mean of each k's best of 9 solves,

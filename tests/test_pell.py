@@ -44,6 +44,9 @@ class TestPellFundamental:
     def test_constructor_rejects_non_solutions(self):
         with pytest.raises(ValueError):
             PellSolution(p0=1, q0=5, k=35)
+        # 2^2 - 5 * 1^2 = -1: a unit of norm -1 solves the other equation
+        with pytest.raises(ValueError, match="Pell identity fails"):
+            PellSolution(p0=1, q0=2, k=5)
 
     @pytest.mark.parametrize(
         "sign,shift,message",
