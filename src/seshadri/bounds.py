@@ -104,7 +104,7 @@ def upper_bound(k: int, r: int) -> BoundValue:
     optimal cases."""
     if k < 1 or r < 1:
         raise ValueError(f"need k, r >= 1, got k={k}, r={r}")
-    return BoundValue(_sqrt_ratio(k, r), attained=False)
+    return BoundValue(_sqrt_ratio(k, r), False)
 
 
 def generic_lower_value(k: int, r: int) -> Surd:
@@ -146,15 +146,9 @@ def main_lower_bound(k: int, r: int) -> MainLowerBound:
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
     if (r, k) == (2, 6):
-        return MainLowerBound(
-            bound=BoundValue(_surd(3, 2, 1), attained=True, conditional=False),
-            candidates=(),
-        )
+        return MainLowerBound(BoundValue(_surd(3, 2, 1), True, False), ())
     candidates = enumerate_exceptional_candidates(k, r)
-    return MainLowerBound(
-        bound=BoundValue(generic_lower_value(k, r), attained=True, conditional=True),
-        candidates=candidates,
-    )
+    return MainLowerBound(BoundValue(generic_lower_value(k, r), True, True), candidates)
 
 
 def harbourne_bound(k: int, r: int) -> HarbourneBound:
@@ -199,7 +193,7 @@ def harbourne_bound(k: int, r: int) -> HarbourneBound:
         v = e.value
         if v.numerator * m > n * v.denominator:
             n, m = v.numerator, v.denominator
-    return HarbourneBound(BoundValue(_surd(n, m, 1), attained=n * n * r != m * m * k), tuple(elements))
+    return HarbourneBound(BoundValue(_surd(n, m, 1), n * n * r != m * m * k), tuple(elements))
 
 
 class ProductFactors(NamedTuple):
@@ -212,7 +206,12 @@ class ProductFactors(NamedTuple):
     plane: PlaneValue
 
 
-@dataclass(frozen=True)
+# The two report records are frozen dataclasses with an __init__ of their
+# own: the generated one sets each field through object.__setattr__, which
+# costs about twice as much as filling the instance dict in one update.
+# Equality, hashing, repr, replace, pickling and the frozen-instance error
+# are the dataclass's, unchanged.
+@dataclass(frozen=True, init=False)
 class BoundEntry:
     """One named bound inside a comparison report; detail is the object it
     was built from (None for the floor bound)."""
@@ -223,8 +222,20 @@ class BoundEntry:
     candidates: tuple[SubmaximalCandidate, ...] = ()
     detail: MainLowerBound | HarbourneBound | ProductFactors | None = None
 
+    def __init__(
+        self,
+        name: str,
+        value: BoundValue,
+        conjectural: bool = False,
+        candidates: tuple[SubmaximalCandidate, ...] = (),
+        detail: MainLowerBound | HarbourneBound | ProductFactors | None = None,
+    ) -> None:
+        self.__dict__.update(
+            name=name, value=value, conjectural=conjectural, candidates=candidates, detail=detail
+        )
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class BoundReport:
     """All applicable bounds at (k, r), entries sorted by decreasing value.
 
@@ -238,6 +249,11 @@ class BoundReport:
     upper: BoundValue
     entries: tuple[BoundEntry, ...]
     ranks: tuple[int, ...]
+
+    def __init__(
+        self, k: int, r: int, upper: BoundValue, entries: tuple[BoundEntry, ...], ranks: tuple[int, ...]
+    ) -> None:
+        self.__dict__.update(k=k, r=r, upper=upper, entries=entries, ranks=ranks)
 
 
 def compare_bounds(k: int, r: int, very_ample: bool = False) -> BoundReport:
@@ -256,24 +272,25 @@ def compare_bounds(k: int, r: int, very_ample: bool = False) -> BoundReport:
     upper = upper_bound(k, r)
     main = main_lower_bound(k, r)
     entries = [
-        BoundEntry("main", main.bound, candidates=main.candidates, detail=main),
+        BoundEntry("main", main.bound, False, main.candidates, main),
         BoundEntry("szemberg-floor", BoundValue(_surd(szemberg_floor_bound(k, r), 1, 1))),
     ]
 
     if very_ample:
         harb = harbourne_bound(k, r)
-        entries.append(BoundEntry("harbourne", harb.bound, detail=harb))
+        entries.append(BoundEntry("harbourne", harb.bound, False, (), harb))
 
     if k >= 2 and not is_square(k):
         sol = pell_fundamental(k)
-        factors = ProductFactors(sol, fsst_applicable(k), nagata_plane_value(r))
+        witness = fsst_applicable(k)
+        plane = nagata_plane_value(r)
         entries.append(
             BoundEntry(
-                name="biran-product",
-                value=BoundValue(factors.plane.bound.value * sol.single_point_bound),
-                conjectural=not factors.witness.applicable
-                or factors.plane.status is PlaneValueStatus.CONJECTURAL,
-                detail=factors,
+                "biran-product",
+                BoundValue(plane.bound.value * sol.single_point_bound),
+                not witness.applicable or plane.status is PlaneValueStatus.CONJECTURAL,
+                (),
+                ProductFactors(sol, witness, plane),
             )
         )
 
@@ -289,9 +306,10 @@ def compare_bounds(k: int, r: int, very_ample: bool = False) -> BoundReport:
     up_n, up_d = u._num * u._num * u._rad, u._den * u._den
     ordered: list[tuple[int, int, BoundEntry]] = []
     for e in entries:
-        x = e.value.value
+        value = e.value
+        x = value.value
         n, d = x._num * x._num * x._rad, x._den * x._den
-        if not e.value.conditional and n * up_d > up_n * d:
+        if not value.conditional and n * up_d > up_n * d:
             raise RuntimeError(f"unconditional {e.name} bound exceeds sqrt(k/r) at k={k}, r={r}")
         i = 0
         for on, od, o in ordered:
@@ -301,10 +319,10 @@ def compare_bounds(k: int, r: int, very_ample: bool = False) -> BoundReport:
             i += 1
         ordered.insert(i, (n, d, e))
     ranks: list[int] = []
-    pn, pd = 0, 1
-    for i, (n, d, _) in enumerate(ordered, 1):
-        ranks.append(ranks[-1] if i > 1 and n * pd == pn * d else i)
+    pn = i = 0
+    pd = 1
+    for n, d, _ in ordered:
+        i += 1
+        ranks.append(i if i == 1 or n * pd != pn * d else ranks[-1])
         pn, pd = n, d
-    return BoundReport(
-        k=k, r=r, upper=upper, entries=tuple(e for _, _, e in ordered), ranks=tuple(ranks)
-    )
+    return BoundReport(k, r, upper, tuple([o[2] for o in ordered]), tuple(ranks))

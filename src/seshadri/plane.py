@@ -11,7 +11,6 @@ plane values loads neither the bound layer nor the Pell solver.
 from __future__ import annotations
 
 from enum import Enum
-from fractions import Fraction
 from typing import NamedTuple
 
 from . import _public
@@ -47,18 +46,13 @@ class PlaneValue(NamedTuple):
     status: PlaneValueStatus
 
 
-# Exact plane values for few points; 1/sqrt(r) takes over from r = 9 on
-# (proved on perfect squares, conjectural otherwise).
-_PLANE_SMALL: dict[int, Fraction] = {
-    1: Fraction(1),
-    2: Fraction(1, 2),
-    3: Fraction(1, 2),
-    4: Fraction(1, 2),
-    5: Fraction(2, 5),
-    6: Fraction(2, 5),
-    7: Fraction(3, 8),
-    8: Fraction(6, 17),
-}
+# Exact plane values for r = 1, ..., 8 points, at index r - 1, as ready
+# bound values; 1/sqrt(r) takes over from r = 9 on (proved on perfect
+# squares, conjectural otherwise).
+_PLANE_SMALL: tuple[BoundValue, ...] = tuple(
+    BoundValue(_surd(num, den, 1))
+    for num, den in ((1, 1), (1, 2), (1, 2), (1, 2), (2, 5), (2, 5), (3, 8), (6, 17))
+)
 
 
 def nagata_plane_value(r: int) -> PlaneValue:
@@ -70,8 +64,7 @@ def nagata_plane_value(r: int) -> PlaneValue:
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
     if r <= 8:
-        known = _PLANE_SMALL[r]
-        return PlaneValue(BoundValue(_surd(known.numerator, known.denominator, 1)), PlaneValueStatus.KNOWN)
+        return PlaneValue(_PLANE_SMALL[r - 1], PlaneValueStatus.KNOWN)
     value = _sqrt_ratio(1, r)
     if is_square(r):
         return PlaneValue(BoundValue(value), PlaneValueStatus.PROVED_SQUARE)

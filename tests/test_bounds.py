@@ -1,6 +1,10 @@
 """Bounds module tests: published comparison values and global invariants."""
 
+import copy
+import dataclasses
 import hashlib
+import inspect
+import pickle
 import random
 import textwrap
 from fractions import Fraction
@@ -19,6 +23,8 @@ from oracles import (
 import seshadri.bounds as bounds
 import seshadri.exact as exact
 from seshadri.bounds import (
+    BoundEntry,
+    BoundReport,
     compare_bounds,
     enumerate_exceptional_candidates,
     generic_lower_value,
@@ -359,7 +365,6 @@ class TestCompareBounds:
         biran2 = next(e for e in rep2.entries if e.name == "biran-product")
         assert not biran2.conjectural
 
-
     def test_pell_solution_past_int_str_limit(self):
         # q0 has about 4500 digits, past the interpreter's default limit
         # for int-to-str conversion; the report holds it as data.
@@ -378,6 +383,77 @@ class TestCompareBounds:
         factors = by_name["biran-product"].detail
         assert (factors.pell.single_point_bound, factors.pell.q0, factors.witness.n) == (Fraction(35, 6), 6, 6)
         assert factors.plane == nagata_plane_value(101)
+
+
+class TestReportRecords:
+    """BoundEntry and BoundReport are frozen dataclasses with an __init__ of
+    their own.  tests/oracles.py builds its reports through the same
+    __init__, so a misassigned field would not show in a comparison with
+    the oracle: these tests pin the constructor to the dataclass fields."""
+
+    REPORT = compare_bounds(35, 101, very_ample=True)  # all four entries
+
+    @pytest.fixture(params=["entry", "report"])
+    def record(self, request):
+        return self.REPORT.entries[0] if request.param == "entry" else self.REPORT
+
+    def test_the_report_has_all_four_entries(self):
+        assert {e.name for e in self.REPORT.entries} == {"main", "szemberg-floor", "harbourne", "biran-product"}
+
+    @pytest.mark.parametrize("cls", [BoundEntry, BoundReport])
+    def test_signature_is_the_fields_in_order_with_their_defaults(self, cls):
+        params = list(inspect.signature(cls).parameters.values())
+        fields = dataclasses.fields(cls)
+        assert [p.name for p in params] == [f.name for f in fields]
+        assert all(p.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD for p in params)
+        for p, f in zip(params, fields):
+            if f.default is dataclasses.MISSING:
+                assert p.default is inspect.Parameter.empty, f.name
+            else:
+                assert p.default == f.default and type(p.default) is type(f.default), f.name
+
+    @pytest.mark.parametrize("cls", [BoundEntry, BoundReport])
+    def test_each_argument_lands_in_its_field(self, cls):
+        args = {f.name: object() for f in dataclasses.fields(cls)}
+        for built in (cls(**args), cls(*args.values())):
+            assert all(getattr(built, name) is arg for name, arg in args.items())
+
+    def test_replace_sets_each_field_alone(self, record):
+        for field in dataclasses.fields(record):
+            new = object()
+            changed = dataclasses.replace(record, **{field.name: new})
+            assert type(changed) is type(record)
+            for other in dataclasses.fields(record):
+                want = new if other is field else getattr(record, other.name)
+                assert getattr(changed, other.name) is want, (field.name, other.name)
+
+    def test_equal_records_are_equal_with_equal_hashes(self, record):
+        twin = type(record)(**{f.name: getattr(record, f.name) for f in dataclasses.fields(record)})
+        assert twin == record and hash(twin) == hash(record)
+        again = compare_bounds(35, 101, very_ample=True)
+        assert again is not self.REPORT
+        assert again == self.REPORT and hash(again) == hash(self.REPORT)
+        assert dataclasses.replace(record, **{dataclasses.fields(record)[0].name: None}) != record
+
+    def test_repr_is_the_dataclass_repr(self, record):
+        fields = ", ".join(f"{f.name}={getattr(record, f.name)!r}" for f in dataclasses.fields(record))
+        assert repr(record) == f"{type(record).__name__}({fields})"
+
+    def test_fields_cannot_be_set_or_deleted(self, record):
+        for field in dataclasses.fields(record):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, field.name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(record, field.name)
+        assert self.REPORT == compare_bounds(35, 101, very_ample=True)
+
+    def test_pickle_and_deepcopy_round_trips(self):
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(self.REPORT, protocol))
+            assert type(back) is BoundReport and back == self.REPORT
+        copied = copy.deepcopy(self.REPORT)
+        assert copied is not self.REPORT and copied == self.REPORT
+        assert all(type(e) is BoundEntry for e in copied.entries)
 
 
 def _log_uniform(rng, lo, hi):
