@@ -319,8 +319,7 @@ def compare_bounds(k: int, r: int, very_ample: bool = False) -> BoundReport:
             i += 1
         ordered.insert(i, (n, d, e))
     ranks: list[int] = []
-    pn = i = 0
-    pd = 1
+    i, pn, pd = 0, 0, 1
     for n, d, _ in ordered:
         i += 1
         ranks.append(i if i == 1 or n * pd != pn * d else ranks[-1])
