@@ -36,9 +36,9 @@ from .inequalities import is_square, subgeneric_unit_length
 from .pell import FsstWitness, PellSolution, fsst_applicable, pell_fundamental
 from .plane import BoundValue, PlaneValue, PlaneValueStatus, nagata_plane_value
 # The floor bound and its dominance scan live in .threshold, which the
-# threshold command loads without this module; perfbench calls and traces
-# bounds.dominance_scan.
-from .threshold import ThresholdScan, dominance_scan, szemberg_floor_bound  # noqa: F401
+# threshold command loads without this module.  compare_bounds uses the
+# floor bound, and perfbench calls and traces bounds.dominance_scan.
+from .threshold import dominance_scan, szemberg_floor_bound  # noqa: F401
 
 __all__ = _public(__name__)
 

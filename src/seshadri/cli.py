@@ -412,7 +412,7 @@ def _build_parser(argv: list[str]) -> _Parser:
     """The parser for argv, with the subparser of argv[0] alone when it
     names a subcommand.  Otherwise (--help, or a missing or unknown
     subcommand) it holds all of them, so argparse lists them all."""
-    parser = _Parser(prog="seshadri", description=__doc__.split("\n\n")[0])
+    parser = _Parser(prog="seshadri", description="Command-line front end.")
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
     for name in argv[:1] if argv and argv[0] in SUBCOMMANDS else SUBCOMMANDS:
         summary, command, options = SUBCOMMANDS[name]

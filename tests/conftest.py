@@ -47,7 +47,7 @@ def unlimited_int_digits():
 
 
 def run_python(*args: str) -> subprocess.CompletedProcess:
-    """A new interpreter run with args (flags first, such as -O or -S -B),
+    """A new interpreter run with args (flags first, such as -OO or -S -B),
     importing seshadri from this checkout; its output is captured as text,
     and it is stopped after 60 s."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))

@@ -6,11 +6,10 @@ import hashlib
 import inspect
 import pickle
 import random
-import textwrap
 from fractions import Fraction
 
 import pytest
-from conftest import run_python, unlimited_int_digits
+from conftest import unlimited_int_digits
 from hypothesis import given, strategies as st
 from oracles import (
     band_cutoff_by_steps,
@@ -560,31 +559,6 @@ class TestInvariantChecks:
         monkeypatch.setattr(bounds, "upper_bound", _upper_three_halves)
         with pytest.raises(RuntimeError, match="unconditional biran-product bound"):
             compare_bounds(35, 9)
-
-    def test_check_survives_optimized_mode(self):
-        self.assert_check_raises_under_O("Fraction(1)", 150, 10, "szemberg-floor")
-
-    def test_product_check_survives_optimized_mode(self):
-        self.assert_check_raises_under_O("Fraction(3, 2)", 35, 9, "biran-product")
-
-    @staticmethod
-    def assert_check_raises_under_O(upper, k, r, name):
-        """Under python -O, compare_bounds(k, r) with upper patched to
-        Surd(upper) raises the RuntimeError that names entry name."""
-        script = textwrap.dedent(f"""
-            import seshadri.bounds as bounds
-            from fractions import Fraction
-            from seshadri.exact import Surd
-            from seshadri.plane import BoundValue
-            bounds.upper_bound = lambda k, r: BoundValue(Surd({upper}), attained=False)
-            try:
-                bounds.compare_bounds({k}, {r})
-            except RuntimeError as exc:
-                raise SystemExit(0 if "unconditional {name} bound" in str(exc) else 2)
-            raise SystemExit(1)
-        """)
-        proc = run_python("-O", "-c", script)
-        assert proc.returncode == 0, proc.stderr
 
 
 class TestGlobalDominance:

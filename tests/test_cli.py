@@ -1,6 +1,7 @@
 """CLI contract tests: values, formats, exit codes, determinism."""
 
 import json
+import math
 import subprocess
 import sys
 from decimal import Decimal
@@ -240,6 +241,19 @@ class TestVerifyCommand:
         (rec,) = json_records(out)
         names = [e["name"] for e in rec["entries"]]
         assert "equality-witness" in names
+
+    def test_han_count_past_int_str_limit(self):
+        # The applicable-vectors count has 4,815 digits, more than the
+        # interpreter converts to str by default, and is no Pell value: the
+        # lifted limit in main is what prints it (Decimal parses past it).
+        code, out, err = run_cli(
+            "verify", "--suite", "han", "--s-max", "8000", "--m-max", "8000",
+            "--format", "json",
+        )
+        assert (code, err) == (0, "")
+        (rec,) = json_records(out)
+        by_name = {e["name"]: e["exact"] for e in rec["entries"]}
+        assert int(Decimal(by_name["applicable-vectors"])) == math.comb(16000, 8000) - 16001
 
     @pytest.mark.parametrize("k_max,r_max", [(1, 2), (1, 6), (10, 2)])
     def test_k3_suite_without_pairs_is_usage_error(self, k_max, r_max):

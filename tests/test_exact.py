@@ -3,11 +3,9 @@
 import copy
 import math
 import pickle
-import textwrap
 from fractions import Fraction
 
 import pytest
-from conftest import run_python
 from hypothesis import given, strategies as st
 from oracles import FractionSurd, fraction_render_decimal, squarefree_trial_division
 
@@ -260,31 +258,6 @@ class TestSqrtRatio:
             Surd.sqrt(Fraction(-2, 8))
         with pytest.raises(ValueError, match="sqrt of negative rational -3"):
             Surd.sqrt(-3)
-
-
-class TestOptimizedMode:
-    def test_construction_checks_survive_python_O(self):
-        # -O strips asserts, so each of these raising shows a real check.
-        script = textwrap.dedent("""
-            from seshadri.exact import Surd
-            from seshadri.pell import PellSolution
-            if __debug__:
-                raise SystemExit("not running under -O")
-            cases = [
-                (lambda: Surd(-1), ValueError),
-                (lambda: Surd(1, -2), ValueError),
-                (lambda: Surd(0.5), TypeError),
-                (lambda: PellSolution(2, 3, 3), ValueError),
-            ]
-            for i, (make, error) in enumerate(cases):
-                try:
-                    make()
-                except error:
-                    continue
-                raise SystemExit(f"case {i} did not raise {error.__name__}")
-        """)
-        proc = run_python("-O", "-c", script)
-        assert proc.returncode == 0, proc.stderr
 
 
 class TestRenderDecimal:

@@ -1,7 +1,14 @@
 """The package's exactness rules, checked on the syntax of every module.
 
-An invariant is a real check, since `python -O` strips asserts, and no
-float takes part in any decision: no float literal or `float` name, no
+Plain, `python -O` and `python -OO` runs are the same program.  The rule
+bans every construct whose meaning those flags change, and the list is
+complete: `assert`, which -O strips; the name `__debug__` and
+`sys.flags`, which -O sets; and any read of `__doc__`, which -OO sets to
+None.  So an invariant is a real check, and the help text is a literal.
+A standard-library call that reads a docstring for its caller, such as
+inspect.getdoc, would get round the rule; the package makes none.
+
+No float takes part in any decision: no float literal or `float` name, no
 true division, and none of math's float-valued sqrt, log or exp.
 """
 
@@ -14,28 +21,35 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "seshadri"
 FLOAT_MATH = {"sqrt", "log", "exp"}
 
 
+def uses(node: ast.AST, module: str, names: set[str]) -> bool:
+    """Whether node reads module.<one of names>, or imports one of names from module."""
+    if isinstance(node, ast.Attribute):
+        return node.attr in names and isinstance(node.value, ast.Name) and node.value.id == module
+    return isinstance(node, ast.ImportFrom) and node.module == module and bool(names & {a.name for a in node.names})
+
+
 def breaches(source: str) -> list[str]:
     """One line per breach of the rules in source: the rule and the line."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Assert):
             rule = "assert"
+        elif isinstance(node, ast.Name) and node.id == "__debug__":
+            rule = "__debug__"
+        elif uses(node, "sys", {"flags"}):
+            rule = "sys.flags"
+        elif (
+            isinstance(node, ast.Name) and node.id == "__doc__"
+            or isinstance(node, ast.Attribute) and node.attr == "__doc__"
+        ) and isinstance(node.ctx, ast.Load):
+            rule = "__doc__"
         elif isinstance(node, ast.Constant) and isinstance(node.value, float):
             rule = "float literal"
         elif isinstance(node, ast.Name) and node.id == "float":
             rule = "float name"
         elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
             rule = "true division"
-        elif (
-            isinstance(node, ast.Attribute)
-            and node.attr in FLOAT_MATH
-            and isinstance(node.value, ast.Name)
-            and node.value.id == "math"
-        ) or (
-            isinstance(node, ast.ImportFrom)
-            and node.module == "math"
-            and FLOAT_MATH & {alias.name for alias in node.names}
-        ):
+        elif uses(node, "math", FLOAT_MATH):
             rule = "float math"
         else:
             continue
@@ -56,6 +70,11 @@ def test_every_module_is_scanned():
     "snippet,rule",
     [
         ("assert x > 0", "assert"),
+        ("if __debug__:\n    check(x)", "__debug__"),
+        ("import sys\nif sys.flags.optimize:\n    pass", "sys.flags"),
+        ("from sys import flags", "sys.flags"),
+        ("head = __doc__.split('\\n\\n')[0]", "__doc__"),
+        ("text = main.__doc__", "__doc__"),
         ("y = 0.5", "float literal"),
         ("y = 1e3", "float literal"),
         ("isinstance(x, float)", "float name"),

@@ -4,7 +4,10 @@ Each cold case runs one fresh interpreter with -S, so that no site hook
 preloads modules, and -B, so that no bytecode is written, and checks its
 golden bytes, package modules, `dataclasses` and format modules on that
 one run.  The in-process tests cannot see what a process loads: by the
-time they run, pytest has loaded every module of the package.
+time they run, pytest has loaded every module of the package.  One case
+also runs under -OO, which strips asserts and docstrings, as a witness of
+the syntax rule in test_exactness_rules.py that makes plain, -O and -OO
+runs the same program.
 """
 
 import pytest
@@ -37,10 +40,10 @@ LOADS = {
 LOADS_DATACLASSES = {"bounds", "threshold", "verify"}
 
 
-def cold_run(*argv: str) -> tuple[int, str, str, frozenset[str]]:
-    """The exit code, stdout and stderr of `python -m seshadri *argv` in a
-    fresh interpreter, and the modules it had loaded when it exited."""
-    proc = run_python("-S", "-B", "-c", REPORT_MODULES, *argv)
+def cold_run(flags: tuple[str, ...], *argv: str) -> tuple[int, str, str, frozenset[str]]:
+    """The exit code, stdout and stderr of `python *flags -m seshadri *argv`
+    in a fresh interpreter, and the modules it had loaded when it exited."""
+    proc = run_python(*flags, "-S", "-B", "-c", REPORT_MODULES, *argv)
     *stderr, report = proc.stderr.splitlines(keepends=True)
     tag, *modules = report.split()
     assert tag == "modules"
@@ -74,12 +77,14 @@ COLD_CASES = [
     ("usage-error", "text"),
     ("domain-error", "json"),
 ]
+# The interpreter flags of each case: none, and -OO for one case.
+RUNS = [((), name, fmt) for name, fmt in COLD_CASES] + [(("-OO",), "bounds-product-n2-minus-1", "text")]
 
 
-@pytest.mark.parametrize("name,fmt", COLD_CASES, ids=[f"{n}.{f}" for n, f in COLD_CASES])
-def test_cold_process_matches_its_golden_file(name, fmt):
+@pytest.mark.parametrize("flags,name,fmt", RUNS, ids=[f"{n}.{f}{''.join(flags)}" for flags, n, f in RUNS])
+def test_cold_process_matches_its_golden_file(flags, name, fmt):
     argv = case_argv(name, fmt)
-    code, out, err, loaded = cold_run(*argv)
+    code, out, err, loaded = cold_run(flags, *argv)
     assert transcript(code, out, err).encode() == golden_file(name, fmt).read_bytes()
 
     catalog = {"seshadri.catalog"} if "--surface" in argv else set()

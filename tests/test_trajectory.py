@@ -66,7 +66,7 @@ def problems(doc: dict, file_name: str, benchmark: dict = BENCHMARK) -> list[str
 
 
 def test_there_are_trajectories():
-    assert {p.name for p in TRAJECTORIES} >= {"BENCH_bounds-grid.json", "BENCH_bounds-wide.json", "BENCH_cli.json"}
+    assert {p.name for p in TRAJECTORIES} >= {f"BENCH_{w['name']}.json" for w in BENCHMARK["workloads"]}
 
 
 @pytest.mark.parametrize("path", TRAJECTORIES, ids=lambda p: p.name)
