@@ -19,7 +19,6 @@ _EXPORTS = {
     **dict.fromkeys(("Surd", "isqrt", "render_decimal", "squarefree_decompose"), "exact"),
     **dict.fromkeys(
         (
-            "FsstWitness",
             "PellSolution",
             "fsst_applicable",
             "pell_fundamental",

@@ -28,12 +28,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import NamedTuple, Optional
 
 from . import _public
 from .exact import Surd, _sqrt_ratio, _surd, isqrt
 from .inequalities import is_square, subgeneric_unit_length
-from .pell import FsstWitness, PellSolution, fsst_applicable, pell_fundamental
+from .pell import PellSolution, fsst_applicable, pell_fundamental
 from .plane import BoundValue, PlaneValue, PlaneValueStatus, nagata_plane_value
 # The floor bound and its dominance scan live in .threshold, which the
 # threshold command loads without this module.  compare_bounds uses the
@@ -78,17 +79,21 @@ class HarbourneElement(NamedTuple):
     """One member of the three-set maximum, with its defining fraction.
 
     num/den is the fraction exactly as the formula produces it (before
-    reduction); source identifies the set:
+    reduction), and value is num/den in lowest terms; source identifies
+    the set:
       floor-multiple   floor(d*sqrt(r*k)) / (d*r)
       unit-reciprocal  1 / ceil(sqrt(r/k))
       ceil-multiple    d*k / ceil(d*sqrt(r*k))
     """
 
-    value: Fraction
     source: str
     d: Optional[int]
     num: int
     den: int
+
+    @property
+    def value(self) -> Fraction:
+        return Fraction(self.num, self.den)
 
 
 class HarbourneBound(NamedTuple):
@@ -171,38 +176,34 @@ def harbourne_bound(k: int, r: int) -> HarbourneBound:
     while d * d * k <= r:  # d <= sqrt(r/k)
         rk = d * d * r * k
         fl = isqrt(rk)
-        elements.append(
-            HarbourneElement(Fraction(fl, d * r), "floor-multiple", d, fl, d * r)
-        )
+        elements.append(HarbourneElement("floor-multiple", d, fl, d * r))
         ce = fl if fl * fl == rk else fl + 1
-        elements.append(
-            HarbourneElement(Fraction(d * k, ce), "ceil-multiple", d, d * k, ce)
-        )
+        elements.append(HarbourneElement("ceil-multiple", d, d * k, ce))
         d += 1
     # d is now the least integer with d^2*k > r, so ceil(sqrt(r/k)) is
     # d - 1 when (d - 1)^2*k = r and d otherwise.
     c = d - 1 if (d - 1) ** 2 * k == r else d
-    elements.append(HarbourneElement(Fraction(1, c), "unit-reciprocal", None, 1, c))
+    elements.append(HarbourneElement("unit-reciprocal", None, 1, c))
 
-    # The maximum by cross-multiplying the reduced fields, which are the
-    # canonical coefficient of the value.  No element exceeds sqrt(k/r),
-    # and the maximum reaches it exactly in the exceptional case: then the
-    # d = 1 floor-multiple element is sqrt(r*k)/r.
+    # The maximum by cross-multiplying the unreduced fractions, reduced by
+    # one gcd at the end.  No element exceeds sqrt(k/r), and the maximum
+    # reaches it exactly in the exceptional case (n^2*r = m^2*k, reduced or
+    # not): then the d = 1 floor-multiple element is sqrt(r*k)/r.
     n, m = 0, 1
     for e in elements:
-        v = e.value
-        if v.numerator * m > n * v.denominator:
-            n, m = v.numerator, v.denominator
-    return HarbourneBound(BoundValue(_surd(n, m, 1), n * n * r != m * m * k), tuple(elements))
+        if e.num * m > n * e.den:
+            n, m = e.num, e.den
+    g = gcd(n, m)
+    return HarbourneBound(BoundValue(_surd(n // g, m // g, 1), n * n * r != m * m * k), tuple(elements))
 
 
 class ProductFactors(NamedTuple):
     """The product bound's factors: the Pell solution, whose
-    single_point_bound is the single-point value p0*k/q0, its n^2 +- 1
-    witness, and the plane value at r."""
+    single_point_bound is the single-point value p0*k/q0, the n with
+    k = n^2 +- 1 (None when k has neither form), and the plane value at r."""
 
     pell: PellSolution
-    witness: FsstWitness
+    witness: Optional[int]
     plane: PlaneValue
 
 
@@ -288,7 +289,7 @@ def compare_bounds(k: int, r: int, very_ample: bool = False) -> BoundReport:
             BoundEntry(
                 "biran-product",
                 BoundValue(plane.bound.value * sol.single_point_bound),
-                not witness.applicable or plane.status is PlaneValueStatus.CONJECTURAL,
+                witness is None or plane.status is PlaneValueStatus.CONJECTURAL,
                 (),
                 ProductFactors(sol, witness, plane),
             )

@@ -195,9 +195,9 @@ def cmd_pell(args: argparse.Namespace) -> tuple[list[Record], int]:
     rec.notes.append(
         f"fundamental solution of q^2 - {k}*p^2 = 1: (p0, q0) = ({sol.p0}, {sol.q0})"
     )
-    if witness.applicable:
-        rec.notes.append(f"k = {k} = {_n2_pm_1(k, witness.n)}: bound is a proven case")
-        rec.entries.append(Entry(name="fsst-witness-n", exact=str(witness.n)))
+    if witness is not None:
+        rec.notes.append(f"k = {k} = {_n2_pm_1(k, witness)}: bound is a proven case")
+        rec.entries.append(Entry(name="fsst-witness-n", exact=str(witness)))
     else:
         rec.notes.append(
             f"k = {k} is not of the form n^2 +- 1: bound is conjectural in general"

@@ -113,8 +113,8 @@ def _entry_notes(entry: BoundEntry, r: int) -> list[str]:
             f"single-point factor {sol.single_point_bound} from Pell solution (p0, q0) = ({sol.p0}, {sol.q0})"
         )
         notes.append(f"plane factor {plane.bound.value} at r = {r} ({plane.status.value})")
-        if witness.applicable:
-            notes.append(f"single-point bound proven: k = {sol.k} = {_n2_pm_1(sol.k, witness.n)}")
+        if witness is not None:
+            notes.append(f"single-point bound proven: k = {sol.k} = {_n2_pm_1(sol.k, witness)}")
         else:
             notes.append(f"single-point bound conjectural: k = {sol.k} is not of the form n^2 +- 1")
         if r == 9:

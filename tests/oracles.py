@@ -235,7 +235,7 @@ def compare_bounds_by_fractions(k: int, r: int, very_ample: bool = False) -> Bou
             BoundEntry(
                 name="biran-product",
                 value=BoundValue(plane.bound.value * Surd(Fraction(sol.p0 * k, sol.q0))),
-                conjectural=not factors.witness.applicable or plane.status is PlaneValueStatus.CONJECTURAL,
+                conjectural=factors.witness is None or plane.status is PlaneValueStatus.CONJECTURAL,
                 detail=factors,
             )
         )
@@ -591,19 +591,16 @@ def han_scan_walk(s_max, m_max, margin=None):
     return HanScan(checked, tuple(counterexamples), tuple(equalities))
 
 
-def han_group_loop(s_max, m_max, margin=None):
+def han_group_loop(s_max, m_max):
     """verify_han_exhaustive by one margin on every group (s, m_s, sum(m)),
     indexed by its balanced vector: after m_s = e come n - rho entries q
     and rho entries q + 1, n = s - 1, 0 <= rho < n (rho = 0 at q = m_max).
 
     The scan's loop before the Cauchy-Schwarz floor, kept as the slow
-    predecessor: it visits every group, so a fake margin, which has no
-    floor, is asked on each of them.  Across rho the sum steps by 1 and
+    predecessor: it visits every group.  Across rho the sum steps by 1 and
     the least sum of squares by 2q + 1.  Groups whose least margin is
     <= 0 are listed by _group_vectors, and each vector by its own margin.
-    margin is as in han_scan_walk.
     """
-    margin = margin or han_margin
     counterexamples, equalities = [], []
     for s in range(2, s_max + 1):
         n = s - 1
@@ -615,11 +612,11 @@ def han_group_loop(s_max, m_max, margin=None):
                 for _ in range(n if q < m_max else 1):
                     total += 1  # one more entry raised from q to q + 1
                     least += step
-                    if margin(s, total, least, e) > 0 or not han_applies(s, total, least):
+                    if han_margin(s, total, least, e) > 0 or not han_applies(s, total, least):
                         continue
                     for rest in _group_vectors(n, e, total - e, m_max):
                         m = rest[::-1] + (e,)
-                        value = margin(s, total, sum(x * x for x in m), e)
+                        value = han_margin(s, total, sum(x * x for x in m), e)
                         if value < 0:
                             counterexamples.append(m)
                         elif value == 0:

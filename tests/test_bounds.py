@@ -116,12 +116,6 @@ class TestExceptionalCandidates:
         ours = [(c.d, c.s, c.value) for c in enumerate_exceptional_candidates(k, r)]
         assert ours == self.naive_candidates(k, r)
 
-    def test_sorted_ascending(self):
-        cands = enumerate_exceptional_candidates(1, 30)
-        values = [c.value for c in cands]
-        assert values == sorted(values)
-        assert all(c.s - 1 <= c.d * c.d for c in cands)
-
 
 class TestCandidatesAgainstIntervals:
     """The one-point candidate list against its predecessor, which built
@@ -220,6 +214,18 @@ class TestHarbourne:
             got, want = res.bound.value, _sqrt_ratio(k, r)
             assert not res.bound.attained, (k, r)
             assert (got._num, got._den, got._rad) == (want._num, want._den, want._rad), (k, r)
+
+    def test_the_maximum_builds_no_fraction(self, monkeypatch):
+        # The maximum is found by cross-multiplying each element's num/den
+        # and reduced by one gcd, so no element's value is built.
+        want = {(k, r): harbourne_bound(k, r) for k, r in ((1, 50), (35, 101))}
+
+        def no_fraction(*args):
+            raise AssertionError(f"harbourne_bound built Fraction{args}")
+
+        monkeypatch.setattr(bounds, "Fraction", no_fraction)
+        assert {(k, r): harbourne_bound(k, r) for k, r in want} == want
+        assert want[35, 101].bound.value == Fraction(59, 101)
 
     def test_k_above_r_only_singleton(self):
         res = harbourne_bound(35, 10)
@@ -335,14 +341,16 @@ class TestCompareBounds:
         # retaken when the records lost their prose fields (applicability,
         # attribution, annotation, winner, exceptional, note, form), and again
         # when the product's factor record stopped storing the single-point
-        # value p0*k/q0, which its Pell solution gives: each time the old
-        # reprs with exactly those fields cut out hash to the new value.
+        # value p0*k/q0, which its Pell solution gives, and again when the
+        # n^2 +- 1 witness became its n (or None) and a Harbourne element
+        # stopped storing its reduced value: each time the old reprs with
+        # exactly those fields cut out hash to the new value.
         digest = hashlib.sha256()
         for very_ample in (False, True):
             for k in range(1, 201):
                 for r in range(2, 51):
                     digest.update(repr(compare_bounds(k, r, very_ample=very_ample)).encode() + b"\n")
-        assert digest.hexdigest() == "3da06d6e0038529a764d8b0f022405ae5bd00e9aef531fa402fd607e53338216"
+        assert digest.hexdigest() == "7a57f072ed645ab5f676058a9a0cb2f1b3faff096551ca96907d6f55570a1bb4"
 
     def test_harbourne_omitted_without_very_ample(self):
         rep = compare_bounds(35, 101, very_ample=False)
@@ -380,7 +388,7 @@ class TestCompareBounds:
         assert by_name["harbourne"].detail == harbourne_bound(35, 101)
         assert by_name["szemberg-floor"].detail is None
         factors = by_name["biran-product"].detail
-        assert (factors.pell.single_point_bound, factors.pell.q0, factors.witness.n) == (Fraction(35, 6), 6, 6)
+        assert (factors.pell.single_point_bound, factors.pell.q0, factors.witness) == (Fraction(35, 6), 6, 6)
         assert factors.plane == nagata_plane_value(101)
 
 
@@ -564,7 +572,7 @@ class TestInvariantChecks:
 class TestGlobalDominance:
     def test_biran_with_proven_inputs_below_optimal(self):
         for k in range(2, 201):
-            if isqrt(k) ** 2 == k or not fsst_applicable(k).applicable:
+            if isqrt(k) ** 2 == k or fsst_applicable(k) is None:
                 continue
             single = szemberg_single_point_bound(k)
             for r in list(range(2, 10)) + [16, 25, 36, 49]:

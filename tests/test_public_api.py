@@ -7,11 +7,12 @@ import dataclasses
 import doctest
 import importlib
 import inspect
+import shlex
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from conftest import run_python
+from conftest import run_cli, run_python
 
 import seshadri
 
@@ -112,6 +113,17 @@ def test_readme_library_example_runs():
     assert tried > 0 and failed == 0
 
 
+def test_readme_cli_block_runs():
+    # each command of the README's CLI block exits 0 with nothing on stderr
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+    block = section.split("```\n", 2)[1]
+    commands = [shlex.split(line) for line in block.splitlines() if line.startswith("seshadri ")]
+    assert len(commands) == 9
+    for _, *argv in commands:
+        code, _, err = run_cli(*argv)
+        assert (argv, code, err) == (argv, 0, "")
+
+
 def test_bare_import_loads_no_submodule():
     loaded = fresh_python(
         "import sys, seshadri\n"
@@ -152,11 +164,10 @@ def test_first_access_loads_only_the_defining_module():
 # the CLI, so a prose field added to a record shows up here.
 RECORD_FIELDS = {
     "PellSolution": ("p0", "q0", "k"),
-    "FsstWitness": ("applicable", "n"),
     "BoundValue": ("value", "attained", "conditional"),
     "SubmaximalCandidate": ("d", "s", "value"),
     "MainLowerBound": ("bound", "candidates"),
-    "HarbourneElement": ("value", "source", "d", "num", "den"),
+    "HarbourneElement": ("source", "d", "num", "den"),
     "HarbourneBound": ("bound", "elements"),
     "PlaneValue": ("bound", "status"),
     "ProductFactors": ("pell", "witness", "plane"),
