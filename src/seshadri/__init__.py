@@ -26,11 +26,12 @@ _EXPORTS = {
         ),
         "pell",
     ),
-    **dict.fromkeys(("BoundValue", "PlaneValue", "PlaneValueStatus", "nagata_plane_value"), "plane"),
+    **dict.fromkeys(("PlaneValue", "PlaneValueStatus", "nagata_plane_value"), "plane"),
     **dict.fromkeys(
         (
             "BoundEntry",
             "BoundReport",
+            "BoundValue",
             "HarbourneBound",
             "HarbourneElement",
             "MainLowerBound",

@@ -35,13 +35,28 @@ from . import _public
 from .exact import Surd, _sqrt_ratio, _surd, isqrt
 from .inequalities import is_square, subgeneric_unit_length
 from .pell import PellSolution, fsst_applicable, pell_fundamental
-from .plane import BoundValue, PlaneValue, PlaneValueStatus, nagata_plane_value
+from .plane import PlaneValue, PlaneValueStatus, nagata_plane_value
 # The floor bound and its dominance scan live in .threshold, which the
 # threshold command loads without this module.  compare_bounds uses the
 # floor bound, and perfbench calls and traces bounds.dominance_scan.
 from .threshold import dominance_scan, szemberg_floor_bound  # noqa: F401
 
 __all__ = _public(__name__)
+
+
+class BoundValue(NamedTuple):
+    """An exact bound value with its qualifications.
+
+    attained is False when the value is only a supremum (approached but
+    not known to be a valid bound itself); conditional is True when the
+    bound holds only modulo an enumerated list of exceptional cases;
+    conjectural is True when the bound rests on unproven conjectures.
+    """
+
+    value: Surd
+    attained: bool = True
+    conditional: bool = False
+    conjectural: bool = False
 
 
 class SubmaximalCandidate(NamedTuple):
@@ -219,7 +234,6 @@ class BoundEntry:
 
     name: str
     value: BoundValue
-    conjectural: bool = False
     candidates: tuple[SubmaximalCandidate, ...] = ()
     detail: MainLowerBound | HarbourneBound | ProductFactors | None = None
 
@@ -227,13 +241,10 @@ class BoundEntry:
         self,
         name: str,
         value: BoundValue,
-        conjectural: bool = False,
         candidates: tuple[SubmaximalCandidate, ...] = (),
         detail: MainLowerBound | HarbourneBound | ProductFactors | None = None,
     ) -> None:
-        self.__dict__.update(
-            name=name, value=value, conjectural=conjectural, candidates=candidates, detail=detail
-        )
+        self.__dict__.update(name=name, value=value, candidates=candidates, detail=detail)
 
 
 @dataclass(frozen=True, init=False)
@@ -273,27 +284,21 @@ def compare_bounds(k: int, r: int, very_ample: bool = False) -> BoundReport:
     upper = upper_bound(k, r)
     main = main_lower_bound(k, r)
     entries = [
-        BoundEntry("main", main.bound, False, main.candidates, main),
+        BoundEntry("main", main.bound, main.candidates, main),
         BoundEntry("szemberg-floor", BoundValue(_surd(szemberg_floor_bound(k, r), 1, 1))),
     ]
 
     if very_ample:
         harb = harbourne_bound(k, r)
-        entries.append(BoundEntry("harbourne", harb.bound, False, (), harb))
+        entries.append(BoundEntry("harbourne", harb.bound, (), harb))
 
     if k >= 2 and not is_square(k):
         sol = pell_fundamental(k)
         witness = fsst_applicable(k)
         plane = nagata_plane_value(r)
-        entries.append(
-            BoundEntry(
-                "biran-product",
-                BoundValue(plane.bound.value * sol.single_point_bound),
-                witness is None or plane.status is PlaneValueStatus.CONJECTURAL,
-                (),
-                ProductFactors(sol, witness, plane),
-            )
-        )
+        conjectural = witness is None or plane.status is PlaneValueStatus.CONJECTURAL
+        value = BoundValue(plane.value * sol.single_point_bound, True, False, conjectural)
+        entries.append(BoundEntry("biran-product", value, (), ProductFactors(sol, witness, plane)))
 
     # Values are nonnegative, so squares order them.  One pass in the order
     # the entries were built squares each value once, as an unreduced pair

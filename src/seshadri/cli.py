@@ -332,13 +332,13 @@ def cmd_p2_table(args: argparse.Namespace) -> tuple[list[Record], int]:
     }
     rec = Record("p2-table", r_max=args.r_max)
     for r in range(1, args.r_max + 1):
-        value = nagata_plane_value(r)
+        plane = nagata_plane_value(r)
         rec.entries.append(
             Entry(
                 name=f"r={r}",
-                exact=str(value.bound.value),
-                decimal=render_decimal(value.bound.value, args.digits),
-                flags=(value.status.value,),
+                exact=str(plane.value),
+                decimal=render_decimal(plane.value, args.digits),
+                flags=(plane.status.value,),
                 applicability=achievers.get(r, ""),
             )
         )

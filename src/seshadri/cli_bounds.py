@@ -61,7 +61,7 @@ def _surface_notes(surface: SurfaceSpec, r: int) -> list[str]:
     known = known_value(surface, r)
     if known is not None:
         notes.append(
-            f"known exact value: {known.bound.value} "
+            f"known exact value: {known.value} "
             f"({known.status.value})"
             + (f"; {NINE_POINT_NOTE}" if r == 9 else "")
         )
@@ -112,7 +112,7 @@ def _entry_notes(entry: BoundEntry, r: int) -> list[str]:
         notes.append(
             f"single-point factor {sol.single_point_bound} from Pell solution (p0, q0) = ({sol.p0}, {sol.q0})"
         )
-        notes.append(f"plane factor {plane.bound.value} at r = {r} ({plane.status.value})")
+        notes.append(f"plane factor {plane.value} at r = {r} ({plane.status.value})")
         if witness is not None:
             notes.append(f"single-point bound proven: k = {sol.k} = {_n2_pm_1(sol.k, witness)}")
         else:
@@ -124,7 +124,6 @@ def _entry_notes(entry: BoundEntry, r: int) -> list[str]:
 
 def cmd_bounds(args: argparse.Namespace) -> tuple[list[Record], int]:
     from .bounds import compare_bounds
-    from .inequalities import is_square
 
     surface: Optional[SurfaceSpec] = None
     if args.surface is not None:
@@ -163,7 +162,7 @@ def cmd_bounds(args: argparse.Namespace) -> tuple[list[Record], int]:
                     flags.append("conditional")
                 if not entry.value.attained:
                     flags.append("supremum")
-                if entry.conjectural:
+                if entry.value.conjectural:
                     flags.append("conjectural")
                 flags.append(f"rank={rank}")
                 rows.append((entry.name, entry.value.value, tuple(flags)))
@@ -172,7 +171,7 @@ def cmd_bounds(args: argparse.Namespace) -> tuple[list[Record], int]:
                 Entry(name, str(value), render_decimal(value, digits), flags, *BOUND_WORDS[name])
                 for name, value, flags in rows
             )
-            if k >= 2 and is_square(k):
+            if k >= 2 and all(e.name != "biran-product" for e in report.entries):
                 rec.notes.append(f"no Pell single-point bound: k = {k} is a perfect square")
             if surface is not None:
                 rec.notes.extend(_surface_notes(surface, r))

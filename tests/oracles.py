@@ -9,6 +9,7 @@ from math import comb
 from seshadri.bounds import (
     BoundEntry,
     BoundReport,
+    BoundValue,
     HarbourneBound,
     MainLowerBound,
     ProductFactors,
@@ -21,7 +22,7 @@ from seshadri.inequalities import han_applies, han_margin, is_square, is_subgene
 from seshadri import oracle
 from seshadri.oracle import HanScan, TheoremScan, Violation, k3_h0
 from seshadri.pell import PellSolution, fsst_applicable, pell_fundamental
-from seshadri.plane import BoundValue, PlaneValue, PlaneValueStatus, nagata_plane_value
+from seshadri.plane import PlaneValue, PlaneValueStatus, nagata_plane_value
 from seshadri.threshold import ThresholdScan
 from seshadri.walk import CaseLabel, SearchResult
 
@@ -177,7 +178,7 @@ def biran_product_value(k: int, r: int):
     """The product bound at (k, r): the plane value times the single-point
     bound p0*k/q0 as a Fraction, reduced by its gcd."""
     sol = pell_fundamental(k)
-    return nagata_plane_value(r).bound.value * Fraction(sol.p0 * k, sol.q0)
+    return nagata_plane_value(r).value * Fraction(sol.p0 * k, sol.q0)
 
 
 def _sqrt_by_fractions(q: Fraction) -> Surd:
@@ -193,9 +194,9 @@ _PLANE_BY_R = (None, Fraction(1), Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)
 
 def _plane_value_by_fractions(r: int) -> PlaneValue:
     if r <= 8:
-        return PlaneValue(BoundValue(Surd(_PLANE_BY_R[r])), PlaneValueStatus.KNOWN)
+        return PlaneValue(Surd(_PLANE_BY_R[r]), PlaneValueStatus.KNOWN)
     status = PlaneValueStatus.PROVED_SQUARE if is_square(r) else PlaneValueStatus.CONJECTURAL
-    return PlaneValue(BoundValue(_sqrt_by_fractions(Fraction(1, r))), status)
+    return PlaneValue(_sqrt_by_fractions(Fraction(1, r)), status)
 
 
 def compare_bounds_by_fractions(k: int, r: int, very_ample: bool = False) -> BoundReport:
@@ -234,8 +235,10 @@ def compare_bounds_by_fractions(k: int, r: int, very_ample: bool = False) -> Bou
         entries.append(
             BoundEntry(
                 name="biran-product",
-                value=BoundValue(plane.bound.value * Surd(Fraction(sol.p0 * k, sol.q0))),
-                conjectural=factors.witness is None or plane.status is PlaneValueStatus.CONJECTURAL,
+                value=BoundValue(
+                    plane.value * Surd(Fraction(sol.p0 * k, sol.q0)),
+                    conjectural=factors.witness is None or plane.status is PlaneValueStatus.CONJECTURAL,
+                ),
                 detail=factors,
             )
         )

@@ -117,7 +117,7 @@ def test_criterion_5_plane_conformance():
     }
     for r, value in expected.items():
         res = nagata_plane_value(r)
-        assert res.bound.value == value, (r, value)
+        assert res.value == value, (r, value)
     nine = nagata_plane_value(9)
     assert nine.status.value == "proved-square"
     code, out, _ = run_cli("p2-table", "--r-max", "9", "--format", "json")

@@ -24,6 +24,7 @@ import seshadri.exact as exact
 from seshadri.bounds import (
     BoundEntry,
     BoundReport,
+    BoundValue,
     compare_bounds,
     enumerate_exceptional_candidates,
     generic_lower_value,
@@ -34,7 +35,7 @@ from seshadri.bounds import (
 from seshadri.exact import Surd, _sqrt_ratio, isqrt, render_decimal
 from seshadri.inequalities import el_xu_feasible, is_square, is_subgeneric, subgeneric_unit_length
 from seshadri.pell import fsst_applicable, szemberg_single_point_bound
-from seshadri.plane import BoundValue, PlaneValueStatus, nagata_plane_value
+from seshadri.plane import PlaneValueStatus, nagata_plane_value
 from seshadri.threshold import dominance_scan, szemberg_floor_bound
 
 
@@ -287,18 +288,18 @@ class TestNagataPlaneValue:
     )
     def test_exact_values(self, r, value, status):
         res = nagata_plane_value(r)
-        assert res.bound.value == value
+        assert res.value == value
         assert res.status is status
 
     def test_conjectural_above_nine(self):
         res = nagata_plane_value(101)
         assert res.status is PlaneValueStatus.CONJECTURAL
-        assert res.bound.value == Surd(Fraction(1, 101), 101)
+        assert res.value == Surd(Fraction(1, 101), 101)
 
     def test_all_values_at_most_optimal(self):
         for r in range(1, 200):
             res = nagata_plane_value(r)
-            assert res.bound.value <= Surd.sqrt(Fraction(1, r))
+            assert res.value <= Surd.sqrt(Fraction(1, r))
 
 
 class TestCompareBounds:
@@ -343,14 +344,16 @@ class TestCompareBounds:
         # when the product's factor record stopped storing the single-point
         # value p0*k/q0, which its Pell solution gives, and again when the
         # n^2 +- 1 witness became its n (or None) and a Harbourne element
-        # stopped storing its reduced value: each time the old reprs with
-        # exactly those fields cut out hash to the new value.
+        # stopped storing its reduced value, and again when conjectural moved
+        # into the entry's value and a plane value became its Surd.  Each time
+        # the old reprs, with exactly those fields cut out or (the last time)
+        # rewritten as CHANGES.md gives, hash to the new value.
         digest = hashlib.sha256()
         for very_ample in (False, True):
             for k in range(1, 201):
                 for r in range(2, 51):
                     digest.update(repr(compare_bounds(k, r, very_ample=very_ample)).encode() + b"\n")
-        assert digest.hexdigest() == "7a57f072ed645ab5f676058a9a0cb2f1b3faff096551ca96907d6f55570a1bb4"
+        assert digest.hexdigest() == "24c4c804c02daf0c24b840aecc236698ca63c0b7838403526689e09b22bf6f29"
 
     def test_harbourne_omitted_without_very_ample(self):
         rep = compare_bounds(35, 101, very_ample=False)
@@ -366,11 +369,22 @@ class TestCompareBounds:
         # square, so the plane factor keeps the product conjectural.
         rep = compare_bounds(35, 101, very_ample=False)
         biran = next(e for e in rep.entries if e.name == "biran-product")
-        assert biran.conjectural
+        assert biran.value.conjectural
         # proven plane factor and proven single-point factor: not conjectural
         rep2 = compare_bounds(35, 9, very_ample=False)
         biran2 = next(e for e in rep2.entries if e.name == "biran-product")
-        assert not biran2.conjectural
+        assert not biran2.value.conjectural
+
+    def test_only_the_product_is_conjectural_over_the_desk_grid(self):
+        # The product rests on conjectures unless k = n^2 +- 1 and the plane
+        # value at r is proven; no other bound is conjectural.
+        for k in range(1, 201):
+            for r in range(2, 51):
+                for e in compare_bounds(k, r, very_ample=True).entries:
+                    want = e.name == "biran-product" and (
+                        fsst_applicable(k) is None or nagata_plane_value(r).status is PlaneValueStatus.CONJECTURAL
+                    )
+                    assert e.value.conjectural == want, (k, r, e.name)
 
     def test_pell_solution_past_int_str_limit(self):
         # q0 has about 4500 digits, past the interpreter's default limit
@@ -578,7 +592,7 @@ class TestGlobalDominance:
             for r in list(range(2, 10)) + [16, 25, 36, 49]:
                 plane = nagata_plane_value(r)
                 assert plane.status is not PlaneValueStatus.CONJECTURAL
-                prod = plane.bound.value * single
+                prod = plane.value * single
                 assert prod <= upper_bound(k, r).value
 
 

@@ -50,12 +50,12 @@ class TestMakeSurface:
 class TestKnownValue:
     def test_plane_seven_points(self):
         res = known_value(make_surface(SurfaceKind.PROJECTIVE_PLANE), 7)
-        assert res.bound.value == Fraction(3, 8)
+        assert res.value == Fraction(3, 8)
         assert res.status is PlaneValueStatus.KNOWN
 
     def test_plane_sixteen_points(self):
         res = known_value(make_surface(SurfaceKind.PROJECTIVE_PLANE), 16)
-        assert res.bound.value == Fraction(1, 4)
+        assert res.value == Fraction(1, 4)
         assert res.status is PlaneValueStatus.PROVED_SQUARE
 
     def test_k3_has_no_recorded_value(self):
@@ -65,7 +65,7 @@ class TestKnownValue:
         plane = make_surface(SurfaceKind.PROJECTIVE_PLANE)
         for r in range(1, 100):
             res = known_value(plane, r)
-            assert res.bound.value <= upper_bound(1, r).value
+            assert res.value <= upper_bound(1, r).value
 
 
 class TestParseSurface:

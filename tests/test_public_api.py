@@ -140,6 +140,7 @@ CLOSURES = {
     "walk": {"seshadri", "seshadri.exact", "seshadri.inequalities", "seshadri.walk"},
     "threshold": {"seshadri", "seshadri.exact", "seshadri.inequalities", "seshadri.threshold"},
 }
+CLOSURES["bounds"] = CLOSURES["pell"] | CLOSURES["plane"] | CLOSURES["threshold"] | {"seshadri.bounds"}
 
 
 def test_first_access_loads_only_the_defining_module():
@@ -148,7 +149,7 @@ def test_first_access_loads_only_the_defining_module():
         "min_ratio_search": CLOSURES["walk"],
         "classify_case": CLOSURES["walk"],
         "nagata_plane_value": CLOSURES["plane"],
-        "BoundValue": CLOSURES["plane"],
+        "BoundValue": {"dataclasses", *CLOSURES["bounds"]},  # the bound layer's records are dataclasses
         "dominance_scan": {"dataclasses", *CLOSURES["threshold"]},  # ThresholdScan is a dataclass
     }
     for name, modules in expected.items():
@@ -164,14 +165,14 @@ def test_first_access_loads_only_the_defining_module():
 # the CLI, so a prose field added to a record shows up here.
 RECORD_FIELDS = {
     "PellSolution": ("p0", "q0", "k"),
-    "BoundValue": ("value", "attained", "conditional"),
+    "BoundValue": ("value", "attained", "conditional", "conjectural"),
     "SubmaximalCandidate": ("d", "s", "value"),
     "MainLowerBound": ("bound", "candidates"),
     "HarbourneElement": ("source", "d", "num", "den"),
     "HarbourneBound": ("bound", "elements"),
-    "PlaneValue": ("bound", "status"),
+    "PlaneValue": ("value", "status"),
     "ProductFactors": ("pell", "witness", "plane"),
-    "BoundEntry": ("name", "value", "conjectural", "candidates", "detail"),
+    "BoundEntry": ("name", "value", "candidates", "detail"),
     "BoundReport": ("k", "r", "upper", "entries", "ranks"),
     "ThresholdScan": ("r", "k_cap", "threshold", "last_failure", "band_cutoff", "stable_beyond_cap"),
     "SearchResult": ("minimum", "witnesses"),

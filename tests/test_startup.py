@@ -29,7 +29,7 @@ REPORT_MODULES = (
 # catalog.  Only bounds loads its prose, cli_bounds, and threshold loads no
 # part of the bound layer but its own scan.
 LOADS = {
-    "bounds": CLOSURES["pell"] | CLOSURES["plane"] | CLOSURES["threshold"] | {"seshadri.bounds", "seshadri.cli_bounds"},
+    "bounds": CLOSURES["bounds"] | {"seshadri.cli_bounds"},
     "threshold": CLOSURES["threshold"],
     "pell": CLOSURES["pell"],
     "search": CLOSURES["walk"],
